@@ -3,21 +3,21 @@
 // telemetry.EncodeEvent the serve WAL uses, decoded by a plain
 // json.Unmarshal. A file is a header line, one corpus.entry event per entry
 // (the assertion serialized in Data), and a trailer carrying the entry
-// count. The loader tolerates a torn final line and a missing trailer — the
-// shapes a killed daemon leaves behind — so restarts keep the corpus.
+// count. Reading and appending follow the internal/jsonl contract, so a
+// journal a killed daemon left behind (torn final line, no trailer) loads
+// with at most the batch being written lost.
 package corpus
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"goldmine/internal/assertion"
+	"goldmine/internal/jsonl"
 	"goldmine/internal/telemetry"
 )
 
@@ -117,6 +117,14 @@ func encodeEntryEvent(buf []byte, e *Entry) ([]byte, error) {
 	})
 }
 
+// encodeHeader renders the journal's version header line.
+func encodeHeader(buf []byte) ([]byte, error) {
+	return telemetry.EncodeEvent(buf, &telemetry.Event{
+		TS: time.Now(), Kind: telemetry.KindEvent, Name: eventHeader,
+		Attrs: []telemetry.Attr{telemetry.Int("version", storeVersion)},
+	})
+}
+
 // Save writes the whole corpus to path atomically (temp file + rename), in
 // the deterministic Entries order, with header and trailer lines. Re-saving
 // an unchanged corpus rewrites identical entry payloads.
@@ -129,10 +137,7 @@ func Save(path string, c *Corpus) error {
 	w := bufio.NewWriter(f)
 	entries := c.Entries()
 	buf := make([]byte, 0, 512)
-	buf, err = telemetry.EncodeEvent(buf, &telemetry.Event{
-		TS: time.Now(), Kind: telemetry.KindEvent, Name: eventHeader,
-		Attrs: []telemetry.Attr{telemetry.Int("version", storeVersion)},
-	})
+	buf, err = encodeHeader(buf)
 	if err == nil {
 		_, err = w.Write(buf)
 	}
@@ -187,191 +192,85 @@ func Save(path string, c *Corpus) error {
 	return nil
 }
 
-// Load reads a corpus journal. A missing file is an empty corpus (first run
-// of a fresh daemon or CLI). A torn final line — a crash mid-append — is
-// tolerated by discarding it; a malformed line with intact lines after it is
-// corruption and errors out.
+// Load reads a corpus journal under the jsonl contract. A missing file is an
+// empty corpus (first run of a fresh daemon or CLI), a torn tail is
+// discarded, and a bad line followed by anything is corruption.
 func Load(path string) (*Corpus, error) {
 	c := New()
-	if _, err := loadInto(path, c); err != nil {
-		return nil, err
+	if _, err := jsonl.Replay(path, c.loadLine); err != nil {
+		return nil, fmt.Errorf("corpus: load: %w", err)
 	}
 	return c, nil
 }
 
-// loadInto reads the journal at path into c and returns the byte offset just
-// past the last fully-parsed, newline-terminated line — everything beyond it
-// is the torn tail a killed writer left behind. An unterminated final line is
-// part of that tail even when its bytes happen to parse (the newline is the
-// commit marker: without it the append may not have finished), so it is
-// discarded rather than ingested. A missing file loads as (0, nil).
-func loadInto(path string, c *Corpus) (int64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, nil
+// loadLine ingests one journal line. Header, trailer and foreign events are
+// skipped; a line that fails to parse is rejected.
+func (c *Corpus) loadLine(line []byte) error {
+	var je telemetry.JSONEvent
+	if err := json.Unmarshal(line, &je); err != nil {
+		return err
 	}
-	if err != nil {
-		return 0, fmt.Errorf("corpus: load: %w", err)
+	if je.Name != eventEntry || je.Data == nil {
+		return nil
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 64*1024)
-	var good, off int64
-	var pendingErr error
-	line := 0
-	for {
-		raw, rerr := r.ReadBytes('\n')
-		if len(raw) > 0 {
-			line++
-			off += int64(len(raw))
-			terminated := raw[len(raw)-1] == '\n'
-			if terminated {
-				raw = raw[:len(raw)-1]
-			}
-			switch {
-			case len(raw) == 0: // blank line
-			case pendingErr != nil:
-				// The malformed line was not the last one: real corruption.
-				return 0, pendingErr
-			default:
-				var je telemetry.JSONEvent
-				if err := json.Unmarshal(raw, &je); err != nil {
-					pendingErr = fmt.Errorf("corpus: load: line %d: %w", line, err)
-				} else if je.Name == eventEntry && je.Data != nil {
-					var ej entryJSON
-					if err := json.Unmarshal(*je.Data, &ej); err != nil {
-						pendingErr = fmt.Errorf("corpus: load: line %d: %w", line, err)
-					} else if terminated {
-						c.add(entryFromWire(&ej))
-					}
-				} // else: header, trailer, or foreign event kinds
-			}
-			if pendingErr == nil && terminated {
-				good = off
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return 0, fmt.Errorf("corpus: load: %w", rerr)
-		}
+	var ej entryJSON
+	if err := json.Unmarshal(*je.Data, &ej); err != nil {
+		return err
 	}
-	return good, nil
+	c.add(entryFromWire(&ej))
+	return nil
 }
 
-// Store is the daemon's append-mode persistence: OpenStore loads the
-// existing journal, drops any torn tail, then every batch of entries newly
-// ingested into the returned corpus is appended and synced as it lands, so a
-// SIGKILL loses at most the batch being written — which the next open
-// discards (and truncates) as a torn tail. Persistence is best-effort — the
-// in-memory corpus stays authoritative for the process lifetime — but
-// failures are not silent: the first error and the count of unpersisted
-// entries are kept for Err/Dropped, which goldmined surfaces on /statsz.
-type Store struct {
-	mu      sync.Mutex
-	f       *os.File
-	buf     []byte
-	err     error // first persistence failure: durability was lost
-	dropped int64 // entries that failed to persist
-}
+// Store is the daemon's append-mode corpus journal. Persistence is
+// best-effort — the in-memory corpus stays authoritative for the process
+// lifetime — but failures are not silent: Err and Dropped report them, and
+// goldmined surfaces both on /statsz.
+type Store = jsonl.Log
 
-// OpenStore loads path (missing = empty) into a fresh corpus and wires the
-// corpus's sink so new entries persist immediately. Close the store when the
-// owning server shuts down.
+// OpenStore loads path (missing = empty) into a fresh corpus, cutting off any
+// torn tail, and wires the corpus's sink so every batch of newly ingested
+// entries is appended and synced as one write as it lands. A SIGKILL loses
+// at most the batch being written. Close the store when the owning server
+// shuts down.
 func OpenStore(path string) (*Corpus, *Store, error) {
 	c := New()
-	good, err := loadInto(path, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Truncate the torn tail before appending: O_APPEND after a partial
-	// final line would weld the next entry onto it, turning a tolerated
-	// torn tail into fatal mid-file corruption at the restart after next.
-	if fi, err := os.Stat(path); err == nil && fi.Size() > good {
-		if err := os.Truncate(path, good); err != nil {
-			return nil, nil, fmt.Errorf("corpus: open: %w", err)
+	lines := 0
+	st, err := jsonl.Open(path, func(line []byte) error {
+		if err := c.loadLine(line); err != nil {
+			return err
 		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		lines++
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("corpus: open: %w", err)
 	}
-	st := &Store{f: f, buf: make([]byte, 0, 512)}
-	if good == 0 {
+	if lines == 0 {
 		// Fresh (or fully torn) journal: start with the header line.
-		st.buf, err = telemetry.EncodeEvent(st.buf[:0], &telemetry.Event{
-			TS: time.Now(), Kind: telemetry.KindEvent, Name: eventHeader,
-			Attrs: []telemetry.Attr{telemetry.Int("version", storeVersion)},
-		})
+		hdr, err := encodeHeader(nil)
 		if err == nil {
-			_, err = f.Write(st.buf)
+			err = st.Append(hdr, 1)
 		}
 		if err != nil {
-			f.Close()
+			st.Close()
 			return nil, nil, fmt.Errorf("corpus: open: %w", err)
 		}
 	}
-	c.SetSink(st.append)
-	return c, st, nil
-}
-
-// append persists one ingest's batch of new entries as a single Write+Sync.
-// The corpus invokes sinks outside its own lock, so the fsync here stalls
-// only other appends (serialized on the store's lock), never corpus readers.
-func (s *Store) append(entries []*Entry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buf := s.buf[:0]
-	var err error
-	for _, e := range entries {
-		if buf, err = encodeEntryEvent(buf, e); err != nil {
-			s.fail(len(entries), err)
-			return
+	// The corpus invokes the sink outside its own lock, so the fsync here
+	// stalls only other appends, never corpus readers. Failures land in the
+	// store's Err and Dropped.
+	c.SetSink(func(entries []*Entry) {
+		buf := make([]byte, 0, 512*len(entries))
+		for _, e := range entries {
+			var err error
+			if buf, err = encodeEntryEvent(buf, e); err != nil {
+				st.Fail(len(entries), err)
+				return
+			}
 		}
-	}
-	s.buf = buf
-	if _, err := s.f.Write(buf); err != nil {
-		s.fail(len(entries), err)
-		return
-	}
-	if err := s.f.Sync(); err != nil {
-		s.fail(len(entries), err)
-	}
-}
-
-// fail records n entries lost to err; called with s.mu held.
-func (s *Store) fail(n int, err error) {
-	s.dropped += int64(n)
-	if s.err == nil {
-		s.err = err
-	}
-}
-
-// Err returns the first persistence error, or nil while every ingested entry
-// has reached the journal. Nil-receiver safe (daemon without -corpus).
-func (s *Store) Err() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Dropped returns how many ingested entries failed to persist.
-func (s *Store) Dropped() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Close closes the journal file.
-func (s *Store) Close() error {
-	if s == nil || s.f == nil {
-		return nil
-	}
-	return s.f.Close()
+		if st.Append(buf, len(entries)) == nil {
+			_ = st.Sync()
+		}
+	})
+	return c, st, nil
 }

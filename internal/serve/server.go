@@ -760,17 +760,20 @@ type Stats struct {
 	ResumedPending int64            `json:"resumed_pending"`
 	WALAppends     int64            `json:"wal_appends"`
 	Corpus         corpus.Stats     `json:"corpus"`
-	// CorpusDropped/CorpusPersistErr surface append-store durability loss:
-	// entries that never reached the -corpus journal (e.g. disk full) and
-	// the first error. The in-memory corpus keeps serving; a nonzero count
-	// means a restart will forget those entries.
-	CorpusDropped    int64  `json:"corpus_dropped,omitempty"`
-	CorpusPersistErr string `json:"corpus_persist_err,omitempty"`
-	Cache          sched.CacheStats `json:"cache"`
-	CacheHitRate   float64          `json:"cache_hit_rate"`
-	CacheLen       int              `json:"cache_len"`
-	Pool           PoolStats        `json:"pool"`
-	Tenants        []TenantStats    `json:"tenants"`
+	// WALDropped/WALPersistErr and CorpusDropped/CorpusPersistErr surface
+	// durability loss on the -wal and -corpus journals: records that never
+	// reached the file (e.g. disk full) and the first error. The in-memory
+	// state keeps serving; a nonzero count means a restart will forget
+	// those records.
+	WALDropped       int64            `json:"wal_dropped,omitempty"`
+	WALPersistErr    string           `json:"wal_persist_err,omitempty"`
+	CorpusDropped    int64            `json:"corpus_dropped,omitempty"`
+	CorpusPersistErr string           `json:"corpus_persist_err,omitempty"`
+	Cache            sched.CacheStats `json:"cache"`
+	CacheHitRate     float64          `json:"cache_hit_rate"`
+	CacheLen         int              `json:"cache_len"`
+	Pool             PoolStats        `json:"pool"`
+	Tenants          []TenantStats    `json:"tenants"`
 	// Solver surfaces the SAT search and portfolio counters from the wired
 	// tracer's registry (sat.solves, sat.conflicts, sat.clause_share.*,
 	// mc.portfolio_* ...). Empty when the server runs without a Tracer.
@@ -803,6 +806,10 @@ func (s *Server) Stats() Stats {
 	}
 	if s.wal != nil {
 		st.WALAppends = s.wal.appends.Load()
+		st.WALDropped = s.wal.log.Dropped()
+		if err := s.wal.log.Err(); err != nil {
+			st.WALPersistErr = err.Error()
+		}
 	}
 	st.CorpusDropped = s.corpusStore.Dropped()
 	if err := s.corpusStore.Err(); err != nil {

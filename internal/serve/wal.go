@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"goldmine/internal/jsonl"
 	"goldmine/internal/telemetry"
 )
 
@@ -30,16 +28,13 @@ const (
 	walDrain      = "drain"
 )
 
-// wal is the durable write-ahead job journal. Appends are synchronous and
-// mutex-serialized: by the time a client learns a job ID (or a result), the
-// corresponding record has reached the kernel, so a SIGKILLed process loses
-// at most the record being written when it died — and replay tolerates that
-// torn final line.
+// wal is the durable write-ahead job journal on a jsonl.Log. Appends are
+// synchronous and serialized: by the time a client learns a job ID (or a
+// result), the corresponding record has reached the kernel, so a SIGKILLed
+// process loses at most the record being written when it died, which the
+// next open cuts off as the torn tail.
 type wal struct {
-	mu       sync.Mutex
-	f        *os.File
-	buf      []byte
-	path     string
+	log      *jsonl.Log
 	disabled atomic.Bool // set by Kill: simulates abrupt process death
 	appends  atomic.Int64
 }
@@ -59,63 +54,26 @@ type walJob struct {
 
 // openWAL opens (or creates) the journal at path and replays it: the
 // returned jobs are in original submit order with their latest state applied.
+// A record applyRecord rejects is a bad line under the jsonl contract.
 func openWAL(path string) (*wal, []*walJob, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	jobs, err := replayWAL(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	return &wal{f: f, path: path}, jobs, nil
-}
-
-// replayWAL folds the journal into per-job state. A final line that fails to
-// parse is treated as torn by the crash and ignored; a malformed line with
-// anything after it — records or blanks — means real corruption and fails
-// the open.
-func replayWAL(f *os.File) ([]*walJob, error) {
 	byID := map[string]*walJob{}
 	var order []*walJob
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var pendingErr error
-	line, badLine := 0, 0
-	for sc.Scan() {
-		line++
-		// Any line after a bad record — even a blank one — proves bytes were
-		// written past it, so it was mid-file corruption, not a torn tail.
-		if pendingErr != nil {
-			return nil, fmt.Errorf("wal: corrupt record at line %d: %w", badLine, pendingErr)
-		}
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
+	log, err := jsonl.Open(path, func(line []byte) error {
 		var je telemetry.JSONEvent
-		if err := json.Unmarshal(sc.Bytes(), &je); err != nil {
-			pendingErr, badLine = err, line
-			continue
+		if err := json.Unmarshal(line, &je); err != nil {
+			return err
 		}
 		// Drain trailers are id-less lifecycle markers, not job records; a
 		// restarted daemon appends past them, leaving them mid-file.
 		if je.Kind != walKind || je.Name == walDrain {
-			continue
+			return nil
 		}
-		if err := applyRecord(byID, &order, &je); err != nil {
-			pendingErr, badLine = err, line
-		}
+		return applyRecord(byID, &order, &je)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	// pendingErr on the very last line: torn write at the kill point.
-	return order, nil
+	return &wal{log: log}, order, nil
 }
 
 func attrString(je *telemetry.JSONEvent, key string) string {
@@ -193,22 +151,20 @@ func applyRecord(byID map[string]*walJob, order *[]*walJob, je *telemetry.JSONEv
 }
 
 // append encodes one record and writes it synchronously. Errors are returned
-// so callers can surface them, but the in-memory state machine proceeds
-// regardless — a daemon with a sick disk degrades to non-durable operation
-// rather than refusing all work.
+// so callers can surface them, and the log records them for /statsz, but the
+// in-memory state machine proceeds regardless — a daemon with a sick disk
+// degrades to non-durable operation rather than refusing all work.
 func (w *wal) append(name string, data any, attrs ...telemetry.Attr) error {
 	if w == nil || w.disabled.Load() {
 		return nil
 	}
 	e := telemetry.Event{TS: time.Now(), Kind: walKind, Name: name, Attrs: attrs, Data: data}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var err error
-	w.buf, err = telemetry.EncodeEvent(w.buf[:0], &e)
+	buf, err := telemetry.EncodeEvent(nil, &e)
 	if err != nil {
+		w.log.Fail(1, err)
 		return fmt.Errorf("wal: encode %s: %w", name, err)
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
+	if err := w.log.Append(buf, 1); err != nil {
 		return fmt.Errorf("wal: append %s: %w", name, err)
 	}
 	w.appends.Add(1)
@@ -227,7 +183,5 @@ func (w *wal) close() error {
 	if w == nil {
 		return nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
+	return w.log.Close()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,5 +193,104 @@ func TestWALDisable(t *testing.T) {
 	_, jobs := openTestWAL(t, path)
 	if len(jobs) != 1 || jobs[0].State != JobQueued {
 		t.Fatalf("post-disable replay = %+v, want 1 queued job (done suppressed)", jobs)
+	}
+}
+
+// TestWALTornTailThenAppend: a daemon restarted over a torn record keeps
+// appending. The torn bytes must be cut off first; otherwise the next submit
+// welds onto them and the restart after drops a job whose ID the client
+// already holds.
+func TestWALTornTailThenAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	w, _ := openTestWAL(t, path)
+	if err := w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", "j000000")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"ts_us":123,"kind":"job","name":"done","att`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	w2, jobs := openTestWAL(t, path)
+	if len(jobs) != 1 {
+		t.Fatalf("replay after torn line = %d jobs, want 1", len(jobs))
+	}
+	if err := w2.append(walSubmit, &JobSpec{Tenant: "t", Design: "d2"}, telemetry.String("id", "j000001")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.close(); err != nil {
+		t.Fatal(err)
+	}
+	_, jobs = openTestWAL(t, path)
+	if len(jobs) != 2 || jobs[0].ID != "j000000" || jobs[1].ID != "j000001" {
+		t.Fatalf("restart after torn tail + append = %+v, want j000000 and j000001", jobs)
+	}
+}
+
+// TestWALDropsUnterminatedFinalLine: a crash between a record's JSON and its
+// newline leaves a line that parses but was never committed. Replay drops it,
+// and the next append starts a clean line.
+func TestWALDropsUnterminatedFinalLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	w, _ := openTestWAL(t, path)
+	for _, id := range []string{"j000000", "j000001"} {
+		if err := w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, jobs := openTestWAL(t, path)
+	if len(jobs) != 1 || jobs[0].ID != "j000000" {
+		t.Fatalf("unterminated submit applied: replay = %+v, want j000000 only", jobs)
+	}
+	if err := w2.append(walSubmit, &JobSpec{Tenant: "t", Design: "d2"}, telemetry.String("id", "j000001")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.close(); err != nil {
+		t.Fatal(err)
+	}
+	_, jobs = openTestWAL(t, path)
+	if len(jobs) != 2 || jobs[1].ID != "j000001" || jobs[1].Spec.Design != "d2" {
+		t.Fatalf("restart = %+v, want j000000 and the re-issued j000001", jobs)
+	}
+}
+
+// TestWALRecordsPersistenceErrors: a WAL that stops taking writes keeps the
+// daemon serving, and /statsz reports the lost records and the first error.
+func TestWALRecordsPersistenceErrors(t *testing.T) {
+	cfg := testConfig(okRunner)
+	cfg.WALPath = filepath.Join(t.TempDir(), "wal.jsonl")
+	s := mustServer(t, cfg)
+	defer s.Kill()
+	if st := s.Stats(); st.WALDropped != 0 || st.WALPersistErr != "" {
+		t.Fatalf("fresh WAL already failed: %d / %q", st.WALDropped, st.WALPersistErr)
+	}
+	s.wal.log.Close() // make the next append fail, like a dead disk would
+	j, err := s.Submit(spec("t"))
+	if err != nil {
+		t.Fatalf("submit with a dead WAL: %v", err)
+	}
+	if got, _ := s.WaitJob(context.Background(), j.ID); got.State != JobDone {
+		t.Fatalf("job state = %s, want done despite the dead WAL", got.State)
+	}
+	if st := s.Stats(); st.WALDropped < 1 || st.WALPersistErr == "" {
+		t.Errorf("append failures not recorded: dropped=%d err=%q", st.WALDropped, st.WALPersistErr)
 	}
 }

@@ -32,14 +32,14 @@
 package stimgen
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"os"
+	"fmt"
 	"sort"
 
 	"goldmine/internal/coverage"
 	"goldmine/internal/holes"
+	"goldmine/internal/jsonl"
 	"goldmine/internal/mc"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sched"
@@ -353,12 +353,14 @@ func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachin
 func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, collect func([]sim.Stimulus) error, res *ClosureResult, opts ClosureOptions) error {
 	fp := sched.DesignFingerprint(d)
 	dead := map[string]DeadHole{}
+	var deadLog *jsonl.Log
 	if opts.DeadFile != "" {
-		loaded, err := loadDeadCorpus(opts.DeadFile, fp)
+		dl, err := jsonl.Open(opts.DeadFile, deadLine(fp, dead))
 		if err != nil {
-			return err
+			return fmt.Errorf("dead corpus: %w", err)
 		}
-		dead = loaded
+		defer dl.Close() // error paths; appendDeadCorpus checks the last Close
+		deadLog = dl
 	}
 
 	var cw *closureWorkers
@@ -499,9 +501,9 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 		}
 	}
 
-	if opts.DeadFile != "" && len(newDead) > 0 {
+	if deadLog != nil && len(newDead) > 0 {
 		sort.Slice(newDead, func(i, j int) bool { return newDead[i].Key < newDead[j].Key })
-		if err := appendDeadCorpus(opts.DeadFile, newDead); err != nil {
+		if err := appendDeadCorpus(deadLog, newDead); err != nil {
 			return err
 		}
 	}
@@ -663,65 +665,46 @@ type DeadHole struct {
 
 // LoadDeadHoles reads a dead-hole journal and returns the entries recorded
 // for design, keyed by hole key. Callers use it to filter proven-dead points
-// out of hole listings without re-running closure.
+// out of hole listings without re-running closure. The journal follows the
+// jsonl contract: a torn tail is discarded, and a bad line followed by
+// anything is corruption. The entries are re-provable, so deleting a corrupt
+// journal is the repair.
 func LoadDeadHoles(path string, d *rtl.Design) (map[string]DeadHole, error) {
-	return loadDeadCorpus(path, sched.DesignFingerprint(d))
+	dead := map[string]DeadHole{}
+	if _, err := jsonl.Replay(path, deadLine(sched.DesignFingerprint(d), dead)); err != nil {
+		return nil, fmt.Errorf("dead corpus: %w", err)
+	}
+	return dead, nil
 }
 
-// loadDeadCorpus reads the dead-hole journal, keeping only design's
-// namespace. A missing file is an empty corpus; a torn final line (a killed
-// writer) is discarded, mirroring the assertion corpus loader.
-func loadDeadCorpus(path, design string) (map[string]DeadHole, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[string]DeadHole{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := map[string]DeadHole{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
+// deadLine returns the replay callback that parses one journal line and
+// keeps it in out when it belongs to design's namespace.
+func deadLine(design string, out map[string]DeadHole) func([]byte) error {
+	return func(line []byte) error {
 		var dh DeadHole
-		if json.Unmarshal(sc.Bytes(), &dh) != nil {
-			continue // torn or foreign line: dead entries are re-provable
+		if err := json.Unmarshal(line, &dh); err != nil {
+			return err
 		}
 		if dh.Design == design && dh.Key != "" {
 			out[dh.Key] = dh
 		}
+		return nil
 	}
-	return out, sc.Err()
 }
 
-// appendDeadCorpus appends newly-proven entries. The file never ends without
-// a newline after a successful append, so a crash mid-write leaves at most
-// one torn line for the loader to skip.
-func appendDeadCorpus(path string, entries []DeadHole) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		// Guard against welding onto a torn tail left by a killed writer.
-		buf := make([]byte, 1)
-		if _, err := f.ReadAt(buf, fi.Size()-1); err == nil && buf[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				return err
-			}
-		}
-	}
+// appendDeadCorpus appends newly-proven entries as one write and closes the
+// journal.
+func appendDeadCorpus(dl *jsonl.Log, entries []DeadHole) error {
 	var buf []byte
 	for _, e := range entries {
 		line, err := json.Marshal(e)
 		if err != nil {
 			return err
 		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
+		buf = append(append(buf, line...), '\n')
 	}
-	_, err = f.Write(buf)
-	return err
+	if err := dl.Append(buf, len(entries)); err != nil {
+		return fmt.Errorf("dead corpus: %w", err)
+	}
+	return dl.Close()
 }

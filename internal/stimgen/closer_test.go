@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"goldmine/internal/coverage"
@@ -160,6 +161,23 @@ func TestDeadCorpusPersistsAcrossRuns(t *testing.T) {
 	}
 	if third.DeadLoaded != second.DeadLoaded {
 		t.Errorf("torn tail changed exclusions: %d vs %d", third.DeadLoaded, second.DeadLoaded)
+	}
+
+	// A bad line with anything after it is corruption, not a torn tail: both
+	// readers refuse the journal and name the file and line.
+	raw, err := os.ReadFile(deadFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(deadFile, append([]byte(`{"design":"x","key":"tor`+"\n"), raw...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := deadFile + ":1: corrupt"
+	if _, err := CloseCoverage(context.Background(), d, opts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CloseCoverage on a corrupt dead corpus: err=%v, want %q", err, want)
+	}
+	if _, err := LoadDeadHoles(deadFile, d); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadDeadHoles on a corrupt dead corpus: err=%v, want %q", err, want)
 	}
 }
 

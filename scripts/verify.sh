@@ -257,6 +257,8 @@ echo "== smoke: goldmined kill/restart durability =="
 # same journal, and require: the finished job is re-served from the journal
 # (no recomputation) byte-identical to a fresh CLI -canonical run, the
 # interrupted job resumes and completes, and a SIGTERM then drains to exit 0.
+# A torn record is left at the kill point and one more job is submitted after
+# the restart: a third start must still list every job ID handed out.
 go build -o "$tmpbin/goldmined" ./cmd/goldmined
 "$tmpbin/goldmined" -addr 127.0.0.1:0 -addr-file "$tmpbin/addr" \
     -wal "$tmpbin/jobs.wal" -telemetry "$tmpbin/gd1.jsonl" 2>"$tmpbin/gd1.log" &
@@ -282,7 +284,9 @@ done
 [ "$state" = "running" ] || { echo "smoke: FAILED (long job never started)" >&2; exit 1; }
 kill -9 "$gd_pid"
 wait "$gd_pid" 2>/dev/null || true
-echo "smoke: daemon SIGKILLed with j000001 mid-flight"
+# The half-written record a SIGKILL mid-append leaves behind.
+printf '{"ts_us":1,"kind":"job","name":"done","attrs":{"id":"j0000' >>"$tmpbin/jobs.wal"
+echo "smoke: daemon SIGKILLed with j000001 mid-flight, torn record at the tail"
 
 "$tmpbin/goldmined" -addr 127.0.0.1:0 -addr-file "$tmpbin/addr2" \
     -wal "$tmpbin/jobs.wal" -telemetry "$tmpbin/gd2.jsonl" 2>"$tmpbin/gd2.log" &
@@ -318,6 +322,9 @@ if ! diff "$tmpbin/resumed.art" "$tmpbin/cli4.art"; then
     echo "smoke: FAILED (resumed artifact differs from fresh CLI -canonical run)" >&2
     exit 1
 fi
+# A job submitted after the restart is appended past the cut-off torn tail.
+ids="j000000 j000001 $(curl -sf -X POST "http://$addr/v1/jobs" -d '{"tenant":"ci","design":"arbiter2"}' |
+    sed -n 's/.*"id": "\([^"]*\)".*/\1/p')"
 # SIGTERM drains: exit 0, and the daemon's telemetry journal validates.
 kill -TERM "$gd_pid"
 if ! wait "$gd_pid"; then
@@ -325,5 +332,28 @@ if ! wait "$gd_pid"; then
     exit 1
 fi
 "$tmpbin/telcheck" "$tmpbin/gd2.jsonl" >/dev/null
-echo "smoke: goldmined recovered the finished job from the journal, resumed the killed one, drained on SIGTERM"
+# A third start on the same journal lists every job ID handed out.
+"$tmpbin/goldmined" -addr 127.0.0.1:0 -addr-file "$tmpbin/addr3" \
+    -wal "$tmpbin/jobs.wal" 2>"$tmpbin/gd3.log" &
+gd_pid=$!
+for _ in $(seq 1 50); do [ -s "$tmpbin/addr3" ] && break; sleep 0.1; done
+if [ ! -s "$tmpbin/addr3" ]; then
+    echo "smoke: FAILED (daemon did not restart on its own journal)" >&2
+    cat "$tmpbin/gd3.log" >&2
+    exit 1
+fi
+addr="$(cat "$tmpbin/addr3")"
+curl -sf "http://$addr/v1/jobs" >"$tmpbin/jobs3.json"
+for id in $ids; do
+    if ! grep -q "\"id\": \"$id\"" "$tmpbin/jobs3.json"; then
+        echo "smoke: FAILED (job $id lost across restarts)" >&2
+        exit 1
+    fi
+done
+kill -TERM "$gd_pid"
+if ! wait "$gd_pid"; then
+    echo "smoke: FAILED (restarted goldmined did not exit 0 on SIGTERM drain)" >&2
+    exit 1
+fi
+echo "smoke: goldmined recovered the finished job from the journal, resumed the killed one, drained on SIGTERM, kept $ids past a torn tail"
 echo "verify: OK"
