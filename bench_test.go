@@ -136,6 +136,39 @@ func BenchmarkFormalCheckSAT(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckExplicit measures the explicit-state engine on the mined
+// assertion suites of its two costliest mining designs, arbiter4 and b03: one
+// op checks the whole suite on a checker whose reachability fixpoint and
+// compiled batch program are already built, so it times the window
+// enumeration alone. Compare runs with benchstat.
+func BenchmarkCheckExplicit(b *testing.B) {
+	for _, name := range []string{"arbiter4", "b03"} {
+		d, suite, err := experiments.MCAssertionSuite(name, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			c := mc.New(d)
+			if !c.ExplicitOK {
+				b.Fatalf("%s is not explicit-eligible", name)
+			}
+			for _, a := range suite { // warm the fixpoint and the program
+				if _, err := c.Check(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, a := range suite {
+					if _, err := c.Check(a); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCheckIncremental measures batched assertion checking through one
 // persistent mc.Session against the stateless per-check baseline, on a
 // realistic workload: the candidate assertions harvested from mining the

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"goldmine/internal/assertion"
+	"goldmine/internal/designs"
+	"goldmine/internal/rtl"
+	"goldmine/internal/telemetry"
 )
 
 // rank orders verdict strength for the degradation ladder: shrinking a budget
@@ -236,5 +239,84 @@ endmodule`
 	}
 	if res.Cause == nil {
 		t.Fatalf("timeout check lacks Cause (status %v via %s)", res.Status, res.Method)
+	}
+}
+
+// TestExplicitWorkBudgetPerLane pins the explicit engine's work accounting
+// at unit granularity. The engine simulates 64 enumerated items per step but
+// charges one unit per item up to and including the first violation, so a
+// MaxWork pool runs dry on exactly the same unit as a one-item-at-a-time
+// walk. The want values were recorded with that walk: budgets around the
+// first violation (v = window sim 70 on arbiterSrc after a 24-unit BFS, and
+// v = 4097 on arbiter4 after a 256-unit BFS), the 1024-unit clock poll that
+// sees an exactly drained pool, and the 2-unit mid-BFS cut of
+// TestExplicitEngineBudgetDegrades.
+func TestExplicitWorkBudgetPerLane(t *testing.T) {
+	arb2 := &assertion.Assertion{
+		Output:     "gnt0",
+		Antecedent: []assertion.Prop{prop("req0", 0, 1), prop("rst", 0, 0), prop("req1", 1, 1)},
+		Consequent: prop("gnt0", 2, 0),
+	}
+	midBFS := &assertion.Assertion{
+		Output:     "gnt0",
+		Antecedent: []assertion.Prop{prop("rst", 0, 0), prop("req0", 0, 1), prop("req1", 0, 0)},
+		Consequent: prop("gnt0", 1, 1),
+	}
+	arb4 := &assertion.Assertion{
+		Output:     "gnt1",
+		Antecedent: []assertion.Prop{prop("req0", 0, 0), prop("req0", 1, 1), prop("req1", 1, 1)},
+		Consequent: prop("gnt1", 2, 0),
+	}
+	bench, err := designs.Get("arbiter4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d4, err := bench.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustDesign(t, arbiterSrc)
+	cases := []struct {
+		d      *rtl.Design
+		a      *assertion.Assertion
+		work   int64
+		status Status
+		method string
+		budget bool // Cause is ErrBudgetExceeded (nil otherwise)
+		sims   int64
+	}{
+		{d2, arb2, 24 + 68, StatusUnknown, "none", true, 69},
+		{d2, arb2, 24 + 69, StatusUnknown, "none", true, 70},
+		{d2, arb2, 24 + 70, StatusFalsified, "explicit", false, 70},
+		{d2, arb2, 24 + 71, StatusFalsified, "explicit", false, 70},
+		{d2, arb2, 24 + 72, StatusFalsified, "explicit", false, 70},
+		{d2, midBFS, 2, StatusUnknown, "none", true, 0},
+		{d4, arb4, 1023, StatusUnknown, "none", true, 768},
+		{d4, arb4, 1024, StatusUnknown, "none", true, 768},
+		{d4, arb4, 1025, StatusUnknown, "none", true, 770},
+		{d4, arb4, 256 + 4095, StatusUnknown, "none", true, 4096},
+		{d4, arb4, 256 + 4096, StatusUnknown, "none", true, 4097},
+		{d4, arb4, 256 + 4097, StatusFalsified, "explicit", false, 4097},
+	}
+	for _, tc := range cases {
+		opts := DefaultOptions()
+		opts.MaxWork = tc.work
+		c := NewWithOptions(tc.d, opts)
+		reg := telemetry.NewRegistry()
+		c.SetTelemetry(telemetry.New(reg, nil))
+		res, err := c.Check(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims := reg.Counter("mc.explicit_window_sims").Value()
+		budget := errors.Is(res.Cause, ErrBudgetExceeded)
+		if res.Status != tc.status || res.Method != tc.method || budget != tc.budget ||
+			(res.Cause == nil) == tc.budget || sims != tc.sims {
+			t.Errorf("%s MaxWork=%d: got %v via %s (cause %v) after %d window sims, want %v via %s (budget cause %v) after %d",
+				tc.d.Name, tc.work, res.Status, res.Method, res.Cause, sims, tc.status, tc.method, tc.budget, tc.sims)
+		}
+		if res.Status == StatusFalsified {
+			verifyCtx(t, tc.d, tc.a, res.Ctx)
+		}
 	}
 }

@@ -2,12 +2,14 @@ package mc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"goldmine/internal/cnf"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sat"
 	"goldmine/internal/sim"
+	"goldmine/internal/simc"
 )
 
 // EquivStatus is the verdict of an equivalence check.
@@ -161,16 +163,21 @@ func miterCheck(a, b *rtl.Design, depth int, exact bool) (*EquivResult, error) {
 	return &EquivResult{Status: EquivBounded, Depth: depth}, nil
 }
 
-// explicitEquiv explores the product machine exhaustively.
+// explicitEquiv explores the product machine exhaustively: a product state
+// is a's registers followed by b's, expanded over every input combination 64
+// per word on the batch engine. Lanes are consumed in combination order, so
+// the product-state order, the first distinguishing input and the reported
+// output are those of a walk over one combination at a time.
 func explicitEquiv(a, b *rtl.Design) (*EquivResult, error) {
-	sa, err := newStepper(a)
+	pa, err := simc.CompileBatch(a, simc.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
-	sb, err := newStepper(b)
+	pb, err := simc.CompileBatch(b, simc.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
+	ma, mb := simc.NewBatchMachine(pa), simc.NewBatchMachine(pb)
 	outs := outputNames(a)
 	oa := make([]*rtl.Signal, len(outs))
 	ob := make([]*rtl.Signal, len(outs))
@@ -178,72 +185,91 @@ func explicitEquiv(a, b *rtl.Design) (*EquivResult, error) {
 		oa[i] = a.Signal(n)
 		ob[i] = b.Signal(n)
 	}
+	insA, insB := a.Inputs(), b.Inputs()
+	regsA, regsB := a.Registers(), b.Registers()
 
-	type pstate struct{ ka, kb stateKey }
-	initA := make([]uint64, len(a.Registers()))
-	initB := make([]uint64, len(b.Registers()))
-	start := pstate{key(initA), key(initB)}
-	states := map[pstate][2][]uint64{start: {initA, initB}}
-	pred := map[pstate]struct {
-		from pstate
-		in   []uint64
-		ok   bool
-	}{}
-	queue := []pstate{start}
-	sp := newInputSpace(a.Inputs())
+	// b's input i is driven with a's input i's value (inputs pair up by
+	// position): bInSrc maps each of b's packed input words to a's word, or
+	// -1 past the end of a's input.
+	var bInSrc []int
+	offA := 0
+	for i, in := range insB {
+		for bit := 0; bit < in.Width; bit++ {
+			src := -1
+			if bit < insA[i].Width {
+				src = offA + bit
+			}
+			bInSrc = append(bInSrc, src)
+		}
+		offA += insA[i].Width
+	}
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		vals := states[cur]
-		for n := uint64(0); n < sp.total; n++ {
-			iv := sp.vec(n)
-			envA, nextA := sa.settle(vals[0], iv)
-			// Outputs must agree on every transition.
-			bad := ""
-			var envB rtl.MapEnv
-			var nextB []uint64
-			envB, nextB = sb.settle(vals[1], iv)
+	x := newBFS(append(append([]*rtl.Signal(nil), regsA...), regsB...), insA, len(regsA)+len(regsB))
+	r := x.r
+	inA := make([]uint64, a.InputBits())
+	inB := make([]uint64, len(bInSrc))
+	total := uint64(1) << uint(len(inA))
+	diffs := make([]uint64, len(outs))
+	var wa, wb []uint64
+	for qi := 0; qi < len(r.order); qi++ {
+		cur := r.order[qi]
+		st := r.states[cur]
+		for base := uint64(0); base < total; base += simc.MaxLanes {
+			lanes := wordLanes(base, total)
+			ma.LoadState(laneMask(lanes), st[:len(regsA)])
+			mb.LoadState(laneMask(lanes), st[len(regsA):])
+			for j := range inA {
+				inA[j] = enumWord(base, j)
+			}
+			for j, src := range bInSrc {
+				inB[j] = 0
+				if src >= 0 {
+					inB[j] = inA[src]
+				}
+			}
+			ma.Settle(inA)
+			mb.Settle(inB)
+			// Outputs must agree on every transition: the first lane with a
+			// differing output bit is the first distinguishing combination.
+			differ := uint64(0)
 			for i := range outs {
-				va := envA[oa[i]] & rtl.Mask(oa[i].Width)
-				vb := envB[ob[i]] & rtl.Mask(ob[i].Width)
-				if va != vb {
+				wa, wb = ma.Bits(oa[i], wa), mb.Bits(ob[i], wb)
+				diffs[i] = 0
+				for k := 0; k < oa[i].Width; k++ {
+					diffs[i] |= laneWord(wa, k) ^ laneWord(wb, k)
+				}
+				differ |= diffs[i]
+			}
+			first := lanes
+			if differ &= laneMask(lanes); differ != 0 {
+				first = bits.TrailingZeros64(differ)
+			}
+			ma.Latch()
+			mb.Latch()
+			x.latched(ma, regsA, 0)
+			x.latched(mb, regsB, len(regsA))
+			for l := 0; l < first; l++ {
+				x.visit(l, cur, base+uint64(l))
+			}
+			if first == lanes {
+				continue
+			}
+			bad := ""
+			for i := range outs {
+				if diffs[i]>>uint(first)&1 == 1 {
 					bad = outs[i]
 					break
 				}
 			}
-			if bad != "" {
-				// Reconstruct the distinguishing sequence.
-				var rev [][]uint64
-				rev = append(rev, iv)
-				node := cur
-				for node != start {
-					e := pred[node]
-					if !e.ok {
-						break
-					}
-					rev = append(rev, e.in)
-					node = e.from
-				}
-				ctx := make(sim.Stimulus, 0, len(rev))
-				for i := len(rev) - 1; i >= 0; i-- {
-					ctx = append(ctx, inputVec(sa.ins, rev[i]))
-				}
-				return &EquivResult{Status: EquivDifferent, Ctx: ctx, Output: bad, Depth: len(states)}, nil
+			// The distinguishing sequence: reach cur, then apply the input.
+			var ctx sim.Stimulus
+			for _, iv := range append(r.pathTo(cur), inputValues(insA, base+uint64(first))) {
+				ctx = append(ctx, inputVec(insA, iv))
 			}
-			nk := pstate{key(nextA), key(nextB)}
-			if _, seen := states[nk]; !seen {
-				states[nk] = [2][]uint64{nextA, nextB}
-				pred[nk] = struct {
-					from pstate
-					in   []uint64
-					ok   bool
-				}{from: cur, in: iv, ok: true}
-				queue = append(queue, nk)
-			}
+			return &EquivResult{Status: EquivDifferent, Ctx: ctx, Output: bad, Depth: len(r.states)}, nil
 		}
 	}
-	return &EquivResult{Status: EquivEqual, Depth: len(states)}, nil
+	return &EquivResult{Status: EquivEqual, Depth: len(r.states)}, nil
 }
 
 func outputNames(d *rtl.Design) []string {

@@ -7,7 +7,8 @@
 //
 //   - An explicit-state engine that enumerates the reachable state space by
 //     breadth-first search and checks every window of behaviour from every
-//     reachable state. It is exact (same verdicts SMV would give) and is used
+//     reachable state, 64 enumerated items per step on the simc batch
+//     engine. It is exact (same verdicts SMV would give) and is used
 //     whenever the design's state and input bit counts are small enough.
 //   - A SAT-based engine built on the cnf.Unroller: bounded model checking
 //     from the reset state for falsification, and k-induction for proof. If
@@ -18,13 +19,15 @@
 // # Concurrency contract
 //
 // A *Checker is safe for concurrent CheckCtx/Check calls from any number of
-// goroutines: every check builds its own SAT solver, CNF unroller, and
-// explicit-state stepper (no scratch buffers are shared between in-flight
-// checks), the lazily computed reachability fixpoint is built once under an
-// internal lock, and the exported statistics counters are updated under
-// another. The first check to need the reachability cache pays for its
-// construction out of its own budget; concurrent checks block on the lock and
-// then read the immutable result for free. The exported statistics fields
+// goroutines: every check builds its own SAT solver and CNF unroller and
+// takes its own explicit-state batch machine from a pool (no scratch buffers
+// are shared between in-flight checks), the compiled 64-lane program those
+// machines run is built once and is immutable, the lazily computed
+// reachability fixpoint is built once under an internal lock, and the
+// exported statistics counters are updated under another. The first check
+// to need the reachability cache pays for its construction out of its own
+// budget; concurrent checks block on the lock and then read the immutable
+// result for free. The exported statistics fields
 // (Checks, CtxFound, ...) are written under the internal lock but are plain
 // fields — read them only when no check is in flight, or via Snapshot. The
 // package has no mutable package-level state (only sentinel error values).
@@ -34,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -43,6 +45,7 @@ import (
 	"goldmine/internal/rtl"
 	"goldmine/internal/sat"
 	"goldmine/internal/sim"
+	"goldmine/internal/simc"
 	"goldmine/internal/telemetry"
 )
 
@@ -195,10 +198,13 @@ type Checker struct {
 	reach       *reachability
 	ReachBuilds int
 
-	// stepPool recycles explicit-engine steppers (their comb-order slice and
-	// evaluation environment) across checks. Steppers are single-goroutine;
-	// the pool hands each concurrent check its own.
-	stepPool sync.Pool
+	// The explicit engine's 64-lane program, compiled on first use and
+	// immutable after, and the pool of machines executing it: machines are
+	// single-goroutine, so each concurrent check takes its own.
+	progOnce sync.Once
+	prog     *simc.BatchProgram
+	progErr  error
+	machPool sync.Pool
 
 	// Statistics, written under statMu. Read them only between checks (no
 	// call in flight) or via Snapshot.
@@ -724,384 +730,6 @@ func windowClause(u *cnf.Unroller, d *rtl.Design, a *assertion.Assertion, t0 int
 }
 
 // ---------------------------------------------------------------------------
-// Explicit-state engine
-// ---------------------------------------------------------------------------
-
-// stateKey packs register values into a comparable key.
-type stateKey string
-
-type reachability struct {
-	regs    []*rtl.Signal
-	inputs  []*rtl.Signal
-	states  map[stateKey][]uint64
-	pred    map[stateKey]predEdge // BFS tree for path reconstruction
-	order   []stateKey            // BFS order
-	initial stateKey
-}
-
-type predEdge struct {
-	from stateKey
-	in   []uint64
-	ok   bool
-}
-
-type stepper struct {
-	d     *rtl.Design
-	order []*rtl.Signal
-	env   rtl.MapEnv
-	regs  []*rtl.Signal
-	ins   []*rtl.Signal
-}
-
-func newStepper(d *rtl.Design) (*stepper, error) {
-	order, err := d.CombOrder()
-	if err != nil {
-		return nil, err
-	}
-	return &stepper{
-		d: d, order: order, env: rtl.MapEnv{},
-		regs: d.Registers(), ins: d.Inputs(),
-	}, nil
-}
-
-// getStepper hands out a pooled stepper (or builds one). Return it with
-// putStepper when the check is done; the comb order and env map are reused.
-func (c *Checker) getStepper() (*stepper, error) {
-	if v := c.stepPool.Get(); v != nil {
-		return v.(*stepper), nil
-	}
-	return newStepper(c.d)
-}
-
-func (c *Checker) putStepper(st *stepper) { c.stepPool.Put(st) }
-
-// settle loads state and inputs, evaluates combinational logic, and returns
-// the environment for the cycle plus the next state vector.
-func (st *stepper) settle(state, inputs []uint64) (rtl.MapEnv, []uint64) {
-	for i, r := range st.regs {
-		st.env[r] = state[i]
-	}
-	for i, in := range st.ins {
-		st.env[in] = inputs[i]
-	}
-	for _, s := range st.order {
-		st.env[s] = rtl.Eval(st.d.Comb[s], st.env)
-	}
-	next := make([]uint64, len(st.regs))
-	for i, r := range st.regs {
-		next[i] = rtl.Eval(st.d.Next[r], st.env)
-	}
-	return st.env, next
-}
-
-func key(state []uint64) stateKey {
-	b := make([]byte, 0, len(state)*8)
-	for _, v := range state {
-		for sh := 0; sh < 64; sh += 8 {
-			b = append(b, byte(v>>uint(sh)))
-		}
-	}
-	return stateKey(b)
-}
-
-// inputSpace enumerates all input combinations of the design.
-type inputSpace struct {
-	ins    []*rtl.Signal
-	widths []int
-	total  uint64
-}
-
-func newInputSpace(ins []*rtl.Signal) *inputSpace {
-	sp := &inputSpace{ins: ins}
-	bits := 0
-	for _, in := range ins {
-		sp.widths = append(sp.widths, in.Width)
-		bits += in.Width
-	}
-	sp.total = 1 << uint(bits)
-	return sp
-}
-
-// vec unpacks combination index n into per-input values.
-func (sp *inputSpace) vec(n uint64) []uint64 {
-	out := make([]uint64, len(sp.ins))
-	for i, w := range sp.widths {
-		out[i] = n & rtl.Mask(w)
-		n >>= uint(w)
-	}
-	return out
-}
-
-// computeReach performs BFS from the all-zero reset state. A budget
-// exhaustion mid-BFS leaves no partial cache behind: the next check (or the
-// SAT fallback) starts clean. Concurrent callers serialize on reachMu: the
-// first pays for the fixpoint out of its own budget, the rest wait on the
-// lock and read the published (immutable) cache.
-func (c *Checker) computeReach(b *budget) (*reachability, error) {
-	c.reachMu.Lock()
-	defer c.reachMu.Unlock()
-	if c.reach != nil {
-		return c.reach, nil
-	}
-	if c.explicitErr != nil {
-		return nil, c.explicitErr
-	}
-	st, err := c.getStepper()
-	if err != nil {
-		c.explicitErr = err
-		return nil, err
-	}
-	defer c.putStepper(st)
-	r := &reachability{
-		regs:   c.d.Registers(),
-		inputs: c.d.Inputs(),
-		states: map[stateKey][]uint64{},
-		pred:   map[stateKey]predEdge{},
-	}
-	init := make([]uint64, len(r.regs))
-	ik := key(init)
-	r.initial = ik
-	r.states[ik] = init
-	r.order = append(r.order, ik)
-	queue := []stateKey{ik}
-	sp := newInputSpace(r.inputs)
-	poll := b != nil && b.active()
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		curState := r.states[cur]
-		for n := uint64(0); n < sp.total; n++ {
-			if poll {
-				if err := b.tick(); err != nil {
-					return nil, err
-				}
-			}
-			iv := sp.vec(n)
-			_, next := st.settle(curState, iv)
-			nk := key(next)
-			if _, seen := r.states[nk]; !seen {
-				r.states[nk] = next
-				r.pred[nk] = predEdge{from: cur, in: iv, ok: true}
-				r.order = append(r.order, nk)
-				queue = append(queue, nk)
-			}
-		}
-	}
-	c.reach = r
-	c.ReachBuilds++
-	return r, nil
-}
-
-// pathTo reconstructs an input stimulus from reset that drives the design
-// into the given reachable state.
-func (r *reachability) pathTo(k stateKey) [][]uint64 {
-	var rev [][]uint64
-	cur := k
-	for cur != r.initial {
-		e := r.pred[cur]
-		if !e.ok {
-			break
-		}
-		rev = append(rev, e.in)
-		cur = e.from
-	}
-	// Reverse.
-	out := make([][]uint64, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// pinnedInputBits counts antecedent propositions that pin primary-input bits
-// inside the window (each removes bits from the enumeration space).
-func (c *Checker) pinnedInputBits(a *assertion.Assertion) int {
-	n := 0
-	for _, p := range a.Antecedent {
-		sig := c.d.Signal(p.Signal)
-		if sig == nil || sig.Kind != rtl.SigInput || sig.Name == c.d.Clock {
-			continue
-		}
-		if p.Offset > a.Consequent.Offset {
-			continue
-		}
-		if p.Bit >= 0 {
-			n++
-		} else {
-			n += sig.Width
-		}
-	}
-	return n
-}
-
-// rp is a pre-resolved proposition for in-simulation evaluation.
-type rp struct {
-	sig  *rtl.Signal
-	prop assertion.Prop
-	off  int
-	val  uint64
-}
-
-func resolveProp(d *rtl.Design, p assertion.Prop) (rp, error) {
-	sig := d.Signal(p.Signal)
-	if sig == nil {
-		return rp{}, fmt.Errorf("assertion references unknown signal %q", p.Signal)
-	}
-	want := p.Value
-	if p.Bit < 0 {
-		want &= rtl.Mask(sig.Width)
-	} else {
-		want &= 1
-	}
-	return rp{sig: sig, prop: p, off: p.Offset, val: want}, nil
-}
-
-func (c *Checker) checkExplicit(b *budget, a *assertion.Assertion) (*Result, error) {
-	r, err := c.computeReach(b)
-	if err != nil {
-		return nil, err
-	}
-	st, err := c.getStepper()
-	if err != nil {
-		return nil, err
-	}
-	defer c.putStepper(st)
-	coff := a.Consequent.Offset
-	frames := coff + 1
-
-	// Split the antecedent: propositions on primary inputs pin bits of the
-	// enumerated window; everything else is checked during simulation.
-	inputIdx := map[*rtl.Signal]int{}
-	for i, in := range r.inputs {
-		inputIdx[in] = i
-	}
-	fixedVal := make([][]uint64, frames)
-	fixedMask := make([][]uint64, frames)
-	for f := 0; f < frames; f++ {
-		fixedVal[f] = make([]uint64, len(r.inputs))
-		fixedMask[f] = make([]uint64, len(r.inputs))
-	}
-	var simProps []rp
-	for _, p := range a.Antecedent {
-		pr, err := resolveProp(c.d, p)
-		if err != nil {
-			return nil, err
-		}
-		ii, isInput := inputIdx[pr.sig]
-		if !isInput || pr.off >= frames {
-			simProps = append(simProps, pr)
-			continue
-		}
-		if p.Bit >= 0 {
-			fixedMask[pr.off][ii] |= 1 << uint(p.Bit)
-			fixedVal[pr.off][ii] |= (pr.val & 1) << uint(p.Bit)
-		} else {
-			fixedMask[pr.off][ii] = rtl.Mask(pr.sig.Width)
-			fixedVal[pr.off][ii] = pr.val
-		}
-	}
-	cp, err := resolveProp(c.d, a.Consequent)
-	if err != nil {
-		return nil, err
-	}
-
-	// Free bit positions to enumerate.
-	type freeBit struct{ frame, input, bit int }
-	var free []freeBit
-	for f := 0; f < frames; f++ {
-		for i, in := range r.inputs {
-			for b := 0; b < in.Width; b++ {
-				if fixedMask[f][i]&(1<<uint(b)) == 0 {
-					free = append(free, freeBit{frame: f, input: i, bit: b})
-				}
-			}
-		}
-	}
-	if len(free) > 62 {
-		return nil, fmt.Errorf("explicit window too wide (%d free bits)", len(free))
-	}
-	seqTotal := uint64(1) << uint(len(free))
-
-	ivs := make([][]uint64, frames)
-	for f := range ivs {
-		ivs[f] = make([]uint64, len(r.inputs))
-	}
-	poll := b != nil && b.active()
-	var sims int64
-	defer func() { c.mtr.explicitSims.Add(sims) }()
-	for _, sk := range r.order {
-		startState := r.states[sk]
-		for seq := uint64(0); seq < seqTotal; seq++ {
-			sims++
-			if poll {
-				if err := b.tick(); err != nil {
-					return nil, err
-				}
-			}
-			// Compose the window's inputs: pinned bits + enumerated bits.
-			for f := 0; f < frames; f++ {
-				copy(ivs[f], fixedVal[f])
-			}
-			for i, fb := range free {
-				if (seq>>uint(i))&1 == 1 {
-					ivs[fb.frame][fb.input] |= 1 << uint(fb.bit)
-				}
-			}
-			// Simulate the window, evaluating the remaining propositions.
-			state := startState
-			antOK := true
-			consVal := uint64(0)
-			for f := 0; f < frames; f++ {
-				env, next := st.settle(state, ivs[f])
-				for _, p := range simProps {
-					if p.off == f && propVal(p.prop, p.sig, env[p.sig]) != p.val {
-						antOK = false
-					}
-				}
-				if f == coff {
-					consVal = propVal(cp.prop, cp.sig, env[cp.sig])
-				}
-				if !antOK {
-					break
-				}
-				state = next
-			}
-			if antOK && consVal != cp.val {
-				// Violation: build the full ctx from reset.
-				prefix := r.pathTo(sk)
-				var ctx sim.Stimulus
-				for _, iv := range prefix {
-					ctx = append(ctx, inputVec(r.inputs, iv))
-				}
-				for _, iv := range ivs {
-					ctx = append(ctx, inputVec(r.inputs, iv))
-				}
-				return &Result{Status: StatusFalsified, Ctx: ctx, Method: "explicit", Depth: len(r.states)}, nil
-			}
-		}
-	}
-	return &Result{Status: StatusProved, Method: "explicit", Depth: len(r.states)}, nil
-}
-
-func inputVec(ins []*rtl.Signal, vals []uint64) sim.InputVec {
-	iv := sim.InputVec{}
-	for i, in := range ins {
-		iv[in.Name] = vals[i]
-	}
-	return iv
-}
-
-// ReachableStates returns the number of reachable states (explicit engine),
-// computing the reachability fixpoint if needed.
-func (c *Checker) ReachableStates() (int, error) {
-	r, err := c.computeReach(nil)
-	if err != nil {
-		return 0, err
-	}
-	return len(r.states), nil
-}
-
-// ---------------------------------------------------------------------------
 // SAT engine: BMC + k-induction
 // ---------------------------------------------------------------------------
 
@@ -1210,24 +838,4 @@ func (c *Checker) inductionStep(b *budget, a *assertion.Assertion, k int) (prove
 		return false, cause, nil
 	}
 	return st == sat.Unsat, nil, nil
-}
-
-// Reachable returns a sorted list of reachable state keys rendered for
-// debugging (explicit engine only).
-func (c *Checker) Reachable() ([]string, error) {
-	r, err := c.computeReach(nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, sk := range r.order {
-		vals := r.states[sk]
-		parts := make([]string, len(vals))
-		for i, v := range vals {
-			parts[i] = fmt.Sprintf("%s=%d", r.regs[i].Name, v)
-		}
-		sort.Strings(parts)
-		out = append(out, fmt.Sprintf("%v", parts))
-	}
-	return out, nil
 }

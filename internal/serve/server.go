@@ -606,8 +606,10 @@ func (s *Server) finish(j *Job, state JobState, msg string, art *Artifact, elaps
 	}
 	j.cancelRun = nil
 	s.mu.Unlock()
-	close(j.done)
+	// Settle before releasing waiters: a client that resubmits as soon as
+	// WaitJob returns must see this job's budget charged and slot freed.
 	s.tenants.settle(j.Spec.Tenant, elapsed)
+	close(j.done)
 	switch state {
 	case JobDone:
 		s.completed.Add(1)

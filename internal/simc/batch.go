@@ -108,6 +108,10 @@ type BatchProgram struct {
 	rowGather []int32 // word index per packed-row position
 
 	forceable map[string]*forceSlots
+
+	// regBits lists each register's raw stored words (extra words included)
+	// in rtl.Design.Registers order, for state loads.
+	regBits []wbits
 }
 
 // Design returns the compiled design.
@@ -824,6 +828,10 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 			*b.tape = append(*b.tape, binstr{op: bCopy, dst: dst, a: pl.bits.get(i)})
 		}
 		p.sigBits[pl.reg] = stored
+	}
+
+	for _, reg := range d.Registers() {
+		p.regBits = append(p.regBits, p.sigBits[reg])
 	}
 
 	// Trace gather in sim.NewTrace column order, raw stored bits per column.

@@ -131,7 +131,6 @@ type BatchMachine struct {
 	// forces remembers SetForce writes (word index -> value) so Reset can
 	// restore them after zeroing the state.
 	forces map[int32]uint64
-	cycle  int
 	// Cycles, when set, counts cycle*lane steps (nil-safe).
 	Cycles *telemetry.Counter
 }
@@ -156,7 +155,6 @@ func (m *BatchMachine) Reset() {
 	for w, v := range m.forces {
 		m.words[w] = v
 	}
-	m.cycle = 0
 }
 
 // SetForce pins a signal to a constant (width-masked) value in one lane,
@@ -225,18 +223,50 @@ func (m *BatchMachine) exec(tape []binstr) {
 	}
 }
 
-// step advances all lanes one cycle: load packed inputs, settle, gather the
-// packed trace row, latch.
-func (m *BatchMachine) step(inRow []uint64, outRow []uint64) {
+// LoadState writes one raw register state into the lanes set in the lanes
+// mask; other lanes keep theirs. state holds one value per register in
+// rtl.Design.Registers order, raw as the interpreter stores it: bits above a
+// register's width that its next-state function produced are kept (they live
+// in the register's extra words), so a state read back after Latch reloads
+// exactly.
+func (m *BatchMachine) LoadState(lanes uint64, state []uint64) {
+	for i, ws := range m.p.regBits {
+		v := state[i]
+		for j, w := range ws {
+			if v>>uint(j)&1 == 1 {
+				m.words[w] |= lanes
+			} else {
+				m.words[w] &^= lanes
+			}
+		}
+	}
+}
+
+// Settle drives one cycle's packed inputs and settles the combinational
+// logic in every lane. in holds one word per data-input bit — inputs in
+// rtl.Design.Inputs order, each least significant bit first — with bit l of
+// a word belonging to lane l.
+func (m *BatchMachine) Settle(in []uint64) {
 	for i, w := range m.p.inWords {
-		m.words[w] = inRow[i]
+		m.words[w] = in[i]
 	}
 	m.exec(m.p.comb)
-	for i, w := range m.p.rowGather {
-		outRow[i] = m.words[w]
+}
+
+// Latch clocks the settled cycle: every lane's registers take their next
+// state.
+func (m *BatchMachine) Latch() { m.exec(m.p.next) }
+
+// Bits returns sig's raw stored value in lane-parallel form, reusing dst:
+// word i holds bit i of every lane, and bits past the returned words are
+// zero. Read after Settle it is the settled cycle's value; a register read
+// after Latch holds its new state. The clock has no stored value (no words).
+func (m *BatchMachine) Bits(sig *rtl.Signal, dst []uint64) []uint64 {
+	dst = dst[:0]
+	for _, w := range m.p.sigBits[sig] {
+		dst = append(dst, m.words[w])
 	}
-	m.exec(m.p.next)
-	m.cycle++
+	return dst
 }
 
 // RunPacked resets the machine and runs the packed stimulus, returning the
@@ -252,7 +282,11 @@ func (m *BatchMachine) RunPacked(ps *PackedStim) (*BatchTrace, error) {
 	bt := &BatchTrace{p: m.p, laneLen: ps.laneLen, rows: make([][]uint64, ps.cycles)}
 	for c := 0; c < ps.cycles; c++ {
 		row := arena[c*rw : (c+1)*rw : (c+1)*rw]
-		m.step(ps.rows[c], row)
+		m.Settle(ps.rows[c])
+		for i, w := range m.p.rowGather {
+			row[i] = m.words[w]
+		}
+		m.Latch()
 		bt.rows[c] = row
 	}
 	if m.Cycles != nil {

@@ -214,7 +214,12 @@ echo "== smoke: portfolio telemetry journal records the races =="
 # sends cold checks solo and races a check only once its key is memoized as
 # proved, so the raced checks here are the refinement loop's re-checks of
 # already-proved candidates — pipeline's loop produces several of those.
-"$tmpbin/goldmine" -design pipeline -portfolio 3 \
+# -j 1 is pinned because whether a re-check reaches the router depends on
+# how the outputs are scheduled: the default -j follows the CPU count, and on
+# a 2-CPU host it records no sat.portfolio span at all (nor does -j 4). One
+# worker mines the outputs in a fixed order, so the same re-checks race on
+# every host.
+"$tmpbin/goldmine" -design pipeline -j 1 -portfolio 3 \
     -telemetry "$tmpbin/pf.jsonl" >/dev/null
 "$tmpbin/telcheck" -require mc.check,sat.portfolio,sat.solve "$tmpbin/pf.jsonl"
 echo "smoke: portfolio journal validates with sat.portfolio spans"
