@@ -170,7 +170,7 @@ func BenchmarkCheckExplicit(b *testing.B) {
 }
 
 // BenchmarkCheckIncremental measures batched assertion checking through one
-// persistent mc.Session against the stateless per-check baseline, on a
+// persistent mc.Session against the fresh-session per-check baseline, on a
 // realistic workload: the candidate assertions harvested from mining the
 // design. The session amortizes solver construction, Tseitin frames, and
 // learned clauses across the batch; the acceptance bar is >= 3x over

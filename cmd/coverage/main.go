@@ -35,7 +35,6 @@ type cliOpts struct {
 	goldmine  bool
 	uncovered bool
 	directed  bool
-	legacy    bool
 	deadFile  string
 	holesJSON bool
 	workers   int
@@ -49,7 +48,6 @@ func main() {
 	flag.BoolVar(&o.goldmine, "goldmine", false, "augment with GoldMine counterexample stimulus")
 	flag.BoolVar(&o.uncovered, "uncovered", false, "list uncovered points")
 	flag.BoolVar(&o.directed, "directed", false, "close coverage: aim SAT-directed stimulus at the holes (equal -cycles budget)")
-	flag.BoolVar(&o.legacy, "legacy", false, "use the fixed-depth closure loop without witness sharing or dead pruning (baseline)")
 	flag.StringVar(&o.deadFile, "dead-corpus", "", "JSONL journal of proven-dead holes, loaded before and appended after closure")
 	flag.BoolVar(&o.holesJSON, "holes-json", false, "dump the remaining coverage holes as JSON to stdout")
 	flag.IntVar(&o.workers, "j", runtime.GOMAXPROCS(0), "parallel directed workers (results are identical for any value)")
@@ -76,7 +74,7 @@ func run(o cliOpts, w io.Writer) error {
 	var suite []sim.Stimulus
 	if o.directed {
 		res, err := stimgen.CloseCoverage(context.Background(), d, stimgen.ClosureOptions{
-			DirectedOptions: stimgen.DirectedOptions{Seed: o.seed, Workers: o.workers, Legacy: o.legacy},
+			DirectedOptions: stimgen.DirectedOptions{Seed: o.seed, Workers: o.workers},
 			TotalCycles:     o.cycles,
 			FillRandom:      true,
 			Compiled:        true,

@@ -61,14 +61,13 @@ func main() {
 		checkTO  = flag.Duration("check-timeout", 0, "wall-clock budget per formal check (0 = none)")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel mining workers (1 = sequential; results are identical for any value)")
 		schedOut = flag.Bool("sched-stats", false, "print scheduler/cache telemetry to stderr (advisory, non-deterministic)")
-		incr     = flag.Bool("incremental", true, "reuse persistent SAT solver sessions across checks (verdicts and counterexamples are identical either way)")
+		incr     = flag.Bool("incremental", true, "reuse pooled SAT solver sessions across checks; false decides each check on a fresh session (verdicts and counterexamples are identical either way)")
 		portf    = flag.Int("portfolio", 0, "race N diversified SAT solver lanes on predicted-hard checks, sharing learned clauses (needs -incremental; 0 or 1 disables; artifacts are identical either way)")
 		compiled = flag.Bool("compiled", true, "use the compiled instruction-tape simulator for seed and counterexample traces (artifacts are identical either way)")
 		coi      = flag.Bool("coi", true, "cone-of-influence CNF reduction: encode only the logic each assertion can observe")
 		closeCov = flag.Bool("close-coverage", false, "run the coverage-closure loop (SAT-directed stimulus aimed at the uncovered points) instead of mining")
 		coverCyc = flag.Int("cover-cycles", 2000, "total stimulus cycle budget for -close-coverage")
 		coverSd  = flag.Int64("cover-seed", 1, "random seed for -close-coverage")
-		coverLeg = flag.Bool("cover-legacy", false, "fixed-depth closure loop without witness sharing or dead pruning (the baseline engine)")
 		coverDd  = flag.String("cover-dead", "", "JSONL journal of proven-dead coverage holes, loaded before and appended after -close-coverage")
 		telOut   = flag.String("telemetry", "", "write a JSONL telemetry journal (spans, events, final metrics snapshot) to this file")
 		metrics  = flag.Bool("metrics-summary", false, "print the metrics snapshot (counters, gauges, histograms) to stderr on exit")
@@ -107,7 +106,7 @@ func main() {
 		reduce: *reduce, corpus: *corpusF, minimize: *minimize, schedOut: *schedOut,
 		incremental: *incr, coi: *coi, compiled: *compiled, portfolio: *portf,
 		closeCoverage: *closeCov, coverCycles: *coverCyc, coverSeed: *coverSd,
-		coverLegacy: *coverLeg, coverDead: *coverDd,
+		coverDead: *coverDd,
 		telemetry: *telOut, metricsSummary: *metrics,
 		timeout: *timeout,
 	}
@@ -142,7 +141,6 @@ type runOpts struct {
 	closeCoverage        bool
 	coverCycles          int
 	coverSeed            int64
-	coverLegacy          bool
 	coverDead            string
 	telemetry            string
 	metricsSummary       bool
@@ -415,7 +413,6 @@ func runClosure(ctx context.Context, d *rtl.Design, o runOpts, tel *telemetry.Tr
 			Seed:      o.coverSeed,
 			Workers:   o.workers,
 			Telemetry: tel,
-			Legacy:    o.coverLegacy,
 		},
 		TotalCycles: o.coverCycles,
 		FillRandom:  true,

@@ -26,8 +26,8 @@ func TestRunDesign(t *testing.T) {
 	}
 }
 
-// TestRunDesignFresh exercises the stateless checker path the -incremental
-// and -coi flags fall back to.
+// TestRunDesignFresh exercises the fresh-session checker path that
+// -incremental=false selects, with -coi off.
 func TestRunDesignFresh(t *testing.T) {
 	o := runOpts{
 		design: "arbiter2", output: "gnt0", bit: 0, window: -1,

@@ -92,8 +92,9 @@ type Config struct {
 	// Incremental routes formal checks through a pool of persistent
 	// mc.Session solver contexts, amortizing the transition-relation
 	// encoding and learned clauses across the thousands of checks of a
-	// refinement run. Verdicts and counterexamples are identical to the
-	// stateless path (sessions canonicalize counterexamples), so the
+	// refinement run. False decides each check on a fresh throwaway
+	// Session instead. Verdicts and counterexamples are identical either
+	// way (sessions canonicalize counterexamples), so the
 	// -j1 ≡ -jN determinism contract is unaffected. One caveat: with a
 	// deterministic MC.MaxWork budget, *where* a hard check degrades along
 	// proved→bounded→unknown can depend on which session answered it

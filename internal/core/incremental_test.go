@@ -49,7 +49,7 @@ func mineIncr(t *testing.T, name string, incremental, satOnly bool, workers, max
 }
 
 // TestIncrementalMatchesFresh is the engine-level equivalence contract of the
-// incremental backend: session-pooled and stateless checking produce
+// incremental backend: session-pooled and fresh-session checking produce
 // byte-identical mining artifacts (verdicts, counterexample stimuli,
 // iteration stats), with the SAT engines forced on so the persistent solver
 // states actually decide the checks.

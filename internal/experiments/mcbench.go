@@ -1,6 +1,6 @@
 // Model-checker benchmark: the machine-readable evidence behind the
-// incremental-BMC claims (persistent-session vs stateless check latency on a
-// realistic mined-assertion batch, verdict/counterexample equality).
+// incremental-BMC claims (persistent-session vs fresh-session check latency
+// on a realistic mined-assertion batch, verdict/counterexample equality).
 // scripts/bench.sh writes its output to BENCH_mc.json.
 package experiments
 
@@ -48,8 +48,9 @@ type MCBenchDesign struct {
 	Design     string `json:"design"`
 	Assertions int    `json:"assertions"`
 	// FreshMS / SessionMS are the wall times for checking the whole batch
-	// (mcBenchRounds times) with a stateless checker vs one persistent
-	// Session; Speedup is their ratio.
+	// (mcBenchRounds times) with Checker.Check, which runs each check on a
+	// fresh throwaway Session, vs one persistent Session; Speedup is their
+	// ratio.
 	FreshMS   float64 `json:"fresh_ms"`
 	SessionMS float64 `json:"session_ms"`
 	Speedup   float64 `json:"speedup"`

@@ -15,6 +15,10 @@
 //   - Each Append is one Write of whole, newline-terminated records; Sync is
 //     separate and optional. Failed appends and syncs are recorded for
 //     Err and Dropped instead of being lost.
+//   - The first failed Write or Sync stops the log: every later Append is
+//     refused with that error and counts as dropped. A write that failed
+//     part-way leaves its partial record as the torn tail the next Open
+//     cuts, and no record can persist after an earlier one that was lost.
 package jsonl
 
 import (
@@ -73,9 +77,17 @@ func replay(r io.Reader, path string, fn func(line []byte) error) (good int64, e
 type Log struct {
 	mu       sync.Mutex
 	f        *os.File
+	w        sink  // where Append writes and Sync flushes: f, or a test's sick disk
 	unsynced int64 // records written since the last successful Sync
 	dropped  int64
-	err      error
+	err      error // the first failure of any kind, for Err
+	stop     error // the first failed Write or Sync; nothing is written after it
+}
+
+// sink is the file a Log writes through; tests stand in a failing one.
+type sink interface {
+	io.Writer
+	Sync() error
 }
 
 // Open replays path (created if missing) through fn like Replay, cuts the
@@ -100,15 +112,22 @@ func Open(path string, fn func(line []byte) error) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f}, nil
+	return &Log{f: f, w: f}, nil
 }
 
 // Append writes buf, which holds records whole newline-terminated lines, in
 // one Write. A failure is returned and also recorded for Err and Dropped.
+// After a failed Write or Sync, Append writes nothing and returns that
+// failure.
 func (l *Log) Append(buf []byte, records int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(buf); err != nil {
+	if l.stop != nil {
+		l.failLocked(int64(records), l.stop)
+		return l.stop
+	}
+	if _, err := l.w.Write(buf); err != nil {
+		l.stop = err
 		l.failLocked(int64(records), err)
 		return err
 	}
@@ -121,8 +140,11 @@ func (l *Log) Append(buf []byte, records int) error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.f.Sync()
+	err := l.w.Sync()
 	if err != nil {
+		if l.stop == nil {
+			l.stop = err
+		}
 		l.failLocked(l.unsynced, err)
 	}
 	l.unsynced = 0

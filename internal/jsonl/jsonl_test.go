@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -205,6 +206,124 @@ func TestFailuresAreRecorded(t *testing.T) {
 	var nilLog *Log
 	if nilLog.Err() != nil || nilLog.Dropped() != 0 || nilLog.Close() != nil {
 		t.Error("nil log must report no failures")
+	}
+}
+
+// sickDisk stands in for the log's file: it takes room more bytes and then
+// fails every write with ENOSPC, cutting a record part-way like a full disk;
+// syncErr, when set, fails Sync.
+type sickDisk struct {
+	*os.File
+	room    int
+	syncErr error
+}
+
+func (d *sickDisk) Write(p []byte) (int, error) {
+	if len(p) <= d.room {
+		d.room -= len(p)
+		return d.File.Write(p)
+	}
+	n, err := d.File.Write(p[:d.room])
+	d.room -= n
+	if err == nil {
+		err = syscall.ENOSPC
+	}
+	return n, err
+}
+
+func (d *sickDisk) Sync() error {
+	if d.syncErr != nil {
+		return d.syncErr
+	}
+	return d.File.Sync()
+}
+
+// A write that fails part-way stops the log at every cut point: later
+// appends are refused even once the disk has room again, so the partial
+// record stays the torn tail, and Open recovers exactly the records written
+// before the failure and takes appends again.
+func TestFailedWriteStopsTheLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sick.jsonl")
+	before := walSubmit + "\n" + corpusEntry + "\n"
+	failed := walDone + "\n"
+	for cut := 0; cut < len(failed); cut++ {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		l, err := Open(path, collect(new([]string)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte(before), 2); err != nil {
+			t.Fatal(err)
+		}
+		l.w = &sickDisk{File: l.f, room: cut}
+		if err := l.Append([]byte(failed), 1); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("cut %d: Append on a full disk: %v, want ENOSPC", cut, err)
+		}
+		l.w = l.f // the disk has room again; the log must stay stopped
+		if err := l.Append([]byte(walSubmit2+"\n"), 1); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("cut %d: Append after a failed write: %v, want the recorded ENOSPC", cut, err)
+		}
+		if !errors.Is(l.Err(), syscall.ENOSPC) || l.Dropped() != 2 {
+			t.Fatalf("cut %d: err=%v dropped=%d, want ENOSPC / 2", cut, l.Err(), l.Dropped())
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := before + failed[:cut]; string(data) != want {
+			t.Fatalf("cut %d: file holds %q, want %q", cut, data, want)
+		}
+		var got []string
+		if l, err = Open(path, collect(&got)); err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if want := []string{walSubmit, corpusEntry}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %d: reopen replayed %q, want %q", cut, got, want)
+		}
+		if err := l.Append([]byte(walSubmit2+"\n"), 1); err != nil {
+			t.Fatalf("cut %d: Append after reopen: %v", cut, err)
+		}
+		l.Close()
+		got = nil
+		if _, err := Replay(path, collect(&got)); err != nil ||
+			!reflect.DeepEqual(got, []string{walSubmit, corpusEntry, walSubmit2}) {
+			t.Fatalf("cut %d: after reopen and append replayed %q, err %v", cut, got, err)
+		}
+	}
+}
+
+// A failed Sync stops the log too: the records it did not flush count as
+// dropped, and nothing is appended after them.
+func TestFailedSyncStopsTheLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sick.jsonl")
+	l, err := Open(path, collect(new([]string)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := &sickDisk{File: l.f, room: 1 << 20}
+	l.w = disk
+	if err := l.Append([]byte(walSubmit+"\n"), 1); err != nil {
+		t.Fatal(err)
+	}
+	disk.syncErr = syscall.EIO
+	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync: %v, want EIO", err)
+	}
+	disk.syncErr = nil
+	if err := l.Append([]byte(walDone+"\n"), 1); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Append after a failed Sync: %v, want the recorded EIO", err)
+	}
+	if l.Dropped() != 2 {
+		t.Errorf("dropped = %d, want the unsynced record and the refused one", l.Dropped())
+	}
+	l.Close()
+	if data, _ := os.ReadFile(path); string(data) != walSubmit+"\n" {
+		t.Errorf("file holds %q, want only the record before the failed Sync", data)
 	}
 }
 

@@ -19,7 +19,7 @@
 // # Concurrency contract
 //
 // A *Checker is safe for concurrent CheckCtx/Check calls from any number of
-// goroutines: every check builds its own SAT solver and CNF unroller and
+// goroutines: every check runs on a throwaway Session of its own and
 // takes its own explicit-state batch machine from a pool (no scratch buffers
 // are shared between in-flight checks), the compiled 64-lane program those
 // machines run is built once and is immutable, the lazily computed
@@ -157,7 +157,8 @@ type Options struct {
 	// counterexamples are byte-identical to the single-solver path (see
 	// portfolio.go for the argument); only wall-clock changes, so the field
 	// is excluded from options fingerprints (sched.OptionsFingerprint) and
-	// cache keys. Stateless (non-Session) checks ignore it.
+	// cache keys. Checker.CheckCtx runs each check on a throwaway Session
+	// that never races, so it ignores the field.
 	Portfolio int
 }
 
@@ -477,13 +478,18 @@ func (c *Checker) Check(a *assertion.Assertion) (*Result, error) {
 // Cancellation or budget exhaustion never returns an error: the verdict
 // degrades along proved -> bounded -> unknown and the cause is recorded in
 // Result.Cause, so callers always receive a usable (if weaker) answer.
+//
+// The check runs on a throwaway Session: the SAT engines build fresh solver
+// states for this one check and drop them after it. A pooled Session reaches
+// the same verdicts and counterexamples with less encoding work. The
+// throwaway session never races (Options.Portfolio is ignored).
 func (c *Checker) CheckCtx(ctx context.Context, a *assertion.Assertion) (*Result, error) {
-	return c.checkWith(ctx, a, c.dispatch)
+	return c.checkWith(ctx, a, &Session{c: c, solo: true})
 }
 
-// checkWith wraps one check with statistics accounting and the budget
-// envelope; dispatch is either the stateless engine router or a Session's.
-func (c *Checker) checkWith(ctx context.Context, a *assertion.Assertion, dispatch func(*budget, *assertion.Assertion) (*Result, error)) (*Result, error) {
+// checkWith wraps one check on s with statistics accounting and the budget
+// envelope.
+func (c *Checker) checkWith(ctx context.Context, a *assertion.Assertion, s *Session) (*Result, error) {
 	start := time.Now()
 	c.statMu.Lock()
 	c.Checks++
@@ -495,7 +501,7 @@ func (c *Checker) checkWith(ctx context.Context, a *assertion.Assertion, dispatc
 		_, sp = c.tel.StartSpan(ctx, "mc.check", telemetry.String("assertion", a.String()))
 		b.sp = sp
 	}
-	res, err := dispatch(b, a)
+	res, err := s.dispatch(b, a)
 	if b.spent != nil && res != nil && err == nil {
 		// Feed the difficulty predictor with what the check actually cost and
 		// how it resolved (for raced checks, portfolio.go posts the winning
@@ -548,48 +554,6 @@ func (c *Checker) checkWith(ctx context.Context, a *assertion.Assertion, dispatc
 	return res, nil
 }
 
-// dispatch routes the check to an engine, degrading explicit-state to SAT
-// when the explicit slice of the budget runs out.
-func (c *Checker) dispatch(b *budget, a *assertion.Assertion) (*Result, error) {
-	return c.dispatchVia(b, a, c.checkCombinational, c.checkSAT)
-}
-
-// dispatchVia is dispatch with the SAT-based engines supplied by the caller,
-// so a Session can route to its persistent solvers while keeping the engine
-// selection and degradation policy identical to the stateless path.
-func (c *Checker) dispatchVia(b *budget, a *assertion.Assertion, combFn, satFn func(*budget, *assertion.Assertion) (*Result, error)) (*Result, error) {
-	// The explicit engine pins input bits already fixed by the antecedent,
-	// so only the remaining free bits need enumeration. Its work is
-	// (reachable states) x 2^freeBits window simulations; gate on the
-	// worst-case state count so a check can never blow up.
-	freeBits := c.d.InputBits()*(a.Consequent.Offset+1) - c.pinnedInputBits(a)
-	explicitWork := c.d.StateBits() + freeBits
-	switch {
-	case len(c.d.Registers()) == 0:
-		return combFn(b, a)
-	case c.ExplicitOK && explicitWork <= c.opts.MaxExplicitBits:
-		// The explicit engine gets half the remaining budget; if that slice
-		// is exhausted the SAT engine inherits what is left.
-		esp := b.span("mc.explicit", telemetry.Int("free_bits", int64(freeBits)))
-		res, err := c.checkExplicit(b.slice(0.5), a)
-		esp.End(telemetry.Bool("fell_back", err != nil && IsBudget(err)))
-		if err != nil && IsBudget(err) {
-			res, err = satFn(b, a)
-			// A decisive SAT verdict is as good as the explicit one would
-			// have been; only a weaker outcome counts as degraded.
-			if res != nil && (res.Status == StatusBounded || res.Status == StatusUnknown) {
-				res.Degraded = true
-				if res.Cause == nil {
-					res.Cause = fmt.Errorf("%w: explicit engine budget slice exhausted", ErrBudgetExceeded)
-				}
-			}
-		}
-		return res, err
-	default:
-		return satFn(b, a)
-	}
-}
-
 // propExpr builds the rtl expression "signal == value" (or "signal[bit] ==
 // value" for bit propositions).
 func propExpr(d *rtl.Design, p assertion.Prop) (rtl.Expr, error) {
@@ -624,35 +588,6 @@ func propVal(p assertion.Prop, sig *rtl.Signal, v uint64) uint64 {
 	return v & rtl.Mask(sig.Width)
 }
 
-// ---------------------------------------------------------------------------
-// Combinational designs: one SAT check, complete.
-// ---------------------------------------------------------------------------
-
-func (c *Checker) checkCombinational(b *budget, a *assertion.Assertion) (*Result, error) {
-	s := c.newSolver()
-	u := c.newUnroller(s)
-	u.AddFrame()
-	assumps, err := windowAssumptions(u, c.d, a, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	st, cause := b.solve(s, assumps...)
-	switch st {
-	case sat.Sat:
-		ctx := c.canonicalCtx(b, s, u, assumps, a, 1)
-		return &Result{Status: StatusFalsified, Ctx: ctx, Method: "sat-comb", Depth: 1}, nil
-	case sat.Unsat:
-		return &Result{Status: StatusProved, Method: "sat-comb", Depth: 1}, nil
-	default:
-		if cause != nil {
-			return &Result{Status: StatusUnknown, Method: "sat-comb", Depth: 1, Degraded: true, Cause: cause}, nil
-		}
-		// A user-set MaxConflicts on the solver keeps its historical
-		// "bounded" reading.
-		return &Result{Status: StatusBounded, Method: "sat-comb", Depth: 1}, nil
-	}
-}
-
 // windowAssumptions encodes ant(t0) ∧ ¬cons(t0) as assumption literals for a
 // window starting at frame t0 (all frames must be materialized).
 func windowAssumptions(u *cnf.Unroller, d *rtl.Design, a *assertion.Assertion, t0 int, pc propCache) ([]sat.Lit, error) {
@@ -678,8 +613,7 @@ func windowAssumptions(u *cnf.Unroller, d *rtl.Design, a *assertion.Assertion, t
 // leaks formula growth into a persistent session that re-checks propositions
 // at the same frames across many properties. The cache is keyed by the
 // proposition's value shape and frame, so two structurally equal propositions
-// share one gadget. A nil propCache disables memoization (the stateless
-// paths' unrollers die with the check anyway).
+// share one gadget.
 type propCache map[propKey]sat.Lit
 
 type propKey struct {
@@ -703,9 +637,7 @@ func propLit(u *cnf.Unroller, d *rtl.Design, p assertion.Prop, t int, pc propCac
 	if err != nil {
 		return 0, err
 	}
-	if pc != nil {
-		pc[k] = vec[0]
-	}
+	pc[k] = vec[0]
 	return vec[0], nil
 }
 
@@ -727,115 +659,4 @@ func windowClause(u *cnf.Unroller, d *rtl.Design, a *assertion.Assertion, t0 int
 	}
 	lits = append(lits, cl)
 	return lits, nil
-}
-
-// ---------------------------------------------------------------------------
-// SAT engine: BMC + k-induction
-// ---------------------------------------------------------------------------
-
-// checkSAT runs the BMC + k-induction ladder under the budget. The verdict
-// degrades gracefully: a budget hit during BMC reports the deepest fully
-// explored bound (or StatusUnknown if not even the first window completed); a
-// budget hit during induction falls back to the completed BMC bound. A
-// falsification found before the budget dies is always reported — budget
-// pressure can weaken a claim but never invert one.
-func (c *Checker) checkSAT(b *budget, a *assertion.Assertion) (*Result, error) {
-	coff := a.Consequent.Offset
-	minFrames := coff + 1
-
-	// Bounded model checking from reset, incremental in the unroll depth.
-	// BMC gets 60% of the remaining wall budget; induction inherits the rest.
-	bmcBudget := b.slice(0.6)
-	s := c.newSolver()
-	u := c.newUnroller(s)
-	for i := 0; i < minFrames; i++ {
-		u.AddFrame()
-	}
-	u.InitZero()
-	maxDepth := c.opts.MaxBMCDepth
-	if maxDepth < minFrames {
-		maxDepth = minFrames
-	}
-	bounded := func(lastOK int, cause error) (*Result, error) {
-		if lastOK < minFrames {
-			// Not even the shortest window was decided: nothing to claim.
-			return nil, cause
-		}
-		return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: lastOK, Degraded: true, Cause: cause}, nil
-	}
-	for depth := minFrames; depth <= maxDepth; depth++ {
-		fsp := b.span("mc.bmc_frame", telemetry.Int("depth", int64(depth)))
-		for u.Frames() < depth {
-			u.AddFrame()
-		}
-		t0 := depth - minFrames // newest window start
-		assumps, err := windowAssumptions(u, c.d, a, t0, nil)
-		if err != nil {
-			fsp.End(telemetry.String("result", "error"))
-			return nil, err
-		}
-		bmcBudget.sp = fsp // nest this frame's sat.solve under the frame span
-		st, cause := bmcBudget.solve(s, assumps...)
-		bmcBudget.sp = b.sp
-		fsp.End(telemetry.String("result", st.String()))
-		if st == sat.Sat {
-			ctx := c.canonicalCtx(bmcBudget, s, u, assumps, a, depth)
-			return &Result{Status: StatusFalsified, Ctx: ctx, Method: "bmc", Depth: depth}, nil
-		}
-		if st == sat.Unknown && cause != nil {
-			return bounded(depth-1, cause)
-		}
-	}
-
-	// k-induction: base case is the BMC above. Step: from an arbitrary state,
-	// if the property holds for k consecutive windows it holds for the next.
-	for k := 1; k <= c.opts.MaxInduction; k++ {
-		ksp := b.span("mc.induction_step", telemetry.Int("k", int64(k)))
-		kb := *b
-		kb.sp = ksp
-		proved, cause, err := c.inductionStep(&kb, a, k)
-		ksp.End(telemetry.Bool("proved", proved))
-		if err != nil {
-			return nil, err
-		}
-		if cause != nil {
-			// Induction cut short: the completed BMC bound still stands.
-			return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: maxDepth, Degraded: true, Cause: cause}, nil
-		}
-		if proved {
-			return &Result{Status: StatusProved, Method: fmt.Sprintf("k-induction(k=%d)", k), Depth: k}, nil
-		}
-	}
-	return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: maxDepth}, nil
-}
-
-// inductionStep checks the k-induction step case: assume the property for
-// windows starting at frames 0..k-1 (arbitrary initial state) and look for a
-// violation at window k. UNSAT means the step holds. A non-nil cause reports
-// a budget interruption (the step is then undecided, not failed).
-func (c *Checker) inductionStep(b *budget, a *assertion.Assertion, k int) (proved bool, cause, err error) {
-	coff := a.Consequent.Offset
-	s := c.newSolver()
-	u := c.newUnroller(s)
-	frames := k + coff + 1
-	for i := 0; i < frames; i++ {
-		u.AddFrame()
-	}
-	// Assume property at windows 0..k-1: (ant -> cons) as clauses.
-	for t0 := 0; t0 < k; t0++ {
-		lits, err := windowClause(u, c.d, a, t0, nil)
-		if err != nil {
-			return false, nil, err
-		}
-		s.AddClause(lits...)
-	}
-	assumps, err := windowAssumptions(u, c.d, a, k, nil)
-	if err != nil {
-		return false, nil, err
-	}
-	st, cause := b.solve(s, assumps...)
-	if cause != nil {
-		return false, cause, nil
-	}
-	return st == sat.Unsat, nil, nil
 }

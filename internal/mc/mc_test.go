@@ -46,21 +46,23 @@ func verifyCtx(t *testing.T, d *rtl.Design, a *assertion.Assertion, ctx sim.Stim
 	if t0 < 0 {
 		t.Fatalf("ctx too short: %d cycles for offset %d", len(ctx), a.Consequent.Offset)
 	}
-	for _, p := range a.Antecedent {
+	value := func(p assertion.Prop) uint64 {
 		v, err := trace.Value(t0+p.Offset, p.Signal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v != p.Value {
-			t.Fatalf("ctx does not satisfy antecedent %s@%d: got %d want %d", p.Signal, p.Offset, v, p.Value)
+		if p.Bit >= 0 {
+			v = v >> uint(p.Bit) & 1
+		}
+		return v
+	}
+	for _, p := range a.Antecedent {
+		if v := value(p); v != p.Value {
+			t.Fatalf("ctx does not satisfy antecedent %s@%d: got %d want %d", p, p.Offset, v, p.Value)
 		}
 	}
-	cv, err := trace.Value(t0+a.Consequent.Offset, a.Consequent.Signal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cv == a.Consequent.Value {
-		t.Fatalf("ctx does not violate consequent: %s=%d", a.Consequent.Signal, cv)
+	if cv := value(a.Consequent); cv == a.Consequent.Value {
+		t.Fatalf("ctx does not violate consequent: %s=%d", a.Consequent, cv)
 	}
 }
 

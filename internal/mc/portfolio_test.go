@@ -68,7 +68,7 @@ func fetchSuite() []*assertion.Assertion {
 // TestPortfolioMatchesSingleSolver is the determinism contract of the racing
 // backend: for every assertion, a portfolio Session must return the identical
 // status, method, depth, and byte-identical canonical counterexample as the
-// stateless single-solver path — for any portfolio width, on every design.
+// fresh single-solver session — for any portfolio width, on every design.
 func TestPortfolioMatchesSingleSolver(t *testing.T) {
 	cases := []struct {
 		design string

@@ -23,8 +23,8 @@
 //
 // Counterexamples from a persistent solver would depend on solver history
 // (which assertions were checked before this one), breaking both the
-// fresh-vs-incremental equivalence and -j1 ≡ -jN artifact determinism. Both
-// paths therefore canonicalize every counterexample (canonicalCtx): the model
+// fresh-vs-pooled equivalence and -j1 ≡ -jN artifact determinism. Every
+// check therefore canonicalizes its counterexample (canonicalCtx): the model
 // is minimized to the lexicographically smallest assignment of the
 // assertion's cone-of-influence input bits, which is a property of the
 // formula, not of the search that found a first model. Verdict statuses are
@@ -33,6 +33,9 @@
 //
 // A Session is single-goroutine, like the solvers it owns; the core engine
 // keeps a pool of Sessions and checks out one per in-flight check.
+// Checker.CheckCtx runs each check on a throwaway Session, so a fresh check
+// and a pooled one share this one SAT ladder and differ only in solver
+// history.
 package mc
 
 import (
@@ -71,6 +74,10 @@ type Session struct {
 	bmc *satState // reset-constrained; properties are assumption-only
 	ind *satState // free initial state; properties under activation literals
 
+	// solo keeps every check off the racing portfolio (Checker.CheckCtx's
+	// throwaway sessions).
+	solo bool
+
 	// Racing portfolio lane sets (portfolio.go), built lazily when
 	// Options.Portfolio >= 2 routes a predicted-hard check to the race. Kept
 	// separate from the solo states above: lane formulas must stay purely
@@ -98,12 +105,11 @@ type Session struct {
 }
 
 // NewSession creates an incremental checking context. The underlying solver
-// states are built lazily on first use and rebuilt transparently if a check
-// panics mid-encode (the Session falls back to the stateless path for that
-// check and starts clean on the next).
+// states are built lazily on first use. If a check faults mid-encode, the
+// states are dropped and the check is decided once more on rebuilt ones.
 func (c *Checker) NewSession() *Session { return &Session{c: c} }
 
-// Checker returns the Session's underlying (shared, stateless) checker.
+// Checker returns the Session's underlying (shared) checker.
 func (s *Session) Checker() *Checker { return s.c }
 
 // Check decides the assertion using the persistent solver states.
@@ -113,33 +119,79 @@ func (s *Session) Check(a *assertion.Assertion) (*Result, error) {
 
 // CheckCtx is Checker.CheckCtx routed through the Session's persistent SAT
 // states. Verdicts, counterexamples, and the degradation ladder are identical
-// to the stateless path (enforced by the equivalence tests); only the work to
+// to a fresh session's (enforced by the equivalence tests); only the work to
 // produce them shrinks.
 func (s *Session) CheckCtx(ctx context.Context, a *assertion.Assertion) (*Result, error) {
-	return s.c.checkWith(ctx, a, s.dispatch)
+	return s.c.checkWith(ctx, a, s)
 }
 
+// dispatch decides the check on the Session's states. An engine fault
+// (ErrEngineInternal) means the persistent states may hold half-encoded
+// clauses or an unalignable lane set: they are dropped and the check is
+// decided once more on freshly built ones, so one fault costs one rebuild,
+// not a wrong verdict. A second fault is returned; core's recover barrier
+// reports it as an engine error.
 func (s *Session) dispatch(b *budget, a *assertion.Assertion) (*Result, error) {
-	res, err := s.c.dispatchVia(b, a, s.checkCombinational, s.checkSAT)
-	if err != nil && errors.Is(err, ErrEngineInternal) {
-		// The persistent state misbehaved and was discarded; decide this
-		// check on the stateless path so one fault costs one rebuild, not a
-		// wrong verdict.
-		return s.c.dispatchVia(b, a, s.c.checkCombinational, s.c.checkSAT)
+	res, err := s.route(b, a)
+	if errors.Is(err, ErrEngineInternal) {
+		s.reset()
+		res, err = s.route(b, a)
 	}
 	return res, err
+}
+
+// route sends the check to an engine, degrading explicit-state to SAT when
+// the explicit slice of the budget runs out.
+func (s *Session) route(b *budget, a *assertion.Assertion) (*Result, error) {
+	c := s.c
+	// The explicit engine pins input bits already fixed by the antecedent,
+	// so only the remaining free bits need enumeration. Its work is
+	// (reachable states) x 2^freeBits window simulations; gate on the
+	// worst-case state count so a check can never blow up.
+	freeBits := c.d.InputBits()*(a.Consequent.Offset+1) - c.pinnedInputBits(a)
+	explicitWork := c.d.StateBits() + freeBits
+	switch {
+	case len(c.d.Registers()) == 0:
+		return s.checkCombinational(b, a)
+	case c.ExplicitOK && explicitWork <= c.opts.MaxExplicitBits:
+		// The explicit engine gets half the remaining budget; if that slice
+		// is exhausted the SAT engine inherits what is left.
+		esp := b.span("mc.explicit", telemetry.Int("free_bits", int64(freeBits)))
+		res, err := c.checkExplicit(b.slice(0.5), a)
+		esp.End(telemetry.Bool("fell_back", err != nil && IsBudget(err)))
+		if err != nil && IsBudget(err) {
+			res, err = s.checkSAT(b, a)
+			// A decisive SAT verdict is as good as the explicit one would
+			// have been; only a weaker outcome counts as degraded.
+			if res != nil && (res.Status == StatusBounded || res.Status == StatusUnknown) {
+				res.Degraded = true
+				if res.Cause == nil {
+					res.Cause = fmt.Errorf("%w: explicit engine budget slice exhausted", ErrBudgetExceeded)
+				}
+			}
+		}
+		return res, err
+	default:
+		return s.checkSAT(b, a)
+	}
+}
+
+// reset drops every persistent solver state; each is rebuilt lazily on its
+// next use.
+func (s *Session) reset() {
+	s.bmc, s.ind = nil, nil
+	s.raceBMC, s.raceInd = nil, nil
 }
 
 // guard runs fn with the session's panic barrier: a panic inside the
 // persistent-state engines discards all persistent states (they may hold
 // half-encoded clauses — and for the race sets, a half-replayed catch-up
 // breaks variable alignment) and surfaces as ErrEngineInternal so dispatch
-// can fall back.
+// can rebuild them and retry.
 func (s *Session) guard(fn func() (*Result, error)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.bmc, s.ind = nil, nil
-			s.raceBMC, s.raceInd = nil, nil
+			s.reset()
 			res, err = nil, fmt.Errorf("%w: session engine panic: %v", ErrEngineInternal, r)
 		}
 	}()
@@ -199,7 +251,7 @@ func (s *Session) checkCombinational(b *budget, a *assertion.Assertion) (*Result
 // counterexample bytes; only wall-clock differs (see portfolio.go for the
 // argument).
 func (s *Session) checkSAT(b *budget, a *assertion.Assertion) (*Result, error) {
-	if s.c.opts.Portfolio >= 2 {
+	if !s.solo && s.c.opts.Portfolio >= 2 {
 		if _, hard := s.c.PredictHard(a); hard && s.c.predictRaceWin(a) {
 			return s.guard(func() (*Result, error) {
 				return s.checkSATPortfolio(b, a)
@@ -209,15 +261,20 @@ func (s *Session) checkSAT(b *budget, a *assertion.Assertion) (*Result, error) {
 	return s.checkSATSolo(b, a)
 }
 
-// checkSATSolo is the BMC + k-induction ladder of Checker.checkSAT against the
-// persistent states. The control flow (budget slices, degradation points,
-// method strings, depths) mirrors the stateless path exactly.
+// checkSATSolo runs the BMC + k-induction ladder under the budget against the
+// persistent states. The verdict degrades gracefully: a budget hit during BMC
+// reports the deepest fully explored bound (or StatusUnknown if not even the
+// first window completed); a budget hit during induction falls back to the
+// completed BMC bound. A falsification found before the budget dies is always
+// reported — budget pressure can weaken a claim but never invert one.
 func (s *Session) checkSATSolo(b *budget, a *assertion.Assertion) (*Result, error) {
 	return s.guard(func() (*Result, error) {
 		c := s.c
 		coff := a.Consequent.Offset
 		minFrames := coff + 1
 
+		// Bounded model checking from reset, incremental in the unroll depth.
+		// BMC gets 60% of the remaining wall budget; induction inherits the rest.
 		bmcBudget := b.slice(0.6)
 		st := s.bmcState()
 		maxDepth := c.opts.MaxBMCDepth
@@ -226,6 +283,7 @@ func (s *Session) checkSATSolo(b *budget, a *assertion.Assertion) (*Result, erro
 		}
 		bounded := func(lastOK int, cause error) (*Result, error) {
 			if lastOK < minFrames {
+				// Not even the shortest window was decided: nothing to claim.
 				return nil, cause
 			}
 			return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: lastOK, Degraded: true, Cause: cause}, nil

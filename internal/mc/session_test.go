@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -34,7 +35,7 @@ func arbiterSuite() []*assertion.Assertion {
 
 // TestSessionMatchesFresh is the core equivalence contract: the incremental
 // path must produce the same verdict, method, depth, and byte-identical
-// canonical counterexample as the stateless path, for every assertion,
+// canonical counterexample as a fresh session per check, for every assertion,
 // regardless of the order the session saw them in.
 func TestSessionMatchesFresh(t *testing.T) {
 	d := mustDesign(t, arbiterSrc)
@@ -176,5 +177,82 @@ func TestTwoChecksOneReachabilityPass(t *testing.T) {
 	}
 	if c.ReachBuilds != 1 {
 		t.Errorf("ReachBuilds = %d after four explicit checks, want 1", c.ReachBuilds)
+	}
+}
+
+// sameResult reports whether two results agree on status, method, depth and
+// counterexample bytes.
+func sameResult(a, b *Result) bool {
+	return a.Status == b.Status && a.Method == b.Method && a.Depth == b.Depth && reflect.DeepEqual(a.Ctx, b.Ctx)
+}
+
+// TestSessionRebuildsAfterEngineFault reaches dispatch's rebuild path: a
+// session whose persistent bmc or ind state is corrupted panics mid-check,
+// guard drops the states, and the check is decided again on rebuilt ones —
+// with exactly the fresh-session result. The next check runs on the rebuilt
+// states and matches too.
+func TestSessionRebuildsAfterEngineFault(t *testing.T) {
+	d := mustDesign(t, arbiterSrc)
+	suite := arbiterSuite()
+	fresh := func(a *assertion.Assertion) *Result {
+		r, err := NewWithOptions(d, satOnlyOptions()).Check(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	falsified, proved := suite[1], suite[3]
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*Session) *satState
+		a, next *assertion.Assertion
+	}{
+		// The BMC ladder trips over the corrupted bmc state on a falsifiable
+		// assertion; the next check is a proof that needs both states.
+		{"bmc", func(s *Session) *satState { s.bmc.u = nil; return s.bmc }, falsified, proved},
+		// The BMC ladder clears every depth of a provable assertion, then
+		// induction trips over the corrupted ind state.
+		{"ind", func(s *Session) *satState { s.ind.u = nil; return s.ind }, proved, falsified},
+	} {
+		sess := NewWithOptions(d, satOnlyOptions()).NewSession()
+		if _, err := sess.Check(proved); err != nil { // builds both states
+			t.Fatal(err)
+		}
+		bad := tc.corrupt(sess)
+		got, err := sess.Check(tc.a)
+		if err != nil {
+			t.Fatalf("%s: check on a corrupted session: %v", tc.name, err)
+		}
+		if want := fresh(tc.a); !sameResult(got, want) {
+			t.Errorf("%s: after rebuild got (%v,%s,%d,%v), fresh (%v,%s,%d,%v)", tc.name,
+				got.Status, got.Method, got.Depth, got.Ctx, want.Status, want.Method, want.Depth, want.Ctx)
+		}
+		if sess.bmc == bad || sess.ind == bad {
+			t.Fatalf("%s: the corrupted state survived the check", tc.name)
+		}
+		got, err = sess.Check(tc.next)
+		if err != nil {
+			t.Fatalf("%s: next check: %v", tc.name, err)
+		}
+		if want := fresh(tc.next); !sameResult(got, want) {
+			t.Errorf("%s: next check got (%v,%s,%d), fresh (%v,%s,%d)", tc.name,
+				got.Status, got.Method, got.Depth, want.Status, want.Method, want.Depth)
+		}
+	}
+}
+
+// TestSessionSecondFaultIsEngineError: a fault that survives the rebuild
+// (here every encoding of the design panics) is returned as
+// ErrEngineInternal after exactly one retry, for core's recover barrier to
+// report.
+func TestSessionSecondFaultIsEngineError(t *testing.T) {
+	d := mustDesign(t, arbiterSrc)
+	for _, r := range d.Registers() {
+		d.Next[r] = nil // cnf panics on the missing next-state expression
+	}
+	sess := NewWithOptions(d, satOnlyOptions()).NewSession()
+	res, err := sess.Check(arbiterSuite()[1])
+	if !errors.Is(err, ErrEngineInternal) || res != nil {
+		t.Fatalf("got (%v, %v), want ErrEngineInternal", res, err)
 	}
 }

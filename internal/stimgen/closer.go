@@ -1,5 +1,5 @@
 // The adaptive work-sharing closure engine behind CloseCoverage and
-// DirectedFromHoles (the Legacy knob selects the PR 7 paths in directed.go).
+// DirectedFromHoles.
 //
 // Three ideas carry the speedup, all aimed at not re-doing work:
 //
@@ -521,8 +521,8 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 // reach queries, and the scan orders (suite order, park order) make it
 // deterministic under any -j. The adaptive ladder is what makes it matter:
 // shallow iterations admit short witnesses that deeper ones subsume, and
-// without eviction those stale cycles crowd out the deep witnesses the
-// legacy fixed-depth loop would have afforded.
+// without eviction those stale cycles crowd out the deep witnesses a
+// fixed-depth ladder would have afforded.
 func (cw *closureWorkers) compactSuite(ctx context.Context, res *ClosureResult, seedLen int, pendOrder []*HoleAttempt, collect func([]sim.Stimulus) error, opts ClosureOptions) error {
 	if opts.TotalCycles <= 0 {
 		return nil

@@ -26,7 +26,6 @@ import (
 	"goldmine/internal/holes"
 	"goldmine/internal/mc"
 	"goldmine/internal/rtl"
-	"goldmine/internal/sched"
 	"goldmine/internal/sim"
 	"goldmine/internal/simc"
 	"goldmine/internal/telemetry"
@@ -50,11 +49,6 @@ type DirectedOptions struct {
 	MC mc.Options
 	// Telemetry journals directed.hole / mc.reach / sat.solve spans.
 	Telemetry *telemetry.Tracer
-	// Legacy selects the PR 7 engine: a fixed MaxDepth ladder per hole, no
-	// cross-hole witness sharing, no adaptive depth, no dead-code promotion,
-	// and a permanent fruitless-hole skip set in CloseCoverage. Kept for
-	// benchmarking the adaptive engine against it (-cover-bench runs both).
-	Legacy bool
 }
 
 func (o DirectedOptions) withDefaults() DirectedOptions {
@@ -200,8 +194,7 @@ func FocusedLanes(d *rtl.Design, focus []*rtl.Signal, lanes, cycles int, seed in
 // witness against the holes still waiting at each wave boundary: a hole
 // covered by a sibling's witness comes back as MethodShared (Via names the
 // sibling, Stim is nil — the sibling's stimulus is the one to keep) and never
-// issues its own reach query. Set DirectedOptions.Legacy for the PR 7
-// one-query-per-hole behavior.
+// issues its own reach query.
 func DirectedFromHoles(ctx context.Context, d *rtl.Design, hs []*holes.Hole, opts DirectedOptions) ([]*HoleAttempt, error) {
 	opts = opts.withDefaults()
 	if len(hs) == 0 {
@@ -211,103 +204,11 @@ func DirectedFromHoles(ctx context.Context, d *rtl.Design, hs []*holes.Hole, opt
 	if err != nil {
 		return nil, err
 	}
-	if opts.Legacy {
-		return cw.runLegacy(ctx, hs, opts), nil
-	}
 	caps := make([]int, len(hs))
 	for i := range caps {
 		caps[i] = opts.MaxDepth
 	}
 	return cw.runWaves(ctx, hs, caps, nil, nil, opts), nil
-}
-
-// runLegacy is the PR 7 engine: every hole gets its own full-depth query,
-// witnesses are never shared.
-func (cw *closureWorkers) runLegacy(ctx context.Context, hs []*holes.Hole, opts DirectedOptions) []*HoleAttempt {
-	out := make([]*HoleAttempt, len(hs))
-	workers := len(cw.sessions)
-	tasks := make([]sched.Task, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		tasks[w] = sched.Task{ID: w, Run: func(tctx context.Context) {
-			for i := w; i < len(hs); i += workers {
-				out[i] = attemptHole(tctx, cw.sessions[w], cw.bms[w], hs[i], i, opts)
-				if tctx.Err() != nil {
-					return
-				}
-			}
-		}}
-	}
-	sched.RunTasks(ctx, workers, tasks, nil)
-	// Cancellation can abandon tasks before they touch their slots.
-	for i, at := range out {
-		if at == nil {
-			out[i] = &HoleAttempt{Hole: hs[i], Method: MethodOpen, Err: ctx.Err()}
-		}
-	}
-	return out
-}
-
-// attemptHole runs the SAT→fuzz ladder for one hole. rank is the hole's
-// index in the ranked list; the fuzz seed derives from it so results do not
-// depend on which worker ran the attempt.
-func attemptHole(ctx context.Context, sess *mc.Session, bm *simc.BatchMachine, h *holes.Hole, rank int, opts DirectedOptions) *HoleAttempt {
-	at := &HoleAttempt{Hole: h}
-	var sp *telemetry.Span
-	if opts.Telemetry != nil {
-		ctx, sp = opts.Telemetry.StartSpan(ctx, "directed.hole",
-			telemetry.String("hole", h.Key()),
-			telemetry.Int("rank", int64(rank)))
-	}
-	defer func() {
-		sp.End(telemetry.String("method", at.Method), telemetry.Int("depth", int64(at.Depth)))
-	}()
-
-	res, err := sess.Reach(ctx, obligationFor(h), opts.MaxDepth, h.Inputs)
-	unreachable := false
-	switch {
-	case err != nil:
-		at.Err = err
-	case res.Status == mc.ReachFound:
-		at.Method, at.Depth, at.Stim = MethodSAT, res.Depth, res.Stim
-		return at
-	case res.Status == mc.ReachUnreachable:
-		unreachable = true
-	}
-
-	// Fallback: focused batch fuzzing. The bound may simply be too small
-	// (fuzz lanes run past it), so bounded-UNSAT still gets a fuzz shot.
-	lanes := FocusedLanes(bm.Program().Design(), h.Inputs, opts.FuzzLanes, opts.FuzzCycles,
-		opts.Seed+int64(rank)*1000003, 2)
-	traces, err := bm.RunBatch(lanes)
-	if err != nil {
-		if at.Err == nil {
-			at.Err = err
-		}
-		at.Method = MethodError
-		return at
-	}
-	best, bestLane := -1, -1
-	for l, tr := range traces {
-		if hit := h.Hit(tr); hit >= 0 && (best < 0 || hit < best) {
-			best, bestLane = hit, l
-		}
-	}
-	if best >= 0 {
-		at.Method, at.Depth = MethodFuzz, best+1
-		at.Stim = lanes[bestLane][:best+1].Clone()
-		at.SATUnreachable = unreachable
-		return at
-	}
-	switch {
-	case at.Err != nil:
-		at.Method = MethodError
-	case unreachable:
-		at.Method = MethodUnreachable
-	default:
-		at.Method = MethodOpen
-	}
-	return at
 }
 
 // ClosureOptions configures CloseCoverage.
@@ -390,9 +291,7 @@ type ClosureResult struct {
 	// already proved them dead (DeadFile).
 	DeadLoaded int
 	// ReachCalls / ReachSolves total the reachability queries issued and the
-	// SAT solves they cost, summed over the per-worker sessions. The
-	// adaptive engine's whole point is making these smaller than the legacy
-	// path's at equal coverage.
+	// SAT solves they cost, summed over the per-worker sessions.
 	ReachCalls  int
 	ReachSolves int
 	// Evicted / Readmitted count the final compaction pass's moves when the
@@ -411,8 +310,7 @@ type ClosureResult struct {
 // caps grown across iterations with the ladder resumed past proven depths,
 // witnesses replayed against every open hole at wave boundaries, and
 // persistent bounded-unreachable holes promoted to proven-dead by k-induction
-// and removed from the universe. ClosureOptions.Legacy selects the PR 7 loop
-// (fixed depth, no sharing, permanent skip set) for comparison.
+// and removed from the universe.
 func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*ClosureResult, error) {
 	opts = opts.withDefaults()
 	var runSp *telemetry.Span
@@ -458,13 +356,7 @@ func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*Cl
 	}
 	res.Initial = col.Report()
 
-	var err error
-	if opts.Legacy {
-		err = closeLegacy(ctx, d, col, collect, res, opts)
-	} else {
-		err = closeAdaptive(ctx, d, col, collect, res, opts)
-	}
-	if err != nil {
+	if err := closeAdaptive(ctx, d, col, collect, res, opts); err != nil {
 		return nil, err
 	}
 	if !res.Converged && len(holes.FromCollector(col)) == 0 {
@@ -488,77 +380,6 @@ func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*Cl
 		)
 	}
 	return res, nil
-}
-
-// closeLegacy is the PR 7 closure loop, preserved verbatim for benchmarking:
-// fixed-depth queries via the legacy one-hole-one-query engine and a skip set
-// that never re-evaluates a fruitless hole.
-func closeLegacy(ctx context.Context, d *rtl.Design, col *coverage.Collector, collect func([]sim.Stimulus) error, res *ClosureResult, opts ClosureOptions) error {
-	skip := map[string]bool{} // hole keys proven fruitless; never retried
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		all := holes.FromCollector(col)
-		var hs []*holes.Hole
-		for _, h := range all {
-			if !skip[h.Key()] {
-				hs = append(hs, h)
-			}
-		}
-		if len(hs) == 0 {
-			res.Converged = true
-			break
-		}
-		var itSp *telemetry.Span
-		ictx := ctx
-		if opts.Telemetry != nil {
-			ictx, itSp = opts.Telemetry.StartSpan(ctx, "directed.iteration",
-				telemetry.Int("iter", int64(iter)),
-				telemetry.Int("holes", int64(len(hs))))
-		}
-		cw, err := newClosureWorkers(d, len(hs), opts.DirectedOptions)
-		if err != nil {
-			itSp.End(telemetry.String("error", err.Error()))
-			return err
-		}
-		attempts := cw.runLegacy(ictx, hs, opts.DirectedOptions)
-		cw.sumQueries(res)
-		st := IterationStats{Holes: len(hs)}
-		var fresh []sim.Stimulus
-		for _, at := range attempts {
-			res.Attempts = append(res.Attempts, at)
-			res.Methods[at.Method]++
-			switch at.Method {
-			case MethodSAT, MethodFuzz:
-				if opts.TotalCycles > 0 && res.CyclesUsed+len(at.Stim) > opts.TotalCycles {
-					continue // over budget: drop, but keep accounting
-				}
-				fresh = append(fresh, at.Stim)
-				res.CyclesUsed += len(at.Stim)
-				st.Directed++
-			default:
-				// Unreachable/open/error: do not burn budget on this
-				// hole again in later iterations.
-				skip[at.Hole.Key()] = true
-			}
-		}
-		if st.Directed == 0 {
-			res.Iterations = append(res.Iterations, st)
-			itSp.End(telemetry.Int("appended", 0))
-			break // no progress possible: every hole is skipped or over budget
-		}
-		res.Suite = append(res.Suite, fresh...)
-		before := len(holes.FromCollector(col))
-		if err := collect(fresh); err != nil {
-			itSp.End(telemetry.String("error", err.Error()))
-			return err
-		}
-		st.Closed = before - len(holes.FromCollector(col))
-		res.Iterations = append(res.Iterations, st)
-		itSp.End(telemetry.Int("appended", int64(st.Directed)), telemetry.Int("closed", int64(st.Closed)))
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil
 }
 
 // String summarizes an attempt for CLI output.

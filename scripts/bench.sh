@@ -7,8 +7,9 @@
 # (seq/par; bounded by the host's core count — ~1x on a single-CPU machine),
 # cache hit rates, and the -j1 ≡ -jN determinism check.
 #
-# Also writes BENCH_mc.json (override with $2): fresh-checker vs persistent
-# mc.Session wall times over mined assertion suites (all 18 bundled designs),
+# Also writes BENCH_mc.json (override with $2): fresh-session (one throwaway
+# mc.Session per check) vs pooled mc.Session wall times over mined assertion
+# suites (all 18 bundled designs),
 # per-design speedups, and the portfolio columns — cold-batch wall times of
 # the solo incremental ladder vs racing diversified SAT lanes on
 # predicted-hard checks (cold_solo_ms / portfolio_ms / portfolio_speedup /
@@ -40,12 +41,13 @@
 # CEX-only suite, and the SAT-directed closure loop at the same total-cycle
 # budget, plus per-hole SAT/fuzz/shared/dead accounting. The adaptive engine
 # columns — time-to-closure wall times (random_wall_ms / cex_wall_ms /
-# directed_wall_ms / legacy_wall_ms), reach-query counts for the adaptive vs
-# fixed-depth legacy loop (directed_reach_{calls,solves} /
-# legacy_reach_{calls,solves}, reach_queries_reduced), open-hole parity
-# (legacy_open, directed_not_worse_than_legacy), and the k-induction
-# proven-dead holes (dead_holes) — quantify PR 10's closure rework. See
-# DESIGN.md sections 4.7 and 4.10.
+# directed_wall_ms), reach-query counts (directed_reach_{calls,solves}),
+# the reach_queries_reduced and directed_not_worse_than_legacy gates against
+# the fixed-depth legacy loop's per-design solves and open holes (frozen in
+# internal/experiments/coverbench.go from the legacy_* columns of the
+# committed BENCH_cover.json; the loop itself is deleted, so a regenerated
+# file has no legacy_* columns), and the k-induction proven-dead holes
+# (dead_holes). See DESIGN.md sections 4.7 and 4.10.
 #
 # Also writes BENCH_corpus.json (override with $7): the assertion-corpus
 # benchmark — per design, two mining configurations ingested into one corpus

@@ -137,13 +137,14 @@ echo "smoke: closure -j1 ≡ -j4 and the directed telemetry journal validates"
 
 echo "== smoke: adaptive closure beats the legacy engine and prunes dead code =="
 # The adaptive engine (witness sharing + adaptive depth + k-induction pruning)
-# must issue strictly fewer SAT solves than the fixed-depth legacy loop at the
-# same budget while leaving no more holes open, and must prove at least one
-# hole dead on b12. With a dead-hole corpus, a rerun re-proves nothing and the
-# pruned holes never reappear in the hole listing.
-"$tmpbin/coverage_race" -design b12 -cycles 512 -directed -legacy -j 4 >"$tmpbin/leg.txt"
+# must issue strictly fewer SAT solves than the fixed-depth legacy loop did at
+# the same budget, and must prove at least one hole dead on b12. The legacy
+# loop is gone; leg_solves is its recorded b12 count at this exact invocation
+# (600 at -j 1 and -j 4, the legacy_reach_solves of BENCH_cover.json). With a
+# dead-hole corpus, a rerun re-proves nothing and the pruned holes never
+# reappear in the hole listing.
+leg_solves=600
 "$tmpbin/coverage_race" -design b12 -cycles 512 -directed -j 4 >"$tmpbin/ada.txt"
-leg_solves=$(sed -n 's/.*reach: calls=[0-9]* solves=\([0-9]*\).*/\1/p' "$tmpbin/leg.txt")
 ada_solves=$(sed -n 's/.*reach: calls=[0-9]* solves=\([0-9]*\).*/\1/p' "$tmpbin/ada.txt")
 if [ "$ada_solves" -ge "$leg_solves" ]; then
     echo "smoke: FAILED (b12: adaptive issued $ada_solves solves vs $leg_solves legacy)" >&2
@@ -178,11 +179,12 @@ for key in $(sed -n 's/.*"key":"\([^"]*\)".*/\1/p' "$tmpbin/dead.jsonl"); do
 done
 echo "smoke: b12 dead corpus persists (rerun solves=$rerun_solves, pruned holes stay gone)"
 
-echo "== cross-check: incremental + portfolio match the stateless checker (race) =="
-# Every bundled design, race-enabled binary, with (a) the incremental session
-# + cone-of-influence path and (b) the racing SAT portfolio (-portfolio 3)
-# diffed against the stateless full-encode path. Verdicts and counterexamples
-# must be byte-identical; only the total: wall clock line may differ.
+echo "== cross-check: pooled ≡ fresh ≡ portfolio sessions (race) =="
+# Every bundled design, race-enabled binary, with (a) pooled sessions + the
+# cone-of-influence path and (b) the racing SAT portfolio (-portfolio 3)
+# diffed against fresh sessions (one throwaway mc.Session per check) with the
+# full encoding. Verdicts and counterexamples must be byte-identical; only
+# the total: wall clock line may differ.
 # -max-iter 8 bounds the refinement loop so the sweep stays a few minutes
 # under the race detector (all modes use the same bound, so the comparison is
 # unaffected). The portfolio leg is the determinism contract of the racing
@@ -196,7 +198,7 @@ for d in $("$tmpbin/goldmine" -list | while read -r name _; do echo "$name"; don
     grep -v '^total:' "$tmpbin/incr.txt" >"$tmpbin/incr.art"
     grep -v '^total:' "$tmpbin/port.txt" >"$tmpbin/port.art"
     if ! diff "$tmpbin/fresh.art" "$tmpbin/incr.art" >/dev/null; then
-        echo "cross-check: FAILED ($d: incremental artifacts differ from stateless)" >&2
+        echo "cross-check: FAILED ($d: pooled-session artifacts differ from fresh sessions)" >&2
         diff "$tmpbin/fresh.art" "$tmpbin/incr.art" | head >&2
         exit 1
     fi
@@ -205,7 +207,7 @@ for d in $("$tmpbin/goldmine" -list | while read -r name _; do echo "$name"; don
         diff "$tmpbin/incr.art" "$tmpbin/port.art" | head >&2
         exit 1
     fi
-    echo "cross-check: $d OK (incremental ≡ stateless ≡ portfolio)"
+    echo "cross-check: $d OK (pooled ≡ fresh ≡ portfolio)"
 done
 
 echo "== smoke: portfolio telemetry journal records the races =="
