@@ -59,6 +59,12 @@ func main() {
 }
 
 func run(o cliOpts, w io.Writer) error {
+	if o.cycles < 0 {
+		return fmt.Errorf("-cycles must be >= 0, got %d", o.cycles)
+	}
+	if o.workers < 1 {
+		return fmt.Errorf("-j must be >= 1, got %d", o.workers)
+	}
 	if o.design == "" {
 		return fmt.Errorf("need -design (one of %v)", designs.Names())
 	}

@@ -64,11 +64,24 @@ func TestRunHolesJSON(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(cliOpts{cycles: 10, seed: 1}, &bytes.Buffer{}); err == nil {
+	if err := run(cliOpts{cycles: 10, seed: 1, workers: 1}, &bytes.Buffer{}); err == nil {
 		t.Error("missing design should error")
 	}
-	if err := run(cliOpts{design: "nope", cycles: 10, seed: 1}, &bytes.Buffer{}); err == nil {
+	if err := run(cliOpts{design: "nope", cycles: 10, seed: 1, workers: 1}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown design should error")
+	}
+	for _, tc := range []struct {
+		o    cliOpts
+		want string
+	}{
+		{cliOpts{design: "arbiter2", cycles: -5, seed: 1, workers: 1}, "-cycles must be >= 0, got -5"},
+		{cliOpts{design: "arbiter2", cycles: 10, seed: 1, workers: 0}, "-j must be >= 1, got 0"},
+		{cliOpts{design: "b01", cycles: 10, seed: 1, directed: true, workers: -2}, "-j must be >= 1, got -2"},
+	} {
+		err := run(tc.o, &bytes.Buffer{})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: got error %v, want %q", tc.o, err, tc.want)
+		}
 	}
 }
 

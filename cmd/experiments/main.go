@@ -37,7 +37,7 @@ func main() {
 		schedBench = flag.String("sched-bench", "", "run the scheduler benchmark and write the JSON report to this file ('-' = stdout), then exit")
 		mcBench    = flag.String("mc-bench", "", "run the incremental model-checking benchmark and write the JSON report to this file ('-' = stdout), then exit")
 		telBench   = flag.String("telemetry-bench", "", "run the telemetry overhead benchmark and write the JSON report to this file ('-' = stdout), then exit")
-		simBench   = flag.String("sim-bench", "", "run the compiled/batched simulation benchmark and write the JSON report to this file ('-' = stdout), then exit")
+		simBench   = flag.String("sim-bench", "", "run the interpreter vs 64-lane batch simulation benchmark and write the JSON report to this file ('-' = stdout), then exit")
 		serveBench = flag.String("serve-bench", "", "run the goldmined serving/durability benchmark and write the JSON report to this file ('-' = stdout), then exit")
 		coverBench = flag.String("cover-bench", "", "run the coverage-closure benchmark (directed vs random vs CEX-only) and write the JSON report to this file ('-' = stdout), then exit")
 		corpBench  = flag.String("corpus-bench", "", "run the assertion-corpus reduction benchmark (dedup, clustering, oracle-ranked suite reduction) and write the JSON report to this file ('-' = stdout), then exit")

@@ -63,7 +63,7 @@ func main() {
 		schedOut = flag.Bool("sched-stats", false, "print scheduler/cache telemetry to stderr (advisory, non-deterministic)")
 		incr     = flag.Bool("incremental", true, "reuse pooled SAT solver sessions across checks; false decides each check on a fresh session (verdicts and counterexamples are identical either way)")
 		portf    = flag.Int("portfolio", 0, "race N diversified SAT solver lanes on predicted-hard checks, sharing learned clauses (needs -incremental; 0 or 1 disables; artifacts are identical either way)")
-		compiled = flag.Bool("compiled", true, "use the compiled instruction-tape simulator for seed and counterexample traces (artifacts are identical either way)")
+		compiled = flag.Bool("compiled", true, "simulate seed and counterexample traces (and -close-coverage suites) on the 64-lane batch engine instead of the interpreter (artifacts are identical either way)")
 		coi      = flag.Bool("coi", true, "cone-of-influence CNF reduction: encode only the logic each assertion can observe")
 		closeCov = flag.Bool("close-coverage", false, "run the coverage-closure loop (SAT-directed stimulus aimed at the uncovered points) instead of mining")
 		coverCyc = flag.Int("cover-cycles", 2000, "total stimulus cycle budget for -close-coverage")

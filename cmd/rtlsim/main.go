@@ -31,7 +31,7 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random stimulus seed")
 		quiet  = flag.Bool("quiet", false, "suppress the trace, print only coverage")
 		vcd    = flag.String("vcd", "", "write the trace as a VCD file")
-		comp   = flag.Bool("compiled", true, "use the compiled instruction-tape simulator (trace, VCD and coverage are identical to the interpreter)")
+		comp   = flag.Bool("compiled", true, "simulate on the 64-lane batch engine instead of the interpreter (trace, VCD and coverage are identical)")
 	)
 	flag.Parse()
 	if err := run(*design, *file, *cycles, *stim, *seed, *quiet, *vcd, *comp); err != nil {
@@ -41,6 +41,9 @@ func main() {
 }
 
 func run(design, file string, cycles int, stimSpec string, seed int64, quiet bool, vcdPath string, compiled bool) error {
+	if cycles < 0 {
+		return fmt.Errorf("-cycles must be >= 0, got %d", cycles)
+	}
 	var d *rtl.Design
 	var bench *designs.Benchmark
 	var err error
@@ -85,31 +88,27 @@ func run(design, file string, cycles int, stimSpec string, seed int64, quiet boo
 		return fmt.Errorf("bad -stim %q", stimSpec)
 	}
 
+	// The compiled path observes the recorded trace; the interpreter path
+	// keeps the live observer hook, so -compiled=false is an end-to-end
+	// reference for both the trace and the coverage line.
 	col := coverage.New(d)
-	col.BeginRun()
-	trace := sim.NewTrace(d)
+	var trace *sim.Trace
 	if compiled {
-		p, err := simc.Compile(d)
+		traces, err := simc.SimulateBatch(d, []sim.Stimulus{stim})
 		if err != nil {
 			return err
 		}
-		m := simc.NewMachine(p)
-		m.Observe(col.Observe)
-		for _, iv := range stim {
-			if err := m.Step(iv, trace); err != nil {
-				return err
-			}
-		}
+		trace = traces[0]
+		col.ObserveTrace(trace)
 	} else {
 		s, err := sim.New(d)
 		if err != nil {
 			return err
 		}
 		s.Observe(col.Observe)
-		for _, iv := range stim {
-			if err := s.Step(iv, trace); err != nil {
-				return err
-			}
+		col.BeginRun()
+		if trace, err = s.Run(stim); err != nil {
+			return err
 		}
 	}
 

@@ -62,6 +62,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run("b01", "", 10, "directed", 1, true, "", false); err == nil {
 		t.Error("design without directed test should error")
 	}
+	for _, compiled := range []bool{true, false} {
+		err := run("arbiter2", "", -1, "random", 1, true, "", compiled)
+		if want := "-cycles must be >= 0, got -1"; err == nil || err.Error() != want {
+			t.Errorf("compiled=%v: negative cycles: got error %v, want %q", compiled, err, want)
+		}
+	}
 }
 
 // TestRunVCDIdenticalAcrossEngines pins the rtlsim -compiled contract: the

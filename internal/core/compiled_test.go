@@ -52,7 +52,7 @@ func mineCompiled(t *testing.T, name string, compiled bool, workers, maxIter int
 
 // TestCompiledMiningCanonical is the compiled-simulator determinism contract:
 // the mining artifacts must be byte-identical whether seed and counterexample
-// traces come from the instruction-tape machine or the tree-walking
+// traces come from lane 0 of the batch machine or the tree-walking
 // interpreter, sequentially and in parallel (forked engines share one
 // compiled program).
 func TestCompiledMiningCanonical(t *testing.T) {
@@ -80,7 +80,7 @@ func TestCompiledMiningCanonical(t *testing.T) {
 	}
 }
 
-// TestCompiledFallback ensures a compile failure silently falls back to the
+// TestCompiledSimulateMatchesInterpreter ensures a compile failure silently falls back to the
 // interpreter rather than corrupting mining: a nil compiled holder (the
 // CompiledSim=false path) and the compiled path must both serve Simulate.
 func TestCompiledSimulateMatchesInterpreter(t *testing.T) {

@@ -101,11 +101,11 @@ type Config struct {
 	// (verdicts only ever weaken; they never flip). DefaultConfig enables it.
 	Incremental bool
 	// CompiledSim routes seed and counterexample simulation through the
-	// compiled instruction-tape engine (internal/simc) instead of the tree
-	// interpreter. The design is compiled once per engine (shared across
-	// forks); traces are bit-for-bit identical to the interpreter's, so every
-	// mining artifact — including Result.Canonical — is unchanged. If
-	// compilation fails the engine silently falls back to the interpreter.
+	// 64-lane batch engine (internal/simc, one stimulus as lane 0) instead of
+	// the tree interpreter. The design is compiled once per engine (shared
+	// across forks); traces are bit-for-bit identical to the interpreter's,
+	// so every mining artifact — including Result.Canonical — is unchanged.
+	// If compilation fails the engine silently falls back to the interpreter.
 	// DefaultConfig enables it.
 	CompiledSim bool
 	// MC are the model checker limits.
@@ -401,12 +401,12 @@ type Engine struct {
 	Checker *mc.Checker
 	checker FormalChecker // overrides Checker when set (fault injection)
 	sim     *sim.Simulator
-	// compiled holds the once-compiled instruction-tape program, shared by
-	// every fork (compilation is per design, not per goroutine); machine is
-	// this engine's private executor over it (simc.Machine is
+	// compiled holds the once-compiled batch program, shared by every fork
+	// (compilation is per design, not per goroutine); machine is this
+	// engine's private executor over it (simc.BatchMachine is
 	// single-goroutine, like sim.Simulator).
 	compiled *compiledSim
-	machine  *simc.Machine
+	machine  *simc.BatchMachine
 
 	// cache memoizes model-checker verdicts under canonical keys; shared by
 	// every fork of this engine (and across engines when Config.Cache is
@@ -534,11 +534,10 @@ func (e *Engine) fork() (*Engine, error) {
 	return &fe, nil
 }
 
-// compiledSim is the fork-shared compile-once cell for the instruction-tape
-// simulator.
+// compiledSim is the fork-shared compile-once cell for the batch simulator.
 type compiledSim struct {
 	once sync.Once
-	prog *simc.Program
+	prog *simc.BatchProgram
 	err  error
 }
 
@@ -546,31 +545,36 @@ type compiledSim struct {
 // shared program on first use (under a sim.compile span). Nil means the
 // compiled path is disabled or compilation failed — callers fall back to the
 // interpreter.
-func (e *Engine) compiledMachine(ctx context.Context) *simc.Machine {
+func (e *Engine) compiledMachine(ctx context.Context) *simc.BatchMachine {
 	if e.compiled == nil {
 		return nil
 	}
 	e.compiled.once.Do(func() {
 		_, sp := e.tel.StartSpan(ctx, "sim.compile", telemetry.String("design", e.D.Name))
-		e.compiled.prog, e.compiled.err = simc.Compile(e.D)
+		e.compiled.prog, e.compiled.err = simc.CompileBatch(e.D, simc.BatchOptions{})
 		sp.End()
 	})
 	if e.compiled.err != nil {
 		return nil
 	}
 	if e.machine == nil {
-		e.machine = simc.NewMachine(e.compiled.prog)
+		e.machine = simc.NewBatchMachine(e.compiled.prog)
 	}
 	e.machine.Cycles = e.sim.Cycles
 	return e.machine
 }
 
-// simulate runs a stimulus on the fastest available engine. Compiled and
-// interpreted traces are bit-for-bit identical (enforced by the differential
-// tests in internal/simc), so the choice never changes mining artifacts.
+// simulate runs a stimulus as lane 0 of the batch machine when the compiled
+// path is available, else on the interpreter. Compiled and interpreted
+// traces are bit-for-bit identical (enforced by the differential tests in
+// internal/simc), so the choice never changes mining artifacts.
 func (e *Engine) simulate(ctx context.Context, stim sim.Stimulus) (*sim.Trace, error) {
 	if m := e.compiledMachine(ctx); m != nil {
-		return m.Run(stim)
+		traces, err := m.RunBatch([]sim.Stimulus{stim})
+		if err != nil {
+			return nil, err
+		}
+		return traces[0], nil
 	}
 	return e.sim.Run(stim)
 }

@@ -61,7 +61,7 @@ func (o *Options) SignalCone(b bool) *Options { o.cfg.SignalCone = b; return o }
 // Incremental toggles the persistent SAT session pool.
 func (o *Options) Incremental(b bool) *Options { o.cfg.Incremental = b; return o }
 
-// Compiled toggles the compiled instruction-tape simulator for seed and
+// Compiled toggles the compiled batch simulator for seed and
 // counterexample simulation (on by default; traces and mining artifacts are
 // identical either way — the interpreter remains the reference oracle).
 func (o *Options) Compiled(b bool) *Options { o.cfg.CompiledSim = b; return o }

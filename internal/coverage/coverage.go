@@ -36,6 +36,10 @@ type Collector struct {
 	fsmTrans []map[[2]uint64]bool
 	fsmPrev  []uint64
 
+	// batch is RunSuiteCompiled's machine, compiled on first use and reused
+	// by later calls (closure collects once per iteration).
+	batch *simc.BatchMachine
+
 	Cycles int
 }
 
@@ -127,28 +131,70 @@ func (c *Collector) RunSuite(suite []sim.Stimulus) error {
 	return nil
 }
 
-// RunSuiteCompiled is RunSuite on the compiled simulator: the design is
-// elaborated once into an instruction tape and every stimulus replays on the
-// same machine. Coverage observations are identical to RunSuite because the
-// observer hook fires at the same point (after combinational settling) over
-// an equivalent environment view.
+// RunSuiteCompiled is RunSuite on the 64-lane batch engine: the suite runs
+// in chunks of up to simc.MaxLanes stimuli on the collector's machine, and
+// each lane is transposed and observed in suite order, so only one lane's
+// trace is held at a time. Observations are identical to RunSuite because
+// trace rows hold the raw values the interpreter's observer hook sees.
 func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
-	p, err := simc.Compile(c.d)
-	if err != nil {
-		return err
+	if len(suite) == 0 {
+		return nil
 	}
-	m := simc.NewMachine(p)
-	m.Observe(c.Observe)
-	for _, stim := range suite {
-		c.BeginRun()
-		m.Reset()
-		for _, iv := range stim {
-			if err := m.Step(iv, nil); err != nil {
+	if c.batch == nil {
+		p, err := simc.CompileBatch(c.d, simc.BatchOptions{})
+		if err != nil {
+			return err
+		}
+		c.batch = simc.NewBatchMachine(p)
+	}
+	for len(suite) > 0 {
+		chunk := suite[:min(len(suite), simc.MaxLanes)]
+		suite = suite[len(chunk):]
+		ps, err := c.batch.Program().Pack(chunk)
+		if err != nil {
+			return err
+		}
+		bt, err := c.batch.RunPacked(ps)
+		if err != nil {
+			return err
+		}
+		for l := range chunk {
+			tr, err := bt.Lane(l)
+			if err != nil {
 				return err
 			}
+			c.ObserveTrace(tr)
 		}
 	}
 	return nil
+}
+
+// ObserveTrace consumes one recorded run from reset: a reset boundary, then
+// one Observe per trace row, read through an unmasked row view.
+func (c *Collector) ObserveTrace(tr *sim.Trace) {
+	c.BeginRun()
+	env := &rowEnv{col: make(map[*rtl.Signal]int, len(tr.Signals))}
+	for j, s := range tr.Signals {
+		env.col[s] = j
+	}
+	for _, row := range tr.Values {
+		env.row = row
+		c.Observe(env)
+	}
+}
+
+// rowEnv is an rtl.Env over one trace row. Signals without a column (the
+// clock) read zero, as in the interpreter.
+type rowEnv struct {
+	col map[*rtl.Signal]int
+	row []uint64
+}
+
+func (e *rowEnv) Get(sig *rtl.Signal) uint64 {
+	if j, ok := e.col[sig]; ok {
+		return e.row[j]
+	}
+	return 0
 }
 
 // Metric is covered/total with a percentage view.

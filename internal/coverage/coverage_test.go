@@ -384,8 +384,10 @@ func TestUncoveredPointsShrink(t *testing.T) {
 
 func TestRunSuiteCompiledMatchesInterpreter(t *testing.T) {
 	// Identical coverage reports from the interpreter and the compiled
-	// machine over every bundled design: the observer hook must see the
-	// same settled environment either way.
+	// engine over every bundled design: the observer hook and the batch
+	// engine's recorded lanes must see the same settled environment. Suite
+	// sizes straddle the 64-lane chunk boundary (0, 1, 64, 65, 130 stimuli,
+	// ragged lengths, zero-cycle stimuli included).
 	for _, b := range designs.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -393,26 +395,36 @@ func TestRunSuiteCompiledMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			suite := randomSuite(d, 4, 150, 23, 2)
-			ci := New(d)
-			if err := ci.RunSuite(suite); err != nil {
-				t.Fatal(err)
+			suites := [][]sim.Stimulus{randomSuite(d, 4, 150, 23, 2)}
+			for _, n := range []int{0, 1, 64, 65, 130} {
+				suite := make([]sim.Stimulus, n)
+				for l := range suite {
+					// Lengths 0..47; lanes 1, 49 and 97 get zero cycles.
+					suite[l] = randomSuite(d, 1, (l*37+11)%48, int64(100+l), 2)[0]
+				}
+				suites = append(suites, suite)
 			}
-			cc := New(d)
-			if err := cc.RunSuiteCompiled(suite); err != nil {
-				t.Fatal(err)
-			}
-			ri, rc := ci.Report(), cc.Report()
-			if ri != rc {
-				t.Errorf("coverage diverges:\ninterpreter: %s\ncompiled:    %s", ri, rc)
-			}
-			ui, uc := uncoveredOf(d, ci), uncoveredOf(d, cc)
-			if len(ui) != len(uc) {
-				t.Fatalf("uncovered point counts differ: %d vs %d", len(ui), len(uc))
-			}
-			for i := range ui {
-				if ui[i] != uc[i] {
-					t.Errorf("uncovered point %d: %q vs %q", i, ui[i], uc[i])
+			for _, suite := range suites {
+				ci := New(d)
+				if err := ci.RunSuite(suite); err != nil {
+					t.Fatal(err)
+				}
+				cc := New(d)
+				if err := cc.RunSuiteCompiled(suite); err != nil {
+					t.Fatal(err)
+				}
+				ri, rc := ci.Report(), cc.Report()
+				if ri != rc {
+					t.Errorf("%d stimuli: coverage diverges:\ninterpreter: %s\ncompiled:    %s", len(suite), ri, rc)
+				}
+				ui, uc := uncoveredOf(d, ci), uncoveredOf(d, cc)
+				if len(ui) != len(uc) {
+					t.Fatalf("%d stimuli: uncovered point counts differ: %d vs %d", len(suite), len(ui), len(uc))
+				}
+				for i := range ui {
+					if ui[i] != uc[i] {
+						t.Errorf("%d stimuli: uncovered point %d: %q vs %q", len(suite), i, ui[i], uc[i])
+					}
 				}
 			}
 		})

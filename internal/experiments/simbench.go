@@ -1,8 +1,7 @@
-// Simulation benchmark: the machine-readable evidence behind the compiled
-// instruction-tape and 64-lane bit-parallel simulator claims (per-cycle
-// latency vs the tree-walking interpreter, per lane-cycle latency of the
-// batched engine, trace equality). scripts/bench.sh writes its output to
-// BENCH_sim.json.
+// Simulation benchmark: the machine-readable evidence behind the 64-lane
+// bit-parallel simulator claims (per lane-cycle latency of the batched engine
+// vs the per-cycle latency of the tree-walking interpreter, trace equality).
+// scripts/bench.sh writes its output to BENCH_sim.json.
 package experiments
 
 import (
@@ -40,27 +39,23 @@ type SimBenchDesign struct {
 	// OneBitFraction is the fraction of batch-engine words that carry 1-bit
 	// signals — the bit-parallel win concentrates where this is high.
 	OneBitFraction float64 `json:"one_bit_fraction"`
-	// InterpNSPerCycle / CompiledNSPerCycle are single-lane per-cycle costs;
+	// InterpNSPerCycle is the interpreter's per-cycle cost;
 	// BatchedNSPerLaneCycle divides the 64-lane run by cycles×lanes. Each is
 	// the median over simBenchRounds measurement rounds.
 	InterpNSPerCycle      float64 `json:"interp_ns_per_cycle"`
-	CompiledNSPerCycle    float64 `json:"compiled_ns_per_cycle"`
 	BatchedNSPerLaneCycle float64 `json:"batched_ns_per_lane_cycle"`
-	// CompiledSpeedup is interpreter/compiled per cycle; BatchedSpeedup is
-	// interpreter per cycle over batched per lane-cycle. Both are medians of
-	// per-round paired ratios, so they may differ slightly from the quotient
-	// of the median ns figures.
-	CompiledSpeedup float64 `json:"compiled_speedup"`
-	BatchedSpeedup  float64 `json:"batched_speedup"`
-	// TracesMatch reports that the compiled trace and every batched lane are
-	// row-identical to the interpreter on the benchmark stimulus.
+	// BatchedSpeedup is interpreter per cycle over batched per lane-cycle:
+	// the median of per-round paired ratios, so it may differ slightly from
+	// the quotient of the median ns figures.
+	BatchedSpeedup float64 `json:"batched_speedup"`
+	// TracesMatch reports that batched lane 0 is row-identical to the
+	// interpreter on the benchmark stimulus.
 	TracesMatch bool `json:"traces_match"`
 }
 
 // SimBenchReport is the full benchmark output.
 type SimBenchReport struct {
 	Designs              []SimBenchDesign `json:"designs"`
-	MeanCompiledSpeedup  float64          `json:"mean_compiled_speedup"`
 	MeanBatchedSpeedup   float64          `json:"mean_batched_speedup"`
 	AllMatch             bool             `json:"all_traces_match"`
 	BatchLanes           int              `json:"batch_lanes"`
@@ -118,7 +113,7 @@ func SimBench(w io.Writer) error {
 		OneBitDesignFraction: 0.5,
 		MinBatchedSpeedup1b:  0,
 	}
-	sumC, sumB := 0.0, 0.0
+	sumB := 0.0
 	first1b := true
 	for _, b := range designs.All() {
 		d, err := b.Design()
@@ -136,17 +131,6 @@ func SimBench(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-
-		p, err := simc.Compile(d)
-		if err != nil {
-			return fmt.Errorf("%s compile: %w", b.Name, err)
-		}
-		m := simc.NewMachine(p)
-		got, err := m.Run(stim)
-		if err != nil {
-			return err
-		}
-		match := tracesEqual(want, got)
 
 		bp, err := simc.CompileBatch(d, simc.BatchOptions{})
 		if err != nil {
@@ -167,31 +151,22 @@ func SimBench(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		match = match && tracesEqual(want, lane0)
+		match := tracesEqual(want, lane0)
 
-		var interpNS, compiledNS, batchedNS, cRatio, bRatio []float64
+		var interpNS, batchedNS, bRatio []float64
 		for r := 0; r < simBenchRounds; r++ {
 			interpT, err := timeRuns(func() error { _, err := s.Run(stim); return err })
 			if err != nil {
 				return fmt.Errorf("%s interpreter: %w", b.Name, err)
-			}
-			compiledT, err := timeRuns(func() error { _, err := m.Run(stim); return err })
-			if err != nil {
-				return fmt.Errorf("%s compiled: %w", b.Name, err)
 			}
 			batchedT, err := timeRuns(func() error { _, err := bm.RunPacked(packed); return err })
 			if err != nil {
 				return fmt.Errorf("%s batched: %w", b.Name, err)
 			}
 			in := float64(interpT.Nanoseconds()) / simBenchCycles
-			cp := float64(compiledT.Nanoseconds()) / simBenchCycles
 			bt := float64(batchedT.Nanoseconds()) / (simBenchCycles * float64(simc.MaxLanes))
 			interpNS = append(interpNS, in)
-			compiledNS = append(compiledNS, cp)
 			batchedNS = append(batchedNS, bt)
-			if cp > 0 {
-				cRatio = append(cRatio, in/cp)
-			}
 			if bt > 0 {
 				bRatio = append(bRatio, in/bt)
 			}
@@ -202,15 +177,12 @@ func SimBench(w io.Writer) error {
 			Cycles:                simBenchCycles,
 			OneBitFraction:        bp.OneBitFraction(),
 			InterpNSPerCycle:      median(interpNS),
-			CompiledNSPerCycle:    median(compiledNS),
 			BatchedNSPerLaneCycle: median(batchedNS),
-			CompiledSpeedup:       median(cRatio),
 			BatchedSpeedup:        median(bRatio),
 			TracesMatch:           match,
 		}
 		rep.Designs = append(rep.Designs, row)
 		rep.AllMatch = rep.AllMatch && match
-		sumC += row.CompiledSpeedup
 		sumB += row.BatchedSpeedup
 		if row.OneBitFraction >= rep.OneBitDesignFraction {
 			if first1b || row.BatchedSpeedup < rep.MinBatchedSpeedup1b {
@@ -220,7 +192,6 @@ func SimBench(w io.Writer) error {
 		}
 	}
 	if n := len(rep.Designs); n > 0 {
-		rep.MeanCompiledSpeedup = sumC / float64(n)
 		rep.MeanBatchedSpeedup = sumB / float64(n)
 	}
 	enc := json.NewEncoder(w)

@@ -70,10 +70,36 @@ type packedInput struct {
 	off int // offset into the flat input-word row
 }
 
+// inputEntry resolves a stimulus name in O(1) with the interpreter's exact
+// error taxonomy preserved.
+type inputEntry struct {
+	slot int32 // index into BatchProgram.inputs (data inputs only)
+	mask uint64
+	kind uint8
+}
+
+const (
+	inOK uint8 = iota
+	inNonInput
+	inClock
+)
+
+// sortedNextRegs returns the registers with next-state functions sorted by
+// name (deterministic tape layout; order is semantically irrelevant because
+// the latch is two-phase).
+func sortedNextRegs(d *rtl.Design) []*rtl.Signal {
+	regs := make([]*rtl.Signal, 0, len(d.Next))
+	for reg := range d.Next {
+		regs = append(regs, reg)
+	}
+	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
+	return regs
+}
+
 // BatchOptions configures batch compilation.
 type BatchOptions struct {
 	// Forceable lists signal names that may be pinned per lane with
-	// Machine.SetForce (stuck-at fault lanes). Forcing costs a copy plus a
+	// BatchMachine.SetForce (stuck-at fault lanes). Forcing costs a copy plus a
 	// force op per bit of each listed signal, so only listed signals are
 	// forceable.
 	Forceable []string
@@ -99,7 +125,7 @@ type BatchProgram struct {
 	// taxonomy.
 	inWords []int32
 	inputs  []packedInput
-	packIdx map[string]inputEntry // slot = index into inputs, mask = width mask
+	packIdx map[string]inputEntry
 
 	// Trace gather: per sim.NewTrace column, the stored words to copy into
 	// each packed row.

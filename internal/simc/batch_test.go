@@ -13,17 +13,38 @@ import (
 )
 
 // TestBatchDifferentialAllDesigns packs 64 independent random lanes (of
-// varying lengths) per bundled design and requires every unpacked lane to
-// match the interpreter row-for-row.
+// varying lengths) per design and requires every unpacked lane to match the
+// interpreter row-for-row. Besides the bundled designs it runs two whose
+// register's next-state adder is wider than the register: raw_width as
+// elaborated, and raw_width_unsliced with the truncating slice stripped so
+// the interpreter stores and traces the raw sum.
 func TestBatchDifferentialAllDesigns(t *testing.T) {
+	type namedDesign struct {
+		name string
+		d    *rtl.Design
+	}
+	raw, err := rtl.ElaborateSource(`
+module m(input clk, input [3:0] a, b, output [1:0] y, output z);
+  reg [1:0] y;
+  wire z;
+  assign z = y[1];
+  always @(posedge clk) y <= a + b;
+endmodule`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []namedDesign{{"raw_width", raw}, {"raw_width_unsliced", rawWidthDesign(t)}}
 	for _, b := range designs.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
+		d, err := b.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, namedDesign{b.Name, d})
+	}
+	for _, tc := range cases {
+		d := tc.d
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			d, err := b.Design()
-			if err != nil {
-				t.Fatal(err)
-			}
 			p, err := simc.CompileBatch(d, simc.BatchOptions{})
 			if err != nil {
 				t.Fatal(err)

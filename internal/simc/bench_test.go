@@ -12,7 +12,7 @@ import (
 const benchCycles = 1000
 
 // BenchmarkSimulate is the interpreter baseline: ns/op divided by benchCycles
-// is the per-cycle cost the compiled engines are measured against.
+// is the per-cycle cost the batch engine is measured against.
 func BenchmarkSimulate(b *testing.B) {
 	for _, bench := range designs.All() {
 		b.Run(bench.Name, func(b *testing.B) {
@@ -29,34 +29,6 @@ func BenchmarkSimulate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Run(stim); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchCycles, "ns/cycle")
-		})
-	}
-}
-
-// BenchmarkSimulateCompiled runs the same stimulus on the scalar instruction
-// tape. The steady-state step loop must not allocate (the trace arena and the
-// trace header are the only per-run allocations).
-func BenchmarkSimulateCompiled(b *testing.B) {
-	for _, bench := range designs.All() {
-		b.Run(bench.Name, func(b *testing.B) {
-			d, err := bench.Design()
-			if err != nil {
-				b.Fatal(err)
-			}
-			stim := stimgen.Random(d, benchCycles, 42, 2)
-			p, err := simc.Compile(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := simc.NewMachine(p)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(stim); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,8 +37,10 @@ func equalTraces(t *testing.T, want, got *sim.Trace, what string) {
 	}
 }
 
-// TestScalarDifferentialAllDesigns drives the compiled scalar machine and the
-// interpreter with identical randomized stimulus over every bundled design.
+// TestScalarDifferentialAllDesigns drives single-stimulus runs — one lane of
+// the batch machine, the path compiled mining and rtlsim take — and the
+// interpreter with identical randomized and directed stimulus over every
+// bundled design.
 func TestScalarDifferentialAllDesigns(t *testing.T) {
 	for _, b := range designs.All() {
 		b := b
@@ -48,190 +50,127 @@ func TestScalarDifferentialAllDesigns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := simc.Compile(d)
+			p, err := simc.CompileBatch(d, simc.BatchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := simc.NewMachine(p)
+			m := simc.NewBatchMachine(p)
 			s, err := sim.New(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, seed := range []int64{1, 7, 42} {
-				stim := stimgen.Random(d, 200, seed, 2)
+			run := func(stim sim.Stimulus, what string) {
 				want, err := s.Run(stim)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := m.Run(stim)
+				got, err := m.RunBatch([]sim.Stimulus{stim})
 				if err != nil {
 					t.Fatal(err)
 				}
-				equalTraces(t, want, got, fmt.Sprintf("scalar seed %d", seed))
+				equalTraces(t, want, got[0], what)
+			}
+			for _, seed := range []int64{1, 7, 42} {
+				run(stimgen.Random(d, 200, seed, 2), fmt.Sprintf("lane 0 seed %d", seed))
 			}
 			if dir := b.Directed; dir != nil {
-				want, err := s.Run(dir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := m.Run(dir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalTraces(t, want, got, "scalar directed")
+				run(dir(), "lane 0 directed")
 			}
 		})
 	}
 }
 
-// TestScalarStimulusErrors checks the compiled machine preserves the
-// interpreter's exact stimulus error strings.
-func TestScalarStimulusErrors(t *testing.T) {
-	d, err := designs.Get("arbiter2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	des, err := d.Design()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := sim.New(des)
-	p, err := simc.Compile(des)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := simc.NewMachine(p)
-	for _, bad := range []sim.InputVec{{"nosuch": 1}, {"gnt0": 1}, {"clk": 1}} {
-		werr := s.Step(bad, nil)
-		gerr := m.Step(bad, nil)
-		if werr == nil || gerr == nil {
-			t.Fatalf("vector %v: interpreter err %v, compiled err %v", bad, werr, gerr)
+// FuzzBatchMatchesInterpreter lets the fuzz bytes pick a bundled design, a
+// lane count (1..64), ragged per-lane lengths (0 included) and every input
+// bit; each lane's trace must equal the interpreter's row for row. Zero-valued
+// inputs are left out of their vectors, so the unassigned-input path is
+// exercised too. Run it with
+//
+//	go test -run '^$' -fuzz FuzzBatchMatchesInterpreter -fuzztime 30s -parallel 2 ./internal/simc
+func FuzzBatchMatchesInterpreter(f *testing.F) {
+	all := designs.All()
+	ds := make([]*rtl.Design, len(all))
+	progs := make([]*simc.BatchProgram, len(all))
+	for i, b := range all {
+		d, err := b.Design()
+		if err != nil {
+			f.Fatal(err)
 		}
-		if werr.Error() != gerr.Error() {
-			t.Errorf("vector %v: error mismatch: interpreter %q vs compiled %q", bad, werr, gerr)
+		if progs[i], err = simc.CompileBatch(d, simc.BatchOptions{}); err != nil {
+			f.Fatal(err)
 		}
-		s.Reset()
-		m.Reset()
+		ds[i] = d
 	}
-}
+	rng := rand.New(rand.NewSource(3))
+	for i := range all {
+		seed := make([]byte, 2+rng.Intn(200))
+		rng.Read(seed)
+		seed[0] = byte(i)
+		f.Add(seed)
+	}
+	full := make([]byte, 2+simc.MaxLanes+512)
+	rng.Read(full)
+	full[0], full[1], full[5] = 0, simc.MaxLanes-1, 0 // 64 lanes, lane 3 empty
+	f.Add(full)
+	f.Add([]byte{1, 0, 0})  // one empty lane
+	f.Add([]byte{2, 0, 16}) // one lane of all-zero inputs
 
-// TestScalarPeekObserve checks Peek and Observe parity against the
-// interpreter.
-func TestScalarPeekObserve(t *testing.T) {
-	b, err := designs.Get("arbiter2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := b.Design()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := sim.New(d)
-	p, _ := simc.Compile(d)
-	m := simc.NewMachine(p)
-	var sv, mv []uint64
-	s.Observe(func(env rtl.Env) {
-		for _, sig := range d.Signals {
-			sv = append(sv, env.Get(sig))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			t.Skip()
 		}
-	})
-	m.Observe(func(env rtl.Env) {
-		for _, sig := range d.Signals {
-			mv = append(mv, env.Get(sig))
+		i := int(data[0]) % len(ds)
+		d := ds[i]
+		nl := 1 + int(data[1])%simc.MaxLanes
+		lens, bits := data[2:], data[2:]
+		if len(lens) > nl {
+			lens, bits = lens[:nl], bits[nl:]
+		} else {
+			bits = nil
 		}
-	})
-	stim := stimgen.Random(d, 50, 3, 2)
-	if _, err := s.Run(stim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(stim); err != nil {
-		t.Fatal(err)
-	}
-	if len(sv) != len(mv) {
-		t.Fatalf("observer sample counts differ: %d vs %d", len(sv), len(mv))
-	}
-	for i := range sv {
-		if sv[i] != mv[i] {
-			t.Fatalf("observer sample %d: interpreter %#x compiled %#x", i, sv[i], mv[i])
+		pos := 0
+		next := func(w int) uint64 {
+			var v uint64
+			for k := 0; k < w; k, pos = k+1, pos+1 {
+				if pos/8 < len(bits) {
+					v |= uint64(bits[pos/8]>>uint(pos%8)&1) << uint(k)
+				}
+			}
+			return v
 		}
-	}
-	for _, sig := range d.Signals {
-		wv, werr := s.Peek(sig.Name)
-		gv, gerr := m.Peek(sig.Name)
-		if (werr == nil) != (gerr == nil) || wv != gv {
-			t.Errorf("peek %s: interpreter (%d,%v) compiled (%d,%v)", sig.Name, wv, werr, gv, gerr)
+		lanes := make([]sim.Stimulus, nl)
+		for l := range lanes {
+			n := 0
+			if l < len(lens) {
+				n = int(lens[l]) % 33
+			}
+			lanes[l] = make(sim.Stimulus, n)
+			for c := range lanes[l] {
+				iv := sim.InputVec{}
+				for _, in := range d.Inputs() {
+					if v := next(in.Width); v != 0 {
+						iv[in.Name] = v
+					}
+				}
+				lanes[l][c] = iv
+			}
 		}
-	}
-}
-
-// TestScalarRawTraceWidths builds a design whose driver expression is wider
-// than the driven signal — the interpreter traces the raw (unmasked) value,
-// and the compiled engine must reproduce that, while reads stay masked.
-func TestScalarRawTraceWidths(t *testing.T) {
-	src := `
-module m(input clk, input [3:0] a, b, output [1:0] y, output z);
-  reg [1:0] y;
-  wire z;
-  assign z = y[1];
-  always @(posedge clk) y <= a + b;
-endmodule`
-	d, err := rtl.ElaborateSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sim.New(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := simc.Compile(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := simc.NewMachine(p)
-	rng := rand.New(rand.NewSource(9))
-	stim := make(sim.Stimulus, 64)
-	for i := range stim {
-		stim[i] = sim.InputVec{"a": rng.Uint64() & 0xf, "b": rng.Uint64() & 0xf}
-	}
-	want, err := s.Run(stim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Run(stim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalTraces(t, want, got, "raw-width")
-}
-
-// TestMachineStepNoAllocs pins the zero-allocation steady state of the scalar
-// step loop (trace rows come from Run's arena; Step with a nil trace must not
-// allocate at all).
-func TestMachineStepNoAllocs(t *testing.T) {
-	b, err := designs.Get("arbiter4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := b.Design()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := simc.Compile(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := simc.NewMachine(p)
-	stim := stimgen.Random(d, 64, 3, 2)
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := m.Step(stim[i%len(stim)], nil); err != nil {
+		got, err := simc.NewBatchMachine(progs[i]).RunBatch(lanes)
+		if err != nil {
 			t.Fatal(err)
 		}
-		i++
+		s, err := sim.New(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, stim := range lanes {
+			want, err := s.Run(stim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalTraces(t, want, got[l], fmt.Sprintf("%s lane %d of %d", d.Name, l, nl))
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("Machine.Step allocates %v per cycle, want 0", allocs)
-	}
 }
 
 // TestBatchStepNoAllocs pins the batch engine's zero-allocation cycle loop:

@@ -1,26 +1,20 @@
 // Package simc is the compiled simulation engine: the perf-critical twin of
-// the reference interpreter in internal/sim. An rtl.Design is elaborated once
-// into a Program — signals become dense slot indices into a flat []uint64,
-// expression trees flatten into a linear post-order instruction tape, and the
-// data-input list, combinational order, and next-state assignments become
-// precomputed index arrays — so the per-cycle inner loop is a tight switch
-// over ops with zero map lookups and zero per-cycle allocation.
+// the reference interpreter in internal/sim. CompileBatch bit-blasts an
+// rtl.Design once into a BatchProgram: every signal bit becomes one uint64
+// word, expressions become a hash-consed tape of AND/OR/XOR/NOT/MUX word
+// operations, and the next-state functions a second tape latched by copy.
+// Bit l of every word belongs to lane l, so a BatchMachine steps 64
+// independent simulations — 64 stimulus sequences, or 64 stuck-at fault
+// variants — per instruction, with zero per-cycle allocation.
 //
-// Two execution modes share the front end:
+// A transposition layer unpacks lanes back into standard sim.Trace rows,
+// bit-for-bit the interpreter's (raw, unmasked driver values included), so
+// the miner, coverage engine, VCD dumper, and netlist cross-check see
+// identical traces. A single stimulus runs as lane 0. LoadState, Settle,
+// Latch and Bits expose one cycle at a time for the explicit-state model
+// checker.
 //
-//   - The scalar Machine executes the tape one stimulus at a time and is
-//     semantically bit-for-bit identical to sim.Simulator, including the
-//     interpreter's raw-value trace rows (a signal whose driver expression is
-//     wider than the signal traces the unmasked driver value).
-//
-//   - The batch Machine bit-blasts the design into single-bit AND/OR/XOR/NOT
-//     word operations and packs 64 independent lanes — 64 stimulus sequences,
-//     or 64 stuck-at fault variants — into each uint64, stepping all lanes
-//     per instruction. A transposition layer unpacks lanes back into standard
-//     sim.Trace rows, so the miner, coverage engine, VCD dumper, and netlist
-//     cross-check see traces identical to the interpreter's.
-//
-// The interpreter remains the oracle: the differential tests in this package
-// drive both engines (and forced-lane fault variants) with randomized stimulus
+// The interpreter remains the oracle: the differential tests and the fuzz
+// target in this package drive both engines (and forced-lane fault variants)
 // over every bundled design and require row-for-row equality.
 package simc

@@ -226,8 +226,8 @@ type ClosureOptions struct {
 	// FillRandom tops the suite up with random stimulus to TotalCycles
 	// after closure, for equal-budget comparisons against random-only.
 	FillRandom bool
-	// Compiled routes coverage collection through the compiled batch-free
-	// engine (identical observations, faster).
+	// Compiled routes coverage collection through the 64-lane batch engine
+	// instead of the interpreter (identical observations).
 	Compiled bool
 	// ResetCycles is the reset prefix of generated random stimuli
 	// (default 2).

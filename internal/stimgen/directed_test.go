@@ -98,15 +98,11 @@ func TestConcatMismatchedVectorsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := simc.Compile(d)
+	tcs, err := simc.SimulateBatch(d, []sim.Stimulus{parts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := simc.NewMachine(p).Run(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ti.Values, tc.Values) {
+	if tc := tcs[0]; !reflect.DeepEqual(ti.Values, tc.Values) {
 		t.Errorf("replay diverges:\ninterp:   %v\ncompiled: %v", ti.Values, tc.Values)
 	}
 }
@@ -202,11 +198,6 @@ func TestDirectedSATStimuliReplayIdenticallyCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := simc.Compile(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := simc.NewMachine(p)
 	checked := 0
 	for _, at := range attempts {
 		if at.Method != MethodSAT {
@@ -220,12 +211,11 @@ func TestDirectedSATStimuliReplayIdenticallyCompiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Reset()
-		tc, err := m.Run(at.Stim)
+		tcs, err := simc.SimulateBatch(d, []sim.Stimulus{at.Stim})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ti.Values, tc.Values) {
+		if !reflect.DeepEqual(ti.Values, tcs[0].Values) {
 			t.Errorf("%s: SAT witness replay diverges between engines", at.Hole.Key())
 		}
 		checked++

@@ -25,10 +25,9 @@
 # DESIGN.md section 4.4 for the measured envelope.
 #
 # Also writes BENCH_sim.json (override with $4): tree-walking interpreter vs
-# compiled instruction tape vs 64-lane bit-parallel batch engine, per design —
-# ns/cycle, ns/lane-cycle, paired-median speedups, and the trace-equality
-# cross-check (compiled trace and batch lane 0 must reproduce the interpreter
-# row-for-row). See DESIGN.md section 4.5.
+# 64-lane bit-parallel batch engine, per design — ns/cycle, ns/lane-cycle,
+# paired-median speedups, and the trace-equality cross-check (batch lane 0
+# must reproduce the interpreter row-for-row). See DESIGN.md section 4.5.
 #
 # Also writes BENCH_serve.json (override with $5): the goldmined daemon load
 # harness — jobs/sec and p50/p99 latency on a pooled engine fleet, cold vs

@@ -41,10 +41,11 @@ if ! diff "$tmpbin/j1.art" "$tmpbin/j4.art"; then
 fi
 echo "smoke: -j 4 artifacts identical to -j 1 ($(cat "$tmpbin/sched.txt"))"
 
-echo "== smoke: compiled simulator matches the interpreter byte-for-byte =="
-# The compiled instruction-tape simulator (default) must leave every artifact
-# untouched: same seed, -compiled=false vs true, and -j1 vs -j4 with the
-# compiled engine on, all byte-identical above the total: wall-clock line.
+echo "== smoke: batch engine matches the interpreter byte-for-byte =="
+# The compiled simulator (default: the 64-lane batch engine, one stimulus as
+# lane 0) must leave every artifact untouched: same seed, -compiled=false vs
+# true, and -j1 vs -j4 with the batch engine on, all byte-identical above the
+# total: wall-clock line.
 for d in arbiter4 fetch b09; do
     "$tmpbin/goldmine" -design "$d" -max-iter 6 -compiled=false >"$tmpbin/interp.txt"
     "$tmpbin/goldmine" -design "$d" -max-iter 6 -compiled=true  >"$tmpbin/comp.txt"
@@ -53,25 +54,25 @@ for d in arbiter4 fetch b09; do
     grep -v '^total:' "$tmpbin/comp.txt"  >"$tmpbin/comp.art"
     grep -v '^total:' "$tmpbin/comp4.txt" >"$tmpbin/comp4.art"
     if ! diff "$tmpbin/interp.art" "$tmpbin/comp.art"; then
-        echo "smoke: FAILED ($d: compiled artifacts differ from interpreter)" >&2
+        echo "smoke: FAILED ($d: batch-engine artifacts differ from interpreter)" >&2
         exit 1
     fi
     if ! diff "$tmpbin/comp.art" "$tmpbin/comp4.art"; then
-        echo "smoke: FAILED ($d: compiled -j 4 artifacts differ from -j 1)" >&2
+        echo "smoke: FAILED ($d: batch-engine -j 4 artifacts differ from -j 1)" >&2
         exit 1
     fi
-    echo "smoke: $d compiled ≡ interpreter (and -j1 ≡ -j4)"
+    echo "smoke: $d batch engine ≡ interpreter (and -j1 ≡ -j4)"
 done
 
-echo "== smoke: rtlsim -compiled output identical to the interpreter =="
+echo "== smoke: rtlsim batch-engine output identical to the interpreter =="
 go build -o "$tmpbin/rtlsim" ./cmd/rtlsim
 "$tmpbin/rtlsim" -design b06 -cycles 200 -seed 7 -compiled=false >"$tmpbin/rs_i.txt"
 "$tmpbin/rtlsim" -design b06 -cycles 200 -seed 7 -compiled=true  >"$tmpbin/rs_c.txt"
 if ! diff "$tmpbin/rs_i.txt" "$tmpbin/rs_c.txt"; then
-    echo "smoke: FAILED (rtlsim compiled output differs from interpreter)" >&2
+    echo "smoke: FAILED (rtlsim batch-engine output differs from interpreter)" >&2
     exit 1
 fi
-echo "smoke: rtlsim compiled ≡ interpreter"
+echo "smoke: rtlsim batch engine ≡ interpreter"
 
 echo "== smoke: telemetry journal is well-formed and covers every phase =="
 # Mine the fetch stage with the JSONL journal on: telcheck re-parses every
