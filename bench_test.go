@@ -174,8 +174,8 @@ func BenchmarkCheckExplicit(b *testing.B) {
 // realistic workload: the candidate assertions harvested from mining the
 // design. The session amortizes solver construction, Tseitin frames, and
 // learned clauses across the batch; the acceptance bar is >= 3x over
-// "fresh" on the arbiter and fetch batches (scripts/bench.sh records the
-// same comparison in BENCH_mc.json).
+// "fresh" on the arbiter and fetch batches. TestMCPathsAgree in
+// internal/experiments checks that both paths return identical results.
 func BenchmarkCheckIncremental(b *testing.B) {
 	for _, name := range []string{"arbiter2", "fetch"} {
 		d, suite, err := experiments.MCAssertionSuite(name, 4)
@@ -519,8 +519,8 @@ func BenchmarkVerdictCache(b *testing.B) {
 // telemetry call a nil-receiver no-op; "metrics" keeps counters/histograms
 // without a journal; "journal" additionally streams JSONL to a discarding
 // sink. Metrics-only should sit within noise of "off"; the full journal
-// costs in proportion to event volume (see BENCH_telemetry.json for the
-// scripted measurement and DESIGN.md §4.4 for the envelope).
+// costs in proportion to event volume (DESIGN.md §4.4 has the measured
+// envelope).
 func BenchmarkMineAllTelemetry(b *testing.B) {
 	bench, err := designs.Get("fetch")
 	if err != nil {

@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,162 +28,115 @@ import (
 	"goldmine/internal/telemetry"
 )
 
+// errInterrupted marks a run cut short by a signal or -timeout; main maps it
+// to exit code 2.
+var errInterrupted = errors.New("interrupted")
+
 func main() {
-	var (
-		run        = flag.String("run", "all", "experiment name or 'all'")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		timeout    = flag.Duration("timeout", 0, "overall wall-clock budget for the whole run (0 = none)")
-		checkTO    = flag.Duration("check-timeout", 0, "wall-clock budget per formal check (0 = none)")
-		workers    = flag.Int("j", runtime.GOMAXPROCS(0), "parallel mining workers (1 = sequential; tables are identical for any value)")
-		schedBench = flag.String("sched-bench", "", "run the scheduler benchmark and write the JSON report to this file ('-' = stdout), then exit")
-		mcBench    = flag.String("mc-bench", "", "run the incremental model-checking benchmark and write the JSON report to this file ('-' = stdout), then exit")
-		telBench   = flag.String("telemetry-bench", "", "run the telemetry overhead benchmark and write the JSON report to this file ('-' = stdout), then exit")
-		simBench   = flag.String("sim-bench", "", "run the interpreter vs 64-lane batch simulation benchmark and write the JSON report to this file ('-' = stdout), then exit")
-		serveBench = flag.String("serve-bench", "", "run the goldmined serving/durability benchmark and write the JSON report to this file ('-' = stdout), then exit")
-		coverBench = flag.String("cover-bench", "", "run the coverage-closure benchmark (directed vs random vs CEX-only) and write the JSON report to this file ('-' = stdout), then exit")
-		corpBench  = flag.String("corpus-bench", "", "run the assertion-corpus reduction benchmark (dedup, clustering, oracle-ranked suite reduction) and write the JSON report to this file ('-' = stdout), then exit")
-		telOut     = flag.String("telemetry", "", "write a JSONL telemetry journal of the whole run to this file")
-		metrics    = flag.Bool("metrics-summary", false, "print the aggregated metrics snapshot as JSON to stderr on exit")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+	var o runOpts
+	flag.StringVar(&o.run, "run", "all", "experiment name or 'all'")
+	flag.BoolVar(&o.list, "list", false, "list experiments and exit")
+	flag.DurationVar(&o.timeout, "timeout", 0, "overall wall-clock budget for the whole run (0 = none)")
+	flag.DurationVar(&o.checkTO, "check-timeout", 0, "wall-clock budget per formal check (0 = none)")
+	flag.IntVar(&o.workers, "j", runtime.GOMAXPROCS(0), "parallel mining workers (1 = sequential; tables are identical for any value)")
+	flag.StringVar(&o.telemetry, "telemetry", "", "write a JSONL telemetry journal of the whole run to this file")
+	flag.BoolVar(&o.metricsSummary, "metrics-summary", false, "print the aggregated metrics snapshot as JSON to stderr on exit")
+	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-10s %s\n", e.Name, e.Desc)
-		}
-		return
-	}
-	// os.Exit below skips defers, so the profile stop runs explicitly on
-	// every exit path — including the interrupt one (exit code 2).
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, o, os.Stdout)
+	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if errors.Is(err, errInterrupted) {
+			os.Exit(2)
+		}
 		os.Exit(1)
+	}
+}
+
+// runOpts carries the flag values into run.
+type runOpts struct {
+	run              string
+	list             bool
+	timeout, checkTO time.Duration
+	workers          int
+	telemetry        string
+	metricsSummary   bool
+	cpuProf, memProf string
+}
+
+// validate rejects out-of-range flags up front, with the messages goldmine
+// uses for the same flags.
+func (o runOpts) validate() error {
+	if o.workers < 1 {
+		return fmt.Errorf("-j must be >= 1, got %d", o.workers)
+	}
+	if o.timeout < 0 {
+		return fmt.Errorf("-timeout must be >= 0, got %v", o.timeout)
+	}
+	if o.checkTO < 0 {
+		return fmt.Errorf("-check-timeout must be >= 0, got %v", o.checkTO)
+	}
+	return nil
+}
+
+// run renders the selected experiments' tables to w. Profiles and the
+// telemetry journal are flushed on every return path, the interrupted one
+// included.
+func run(ctx context.Context, o runOpts, w io.Writer) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
+	if o.list {
+		for _, e := range experiments.All() {
+			fmt.Fprintf(w, "%-10s %s\n", e.Name, e.Desc)
+		}
+		return nil
+	}
+	targets := experiments.All()
+	if o.run != "all" {
+		e, err := experiments.Get(o.run)
+		if err != nil {
+			return err
+		}
+		targets = []experiments.Experiment{*e}
+	}
+
+	stopProf, err := prof.Start(o.cpuProf, o.memProf)
+	if err != nil {
+		return err
 	}
 	defer stopProf()
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-		stopProf()
-		os.Exit(1)
-	}
-	experiments.CheckTimeout = *checkTO
-	experiments.Workers = *workers
-
-	// os.Exit skips defers, so the telemetry flush (like the profile stop)
-	// runs explicitly on the error and interrupt exit paths too.
-	flushTel := func() {}
-	if *telOut != "" || *metrics {
+	experiments.CheckTimeout = o.checkTO
+	experiments.Workers = o.workers
+	if o.telemetry != "" || o.metricsSummary {
 		var j *telemetry.Journal
-		if *telOut != "" {
-			f, err := os.Create(*telOut)
+		if o.telemetry != "" {
+			f, err := os.Create(o.telemetry)
 			if err != nil {
-				fail("experiments: %v", err)
+				return err
 			}
 			j = telemetry.NewJournal(f, telemetry.DefaultJournalBuffer)
 		}
 		tel := telemetry.New(telemetry.NewRegistry(), j)
 		experiments.Telemetry = tel
-		flushed := false
-		flushTel = func() {
-			if flushed {
-				return
-			}
-			flushed = true
+		defer func() {
 			tel.EmitSnapshot()
 			if err := tel.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 			}
-			if *metrics {
+			if o.metricsSummary {
 				_ = tel.Registry().Snapshot().WriteJSON(os.Stderr)
 			}
-		}
-		defer flushTel()
-		prevFail := fail
-		fail = func(format string, args ...any) {
-			flushTel()
-			prevFail(format, args...)
-		}
+		}()
 	}
-
-	// Signals are installed BEFORE the bench dispatch below: a SIGTERM (or
-	// SIGINT) mid-bench must drain through the clean-partial path — telemetry
-	// snapshot, journal close trailer, exit 2 — not default-kill the process
-	// and leave a journal cmd/telcheck rejects.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
-	}
-
-	benchTo := func(path string, run func(io.Writer) error, what string) {
-		var out io.Writer = os.Stdout
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				fail("experiments: %v", err)
-			}
-			defer f.Close()
-			out = f
-		}
-		// The bench runs in a goroutine so a signal can cut it loose: the
-		// report is lost, but the journal still gets its trailer.
-		done := make(chan error, 1)
-		go func() { done <- run(out) }()
-		select {
-		case err := <-done:
-			if err != nil {
-				fail("experiments: %s: %v", what, err)
-			}
-		case <-ctx.Done():
-			experiments.Telemetry.Event("run.abandoned", telemetry.String("experiment", what))
-			fmt.Fprintf(os.Stderr, "experiments: %s interrupted\n", what)
-			flushTel()
-			stopProf()
-			os.Exit(2)
-		}
-	}
-	if *schedBench != "" {
-		benchTo(*schedBench, func(w io.Writer) error { return experiments.SchedBench(w, *workers) }, "sched-bench")
-		return
-	}
-	if *mcBench != "" {
-		benchTo(*mcBench, experiments.MCBench, "mc-bench")
-		return
-	}
-	if *telBench != "" {
-		benchTo(*telBench, experiments.TelemetryBench, "telemetry-bench")
-		return
-	}
-	if *simBench != "" {
-		benchTo(*simBench, experiments.SimBench, "sim-bench")
-		return
-	}
-	if *serveBench != "" {
-		benchTo(*serveBench, func(w io.Writer) error { return experiments.ServeBench(w, *workers) }, "serve-bench")
-		return
-	}
-	if *coverBench != "" {
-		benchTo(*coverBench, func(w io.Writer) error { return experiments.CoverBench(w, *workers) }, "cover-bench")
-		return
-	}
-	if *corpBench != "" {
-		benchTo(*corpBench, experiments.CorpusBench, "corpus-bench")
-		return
-	}
-
-	var targets []experiments.Experiment
-	if *run == "all" {
-		targets = experiments.All()
-	} else {
-		e, err := experiments.Get(*run)
-		if err != nil {
-			fail("experiments: %v", err)
-		}
-		targets = []experiments.Experiment{*e}
 	}
 
 	type outcome struct {
@@ -205,10 +159,10 @@ func main() {
 		select {
 		case o := <-ch:
 			if o.err != nil {
-				fail("experiments: %s: %v", e.Name, o.err)
+				return fmt.Errorf("%s: %w", e.Name, o.err)
 			}
-			o.tab.Render(os.Stdout)
-			fmt.Printf("(%s completed in %.2fs)\n\n", e.Name, time.Since(start).Seconds())
+			o.tab.Render(w)
+			fmt.Fprintf(w, "(%s completed in %.2fs)\n\n", e.Name, time.Since(start).Seconds())
 			completed++
 		case <-ctx.Done():
 			// The abandoned goroutine's open spans will never End, so the
@@ -220,10 +174,8 @@ func main() {
 		}
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "experiments: interrupted — %d/%d experiments completed (tables above are final)\n",
-			completed, len(targets))
-		flushTel()
-		stopProf()
-		os.Exit(2)
+		return fmt.Errorf("%w — %d/%d experiments completed (tables above are final)",
+			errInterrupted, completed, len(targets))
 	}
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"goldmine/internal/assertion"
 	"goldmine/internal/core"
 	"goldmine/internal/coverage"
 	"goldmine/internal/designs"
@@ -207,6 +208,62 @@ func mineModuleCfg(b *designs.Benchmark, seed sim.Stimulus, maxIter int, targets
 	}
 	mr.Results = res.Outputs
 	return mr, nil
+}
+
+// mcSuiteMax caps the harvested batch per design so a wide design cannot
+// turn a re-check workload into a soak test.
+const mcSuiteMax = 32
+
+// MCAssertionSuite mines a benchmark design once (sequentially, bounded
+// iterations) and returns the harvested candidate assertions — proved,
+// falsified, and unknown alike — as a realistic re-check workload. The batch
+// is deterministic: mining is reproducible and the records keep discovery
+// order.
+func MCAssertionSuite(name string, maxIter int) (*rtl.Design, []*assertion.Assertion, error) {
+	b, err := designs.Get(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := b.Design()
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := core.DefaultConfig()
+	cfg.Window = b.Window
+	cfg.Workers = 1
+	if maxIter > 0 {
+		cfg.MaxIterations = maxIter
+	}
+	if CheckTimeout > 0 {
+		cfg.MC.CheckTimeout = CheckTimeout
+	}
+	eng, err := core.NewEngine(d, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := eng.MineAll(context.Background(), seedOf(b))
+	if err != nil {
+		return nil, nil, err
+	}
+	var suite []*assertion.Assertion
+	for _, out := range res.Outputs {
+		for _, rec := range out.Proved {
+			suite = append(suite, rec.Assertion)
+		}
+		for _, rec := range out.Failed {
+			suite = append(suite, rec.Assertion)
+		}
+		for _, rec := range out.Unknown {
+			suite = append(suite, rec.Assertion)
+		}
+	}
+	if len(suite) > mcSuiteMax {
+		suite = suite[:mcSuiteMax]
+	}
+	if len(suite) == 0 {
+		return nil, nil, fmt.Errorf("%s: mining harvested no assertions", name)
+	}
+	return d, suite, nil
 }
 
 // maxIteration returns the highest iteration index reached by any output.

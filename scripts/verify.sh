@@ -141,7 +141,8 @@ echo "== smoke: adaptive closure beats the legacy engine and prunes dead code ==
 # must issue strictly fewer SAT solves than the fixed-depth legacy loop did at
 # the same budget, and must prove at least one hole dead on b12. The legacy
 # loop is gone; leg_solves is its recorded b12 count at this exact invocation
-# (600 at -j 1 and -j 4, the legacy_reach_solves of BENCH_cover.json). With a
+# (600 at -j 1 and -j 4; the b12 row of the frozen legacy table, coverRows in
+# internal/experiments/gates_test.go). With a
 # dead-hole corpus, a rerun re-proves nothing and the pruned holes never
 # reappear in the hole listing.
 leg_solves=600
