@@ -36,6 +36,17 @@ type Unroller struct {
 	// initZero records that InitZero was requested, so lazily materialized
 	// frame-0 registers are constrained to the reset state on creation.
 	initZero bool
+
+	// gates[v] holds the input variables of the Tseitin gate whose output is
+	// variable v ({0, 0} for a leaf: an input, a frame-0 register, the
+	// constant, or a variable allocated outside the unroller). A mux's second
+	// slot is -(k+1), naming its data inputs muxData[k]; the table stays at
+	// two int32 per variable because muxes are the minority of gates.
+	gates   [][2]int32
+	muxData [][2]int32
+	// coneBuf and coneMark are ConeVars' reused output and visited bitset.
+	coneBuf  []int
+	coneMark []uint64
 }
 
 type frame struct {
@@ -244,6 +255,52 @@ func (u *Unroller) SignalModel(t int, sig *rtl.Signal) (uint64, error) {
 	return val, nil
 }
 
+// ConeVars returns the variables of the transitive Tseitin cone of lits: the
+// literals' own variables plus, for every gate output reached, the gate's
+// inputs, down to the leaves. This is the decision scope of a query whose
+// assumptions are lits (sat.Solver.SolveScoped): every clause the unroller
+// emits either lies inside the cone, defines a gate outside it, or is
+// satisfied at decision level 0 (the reset units of InitZero and the
+// constant), so a cone assignment without conflict extends to a model.
+//
+// The returned slice is a buffer reused by the next ConeVars call.
+func (u *Unroller) ConeVars(lits []sat.Lit) []int {
+	if n := u.S.NumVars()/64 + 1; len(u.coneMark) < n {
+		u.coneMark = append(u.coneMark, make([]uint64, n-len(u.coneMark))...)
+	}
+	mark := u.coneMark
+	out := u.coneBuf[:0]
+	visit := func(v int) {
+		if mark[v>>6]&(1<<(v&63)) == 0 {
+			mark[v>>6] |= 1 << (v & 63)
+			out = append(out, v)
+		}
+	}
+	for _, l := range lits {
+		visit(l.Var())
+	}
+	for i := 0; i < len(out); i++ {
+		v := out[i]
+		if v >= len(u.gates) || u.gates[v][0] == 0 {
+			continue
+		}
+		g := u.gates[v]
+		visit(int(g[0]))
+		if g[1] > 0 {
+			visit(int(g[1]))
+		} else {
+			d := u.muxData[-g[1]-1]
+			visit(int(d[0]))
+			visit(int(d[1]))
+		}
+	}
+	for _, v := range out {
+		mark[v>>6] = 0
+	}
+	u.coneBuf = out
+	return out
+}
+
 // ---------------------------------------------------------------------------
 // Expression encoding
 // ---------------------------------------------------------------------------
@@ -391,6 +448,18 @@ func (u *Unroller) encodeExpr(e rtl.Expr, t int) Vec {
 
 func (u *Unroller) fresh() sat.Lit { return sat.Lit(u.S.NewVar()) }
 
+// gate allocates a gate output and records its inputs in the gate table:
+// a's variable and b, which is the second input's variable, or -(k+1) for a
+// mux whose data inputs are muxData[k] (see Unroller.gates).
+func (u *Unroller) gate(a sat.Lit, b int32) sat.Lit {
+	o := u.fresh()
+	for len(u.gates) <= int(o) {
+		u.gates = append(u.gates, [2]int32{})
+	}
+	u.gates[o] = [2]int32{int32(a.Var()), b}
+	return o
+}
+
 func (u *Unroller) andGate(a, b sat.Lit) sat.Lit {
 	if a == u.False() || b == u.False() {
 		return u.False()
@@ -407,7 +476,7 @@ func (u *Unroller) andGate(a, b sat.Lit) sat.Lit {
 	if a == b.Neg() {
 		return u.False()
 	}
-	o := u.fresh()
+	o := u.gate(a, int32(b.Var()))
 	u.S.AddClause(a.Neg(), b.Neg(), o)
 	u.S.AddClause(a, o.Neg())
 	u.S.AddClause(b, o.Neg())
@@ -437,7 +506,7 @@ func (u *Unroller) xorGate(a, b sat.Lit) sat.Lit {
 	if a == b.Neg() {
 		return u.True()
 	}
-	o := u.fresh()
+	o := u.gate(a, int32(b.Var()))
 	u.S.AddClause(a.Neg(), b.Neg(), o.Neg())
 	u.S.AddClause(a, b, o.Neg())
 	u.S.AddClause(a.Neg(), b, o)
@@ -455,7 +524,8 @@ func (u *Unroller) muxGate(c, t, f sat.Lit) sat.Lit {
 	if t == f {
 		return t
 	}
-	o := u.fresh()
+	u.muxData = append(u.muxData, [2]int32{int32(t.Var()), int32(f.Var())})
+	o := u.gate(c, -int32(len(u.muxData)))
 	u.S.AddClause(c.Neg(), t.Neg(), o)
 	u.S.AddClause(c.Neg(), t, o.Neg())
 	u.S.AddClause(c, f.Neg(), o)

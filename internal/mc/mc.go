@@ -240,6 +240,7 @@ type mcMetrics struct {
 	checks, proved, falsified, bounded, unknown, degraded *telemetry.Counter
 	explicitSims                                          *telemetry.Counter
 	races, raceBMCWins, raceIndWins                       *telemetry.Counter
+	ctxProbes, ctxBatchHits                               *telemetry.Counter
 	solveWork                                             *telemetry.Histogram
 }
 
@@ -258,6 +259,8 @@ func (c *Checker) SetTelemetry(tr *telemetry.Tracer) {
 	c.satC = sat.NewSolveCounters(reg)
 	c.mtr = mcMetrics{
 		checks:       reg.Counter("mc.checks"),
+		ctxProbes:    reg.Counter("mc.ctx_canon_probes"),
+		ctxBatchHits: reg.Counter("mc.ctx_canon_batch_hits"),
 		proved:       reg.Counter("mc.proved"),
 		falsified:    reg.Counter("mc.falsified"),
 		bounded:      reg.Counter("mc.bounded"),
@@ -435,7 +438,9 @@ func (b *budget) slice(frac float64) *budget {
 
 // solve runs one budgeted SAT call, charging the pool for the propagations
 // consumed. An Unknown verdict comes back with the mapped taxonomy error.
-func (b *budget) solve(s *sat.Solver, assumps ...sat.Lit) (sat.Status, error) {
+// scope is the solve's decision scope (sat.Solver.SolveScoped; nil decides on
+// every variable).
+func (b *budget) solve(s *sat.Solver, scope []int, assumps ...sat.Lit) (sat.Status, error) {
 	// Reset per-call limits first: a Session reuses one solver across many
 	// budgets, and a stale MaxPropagations from a previous budgeted check
 	// would silently cap an unbudgeted one.
@@ -449,7 +454,7 @@ func (b *budget) solve(s *sat.Solver, assumps ...sat.Lit) (sat.Status, error) {
 	}
 	before := s.Propagations
 	sp := b.span("sat.solve")
-	st := s.SolveCtx(b.ctx, assumps...)
+	st := s.SolveScoped(b.ctx, scope, assumps...)
 	sp.End(
 		telemetry.String("result", st.String()),
 		telemetry.Int("props", s.Propagations-before),
@@ -467,6 +472,18 @@ func (b *budget) solve(s *sat.Solver, assumps ...sat.Lit) (sat.Status, error) {
 		}
 	}
 	return st, nil
+}
+
+// solveQuery runs one query on a reset-constrained unrolling — a BMC window
+// or a reach obligation, whose formula is definitional apart from level-0
+// units — deciding only on the Tseitin cone of its assumptions. The scope is
+// returned for canonicalStim: its probes only add cone-input literals to the
+// same assumptions, so they reuse it. k-induction stays unscoped: its
+// activation-guarded hypotheses are clauses outside every gate definition.
+func (b *budget) solveQuery(u *cnf.Unroller, assumps []sat.Lit) (sat.Status, []int, error) {
+	scope := u.ConeVars(assumps)
+	st, err := b.solve(u.S, scope, assumps...)
+	return st, scope, err
 }
 
 // Check decides the assertion, producing a counterexample when false.

@@ -1,10 +1,14 @@
 package mc
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"goldmine/internal/assertion"
+	"goldmine/internal/telemetry"
 )
 
 // TestBoundedVerdict: an assertion that is true but beyond the reach of
@@ -161,5 +165,50 @@ func TestCheckerSharedReachabilityCache(t *testing.T) {
 	n2, _ := c.ReachableStates()
 	if n1 != n2 {
 		t.Error("reachability cache unstable")
+	}
+}
+
+// TestCtxCanonCounters pins the canonicalisation counters against the
+// journal: canonicalStim's probe solves are the only quiet ones (no sat.solve
+// span), so mc.ctx_canon_probes must equal sat.solves minus the journaled
+// sat.solve spans, and a batch hit ends at most one canonicalisation each.
+func TestCtxCanonCounters(t *testing.T) {
+	for _, name := range []string{"b11", "pipeline"} {
+		d := benchDesign(t, name)
+		var buf bytes.Buffer
+		reg := telemetry.NewRegistry()
+		j := telemetry.NewJournal(&buf, 1<<16)
+		c := NewWithOptions(d, satOnlyOptions())
+		c.SetTelemetry(telemetry.New(reg, j))
+		s := c.NewSession()
+		for _, a := range goldenSuites(t)[name] {
+			if _, err := s.Check(a); err != nil {
+				t.Fatalf("%s: %s: %v", name, a, err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]int64{}
+		sc := bufio.NewScanner(&buf)
+		for sc.Scan() {
+			var e telemetry.JSONEvent
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Kind == telemetry.KindSpan {
+				spans[e.Name]++
+			}
+		}
+		probes := reg.Counter("mc.ctx_canon_probes").Value()
+		hits := reg.Counter("mc.ctx_canon_batch_hits").Value()
+		solves := reg.Counter("sat.solves").Value()
+		if probes == 0 || probes != solves-spans["sat.solve"] {
+			t.Errorf("%s: mc.ctx_canon_probes = %d, want sat.solves %d - sat.solve spans %d",
+				name, probes, solves, spans["sat.solve"])
+		}
+		if hits > spans["mc.ctx_canon"] {
+			t.Errorf("%s: %d batch hits for %d canonicalisations", name, hits, spans["mc.ctx_canon"])
+		}
 	}
 }

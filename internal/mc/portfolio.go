@@ -267,13 +267,13 @@ func (s *Session) runBMCLane(m *raceMember, lb *budget, a *assertion.Assertion, 
 			return
 		}
 		m.s.ShareVarCap = m.s.NumVars()
-		verdict, cause := lb.solve(m.s, assumps...)
+		verdict, scope, cause := lb.solveQuery(m.u, assumps)
 		switch {
 		case verdict == sat.Sat:
 			// Canonicalize before posting: the lex-min stimulus is a formula
 			// property, so every lane that reaches this depth produces the
 			// identical bytes, and cancellation cannot interrupt the winner.
-			stim := c.canonicalStim(lb, m.s, m.u, assumps, c.coneInputs(a), depth)
+			stim := c.canonicalStim(lb, m.u, assumps, scope, c.coneInputs(a), depth)
 			ev <- raceEvent{kind: evFalsified, bmc: true, depth: depth, stim: stim, spent: *lb.spent}
 			return
 		case verdict == sat.Unknown:
@@ -313,7 +313,7 @@ func (s *Session) runIndLane(m *raceMember, lb *budget, a *assertion.Assertion, 
 			return
 		}
 		m.s.ShareVarCap = m.s.NumVars()
-		verdict, cause := lb.solve(m.s, assumps...)
+		verdict, cause := lb.solve(m.s, nil, assumps...)
 		switch {
 		case verdict == sat.Unsat:
 			ev <- raceEvent{kind: evProved, k: k, spent: *lb.spent}

@@ -236,13 +236,13 @@ func (s *Session) reach(b *budget, ob Obligation, minFrames, fromDepth, maxDepth
 		parent := b.sp
 		b.sp = fsp // route this frame's sat.solve span under the frame span
 		s.ReachSolves++
-		verdict, cause := b.solve(st.s, assumps...)
+		verdict, scope, cause := b.solveQuery(st.u, assumps)
 		b.sp = parent
 		fsp.End(telemetry.String("result", verdict.String()))
 		switch verdict {
 		case sat.Sat:
 			csp := b.span("mc.ctx_canon", telemetry.Int("depth", int64(depth)))
-			stim := s.c.canonicalStim(b.quiet(), st.s, st.u, assumps, ins, depth)
+			stim := s.c.canonicalStim(b.quiet(), st.u, assumps, scope, ins, depth)
 			csp.End()
 			return &ReachResult{Status: ReachFound, Stim: stim, Depth: depth}, nil
 		case sat.Unknown:
@@ -360,7 +360,7 @@ func (s *Session) proveUnreachable(b *budget, ob Obligation, maxOff, baseDepth, 
 		kb := *b
 		kb.sp = ksp
 		s.ReachSolves++
-		verdict, cause := kb.solve(is.s, append([]sat.Lit{act}, assumps...)...)
+		verdict, cause := kb.solve(is.s, nil, append([]sat.Lit{act}, assumps...)...)
 		ksp.End(telemetry.Bool("proved", verdict == sat.Unsat))
 		if cause != nil {
 			return &ReachResult{Status: ReachUnknown, Depth: baseDepth, Cause: cause}, nil

@@ -227,10 +227,10 @@ func (s *Session) checkCombinational(b *budget, a *assertion.Assertion) (*Result
 		if err != nil {
 			return nil, err
 		}
-		verdict, cause := b.solve(st.s, assumps...)
+		verdict, scope, cause := b.solveQuery(st.u, assumps)
 		switch verdict {
 		case sat.Sat:
-			ctx := s.c.canonicalCtx(b, st.s, st.u, assumps, a, 1)
+			ctx := s.c.canonicalCtx(b, st.u, assumps, scope, a, 1)
 			return &Result{Status: StatusFalsified, Ctx: ctx, Method: "sat-comb", Depth: 1}, nil
 		case sat.Unsat:
 			return &Result{Status: StatusProved, Method: "sat-comb", Depth: 1}, nil
@@ -299,11 +299,11 @@ func (s *Session) checkSATSolo(b *budget, a *assertion.Assertion) (*Result, erro
 				return nil, err
 			}
 			bmcBudget.sp = fsp
-			verdict, cause := bmcBudget.solve(st.s, assumps...)
+			verdict, scope, cause := bmcBudget.solveQuery(st.u, assumps)
 			bmcBudget.sp = b.sp
 			fsp.End(telemetry.String("result", verdict.String()))
 			if verdict == sat.Sat {
-				ctx := c.canonicalCtx(bmcBudget, st.s, st.u, assumps, a, depth)
+				ctx := c.canonicalCtx(bmcBudget, st.u, assumps, scope, a, depth)
 				return &Result{Status: StatusFalsified, Ctx: ctx, Method: "bmc", Depth: depth}, nil
 			}
 			if verdict == sat.Unknown && cause != nil {
@@ -346,7 +346,7 @@ func (s *Session) checkSATSolo(b *budget, a *assertion.Assertion) (*Result, erro
 			ksp := b.span("mc.induction_step", telemetry.Int("k", int64(k)))
 			kb := *b
 			kb.sp = ksp
-			verdict, cause := kb.solve(is.s, append([]sat.Lit{act}, assumps...)...)
+			verdict, cause := kb.solve(is.s, nil, append([]sat.Lit{act}, assumps...)...)
 			ksp.End(telemetry.Bool("proved", verdict == sat.Unsat))
 			if cause != nil {
 				return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: maxDepth, Degraded: true, Cause: cause}, nil
@@ -406,23 +406,31 @@ func (c *Checker) coneInputs(a *assertion.Assertion) []*rtl.Signal {
 // far — the stimulus stays a genuine counterexample, merely non-canonical
 // (the same wall-clock caveat as every other budget degradation).
 //
-// Must be called immediately after a Sat verdict on s, while the model is
-// readable.
-func (c *Checker) canonicalCtx(b *budget, s *sat.Solver, u *cnf.Unroller, base []sat.Lit, a *assertion.Assertion, depth int) sim.Stimulus {
+// Must be called immediately after a Sat verdict on u.S, while the model is
+// readable; scope is that solve's decision scope, and every probe reuses it.
+func (c *Checker) canonicalCtx(b *budget, u *cnf.Unroller, base []sat.Lit, scope []int, a *assertion.Assertion, depth int) sim.Stimulus {
 	// One span for the whole minimization; the probe storm below runs on a
 	// quieted budget so its micro-solves do not each journal a sat.solve line
 	// (they still hit the sat.* counters via the solver hookup).
 	csp := b.span("mc.ctx_canon", telemetry.Int("depth", int64(depth)))
 	defer csp.End()
-	return c.canonicalStim(b.quiet(), s, u, base, c.coneInputs(a), depth)
+	return c.canonicalStim(b.quiet(), u, base, scope, c.coneInputs(a), depth)
 }
 
 // canonicalStim is the lex-min model minimization over an explicit input-
 // signal set, shared by assertion counterexamples (canonicalCtx) and
 // reachability witnesses (Session.Reach). base is the assumption set that
 // pins the property/obligation; ins orders the minimized bits (frame-major,
-// inputs by name, bits LSB first).
-func (c *Checker) canonicalStim(b *budget, s *sat.Solver, u *cnf.Unroller, base []sat.Lit, ins []*rtl.Signal, depth int) sim.Stimulus {
+// inputs by name, bits LSB first). scope is the decision scope of the solve
+// that found the model (budget.solveQuery). A probe adds only input-bit
+// literals to base: those in the cone are in the scope already, and those
+// outside it are free leaves, which the solver assigns as assumptions. A bit
+// outside the cone reads 0 in a scoped model, its canonical value.
+//
+// The probe count feeds mc.ctx_canon_probes; a batch probe whose Sat answer
+// ends the probing counts in mc.ctx_canon_batch_hits.
+func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scope []int, ins []*rtl.Signal, depth int) sim.Stimulus {
+	s := u.S
 	type ctxBit struct {
 		lit   sat.Lit
 		frame int
@@ -455,6 +463,13 @@ func (c *Checker) canonicalStim(b *budget, s *sat.Solver, u *cnf.Unroller, base 
 	fixed := make([]sat.Lit, 0, len(base)+len(bits))
 	fixed = append(fixed, base...)
 	batch := true // one batch-zero attempt per model snapshot
+	probes, batchHit := int64(0), false
+	defer func() {
+		c.mtr.ctxProbes.Add(probes)
+		if batchHit {
+			c.mtr.ctxBatchHits.Inc()
+		}
+	}()
 	for i, cb := range bits {
 		if !cb.enc {
 			continue // unconstrained: already at its canonical 0
@@ -472,12 +487,14 @@ func (c *Checker) canonicalStim(b *budget, s *sat.Solver, u *cnf.Unroller, base 
 					probe = append(probe, bits[j].lit.Neg())
 				}
 			}
-			verdict, cause := b.solve(s, probe...)
+			probes++
+			verdict, cause := b.solve(s, scope, probe...)
 			if verdict == sat.Unknown || cause != nil {
 				break
 			}
 			if verdict == sat.Sat {
 				// Every remaining 1-bit zeroes at once: the lex-min tail.
+				batchHit = true
 				fixed = append(fixed, cb.lit.Neg())
 				vals[i] = false
 				for j := i + 1; j < len(bits); j++ {
@@ -490,7 +507,9 @@ func (c *Checker) canonicalStim(b *budget, s *sat.Solver, u *cnf.Unroller, base 
 			// Batch Unsat: no per-bit information — probe this bit alone.
 		}
 		probe := append(fixed[:len(fixed):len(fixed)], cb.lit.Neg())
-		verdict, cause := b.solve(s, probe...)
+		probes++
+		batchHit = false
+		verdict, cause := b.solve(s, scope, probe...)
 		if verdict == sat.Unknown || cause != nil {
 			// Budget died: keep the last model's values for the rest.
 			break

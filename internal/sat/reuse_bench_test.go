@@ -1,6 +1,9 @@
 package sat
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // phpClauses returns the pigeonhole instance PHP(p, h) as DIMACS-style
 // clauses, so benchmarks can replay the same formula into many solvers.
@@ -67,5 +70,91 @@ func BenchmarkSolverFresh(b *testing.B) {
 		if st := s.Solve(force); st != Sat {
 			b.Fatalf("Solve = %v, want Sat", st)
 		}
+	}
+}
+
+// BenchmarkSolveScoped measures what a decision scope saves a pooled
+// session: one persistent solver holds a small query cone (a 32-input parity
+// tree and an OR of pairwise ANDs) plus a large definitional block that
+// reads the cone but feeds no query, the shape of a BMC session's deeper
+// frames and earlier properties. Each iteration flips the assumed output
+// values, so every solve finds a new model. "cone" decides only on the
+// query's Tseitin cone; "nil" decides on every variable.
+func BenchmarkSolveScoped(b *testing.B) {
+	s := New()
+	var cone []int
+	fresh := func(inCone bool) Lit {
+		v := s.NewVar()
+		if inCone {
+			cone = append(cone, v)
+		}
+		return Lit(v)
+	}
+	and := func(x, y Lit, inCone bool) Lit {
+		o := fresh(inCone)
+		s.AddClause(-x, -y, o)
+		s.AddClause(x, -o)
+		s.AddClause(y, -o)
+		return o
+	}
+	xor := func(x, y Lit, inCone bool) Lit {
+		o := fresh(inCone)
+		s.AddClause(-x, -y, -o)
+		s.AddClause(x, y, -o)
+		s.AddClause(-x, y, o)
+		s.AddClause(x, -y, o)
+		return o
+	}
+	leaves := make([]Lit, 32)
+	for i := range leaves {
+		leaves[i] = fresh(true)
+	}
+	parity, any := leaves[0], Lit(0)
+	for i := 1; i < len(leaves); i++ {
+		parity = xor(parity, leaves[i], true)
+	}
+	for i := 0; i+1 < len(leaves); i += 2 {
+		p := and(leaves[i], leaves[i+1], true)
+		if any == 0 {
+			any = p
+		} else {
+			any = -and(-any, -p, true)
+		}
+	}
+	// The unrelated block: 20,000 gates over the cone's signals and fresh
+	// inputs, none of them assumed.
+	pool := append([]Lit{parity, any}, leaves...)
+	for i := 0; i < 20000; i++ {
+		x, y := pool[(i*7)%len(pool)], pool[(i*13+5)%len(pool)]
+		if i%5 == 0 {
+			y = fresh(false)
+		}
+		var o Lit
+		if i%2 == 0 {
+			o = and(x, -y, false)
+		} else {
+			o = xor(x, y, false)
+		}
+		pool = append(pool, o)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		scope []int
+	}{{"cone", cone}, {"nil", nil}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p, q := parity, any
+				if i&1 == 1 {
+					p = -p
+				}
+				if i&2 == 2 {
+					q = -q
+				}
+				if st := s.SolveScoped(ctx, tc.scope, p, q); st != Sat {
+					b.Fatalf("SolveScoped = %v, want Sat", st)
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,10 @@
 // Package sat implements an incremental CDCL (conflict-driven clause
 // learning) SAT solver in the MiniSat lineage: two-literal watching, first-UIP
 // conflict analysis with clause learning and non-chronological backjumping,
-// EVSIDS variable activity, phase saving, Luby restarts and solving under
-// assumptions. It is the decision procedure behind the GoldMine formal
-// verification engine (bounded model checking and k-induction).
+// EVSIDS variable activity, phase saving, Luby restarts, and solving under
+// assumptions with an optional per-call decision scope (SolveScoped). It is
+// the decision procedure behind the GoldMine formal verification engine
+// (bounded model checking and k-induction).
 //
 // Variables are positive integers. A literal is a signed variable: +v is the
 // positive literal, -v the negation, as in DIMACS.
@@ -103,6 +104,9 @@ type varData struct {
 	reason *clause
 	phase  bool // saved phase: last assigned polarity
 	seen   bool
+	// inScope marks the variable as a member of the in-flight solve's
+	// decision scope; set and cleared by SolveScoped, false between calls.
+	inScope bool
 }
 
 // Status is the solver verdict.
@@ -163,6 +167,9 @@ type Solver struct {
 	rng uint64
 
 	order *activityHeap
+	// scope is the in-flight solve's decision scope (nil: every variable).
+	// Set for the duration of one SolveScoped call only, like ctx.
+	scope []int
 
 	unsat bool // empty clause derived at level 0
 
@@ -549,8 +556,8 @@ func (s *Solver) backjump(level int) {
 	limit := s.trailLim[level]
 	if level == 0 && len(s.trail)-limit > 64 {
 		// Full restarts between incremental solves undo nearly the whole
-		// trail; rebuilding the order heap in one O(V) pass beats pushing
-		// each variable back individually.
+		// trail; rebuilding the order heap in one O(scope) pass beats
+		// pushing each variable back individually.
 		for i := len(s.trail) - 1; i >= limit; i-- {
 			vd := &s.vars[s.trail[i].vix()]
 			vd.assign = lUndef
@@ -567,7 +574,9 @@ func (s *Solver) backjump(level int) {
 		vd := &s.vars[il.vix()]
 		vd.assign = lUndef
 		vd.reason = nil
-		s.order.push(il.vix())
+		if s.scope == nil || vd.inScope {
+			s.order.push(il.vix())
+		}
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
@@ -859,13 +868,29 @@ func luby(i int64) int64 {
 // assumptions; Unknown means a budget (MaxConflicts, MaxPropagations,
 // Deadline) was exhausted — StopCause then reports which.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	return s.SolveCtx(context.Background(), assumptions...)
+	return s.SolveScoped(context.Background(), nil, assumptions...)
 }
 
 // SolveCtx is Solve under a context: cancellation is polled every
 // pollInterval propagations and aborts the search with Unknown, leaving the
 // context's error available via StopCause.
 func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
+	return s.SolveScoped(ctx, nil, assumptions...)
+}
+
+// SolveScoped is SolveCtx with a decision scope: the search branches only on
+// the variables listed in scope, and a scope assigned without conflict is a
+// Sat answer even when variables outside it are still unassigned. A nil
+// scope means every variable (SolveCtx). The scope lives for this call only.
+//
+// A scoped Sat answer is sound when every clause mentioning a variable
+// outside the scope is either a definition of that variable in terms of
+// others (a Tseitin gate output, which evaluating the gate satisfies) or
+// satisfied at decision level 0: then the scope assignment extends to a full
+// model by evaluating the undecided gates, with undecided leaves at false.
+// cnf.Unroller.ConeVars computes such a scope (the Tseitin cone of a query's
+// assumption literals). Assumptions outside the scope are still applied.
+func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Lit) Status {
 	if s.Counters != nil {
 		defer s.Counters.observe(s)()
 	}
@@ -882,7 +907,22 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 	}
 	defer func() { s.ctx = nil }()
 
+	if scope != nil {
+		for _, v := range scope {
+			s.ensure(v)
+			s.vars[v].inScope = true
+		}
+		s.scope = scope
+		defer s.endScope()
+	}
+	// The heap must hold exactly the unassigned scope variables. A heap
+	// loaded for an earlier scope (or about to serve a new one) is reloaded
+	// unless undoing the previous model already did it.
+	s.order.stale = scope != nil || s.order.scoped
 	s.backjump(0)
+	if s.order.stale {
+		s.order.rebuild()
+	}
 	if c := s.propagate(); c != nil {
 		s.unsat = true
 		return Unsat
@@ -925,6 +965,15 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 			return Unsat
 		}
 	}
+}
+
+// endScope clears the in-flight solve's decision scope. The heap keeps only
+// scope variables (activityHeap.scoped), so the next solve reloads it.
+func (s *Solver) endScope() {
+	for _, v := range s.scope {
+		s.vars[v].inScope = false
+	}
+	s.scope = nil
 }
 
 // StopCause reports why the previous Solve returned Unknown: a context error,
@@ -1026,14 +1075,13 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 		// Full-assignment check by trail length before consulting the heap:
 		// at a Sat verdict the heap is full of stale (already assigned)
 		// entries, and popping them all just to find it empty costs
-		// O(V log V) per solve — the dominant cost of incremental sessions,
-		// whose solvers hold many more variables than any single query uses.
+		// O(V log V) per solve.
 		if len(s.trail) == len(s.vars)-1 {
 			return Sat
 		}
 		next := s.pickBranch()
 		if next == 0 {
-			return Sat // all variables assigned
+			return Sat // every scope variable assigned without conflict
 		}
 		s.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
@@ -1041,7 +1089,11 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 	}
 }
 
-// Value returns the model value of variable v after a Sat result.
+// Value returns the model value of variable v after a Sat result. A
+// variable left unassigned — outside the decision scope of a SolveScoped
+// call — reads false, the value the scope soundness rule completes an
+// undecided leaf with (an undecided gate output is not completed: read it
+// only inside the scope).
 func (s *Solver) Value(v int) bool {
 	if v <= 0 || v >= len(s.vars) {
 		return false
@@ -1049,7 +1101,9 @@ func (s *Solver) Value(v int) bool {
 	return s.vars[v].assign == lTrue
 }
 
-// ValueLit returns the model value of a literal after a Sat result.
+// ValueLit returns the model value of a literal after a Sat result. An
+// unassigned variable reads false (see Value), so its negative literal reads
+// true.
 func (s *Solver) ValueLit(l Lit) bool {
 	v := s.Value(l.Var())
 	if l < 0 {
@@ -1078,6 +1132,9 @@ type activityHeap struct {
 	// instead of a map: pickBranch pops and re-pushes variables on every
 	// decision/backjump, and map hashing dominated that path in profiles.
 	indices []int
+	// scoped records that the last rebuild loaded a decision scope rather
+	// than every variable; stale asks the solve in progress to reload.
+	scoped, stale bool
 }
 
 func newActivityHeap(s *Solver) *activityHeap {
@@ -1151,23 +1208,37 @@ func (h *activityHeap) pop() (int, bool) {
 	return v, true
 }
 
-// rebuild reloads the heap with every unassigned variable and restores heap
-// order bottom-up. Floyd's heapify is O(V) against O(V log V) for pushing
-// variables back one at a time, and reloading also drops stale entries for
-// assigned variables so the next solve's pops never sift dead wood.
+// rebuild reloads the heap with the unassigned variables of the solve's
+// scope (every variable when the scope is nil) and restores heap order
+// bottom-up. Floyd's heapify is O(scope) against O(scope log scope) for
+// pushing variables back one at a time, and reloading also drops stale
+// entries for assigned variables so the next solve's pops never sift dead
+// wood.
 func (h *activityHeap) rebuild() {
+	for _, v := range h.heap {
+		h.indices[v] = -1
+	}
 	h.heap = h.heap[:0]
 	for len(h.indices) < len(h.s.vars) {
 		h.indices = append(h.indices, -1)
 	}
-	for v := 1; v < len(h.s.vars); v++ {
-		if h.s.vars[v].assign == lUndef {
-			h.indices[v] = len(h.heap)
-			h.heap = append(h.heap, v)
-		} else {
-			h.indices[v] = -1
+	vars, scope := h.s.vars, h.s.scope
+	if scope == nil {
+		for v := 1; v < len(vars); v++ {
+			if vars[v].assign == lUndef {
+				h.indices[v] = len(h.heap)
+				h.heap = append(h.heap, v)
+			}
+		}
+	} else {
+		for _, v := range scope {
+			if vars[v].assign == lUndef && h.indices[v] < 0 {
+				h.indices[v] = len(h.heap)
+				h.heap = append(h.heap, v)
+			}
 		}
 	}
+	h.scoped, h.stale = scope != nil, false
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}

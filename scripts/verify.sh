@@ -13,6 +13,15 @@ go test ./...
 echo "== go vet ./... =="
 go vet ./...
 
+echo "== fuzz smoke: every go test -fuzz target for 10s =="
+# go test ./... above runs only the seed corpora; this leg runs the fuzz
+# engine itself on each target: the decision-scope rule of the SAT solver,
+# the JSONL replay/torn-tail rule, and batch-engine ≡ interpreter. A failing
+# input lands in the package's testdata/fuzz, ready to commit as a seed.
+go test -run '^$' -fuzz '^FuzzScopedSolve$' -fuzztime 10s -parallel 2 ./internal/cnf
+go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -parallel 2 ./internal/jsonl
+go test -run '^$' -fuzz '^FuzzBatchMatchesInterpreter$' -fuzztime 10s -parallel 2 ./internal/simc
+
 echo "== go test -race ./... =="
 go test -race ./...
 
@@ -213,17 +222,19 @@ for d in $("$tmpbin/goldmine" -list | while read -r name _; do echo "$name"; don
 done
 
 echo "== smoke: portfolio telemetry journal records the races =="
-# A full portfolio mining run over the pipeline stage must actually race and
+# A full portfolio mining run over the wishbone stage must actually race and
 # its journal must validate with the sat.portfolio span present. The router
-# sends cold checks solo and races a check only once its key is memoized as
-# proved, so the raced checks here are the refinement loop's re-checks of
-# already-proved candidates — pipeline's loop produces several of those.
-# -j 1 is pinned because whether a re-check reaches the router depends on
-# how the outputs are scheduled: the default -j follows the CPU count, and on
-# a 2-CPU host it records no sat.portfolio span at all (nor does -j 4). One
-# worker mines the outputs in a fixed order, so the same re-checks race on
-# every host.
-"$tmpbin/goldmine" -design pipeline -j 1 -portfolio 3 \
+# races a check only when its cone shape is predicted hard (a bucket mean of
+# at least 4096 SAT propagations, or too few samples to tell) and its key is
+# memoized as proved or its bucket mostly proves. wb_stage races most of its
+# checks (71 at fd97338, 107 since SAT solves are scoped to the query's
+# cone). pipeline, used here before, raced only 3 re-checks at fd97338 and
+# none since: scoping cut its propagations from 6.3 M to 1.9 M, so no bucket
+# reaches the threshold and the router keeps every check solo, as designed.
+# -j 1 is pinned because whether a check reaches the router depends on how
+# the outputs are scheduled; one worker mines the outputs in a fixed order,
+# so the same checks race on every host.
+"$tmpbin/goldmine" -design wb_stage -j 1 -portfolio 3 \
     -telemetry "$tmpbin/pf.jsonl" >/dev/null
 "$tmpbin/telcheck" -require mc.check,sat.portfolio,sat.solve "$tmpbin/pf.jsonl"
 echo "smoke: portfolio journal validates with sat.portfolio spans"
