@@ -18,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -62,7 +61,6 @@ func main() {
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel mining workers (1 = sequential; results are identical for any value)")
 		schedOut = flag.Bool("sched-stats", false, "print scheduler/cache telemetry to stderr (advisory, non-deterministic)")
 		incr     = flag.Bool("incremental", true, "reuse pooled SAT solver sessions across checks; false decides each check on a fresh session (verdicts and counterexamples are identical either way)")
-		portf    = flag.Int("portfolio", 0, "race N diversified SAT solver lanes on predicted-hard checks, sharing learned clauses (needs -incremental; 0 or 1 disables; artifacts are identical either way)")
 		compiled = flag.Bool("compiled", true, "simulate seed and counterexample traces (and -close-coverage suites) on the 64-lane batch engine instead of the interpreter (artifacts are identical either way)")
 		coi      = flag.Bool("coi", true, "cone-of-influence CNF reduction: encode only the logic each assertion can observe")
 		closeCov = flag.Bool("close-coverage", false, "run the coverage-closure loop (SAT-directed stimulus aimed at the uncovered points) instead of mining")
@@ -104,7 +102,7 @@ func main() {
 		maxIter: *maxIter, checkTO: *checkTO, workers: *workers,
 		batched: *batched, fullCtx: *full, printTree: *tree, canonical: *canon,
 		reduce: *reduce, corpus: *corpusF, minimize: *minimize, schedOut: *schedOut,
-		incremental: *incr, coi: *coi, compiled: *compiled, portfolio: *portf,
+		incremental: *incr, coi: *coi, compiled: *compiled,
 		closeCoverage: *closeCov, coverCycles: *coverCyc, coverSeed: *coverSd,
 		coverDead: *coverDd,
 		telemetry: *telOut, metricsSummary: *metrics,
@@ -137,7 +135,6 @@ type runOpts struct {
 	minimize, schedOut   bool
 	incremental, coi     bool
 	compiled             bool
-	portfolio            int
 	closeCoverage        bool
 	coverCycles          int
 	coverSeed            int64
@@ -171,11 +168,8 @@ func (o runOpts) validate() error {
 	if o.checkTO < 0 {
 		return fmt.Errorf("-check-timeout must be >= 0, got %v", o.checkTO)
 	}
-	if o.portfolio < 0 {
-		return fmt.Errorf("-portfolio must be >= 0, got %d", o.portfolio)
-	}
-	if o.portfolio >= 2 && !o.incremental {
-		return fmt.Errorf("-portfolio %d needs -incremental: the racing lanes live on persistent sessions", o.portfolio)
+	if err := stimgen.CheckSeed(o.seed); err != nil {
+		return fmt.Errorf("-seed: %w", err)
 	}
 	if o.closeCoverage && o.coverCycles < 1 {
 		return fmt.Errorf("-cover-cycles must be >= 1, got %d", o.coverCycles)
@@ -238,7 +232,6 @@ func run(ctx context.Context, o runOpts) error {
 		FullCtxTrace(o.fullCtx).
 		Workers(o.workers).
 		Incremental(o.incremental).
-		Portfolio(o.portfolio).
 		Compiled(o.compiled).
 		CoI(o.coi).
 		CheckTimeout(o.checkTO)
@@ -277,7 +270,11 @@ func run(ctx context.Context, o runOpts) error {
 		return runClosure(ctx, d, o, tel)
 	}
 
-	stim, err := seedStimulus(d, bench, o.seed)
+	var directed func() sim.Stimulus
+	if bench != nil {
+		directed = bench.Directed
+	}
+	stim, err := stimgen.SeedStimulus(d, directed, o.seed)
 	if err != nil {
 		return err
 	}
@@ -514,26 +511,6 @@ func render(ltl string, rec core.AssertionRecord, format, clock string) string {
 		return rec.Assertion.PSL(clock)
 	default:
 		return ltl
-	}
-}
-
-func seedStimulus(d *rtl.Design, bench *designs.Benchmark, spec string) (sim.Stimulus, error) {
-	switch {
-	case spec == "none":
-		return nil, nil
-	case spec == "directed":
-		if bench != nil && bench.Directed != nil {
-			return bench.Directed(), nil
-		}
-		return nil, nil
-	case strings.HasPrefix(spec, "random:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "random:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad seed spec %q", spec)
-		}
-		return stimgen.Random(d, n, 1, 2), nil
-	default:
-		return nil, fmt.Errorf("bad seed spec %q (directed | random:<n> | none)", spec)
 	}
 }
 

@@ -104,6 +104,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), o); err == nil {
 		t.Error("bad seed spec should error")
 	}
+	// A negative cycle count is refused up front, not left to panic in the
+	// random stimulus generator.
+	o.seed = "random:-5"
+	if err := run(context.Background(), o); err == nil || !strings.Contains(err.Error(), "-seed") {
+		t.Errorf("negative random seed: err = %v, want a -seed error", err)
+	}
 }
 
 func TestStimString(t *testing.T) {

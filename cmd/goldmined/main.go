@@ -44,7 +44,6 @@ func main() {
 		cacheCap = flag.Int("cache-capacity", 1<<20, "cross-run verdict cache capacity (entries; <0 = unbounded)")
 		cacheSh  = flag.Int("cache-shards", 16, "verdict cache shard count (rounded up to a power of two)")
 		pool     = flag.Int("pool", 0, "idle engines retained per design+options (0 = workers)")
-		portf    = flag.Int("portfolio", 0, "race N diversified SAT solver lanes on predicted-hard checks, sharing learned clauses (0 or 1 disables; artifacts are identical either way)")
 		telOut   = flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 		metrics  = flag.Bool("metrics-summary", false, "print the metrics snapshot to stderr on exit")
 	)
@@ -54,7 +53,7 @@ func main() {
 		tenantQueue: *tQueue, tenantBudget: *tBudget, jobTimeout: *jobTO,
 		attempts: *attempts, retryBase: *rBase, retryMax: *rMax,
 		drain: *drain, cacheCap: *cacheCap, cacheShards: *cacheSh, pool: *pool,
-		portfolio: *portf, corpusPath: *corpusF,
+		corpusPath: *corpusF,
 	}, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "goldmined:", err)
 		os.Exit(1)
@@ -67,7 +66,6 @@ type serveConfig struct {
 	attempts                                int
 	retryBase, retryMax, drain              time.Duration
 	cacheCap, cacheShards, pool             int
-	portfolio                               int
 	corpusPath                              string
 }
 
@@ -99,7 +97,6 @@ func run(addr, addrFile, walPath, telOut string, sc serveConfig, metrics bool) e
 		CacheCapacity:   sc.cacheCap,
 		MaxJobWorkers:   sc.jobWorkers,
 		PoolPerKey:      sc.pool,
-		Portfolio:       sc.portfolio,
 		WALPath:         walPath,
 		CorpusPath:      sc.corpusPath,
 		Tracer:          tel,

@@ -50,7 +50,7 @@ type scopeDAG struct {
 // so two calls give twin solvers with identical variable numbering.
 func buildScopeDAG(data []byte) *scopeDAG {
 	r := &byteStream{data: data}
-	s := sat.NewWithConfig(sat.PortfolioConfig(r.next() % 4))
+	s := sat.New()
 	g := &scopeDAG{u: NewUnroller(s, nil)}
 	u := g.u
 	pool := []sat.Lit{u.True()}

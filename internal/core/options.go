@@ -26,8 +26,9 @@ import (
 // The zero-cost escape hatch remains: Config literals are still accepted by
 // NewEngine for callers that need a knob the builder does not expose.
 type Options struct {
-	cfg Config
-	tel *telemetry.Tracer
+	cfg       Config
+	tel       *telemetry.Tracer
+	portfolio int // see Portfolio; never reaches Config
 }
 
 // NewOptions starts a builder from DefaultConfig.
@@ -87,10 +88,13 @@ func (o *Options) BMCDepth(n int) *Options { o.cfg.MC.MaxBMCDepth = n; return o 
 // Induction bounds the k of k-induction.
 func (o *Options) Induction(n int) *Options { o.cfg.MC.MaxInduction = n; return o }
 
-// Portfolio sets the racing SAT portfolio width for predicted-hard
-// incremental checks (0 or 1 disables racing; artifacts are identical either
-// way, only wall-clock changes).
-func (o *Options) Portfolio(n int) *Options { o.cfg.MC.Portfolio = n; return o }
+// Portfolio is what remains of the removed racing SAT portfolio: every check
+// runs one solver, so only the widths that never raced, 0 and 1, build; Build
+// rejects any other. It writes nothing into Config. It stays only because the
+// perfbench harness (perfbench/workloads.go, mineOptions) still calls
+// Portfolio(0); the next change to that harness drops the call and this
+// setter together.
+func (o *Options) Portfolio(n int) *Options { o.portfolio = n; return o }
 
 // MC replaces the full model-checker option block for knobs without a
 // dedicated setter (explicit-engine bit limits).
@@ -134,8 +138,8 @@ func (o *Options) Build() (Config, error) {
 	if c.MC.MaxInduction < 0 {
 		bad("induction bound must be >= 0 (got %d)", c.MC.MaxInduction)
 	}
-	if c.MC.Portfolio < 0 {
-		bad("portfolio width must be >= 0 (got %d)", c.MC.Portfolio)
+	if o.portfolio != 0 && o.portfolio != 1 {
+		bad("racing portfolio removed: Portfolio(%d) must be 0 or 1", o.portfolio)
 	}
 	// Contradictions between the budget layers: an inner budget wider than an
 	// outer one means the inner bound can never fire — almost certainly a

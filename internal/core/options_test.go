@@ -85,6 +85,26 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsPortfolioRemoved: the racing portfolio is gone, so Portfolio
+// builds only for the widths that never raced, and never touches Config.
+func TestOptionsPortfolioRemoved(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		cfg, err := NewOptions().Portfolio(n).Build()
+		if err != nil {
+			t.Fatalf("Portfolio(%d): %v", n, err)
+		}
+		if want := DefaultConfig(); cfg.MC != want.MC {
+			t.Fatalf("Portfolio(%d) changed the checker options: %+v", n, cfg.MC)
+		}
+	}
+	for _, n := range []int{2, 3, -1} {
+		_, err := NewOptions().Portfolio(n).Build()
+		if err == nil || !strings.Contains(err.Error(), "racing portfolio removed") {
+			t.Errorf("Portfolio(%d): err = %v, want a racing portfolio removed error", n, err)
+		}
+	}
+}
+
 // TestOptionsEngineTelemetry checks the builder's Engine wires the tracer:
 // counters and span histograms accumulate during mining, and the tracer never
 // contaminates the Config (cache-key fingerprints must not see it).

@@ -18,17 +18,12 @@ import (
 
 // TestMCPathsAgree: every way of running a check decides it identically. On
 // the mined suite of every bundled design, a fresh Checker, one pooled
-// Session, and cold solo and portfolio-2 Sessions on a Checker whose
-// difficulty model one untimed pass has warmed must agree on status, method,
-// depth and the canonical counterexample. The SAT engines are forced, since
-// they are the paths sessions and the portfolio change.
+// Session, and a cold Session on a Checker that one untimed pass has warmed
+// must agree on status, method, depth and the canonical counterexample. The
+// SAT engines are forced, since they are the paths sessions change.
 func TestMCPathsAgree(t *testing.T) {
-	opts := func(portfolio int) mc.Options {
-		o := mc.DefaultOptions()
-		o.MaxStateBits = 0
-		o.Portfolio = portfolio
-		return o
-	}
+	opts := mc.DefaultOptions()
+	opts.MaxStateBits = 0
 	checkAll := func(check func(*assertion.Assertion) (*mc.Result, error), suite []*assertion.Assertion) []*mc.Result {
 		t.Helper()
 		var res []*mc.Result
@@ -43,8 +38,8 @@ func TestMCPathsAgree(t *testing.T) {
 	}
 	// cold checks the suite on a new Session of a Checker that has already
 	// checked it once, the shape of a mining run re-checking its harvest.
-	cold := func(d *rtl.Design, suite []*assertion.Assertion, portfolio int) []*mc.Result {
-		c := mc.NewWithOptions(d, opts(portfolio))
+	cold := func(d *rtl.Design, suite []*assertion.Assertion) []*mc.Result {
+		c := mc.NewWithOptions(d, opts)
 		checkAll(c.NewSession().Check, suite)
 		return checkAll(c.NewSession().Check, suite)
 	}
@@ -53,11 +48,10 @@ func TestMCPathsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := checkAll(mc.NewWithOptions(d, opts(0)).Check, suite)
+		fresh := checkAll(mc.NewWithOptions(d, opts).Check, suite)
 		paths := map[string][]*mc.Result{
-			"session":     checkAll(mc.NewWithOptions(d, opts(0)).NewSession().Check, suite),
-			"cold-solo":   cold(d, suite, 0),
-			"portfolio-2": cold(d, suite, 2),
+			"session": checkAll(mc.NewWithOptions(d, opts).NewSession().Check, suite),
+			"cold":    cold(d, suite),
 		}
 		for path, res := range paths {
 			for i, f := range fresh {

@@ -1,28 +1,14 @@
 // Difficulty prediction: a per-Checker model of how much SAT work an
-// assertion's check will cost and how it is likely to resolve, learned from
-// the checks already done. Two consumers:
-//
-//   - The scheduler (core/sched) orders a batch of checks hardest-first so a
-//     worker pool is never left with one hard property serializing the tail
-//     of a round (classic makespan scheduling: LPT order).
-//   - The Session routes only predicted-hard checks into the racing portfolio
-//     (portfolio.go); easy checks stay on the single-solver path where the
-//     racing overhead would dominate. Hardness alone is not enough, though:
-//     racing only pays when the induction lane has a chance to win, so checks
-//     that history says will not prove (falsified and bounded outcomes cost
-//     the full BMC walk either way, and the sequential ladder already starts
-//     with BMC) stay solo too, and buckets where racing has measured slower
-//     than solo stop racing.
+// assertion's check will cost, learned from the checks already done. The
+// scheduler (core/sched) orders a batch of checks hardest-first so a worker
+// pool is never left with one hard property serializing the tail of a round
+// (classic makespan scheduling: LPT order).
 //
 // The model is deliberately tiny: checks are bucketed by the bit-width of the
 // assertion's cone of influence (log2 of input+state bits — the strongest
-// static predictor of formula size), and each bucket keeps running means of
-// observed SAT propagations, split by which path (solo ladder or portfolio
-// race) produced them, plus the proved fraction. A per-assertion outcome
-// memo sharpens re-checks of a previously-seen property. Cold buckets predict
-// "hard" for scheduling (they sort first) but stay on the solo path until the
-// outcome history shows racing can win; three solo samples suffice to retire a
-// bucket to the cheap path. The observed
+// static predictor of formula size), and each bucket keeps a running mean of
+// observed SAT propagations. Cold buckets predict "hard" (they sort first);
+// three samples suffice to score a bucket by its measured mean. The observed
 // costs also feed the mc.solve_work telemetry histogram, so operators see the
 // same distribution the predictor acts on.
 package mc
@@ -37,7 +23,7 @@ import (
 )
 
 // hardWorkThreshold is the bucket-mean propagation count above which a check
-// is predicted hard (and eligible for the portfolio).
+// is predicted hard.
 const hardWorkThreshold = 4096
 
 // difficultyMinSamples is how many observations a bucket needs before its
@@ -48,25 +34,9 @@ const difficultyMinSamples = 3
 // breadth plus slack).
 const difficultyBuckets = 34
 
-// difficultyMaxKeys caps the per-assertion outcome memo so a long-lived
-// Checker mining thousands of candidates cannot grow it without bound.
-const difficultyMaxKeys = 1 << 16
-
+// costBucket accumulates the observed SAT propagations of one cone shape.
 type costBucket struct {
-	// soloN/soloProps and raceN/raceProps split the observations by the path
-	// that produced them. Hardness (PredictHard) is judged on the solo samples
-	// alone: a race that resolved a hard check cheaply does not make the check
-	// easy, it makes racing profitable — feeding raced costs into the hardness
-	// mean would flip the bucket to "easy", bounce the next check back onto
-	// the expensive solo ladder, and oscillate. The race/solo split lets the
-	// router compare the two paths' measured costs instead.
-	soloN, soloProps int64
-	raceN, raceProps int64
-	// outcomes/proved track how checks of this shape resolve. Proved is the
-	// outcome class the race can actually shortcut (the induction lane wins
-	// and spares the BMC tail); falsified and bounded checks cost the solo
-	// ladder's exact work either way, so racing them only adds lane overhead.
-	outcomes, proved int64
+	n, props int64
 }
 
 // difficulty is the Checker's learned cost model. Guarded by its own mutex:
@@ -74,9 +44,6 @@ type costBucket struct {
 type difficulty struct {
 	mu      sync.Mutex
 	buckets [difficultyBuckets]costBucket
-	// lastProved memoizes, per assertion canonical key, whether the last
-	// check of that exact property proved (the raceable outcome).
-	lastProved map[string]bool
 }
 
 // coneSignals returns the union of the sequential cones of every signal the
@@ -130,82 +97,25 @@ func (c *Checker) PredictHard(a *assertion.Assertion) (score int64, hard bool) {
 	c.diff.mu.Lock()
 	b := c.diff.buckets[bk]
 	c.diff.mu.Unlock()
-	if b.soloN >= difficultyMinSamples {
-		mean := b.soloProps / b.soloN
+	if b.n >= difficultyMinSamples {
+		mean := b.props / b.n
 		return mean, mean >= hardWorkThreshold
-	}
-	if b.raceN > 0 {
-		// Raced-only history: the shape keeps being routed to the portfolio,
-		// which means it keeps being judged hard; score it by the raced cost so
-		// the scheduler still dispatches it early.
-		mean := b.raceProps / b.raceN
-		if mean < hardWorkThreshold {
-			mean = hardWorkThreshold
-		}
-		return mean, true
 	}
 	// Cold start: no evidence yet. Score by cone breadth, flagged hard.
 	return hardWorkThreshold << uint(bk), true
 }
 
-// predictRaceWin reports whether a predicted-hard check is worth routing to
-// the racing portfolio. Only a proved outcome lets the race finish ahead of
-// the solo ladder (the induction lane wins and the BMC lanes stop at the base
-// case instead of walking to MaxBMCDepth); falsified and bounded checks pay
-// the full solo BMC walk either way, plus the losing lanes' overhead. So the
-// router races only on positive evidence: this exact property proved last
-// time, or — for unseen keys — the cone bucket's checks mostly prove and
-// racing has not measured slower than the solo ladder there. Cold shapes stay
-// solo: outcomes are recorded on both paths, so the solo checks themselves
-// populate the model, and the priciest check of a fresh design (which the
-// hardest-first scheduler dispatches first) never burns a blind race.
-func (c *Checker) predictRaceWin(a *assertion.Assertion) bool {
-	bk := coneBucketIndex(c.coneBreadth(a))
-	key := a.CanonicalKey()
-	c.diff.mu.Lock()
-	defer c.diff.mu.Unlock()
-	if p, ok := c.diff.lastProved[key]; ok {
-		return p
-	}
-	b := c.diff.buckets[bk]
-	if b.outcomes == 0 || 2*b.proved < b.outcomes {
-		return false
-	}
-	if b.soloN > 0 && b.raceN > 0 && b.raceProps/b.raceN > b.soloProps/b.soloN {
-		return false
-	}
-	return true
-}
-
-// noteCheckCost records the SAT propagations one completed check consumed and
-// how it resolved, updating the predictor bucket, the per-assertion outcome
-// memo, and the mc.solve_work histogram. raced says which path produced the
-// observation (the portfolio coordinator posts the winning lane's cost).
-func (c *Checker) noteCheckCost(a *assertion.Assertion, props int64, proved, raced bool) {
+// noteCheckCost records the SAT propagations one completed check consumed,
+// updating the predictor bucket and the mc.solve_work histogram.
+func (c *Checker) noteCheckCost(a *assertion.Assertion, props int64) {
 	if props < 0 {
 		props = 0
 	}
 	bk := coneBucketIndex(c.coneBreadth(a))
 	c.diff.mu.Lock()
 	b := &c.diff.buckets[bk]
-	if raced {
-		b.raceN++
-		b.raceProps += props
-	} else {
-		b.soloN++
-		b.soloProps += props
-	}
-	b.outcomes++
-	if proved {
-		b.proved++
-	}
-	if c.diff.lastProved == nil {
-		c.diff.lastProved = map[string]bool{}
-	}
-	key := a.CanonicalKey()
-	if _, seen := c.diff.lastProved[key]; seen || len(c.diff.lastProved) < difficultyMaxKeys {
-		c.diff.lastProved[key] = proved
-	}
+	b.n++
+	b.props += props
 	c.diff.mu.Unlock()
 	c.mtr.solveWork.Observe(props)
 }

@@ -149,17 +149,6 @@ type Options struct {
 	// references (lazy unrolling) instead of the whole transition relation.
 	// Sound — see cnf.NewLazyUnroller — and on by default.
 	CoI bool
-	// Portfolio enables the racing SAT portfolio for predicted-hard
-	// sequential checks on incremental Sessions: N >= 2 diversified lanes
-	// race the BMC ladder against the k-induction ladder (and each other,
-	// sharing learned clauses within a lane set) and the first decisive
-	// verdict wins. 0 or 1 disables racing. Verdicts and canonical
-	// counterexamples are byte-identical to the single-solver path (see
-	// portfolio.go for the argument); only wall-clock changes, so the field
-	// is excluded from options fingerprints (sched.OptionsFingerprint) and
-	// cache keys. Checker.CheckCtx runs each check on a throwaway Session
-	// that never races, so it ignores the field.
-	Portfolio int
 }
 
 // DefaultOptions returns sensible limits for benchmark-scale designs.
@@ -239,7 +228,6 @@ type Checker struct {
 type mcMetrics struct {
 	checks, proved, falsified, bounded, unknown, degraded *telemetry.Counter
 	explicitSims                                          *telemetry.Counter
-	races, raceBMCWins, raceIndWins                       *telemetry.Counter
 	ctxProbes, ctxBatchHits                               *telemetry.Counter
 	solveWork                                             *telemetry.Histogram
 }
@@ -267,22 +255,13 @@ func (c *Checker) SetTelemetry(tr *telemetry.Tracer) {
 		unknown:      reg.Counter("mc.unknown"),
 		degraded:     reg.Counter("mc.degraded"),
 		explicitSims: reg.Counter("mc.explicit_window_sims"),
-		races:        reg.Counter("mc.portfolio_races"),
-		raceBMCWins:  reg.Counter("mc.portfolio_bmc_wins"),
-		raceIndWins:  reg.Counter("mc.portfolio_ind_wins"),
 		solveWork:    reg.Histogram("mc.solve_work"),
 	}
 }
 
 // newSolver builds a SAT solver with the checker's telemetry hookup.
 func (c *Checker) newSolver() *sat.Solver {
-	return c.newSolverWithConfig(sat.Config{})
-}
-
-// newSolverWithConfig builds a diversified SAT solver (portfolio lanes) with
-// the checker's telemetry hookup.
-func (c *Checker) newSolverWithConfig(cfg sat.Config) *sat.Solver {
-	s := sat.NewWithConfig(cfg)
+	s := sat.New()
 	s.Counters = c.satC
 	return s
 }
@@ -335,9 +314,6 @@ type budget struct {
 	// observation the difficulty predictor learns from; always non-nil for
 	// budgets built by newBudget.
 	spent *int64
-	// raced marks that the check was decided by the racing portfolio, so the
-	// difficulty predictor can keep separate cost means per path.
-	raced bool
 	ticks int64 // tick counter rate-limiting clock/context polls
 	// sp is the enclosing "mc.check" span; solve() and the engines hang their
 	// phase spans off it. Nil when telemetry is disabled (or quieted for the
@@ -498,10 +474,9 @@ func (c *Checker) Check(a *assertion.Assertion) (*Result, error) {
 //
 // The check runs on a throwaway Session: the SAT engines build fresh solver
 // states for this one check and drop them after it. A pooled Session reaches
-// the same verdicts and counterexamples with less encoding work. The
-// throwaway session never races (Options.Portfolio is ignored).
+// the same verdicts and counterexamples with less encoding work.
 func (c *Checker) CheckCtx(ctx context.Context, a *assertion.Assertion) (*Result, error) {
-	return c.checkWith(ctx, a, &Session{c: c, solo: true})
+	return c.checkWith(ctx, a, c.NewSession())
 }
 
 // checkWith wraps one check on s with statistics accounting and the budget
@@ -520,10 +495,8 @@ func (c *Checker) checkWith(ctx context.Context, a *assertion.Assertion, s *Sess
 	}
 	res, err := s.dispatch(b, a)
 	if b.spent != nil && res != nil && err == nil {
-		// Feed the difficulty predictor with what the check actually cost and
-		// how it resolved (for raced checks, portfolio.go posts the winning
-		// lane's cost and flags the budget raced).
-		c.noteCheckCost(a, *b.spent, res.Status == StatusProved, b.raced)
+		// Feed the difficulty predictor with what the check actually cost.
+		c.noteCheckCost(a, *b.spent)
 	}
 	if err != nil {
 		if !IsBudget(err) {
@@ -659,8 +632,8 @@ func propLit(u *cnf.Unroller, d *rtl.Design, p assertion.Prop, t int, pc propCac
 }
 
 // windowClause encodes "the property holds at the window starting at t0" as
-// the clause ¬ant(t0) ∨ cons(t0): the induction engines add it as a (possibly
-// activation-guarded) clause.
+// the clause ¬ant(t0) ∨ cons(t0): the induction engines add it as a clause,
+// activation-guarded on a persistent solver.
 func windowClause(u *cnf.Unroller, d *rtl.Design, a *assertion.Assertion, t0 int, pc propCache) ([]sat.Lit, error) {
 	lits := make([]sat.Lit, 0, len(a.Antecedent)+2)
 	for _, p := range a.Antecedent {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"goldmine/internal/assertion"
+	"goldmine/internal/designs"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
 )
@@ -24,6 +25,20 @@ endmodule`
 func mustDesign(t *testing.T, src string) *rtl.Design {
 	t.Helper()
 	d, err := rtl.ElaborateSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// benchDesign loads a bundled benchmark design by name.
+func benchDesign(t *testing.T, name string) *rtl.Design {
+	t.Helper()
+	b, err := designs.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := b.Design()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -329,7 +329,7 @@ func (s *Session) proveUnreachable(b *budget, ob Obligation, maxOff, baseDepth, 
 	act := sat.Lit(is.s.NewVar())
 	s.Activations++
 	defer func() {
-		// Retire this obligation's hypothesis clauses (see checkSATSolo).
+		// Retire this obligation's hypothesis clauses (see checkSAT).
 		is.s.AddClause(act.Neg())
 		is.s.Simplify()
 	}()

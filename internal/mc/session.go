@@ -74,25 +74,11 @@ type Session struct {
 	bmc *satState // reset-constrained; properties are assumption-only
 	ind *satState // free initial state; properties under activation literals
 
-	// solo keeps every check off the racing portfolio (Checker.CheckCtx's
-	// throwaway sessions).
-	solo bool
-
-	// Racing portfolio lane sets (portfolio.go), built lazily when
-	// Options.Portfolio >= 2 routes a predicted-hard check to the race. Kept
-	// separate from the solo states above: lane formulas must stay purely
-	// definitional for clause sharing to be sound, which the solo induction
-	// state's activation-guarded hypothesis clauses would break.
-	raceBMC *raceSet
-	raceInd *raceSet
-
 	// Activations counts properties encoded into the induction state (each
 	// consumed one activation literal); Reuses counts checks answered by the
-	// persistent states; Races counts checks decided by the portfolio.
-	// Advisory, single-goroutine like the Session.
+	// persistent states. Advisory, single-goroutine like the Session.
 	Activations int
 	Reuses      int
-	Races       int
 
 	// ReachCalls counts Reach/ReachFrom/ProveUnreachable queries answered by
 	// this Session; ReachSolves counts the SAT solves they issued. The split
@@ -127,10 +113,9 @@ func (s *Session) CheckCtx(ctx context.Context, a *assertion.Assertion) (*Result
 
 // dispatch decides the check on the Session's states. An engine fault
 // (ErrEngineInternal) means the persistent states may hold half-encoded
-// clauses or an unalignable lane set: they are dropped and the check is
-// decided once more on freshly built ones, so one fault costs one rebuild,
-// not a wrong verdict. A second fault is returned; core's recover barrier
-// reports it as an engine error.
+// clauses: they are dropped and the check is decided once more on freshly
+// built ones, so one fault costs one rebuild, not a wrong verdict. A second
+// fault is returned; core's recover barrier reports it as an engine error.
 func (s *Session) dispatch(b *budget, a *assertion.Assertion) (*Result, error) {
 	res, err := s.route(b, a)
 	if errors.Is(err, ErrEngineInternal) {
@@ -180,14 +165,12 @@ func (s *Session) route(b *budget, a *assertion.Assertion) (*Result, error) {
 // next use.
 func (s *Session) reset() {
 	s.bmc, s.ind = nil, nil
-	s.raceBMC, s.raceInd = nil, nil
 }
 
 // guard runs fn with the session's panic barrier: a panic inside the
 // persistent-state engines discards all persistent states (they may hold
-// half-encoded clauses — and for the race sets, a half-replayed catch-up
-// breaks variable alignment) and surfaces as ErrEngineInternal so dispatch
-// can rebuild them and retry.
+// half-encoded clauses) and surfaces as ErrEngineInternal so dispatch can
+// rebuild them and retry.
 func (s *Session) guard(fn func() (*Result, error)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -243,31 +226,13 @@ func (s *Session) checkCombinational(b *budget, a *assertion.Assertion) (*Result
 	})
 }
 
-// checkSAT routes a sequential check either to the racing portfolio (when
-// enabled, the check is predicted hard — racing an easy check would pay more
-// in lane setup than the solve costs — and the outcome model gives the
-// induction lanes a chance to win; see predictRaceWin) or to the solo
-// incremental ladder. Both paths produce identical verdicts and
-// counterexample bytes; only wall-clock differs (see portfolio.go for the
-// argument).
-func (s *Session) checkSAT(b *budget, a *assertion.Assertion) (*Result, error) {
-	if !s.solo && s.c.opts.Portfolio >= 2 {
-		if _, hard := s.c.PredictHard(a); hard && s.c.predictRaceWin(a) {
-			return s.guard(func() (*Result, error) {
-				return s.checkSATPortfolio(b, a)
-			})
-		}
-	}
-	return s.checkSATSolo(b, a)
-}
-
-// checkSATSolo runs the BMC + k-induction ladder under the budget against the
+// checkSAT runs the BMC + k-induction ladder under the budget against the
 // persistent states. The verdict degrades gracefully: a budget hit during BMC
 // reports the deepest fully explored bound (or StatusUnknown if not even the
 // first window completed); a budget hit during induction falls back to the
 // completed BMC bound. A falsification found before the budget dies is always
 // reported — budget pressure can weaken a claim but never invert one.
-func (s *Session) checkSATSolo(b *budget, a *assertion.Assertion) (*Result, error) {
+func (s *Session) checkSAT(b *budget, a *assertion.Assertion) (*Result, error) {
 	return s.guard(func() (*Result, error) {
 		c := s.c
 		coff := a.Consequent.Offset

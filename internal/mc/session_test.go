@@ -1,11 +1,14 @@
 package mc
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"goldmine/internal/assertion"
+	"goldmine/internal/rtl"
 )
 
 // satOnlyOptions forces every check onto the SAT engines (the paths a
@@ -254,5 +257,147 @@ func TestSessionSecondFaultIsEngineError(t *testing.T) {
 	res, err := sess.Check(arbiterSuite()[1])
 	if !errors.Is(err, ErrEngineInternal) || res != nil {
 		t.Fatalf("got (%v, %v), want ErrEngineInternal", res, err)
+	}
+}
+
+// arbiter4Suite mixes provable, falsifiable, and bounded assertions over the
+// four-port arbiter (rotating priority pointer: deeper state than arbiter2).
+func arbiter4Suite() []*assertion.Assertion {
+	return []*assertion.Assertion{
+		// Falsified: req0 alone does not guarantee an immediate grant (the
+		// pointer may favor another port).
+		{Output: "gnt0", Antecedent: []assertion.Prop{prop("req0", 0, 1)}, Consequent: prop("gnt0", 1, 1), Window: 2},
+		// Proved: reset clears the grants.
+		{Output: "gnt0", Antecedent: []assertion.Prop{prop("rst", 0, 1)}, Consequent: prop("gnt0", 1, 0), Window: 2},
+		// Proved (inductive): grants are one-hot by construction.
+		{Output: "gnt1", Antecedent: []assertion.Prop{prop("gnt0", 0, 1)}, Consequent: prop("gnt1", 0, 0), Window: 1},
+		// Falsified: gnt1 is reachable.
+		{Output: "gnt1", Antecedent: nil, Consequent: prop("gnt1", 1, 0), Window: 2},
+		// Falsified: pointer does not pin port 2 forever.
+		{Output: "gnt2", Antecedent: []assertion.Prop{prop("req2", 0, 1), prop("req0", 0, 0), prop("req1", 0, 0)}, Consequent: prop("gnt2", 1, 1), Window: 2},
+	}
+}
+
+// fetchSuite covers the fetch pipeline stage (8-bit pc datapath: the widest
+// cones in the bundled set).
+func fetchSuite() []*assertion.Assertion {
+	return []*assertion.Assertion{
+		// Proved (combinational consequence of the valid gating).
+		{Output: "valid", Antecedent: []assertion.Prop{prop("valid", 0, 1)}, Consequent: prop("stall_in", 0, 0), Window: 1},
+		// Proved: a mispredict squashes the in-flight fetch.
+		{Output: "valid", Antecedent: []assertion.Prop{prop("branch_mispredict", 0, 1)}, Consequent: prop("valid", 1, 0), Window: 2},
+		// Falsified: an icache hit does not guarantee valid next cycle (a
+		// same-cycle mispredict or stall can mask it).
+		{Output: "valid", Antecedent: []assertion.Prop{prop("icache_rdvl_i", 0, 1), prop("stall_in", 0, 0), prop("branch_mispredict", 0, 0)}, Consequent: prop("valid", 1, 1), Window: 2},
+		// Falsified: valid is reachable.
+		{Output: "valid", Antecedent: nil, Consequent: prop("valid", 1, 0), Window: 2},
+	}
+}
+
+// TestSessionRecheckMatchesFresh: a warm session re-checking a suite it has
+// already decided returns, on every pass, exactly what a fresh session per
+// check returns, on the arbiter fixture and two benchmark designs.
+func TestSessionRecheckMatchesFresh(t *testing.T) {
+	cases := []struct {
+		design string
+		d      *rtl.Design
+		suite  []*assertion.Assertion
+	}{
+		{"arbiter2(local)", mustDesign(t, arbiterSrc), arbiterSuite()},
+		{"arbiter4", benchDesign(t, "arbiter4"), arbiter4Suite()},
+		{"fetch", benchDesign(t, "fetch"), fetchSuite()},
+	}
+	for _, tc := range cases {
+		fresh := NewWithOptions(tc.d, satOnlyOptions())
+		sess := NewWithOptions(tc.d, satOnlyOptions()).NewSession()
+		for pass := 0; pass < 2; pass++ {
+			for i, a := range tc.suite {
+				want, err := fresh.Check(a)
+				if err != nil {
+					t.Fatalf("%s fresh: %v", tc.design, err)
+				}
+				got, err := sess.Check(a)
+				if err != nil {
+					t.Fatalf("%s session: %v", tc.design, err)
+				}
+				if !sameResult(got, want) {
+					t.Errorf("%s pass %d assertion %d: session (%v,%s,%d,%v) fresh (%v,%s,%d,%v)", tc.design, pass, i,
+						got.Status, got.Method, got.Depth, got.Ctx, want.Status, want.Method, want.Depth, want.Ctx)
+				}
+				if got.Status == StatusFalsified {
+					verifyCtx(t, tc.d, a, got.Ctx)
+				}
+			}
+		}
+	}
+}
+
+// TestSessionRepeatChecks re-checks the same batch through one session twice:
+// the warm second pass runs on the persistent states left by the first (the
+// Reuses counter grows) and must agree with the cold pass, counterexamples
+// included.
+func TestSessionRepeatChecks(t *testing.T) {
+	d := benchDesign(t, "arbiter4")
+	suite := arbiter4Suite()
+	sess := NewWithOptions(d, satOnlyOptions()).NewSession()
+	var first []*Result
+	for _, a := range suite {
+		r, err := sess.Check(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = append(first, r)
+	}
+	reusesCold := sess.Reuses
+	for i, a := range suite {
+		r, err := sess.Check(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := first[i]; !sameResult(r, w) {
+			t.Errorf("assertion %d: warm re-check diverged: (%v,%s,%d) vs (%v,%s,%d)",
+				i, r.Status, r.Method, r.Depth, w.Status, w.Method, w.Depth)
+		}
+	}
+	if sess.Reuses <= reusesCold {
+		t.Errorf("warm pass reused no persistent state: Reuses %d -> %d", reusesCold, sess.Reuses)
+	}
+}
+
+// TestSessionCancellationMidCheck cancels the caller's context while a check
+// is (potentially) mid-solve. Cancellation degrades the verdict (never an
+// error from CheckCtx), and the session stays usable: every later check
+// returns exactly the fresh result.
+func TestSessionCancellationMidCheck(t *testing.T) {
+	d := benchDesign(t, "fetch")
+	suite := fetchSuite()
+	fresh := NewWithOptions(d, satOnlyOptions())
+	sess := NewWithOptions(d, satOnlyOptions()).NewSession()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(100 * time.Microsecond)
+		cancel()
+	}()
+	r, err := sess.CheckCtx(ctx, suite[0])
+	if err != nil {
+		t.Fatalf("cancelled check returned error: %v", err)
+	}
+	if (r.Status == StatusUnknown || r.Degraded) && r.Cause == nil {
+		t.Errorf("degraded cancelled check carries no cause: %+v", r)
+	}
+	for i, a := range suite {
+		want, err := fresh.Check(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Check(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want) {
+			t.Errorf("post-cancel assertion %d: got (%v,%s,%d) want (%v,%s,%d)",
+				i, got.Status, got.Method, got.Depth, want.Status, want.Method, want.Depth)
+		}
 	}
 }

@@ -155,16 +155,8 @@ type Solver struct {
 	learntBuf  []ilit
 	cleanupBuf []int
 
-	varInc   float64
-	claInc   float64
-	varDecay float64
-	claDecay float64
-
-	// cfg is the normalized search configuration (restart schedule, phase
-	// default, decision noise); rng is the xorshift64 state behind
-	// cfg.RandomFreq.
-	cfg Config
-	rng uint64
+	varInc float64
+	claInc float64
 
 	order *activityHeap
 	// scope is the in-flight solve's decision scope (nil: every variable).
@@ -173,32 +165,12 @@ type Solver struct {
 
 	unsat bool // empty clause derived at level 0
 
-	// Share, when non-nil, connects the solver to a shared learned-clause
-	// pool. Small, low-LBD learnts whose variables fall inside ShareVarCap
-	// are exported as they are learned; clauses published by other solvers
-	// are imported at level-0 safe points (solve start and every restart).
-	// Sharing is sound only between solvers whose NewVar/clause sequences
-	// encode the same formula over the same variable numbering — the caller
-	// owns that alignment invariant.
-	Share *ClausePool
-	// ShareID tags this solver's exports so it skips them on import.
-	ShareID uint64
-	// ShareVarCap is the highest variable index allowed in an exported
-	// clause. 0 disables export (import still runs). Capping at the aligned
-	// prefix of the variable space keeps every published clause meaningful —
-	// and immediately importable — for all participants.
-	ShareVarCap int
-	shareCursor int   // next unread pool index
-	lbdScratch  []int // distinct-level scratch for export filtering
-
 	// statistics
-	Conflicts     int64
-	Decisions     int64
-	Propagations  int64
-	Learned       int64
-	Restarts      int64
-	SharedExports int64 // learnts published to Share
-	SharedImports int64 // clauses adopted from Share
+	Conflicts    int64
+	Decisions    int64
+	Propagations int64
+	Learned      int64
+	Restarts     int64
 
 	// Counters, when non-nil, receives the deltas of the solver's search
 	// statistics (and one solve tick) at the end of every Solve/SolveCtx call.
@@ -230,23 +202,19 @@ type Solver struct {
 // is invisible in profiles.
 const pollInterval = 2048
 
-// New creates an empty solver with the default configuration.
-func New() *Solver {
-	return NewWithConfig(Config{})
-}
+// The search strategy is fixed, MiniSat's: Luby restarts scaled by
+// restartBase conflicts, EVSIDS variable decay varDecay, learnt-clause
+// activity decay claDecay, and negative-first polarity for a variable that
+// was never assigned (phase saving takes over after its first assignment).
+const (
+	restartBase = 100
+	varDecay    = 0.95
+	claDecay    = 0.999
+)
 
-// NewWithConfig creates an empty solver using cfg (zero fields are filled
-// with defaults; NewWithConfig(Config{}) ≡ New()).
-func NewWithConfig(cfg Config) *Solver {
-	cfg = cfg.normalize()
-	s := &Solver{
-		varInc:   1,
-		claInc:   1,
-		varDecay: cfg.VarDecay,
-		claDecay: cfg.ClaDecay,
-		cfg:      cfg,
-		rng:      cfg.Seed,
-	}
+// New creates an empty solver.
+func New() *Solver {
+	s := &Solver{varInc: 1, claInc: 1}
 	s.vars = make([]varData, 1) // index 0 unused
 	s.activity = make([]float64, 1)
 	s.watches = make([][]watcher, 2) // ilits 0,1 unused
@@ -254,12 +222,9 @@ func NewWithConfig(cfg Config) *Solver {
 	return s
 }
 
-// Config returns the solver's normalized configuration.
-func (s *Solver) Config() Config { return s.cfg }
-
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	s.vars = append(s.vars, varData{phase: s.cfg.PhaseDefault})
+	s.vars = append(s.vars, varData{})
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
 	v := len(s.vars) - 1
@@ -583,35 +548,9 @@ func (s *Solver) backjump(level int) {
 	s.qhead = len(s.trail)
 }
 
-// nextRand advances the solver's xorshift64 generator. Deterministic for a
-// given seed; never zero.
-func (s *Solver) nextRand() uint64 {
-	x := s.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rng = x
-	return x
-}
-
 // pickBranch chooses the next decision variable by activity, using the saved
-// phase for polarity. With probability cfg.RandomFreq the variable is instead
-// drawn uniformly from the order heap (a deterministic xorshift stream), the
-// classic diversification against activity-ordering pathologies.
+// phase for polarity.
 func (s *Solver) pickBranch() ilit {
-	if s.cfg.RandomFreq > 0 && len(s.order.heap) > 0 {
-		if float64(s.nextRand()%(1<<24))/(1<<24) < s.cfg.RandomFreq {
-			v := s.order.heap[s.nextRand()%uint64(len(s.order.heap))]
-			if s.vars[v].assign == lUndef {
-				// Left in the heap on purpose: pop would cost a sift and the
-				// unassigned check at the normal pop path skips it later.
-				if s.vars[v].phase {
-					return ilit(2 * v)
-				}
-				return ilit(2*v + 1)
-			}
-		}
-	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
@@ -717,140 +656,6 @@ func (s *Solver) locked(c *clause) bool {
 	return len(c.lits) > 0 && s.vars[c.lits[0].vix()].reason == c
 }
 
-// Export quality filter: only clauses this small and this "glue-like" are
-// worth the cross-solver traffic. LBD (literal block distance — the number of
-// distinct decision levels in the clause at learn time) is the standard
-// Glucose-style quality measure: low-LBD clauses connect few search regions
-// and stay useful after restarts.
-const (
-	shareMaxSize = 8
-	shareMaxLBD  = 4
-)
-
-// lbd counts the distinct decision levels among the clause's literals. Called
-// only on clauses that pass the size cap, so the quadratic distinct-count on
-// the scratch slice is cheaper than any hashing scheme.
-func (s *Solver) lbd(lits []ilit) int {
-	lv := s.lbdScratch[:0]
-	for _, il := range lits {
-		l := s.vars[il.vix()].level
-		dup := false
-		for _, e := range lv {
-			if e == l {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			lv = append(lv, l)
-		}
-	}
-	s.lbdScratch = lv[:0]
-	return len(lv)
-}
-
-// exportLearnt publishes a just-learned clause to the shared pool when it
-// passes the quality filter (size, LBD) and the variable cap. Must be called
-// while the conflict's literals are still assigned (before the backjump) so
-// the LBD reflects real levels.
-func (s *Solver) exportLearnt(lits []ilit) {
-	if s.Share == nil || s.ShareVarCap <= 0 || len(lits) > shareMaxSize {
-		return
-	}
-	for _, il := range lits {
-		if il.vix() > s.ShareVarCap {
-			return
-		}
-	}
-	if len(lits) > 2 && s.lbd(lits) > shareMaxLBD {
-		return
-	}
-	out := make([]Lit, len(lits))
-	for i, il := range lits {
-		out[i] = fromInternal(il)
-	}
-	if s.Share.Publish(s.ShareID, out) {
-		s.SharedExports++
-	}
-}
-
-// importShared drains clauses other solvers published since the last visit
-// and adopts them as learnts. Callers must be at decision level 0 (solve
-// start or a restart boundary); may set s.unsat when an import completes a
-// level-0 refutation.
-func (s *Solver) importShared() {
-	if s.Share == nil {
-		return
-	}
-	batch, cur := s.Share.CollectSince(s.shareCursor, s.ShareID)
-	s.shareCursor = cur
-	for _, lits := range batch {
-		if !s.adoptClause(lits) {
-			return
-		}
-	}
-}
-
-// adoptClause installs one imported clause, applying the same level-0
-// simplifications as AddClause (drop false literals, skip satisfied or
-// tautological clauses — which also covers clauses mentioning an activation
-// literal already retired by a unit ¬act). Returns false when the solver
-// became unsat. Clauses mentioning variables this solver has not allocated
-// are skipped defensively: under the ShareVarCap discipline they cannot
-// occur, and adopting them via ensure() would desynchronize the aligned
-// variable spaces sharing depends on.
-func (s *Solver) adoptClause(ext []Lit) bool {
-	if s.unsat {
-		return false
-	}
-	ils := make([]ilit, 0, len(ext))
-	for _, l := range ext {
-		if l == 0 || l.Var() >= len(s.vars) {
-			return true
-		}
-		ils = append(ils, toInternal(l))
-	}
-	sort.Slice(ils, func(i, j int) bool { return ils[i] < ils[j] })
-	out := ils[:0]
-	var prev ilit
-	for i, il := range ils {
-		if i > 0 && il == prev {
-			continue
-		}
-		if i > 0 && il == prev.neg() {
-			return true // tautology
-		}
-		switch s.value(il) {
-		case lTrue:
-			return true // satisfied at level 0 (includes retired ¬act guards)
-		case lFalse:
-			// drop
-		default:
-			out = append(out, il)
-		}
-		prev = il
-	}
-	ils = out
-	switch len(ils) {
-	case 0:
-		s.unsat = true
-		return false
-	case 1:
-		s.enqueue(ils[0], nil)
-		if s.propagate() != nil {
-			s.unsat = true
-			return false
-		}
-		s.SharedImports++
-		return true
-	}
-	c := &clause{lits: ils, learnt: true, activity: s.claInc}
-	s.learnts = append(s.learnts, c)
-	s.watch(c)
-	s.SharedImports++
-	return true
-}
-
 // luby computes the Luby restart sequence value for index i (1-based).
 func luby(i int64) int64 {
 	for k := int64(1); ; k++ {
@@ -927,25 +732,14 @@ func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Li
 		s.unsat = true
 		return Unsat
 	}
-	if s.importShared(); s.unsat {
-		return Unsat
-	}
 
 	restartNum := int64(0)
-	conflictBudget := float64(s.cfg.RestartBase)
 	conflictsAtStart := s.Conflicts
 	maxLearnts := int64(len(s.clauses)/3 + 100)
 
 	for {
 		restartNum++
-		var budget int64
-		if s.cfg.Restart == RestartGeometric {
-			budget = int64(conflictBudget)
-			conflictBudget *= s.cfg.RestartGrow
-		} else {
-			budget = s.cfg.RestartBase * luby(restartNum)
-		}
-		status := s.search(assumptions, budget, &maxLearnts)
+		status := s.search(assumptions, restartBase*luby(restartNum), &maxLearnts)
 		if status != Unknown {
 			return status
 		}
@@ -958,11 +752,6 @@ func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Li
 			s.stopCause = ErrConflictBudget
 			s.backjump(0)
 			return Unknown
-		}
-		// Restart boundary: the trail is at level 0, the one place adopting
-		// foreign clauses is unconditionally sound.
-		if s.importShared(); s.unsat {
-			return Unsat
 		}
 	}
 }
@@ -1027,7 +816,6 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 				return Unsat
 			}
 			learnt, bj := s.analyze(conflict)
-			s.exportLearnt(learnt) // before backjump: literal levels are live
 			s.backjump(bj)
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], nil)
@@ -1041,8 +829,8 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 				s.watch(c)
 				s.enqueue(learnt[0], c)
 			}
-			s.varInc /= s.varDecay
-			s.claInc /= s.claDecay
+			s.varInc /= varDecay
+			s.claInc /= claDecay
 			continue
 		}
 

@@ -293,6 +293,101 @@ func TestLuby(t *testing.T) {
 	}
 }
 
+// lubyRef is an independent reference for the Luby sequence: the k-th term is
+// 2^(i-1) when k = 2^i - 1, else the sequence restarts at k - 2^(i-1) + 1 for
+// the largest i with 2^(i-1) <= k < 2^i - 1. Computed iteratively, unlike the
+// recursive production version.
+func lubyRef(k int64) int64 {
+	for {
+		// Find size = 2^i - 1, the smallest full prefix covering k.
+		size := int64(1)
+		for size < k {
+			size = 2*size + 1
+		}
+		if k == size {
+			return (size + 1) / 2
+		}
+		k -= (size - 1) / 2
+	}
+}
+
+func TestLubySequenceAgainstReference(t *testing.T) {
+	// The canonical prefix, then a long stretch against the reference.
+	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
+	for i, w := range want {
+		if got := luby(int64(i + 1)); got != w {
+			t.Fatalf("luby(%d) = %d, want %d", i+1, got, w)
+		}
+	}
+	for i := int64(1); i <= 4096; i++ {
+		if got, ref := luby(i), lubyRef(i); got != ref {
+			t.Fatalf("luby(%d) = %d, reference %d", i, got, ref)
+		}
+	}
+	// Structural properties: every term is a power of two, and term 2^k - 1
+	// is exactly 2^(k-1).
+	for k := uint(1); k <= 12; k++ {
+		i := int64(1)<<k - 1
+		if got := luby(i); got != int64(1)<<(k-1) {
+			t.Fatalf("luby(2^%d-1) = %d, want %d", k, got, int64(1)<<(k-1))
+		}
+	}
+}
+
+// TestSolverDeterminism: two solvers fed the identical clause sequence take
+// the identical search, statistic for statistic. Counter-for-counter
+// repeatability of a -j 1 mining run rests on it.
+func TestSolverDeterminism(t *testing.T) {
+	run := func() (Status, int64, int64, int64, int64) {
+		s := New()
+		php(s, 6, 5)
+		st := s.Solve()
+		return st, s.Conflicts, s.Decisions, s.Propagations, s.Restarts
+	}
+	st1, c1, d1, p1, r1 := run()
+	st2, c2, d2, p2, r2 := run()
+	if st1 != Unsat {
+		t.Fatalf("pigeonhole(6,5) = %v, want UNSAT", st1)
+	}
+	if st1 != st2 || c1 != c2 || d1 != d2 || p1 != p2 || r1 != r2 {
+		t.Fatalf("identical inputs diverged: (%v %d %d %d %d) vs (%v %d %d %d %d)",
+			st1, c1, d1, p1, r1, st2, c2, d2, p2, r2)
+	}
+}
+
+// TestSimplifyRetiresSatisfiedClauses checks the activation-literal lifecycle:
+// clauses guarded by act are retired by the unit ¬act + Simplify, and the
+// solver stays correct afterwards.
+func TestSimplifyRetiresSatisfiedClauses(t *testing.T) {
+	s := New()
+	const act = 5
+	// (x1 | x2 | ¬act) & (¬x1 | x3 | ¬act) with act forced on, plus a free
+	// clause (x4).
+	s.AddClause(1, 2, -act)
+	s.AddClause(-1, 3, -act)
+	s.AddClause(4)
+	if st := s.Solve(Lit(act)); st != Sat {
+		t.Fatalf("under act: %v", st)
+	}
+	before := s.NumClauses()
+	// Retire: act is now false forever; both guarded clauses are satisfied.
+	s.AddClause(Lit(-act))
+	s.Simplify()
+	if got := s.NumClauses(); got >= before {
+		t.Fatalf("Simplify retired nothing: %d -> %d", before, got)
+	}
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("after retirement: %v", st)
+	}
+	if !s.Value(4) {
+		t.Fatal("free clause lost in retirement")
+	}
+	// Solving under the retired activator is now vacuously Unsat.
+	if st := s.Solve(Lit(act)); st != Unsat {
+		t.Fatalf("assuming retired act: %v", st)
+	}
+}
+
 func TestMaxConflictsUnknown(t *testing.T) {
 	// A hard instance with a tiny budget should return Unknown.
 	s := New()

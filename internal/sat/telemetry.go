@@ -7,14 +7,12 @@ import "goldmine/internal/telemetry"
 // shared by any number of solvers (the counters are atomic); a single solver
 // is still single-goroutine.
 type SolveCounters struct {
-	Solves        *telemetry.Counter
-	Propagations  *telemetry.Counter
-	Conflicts     *telemetry.Counter
-	Decisions     *telemetry.Counter
-	Restarts      *telemetry.Counter
-	Learned       *telemetry.Counter
-	SharedExports *telemetry.Counter
-	SharedImports *telemetry.Counter
+	Solves       *telemetry.Counter
+	Propagations *telemetry.Counter
+	Conflicts    *telemetry.Counter
+	Decisions    *telemetry.Counter
+	Restarts     *telemetry.Counter
+	Learned      *telemetry.Counter
 	// LearntDB tracks the learnt-clause database size after the most recent
 	// solve (a gauge: reduceDB shrinks it, so a counter would mislead).
 	LearntDB *telemetry.Gauge
@@ -26,23 +24,20 @@ type SolveCounters struct {
 // entirely.
 func NewSolveCounters(reg *telemetry.Registry) *SolveCounters {
 	return &SolveCounters{
-		Solves:        reg.Counter("sat.solves"),
-		Propagations:  reg.Counter("sat.propagations"),
-		Conflicts:     reg.Counter("sat.conflicts"),
-		Decisions:     reg.Counter("sat.decisions"),
-		Restarts:      reg.Counter("sat.restarts"),
-		Learned:       reg.Counter("sat.learned"),
-		SharedExports: reg.Counter("sat.clause_share.exports"),
-		SharedImports: reg.Counter("sat.clause_share.imports"),
-		LearntDB:      reg.Gauge("sat.learnt_db"),
+		Solves:       reg.Counter("sat.solves"),
+		Propagations: reg.Counter("sat.propagations"),
+		Conflicts:    reg.Counter("sat.conflicts"),
+		Decisions:    reg.Counter("sat.decisions"),
+		Restarts:     reg.Counter("sat.restarts"),
+		Learned:      reg.Counter("sat.learned"),
+		LearntDB:     reg.Gauge("sat.learnt_db"),
 	}
 }
 
 // observe snapshots the statistics before a solve and returns the closure
 // that records the deltas after it.
 func (c *SolveCounters) observe(s *Solver) func() {
-	p0, c0, d0, r0 := s.Propagations, s.Conflicts, s.Decisions, s.Restarts
-	l0, e0, i0 := s.Learned, s.SharedExports, s.SharedImports
+	p0, c0, d0, r0, l0 := s.Propagations, s.Conflicts, s.Decisions, s.Restarts, s.Learned
 	return func() {
 		c.Solves.Add(1)
 		c.Propagations.Add(s.Propagations - p0)
@@ -50,8 +45,6 @@ func (c *SolveCounters) observe(s *Solver) func() {
 		c.Decisions.Add(s.Decisions - d0)
 		c.Restarts.Add(s.Restarts - r0)
 		c.Learned.Add(s.Learned - l0)
-		c.SharedExports.Add(s.SharedExports - e0)
-		c.SharedImports.Add(s.SharedImports - i0)
 		c.LearntDB.Set(int64(len(s.learnts)))
 	}
 }

@@ -395,11 +395,7 @@ func DesignFingerprint(d *rtl.Design) string {
 // OptionsFingerprint hashes the model-checker limits. Budgets and engine
 // bounds are part of the cache key: two checkers with different limits may
 // legitimately return different bounded verdicts for the same assertion.
-// Portfolio is excluded: the racing backend guarantees byte-identical
-// verdicts and counterexamples, so cached results (and pooled serve engines)
-// are interchangeable across portfolio settings.
 func OptionsFingerprint(opts mc.Options) string {
-	opts.Portfolio = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", opts)
 	return fmt.Sprintf("o%016x", h.Sum64())

@@ -350,12 +350,4 @@ func TestFingerprints(t *testing.T) {
 	if OptionsFingerprint(o1) == OptionsFingerprint(o2) {
 		t.Fatal("different options share a fingerprint")
 	}
-	// Portfolio is excluded: the racing backend produces byte-identical
-	// results, so cached verdicts and pooled engines are interchangeable
-	// across portfolio widths.
-	o3 := mc.DefaultOptions()
-	o3.Portfolio = 4
-	if OptionsFingerprint(o1) != OptionsFingerprint(o3) {
-		t.Fatal("Portfolio leaked into the options fingerprint")
-	}
 }

@@ -98,14 +98,6 @@ type Config struct {
 	// MaxJobWorkers caps the per-job intra-mining parallelism a spec may
 	// request.
 	MaxJobWorkers int
-	// Portfolio is the racing SAT portfolio width applied to every job's
-	// engine (0 or 1 disables racing). Server-wide rather than per-spec
-	// because artifacts are identical either way — the knob only trades CPU
-	// for latency on hard checks, a capacity decision that belongs to the
-	// operator, and keeping it out of JobSpec keeps it out of artifact
-	// provenance. Pooled engines remain interchangeable: the fingerprint
-	// excludes it.
-	Portfolio int
 	// PoolPerKey is how many idle engines are retained per design+options.
 	PoolPerKey int
 	// WALPath is the durable job journal; empty runs without durability
@@ -153,9 +145,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.PoolPerKey < 1 {
 		c.PoolPerKey = c.Workers
-	}
-	if c.Portfolio < 0 {
-		c.Portfolio = 0
 	}
 }
 
@@ -776,9 +765,9 @@ type Stats struct {
 	CacheLen         int              `json:"cache_len"`
 	Pool             PoolStats        `json:"pool"`
 	Tenants          []TenantStats    `json:"tenants"`
-	// Solver surfaces the SAT search and portfolio counters from the wired
-	// tracer's registry (sat.solves, sat.conflicts, sat.clause_share.*,
-	// mc.portfolio_* ...). Empty when the server runs without a Tracer.
+	// Solver surfaces the SAT search and model-checker counters from the
+	// wired tracer's registry (sat.solves, sat.conflicts, mc.checks,
+	// mc.proved ...). Empty when the server runs without a Tracer.
 	Solver map[string]int64 `json:"solver,omitempty"`
 }
 

@@ -81,6 +81,11 @@ func TestSubmitValidates(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Tenant: "t", Design: "d", Source: "module m; endmodule"}); err == nil {
 		t.Fatal("submit with design AND source should fail")
 	}
+	for _, seed := range []string{"random:-5", "random:x", "fuzz"} {
+		if _, err := s.Submit(JobSpec{Tenant: "t", Design: "arbiter2", Seed: seed}); err == nil {
+			t.Errorf("submit with seed %q should fail", seed)
+		}
+	}
 }
 
 // TestAdmissionControl fills the bounded queue with blocked jobs and checks
@@ -693,14 +698,14 @@ func TestRealMiningJob(t *testing.T) {
 	}
 }
 
-// TestPortfolioJobMatchesDefault: a server configured with a racing SAT
-// portfolio produces byte-identical canonical artifacts to a plain server,
-// and its tracer-backed /statsz payload surfaces the solver search counters.
-func TestPortfolioJobMatchesDefault(t *testing.T) {
+// TestTracedJobMatchesDefault: a server wired to a Tracer produces
+// byte-identical canonical artifacts to a plain server, and its /statsz
+// payload surfaces the solver search counters.
+func TestTracedJobMatchesDefault(t *testing.T) {
 	tel := telemetry.New(telemetry.NewRegistry(), nil)
 	cfg := Config{Workers: 1, QueueDepth: 8, MaxAttempts: 2,
 		RetryBase: time.Millisecond, RetryMax: time.Millisecond,
-		DrainTimeout: 30 * time.Second, Portfolio: 3, Tracer: tel}
+		DrainTimeout: 30 * time.Second, Tracer: tel}
 	s := mustServer(t, cfg)
 	defer shutdown(t, s)
 
@@ -722,7 +727,7 @@ func TestPortfolioJobMatchesDefault(t *testing.T) {
 	}
 	a, b := run(s), run(plain)
 	if a.Canonical != b.Canonical {
-		t.Fatal("portfolio server produced a different canonical artifact")
+		t.Fatal("traced server produced a different canonical artifact")
 	}
 
 	st := s.Stats()

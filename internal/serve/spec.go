@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"goldmine/internal/core"
@@ -69,8 +67,8 @@ func (s *JobSpec) Validate() error {
 	if s.MaxIter < 0 || s.Workers < 0 || s.TimeoutMS < 0 || s.CheckTimeoutMS < 0 {
 		return fmt.Errorf("spec: max_iter, workers, timeout_ms and check_timeout_ms must be >= 0")
 	}
-	if s.Seed != "" && s.Seed != "directed" && s.Seed != "none" && !strings.HasPrefix(s.Seed, "random:") {
-		return fmt.Errorf("spec: bad seed %q (directed | random:<n> | none)", s.Seed)
+	if err := stimgen.CheckSeed(s.Seed); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	return nil
 }
@@ -136,9 +134,13 @@ func resolve(spec *JobSpec, maxWorkers int) (*resolved, error) {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 
-	seed, err := seedStimulus(d, bench, spec.Seed)
+	var directed func() sim.Stimulus
+	if bench != nil {
+		directed = bench.Directed
+	}
+	seed, err := stimgen.SeedStimulus(d, directed, spec.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("spec: %w", err)
 	}
 
 	var targets []core.Target
@@ -169,27 +171,6 @@ func resolve(spec *JobSpec, maxWorkers int) (*resolved, error) {
 		targets: targets,
 		poolKey: poolKey(d, cfg),
 	}, nil
-}
-
-// seedStimulus mirrors the goldmine CLI's -seed resolution.
-func seedStimulus(d *rtl.Design, bench *designs.Benchmark, spec string) (sim.Stimulus, error) {
-	switch {
-	case spec == "none":
-		return nil, nil
-	case spec == "" || spec == "directed":
-		if bench != nil && bench.Directed != nil {
-			return bench.Directed(), nil
-		}
-		return nil, nil
-	case strings.HasPrefix(spec, "random:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(spec, "random:"))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("spec: bad seed %q", spec)
-		}
-		return stimgen.Random(d, n, 1, 2), nil
-	default:
-		return nil, fmt.Errorf("spec: bad seed %q (directed | random:<n> | none)", spec)
-	}
 }
 
 // Artifact is the durable result of one completed job: the canonical mining
@@ -248,9 +229,6 @@ func (s *Server) runCore(ctx context.Context, spec *JobSpec) (*Artifact, error) 
 	eng, err := s.pool.acquire(r.poolKey, func() (*core.Engine, error) {
 		cfg := r.cfg
 		cfg.Cache = s.cache
-		// Server-wide portfolio width: racing changes wall-clock only (never
-		// artifacts), so it is applied outside the spec and the pool key.
-		cfg.MC.Portfolio = s.cfg.Portfolio
 		e, err := core.NewEngine(r.design, cfg)
 		if err != nil {
 			return nil, err

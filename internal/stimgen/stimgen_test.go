@@ -133,3 +133,37 @@ func TestRandomLanes(t *testing.T) {
 		}
 	}
 }
+
+func TestSeedStimulus(t *testing.T) {
+	d := design(t)
+	directed := func() sim.Stimulus { return sim.Stimulus{{"a": 1}} }
+	for _, tc := range []struct {
+		spec     string
+		directed func() sim.Stimulus
+		want     int // stimulus length; -1 = rejected
+	}{
+		{"", directed, 1},
+		{"directed", directed, 1},
+		{"directed", nil, 0},
+		{"none", directed, 0},
+		{"random:0", directed, 0},
+		{"random:16", nil, 16},
+		{"random:-5", directed, -1},
+		{"random:", directed, -1},
+		{"random:x", directed, -1},
+		{"fuzz", directed, -1},
+	} {
+		stim, err := SeedStimulus(d, tc.directed, tc.spec)
+		if check := CheckSeed(tc.spec); (check == nil) != (err == nil) {
+			t.Errorf("%q: CheckSeed %v disagrees with SeedStimulus %v", tc.spec, check, err)
+		}
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("%q: accepted", tc.spec)
+		case tc.want >= 0 && err != nil:
+			t.Errorf("%q: %v", tc.spec, err)
+		case tc.want >= 0 && len(stim) != tc.want:
+			t.Errorf("%q: %d cycles, want %d", tc.spec, len(stim), tc.want)
+		}
+	}
+}

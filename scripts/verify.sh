@@ -190,54 +190,27 @@ for key in $(sed -n 's/.*"key":"\([^"]*\)".*/\1/p' "$tmpbin/dead.jsonl"); do
 done
 echo "smoke: b12 dead corpus persists (rerun solves=$rerun_solves, pruned holes stay gone)"
 
-echo "== cross-check: pooled ≡ fresh ≡ portfolio sessions (race) =="
-# Every bundled design, race-enabled binary, with (a) pooled sessions + the
-# cone-of-influence path and (b) the racing SAT portfolio (-portfolio 3)
-# diffed against fresh sessions (one throwaway mc.Session per check) with the
-# full encoding. Verdicts and counterexamples must be byte-identical; only
-# the total: wall clock line may differ.
+echo "== cross-check: pooled ≡ fresh sessions (race) =="
+# Every bundled design, race-enabled binary, with pooled sessions + the
+# cone-of-influence path diffed against fresh sessions (one throwaway
+# mc.Session per check) with the full encoding. Verdicts and counterexamples
+# must be byte-identical; only the total: wall clock line may differ.
 # -max-iter 8 bounds the refinement loop so the sweep stays a few minutes
-# under the race detector (all modes use the same bound, so the comparison is
-# unaffected). The portfolio leg is the determinism contract of the racing
-# backend: lanes race on wall clock, never on the artifact.
+# under the race detector (both modes use the same bound, so the comparison
+# is unaffected).
 go build -race -o "$tmpbin/goldmine_race" ./cmd/goldmine
 for d in $("$tmpbin/goldmine" -list | while read -r name _; do echo "$name"; done); do
     "$tmpbin/goldmine_race" -design "$d" -max-iter 8 -incremental=false -coi=false >"$tmpbin/fresh.txt"
     "$tmpbin/goldmine_race" -design "$d" -max-iter 8 >"$tmpbin/incr.txt"
-    "$tmpbin/goldmine_race" -design "$d" -max-iter 8 -portfolio 3 >"$tmpbin/port.txt"
     grep -v '^total:' "$tmpbin/fresh.txt" >"$tmpbin/fresh.art"
     grep -v '^total:' "$tmpbin/incr.txt" >"$tmpbin/incr.art"
-    grep -v '^total:' "$tmpbin/port.txt" >"$tmpbin/port.art"
     if ! diff "$tmpbin/fresh.art" "$tmpbin/incr.art" >/dev/null; then
         echo "cross-check: FAILED ($d: pooled-session artifacts differ from fresh sessions)" >&2
         diff "$tmpbin/fresh.art" "$tmpbin/incr.art" | head >&2
         exit 1
     fi
-    if ! diff "$tmpbin/incr.art" "$tmpbin/port.art" >/dev/null; then
-        echo "cross-check: FAILED ($d: -portfolio 3 artifacts differ from single-solver)" >&2
-        diff "$tmpbin/incr.art" "$tmpbin/port.art" | head >&2
-        exit 1
-    fi
-    echo "cross-check: $d OK (pooled ≡ fresh ≡ portfolio)"
+    echo "cross-check: $d OK (pooled ≡ fresh)"
 done
-
-echo "== smoke: portfolio telemetry journal records the races =="
-# A full portfolio mining run over the wishbone stage must actually race and
-# its journal must validate with the sat.portfolio span present. The router
-# races a check only when its cone shape is predicted hard (a bucket mean of
-# at least 4096 SAT propagations, or too few samples to tell) and its key is
-# memoized as proved or its bucket mostly proves. wb_stage races most of its
-# checks (71 at fd97338, 107 since SAT solves are scoped to the query's
-# cone). pipeline, used here before, raced only 3 re-checks at fd97338 and
-# none since: scoping cut its propagations from 6.3 M to 1.9 M, so no bucket
-# reaches the threshold and the router keeps every check solo, as designed.
-# -j 1 is pinned because whether a check reaches the router depends on how
-# the outputs are scheduled; one worker mines the outputs in a fixed order,
-# so the same checks race on every host.
-"$tmpbin/goldmine" -design wb_stage -j 1 -portfolio 3 \
-    -telemetry "$tmpbin/pf.jsonl" >/dev/null
-"$tmpbin/telcheck" -require mc.check,sat.portfolio,sat.solve "$tmpbin/pf.jsonl"
-echo "smoke: portfolio journal validates with sat.portfolio spans"
 
 echo "== smoke: corpus reduction is deterministic (race, -j1 ≡ -j4, persisted corpus) =="
 # goldmine -reduce must emit the byte-identical reduced suite regardless of
