@@ -686,20 +686,13 @@ func (e *Engine) safeCheck(ctx context.Context, out string, cand mine.Candidate)
 // always keeps checking itself (it never blocks waiting for a lane), so every
 // mining job makes progress even when other jobs hold all the spare tokens.
 //
-// Dispatch order is difficulty-aware: the checker's learned cost model
-// (mc.PredictHard) scores each candidate and predicted-hard checks start
-// first, so a batch never ends with one straggling hard property serializing
-// the tail while the spare lanes sit idle (LPT makespan scheduling). Results
-// are positional: the returned slice parallels dispatch, so the reorder never
-// leaks into artifacts.
+// Checks are dispatched in candidate order. Results are positional: the
+// returned slice parallels dispatch, so which lane ran a check never leaks
+// into artifacts.
 func (e *Engine) runChecks(ctx context.Context, out string, dispatch []mine.Candidate) []checkOutcome {
 	outcomes := make([]checkOutcome, len(dispatch))
-	order := sched.PriorityOrder(len(dispatch), func(i int) int64 {
-		score, _ := e.Checker.PredictHard(dispatch[i].Assertion)
-		return score
-	})
 	var wg sync.WaitGroup
-	for _, i := range order {
+	for i := range dispatch {
 		select {
 		case e.checkSem <- struct{}{}:
 			wg.Add(1)

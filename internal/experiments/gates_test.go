@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -20,7 +21,9 @@ import (
 // the mined suite of every bundled design, a fresh Checker, one pooled
 // Session, and a cold Session on a Checker that one untimed pass has warmed
 // must agree on status, method, depth and the canonical counterexample. The
-// SAT engines are forced, since they are the paths sessions change.
+// SAT engines are forced, since they are the paths sessions change. The
+// fourth path asks the reach queries of each check's violation obligation
+// (see reachAgrees).
 func TestMCPathsAgree(t *testing.T) {
 	opts := mc.DefaultOptions()
 	opts.MaxStateBits = 0
@@ -63,7 +66,79 @@ func TestMCPathsAgree(t *testing.T) {
 				}
 			}
 		}
+		s := mc.NewWithOptions(d, opts).NewSession()
+		for i, f := range fresh {
+			if msg := reachAgrees(s, d, opts, suite[i], f); msg != "" {
+				t.Errorf("%s reach: check %d (%s): %s", name, i, suite[i], msg)
+			}
+		}
 	}
+}
+
+// violation is the reach obligation "a is violated": every antecedent
+// proposition holds and the consequent does not. It is built here from
+// public rtl expressions, independently of the checker's own encoding.
+func violation(d *rtl.Design, a *assertion.Assertion) mc.Obligation {
+	prop := func(p assertion.Prop, holds bool) mc.ReachProp {
+		sig := d.Signal(p.Signal)
+		var lhs rtl.Expr = &rtl.Ref{Sig: sig}
+		w := sig.Width
+		if p.Bit >= 0 {
+			if sig.Width > 1 {
+				lhs = &rtl.Select{X: lhs, Bit: p.Bit}
+			}
+			w = 1
+		}
+		eq := &rtl.Binary{Op: rtl.OpEq, A: lhs, B: rtl.NewConst(p.Value, w), W: 1}
+		return mc.ReachProp{Expr: eq, Value: holds, Offset: p.Offset}
+	}
+	ob := mc.Obligation{Name: a.String()}
+	for _, p := range a.Antecedent {
+		ob.Props = append(ob.Props, prop(p, true))
+	}
+	ob.Props = append(ob.Props, prop(a.Consequent, false))
+	return ob
+}
+
+// reachAgrees asks s the reach queries of a's violation obligation and
+// returns "" when they match the check result f: falsified ⇔ Reach finds
+// the same stimulus at the same depth; k-induction(k) ⇔ ProveUnreachable
+// proves the obligation dead with K = k; bmc-bounded ⇔ it stays bounded
+// unreachable; a register-free proof (sat-comb) ⇔ Reach finds no witness.
+func reachAgrees(s *mc.Session, d *rtl.Design, opts mc.Options, a *assertion.Assertion, f *mc.Result) string {
+	ctx := context.Background()
+	ob := violation(d, a)
+	r, err := s.Reach(ctx, ob, opts.MaxBMCDepth, nil)
+	if err != nil {
+		return err.Error()
+	}
+	switch {
+	case f.Status == mc.StatusFalsified:
+		if r.Status != mc.ReachFound || r.Depth != f.Depth || !reflect.DeepEqual(r.Stim, f.Ctx) {
+			return fmt.Sprintf("falsified at depth %d, reach = %v at depth %d (stimulus equal %v)",
+				f.Depth, r.Status, r.Depth, reflect.DeepEqual(r.Stim, f.Ctx))
+		}
+		return ""
+	case r.Status != mc.ReachUnreachable || (f.Method == "bmc-bounded" && r.Depth != f.Depth):
+		return fmt.Sprintf("%v via %s at depth %d, reach = %v at depth %d", f.Status, f.Method, f.Depth, r.Status, r.Depth)
+	case f.Method == "sat-comb":
+		return ""
+	}
+	p, err := s.ProveUnreachable(ctx, ob, r.Depth, 0, opts.MaxInduction)
+	if err != nil {
+		return err.Error()
+	}
+	switch f.Method {
+	case fmt.Sprintf("k-induction(k=%d)", p.K):
+		if p.Status == mc.ReachDead {
+			return ""
+		}
+	case "bmc-bounded":
+		if p.Status == mc.ReachUnreachable {
+			return ""
+		}
+	}
+	return fmt.Sprintf("%v via %s, induction = %v with K=%d", f.Status, f.Method, p.Status, p.K)
 }
 
 // coverRow is one design's closure figures at 512 cycles, seed 1. legacy*

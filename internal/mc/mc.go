@@ -14,7 +14,9 @@
 //     from the reset state for falsification, and k-induction for proof. If
 //     the BMC bound is exhausted and induction does not converge the verdict
 //     is StatusBounded ("no counterexample up to depth D"), which the
-//     refinement loop treats as true while recording the bound.
+//     refinement loop treats as true while recording the bound. A check runs
+//     as the reach obligation of its violation, on the same two ladders
+//     Session.Reach and Session.ProveUnreachable use (session.go).
 //
 // # Concurrency contract
 //
@@ -217,10 +219,6 @@ type Checker struct {
 	tel  *telemetry.Tracer
 	satC *sat.SolveCounters
 	mtr  mcMetrics
-
-	// diff is the learned per-cone-shape cost model behind PredictHard
-	// (difficulty.go). It has its own lock.
-	diff difficulty
 }
 
 // mcMetrics caches the mc.* counters so the per-check accounting is atomic
@@ -310,8 +308,8 @@ type budget struct {
 	deadline time.Time // zero = none
 	workLeft *int64    // nil = unlimited; shared across engines of one check
 	// spent accumulates the SAT propagations consumed under this budget (a
-	// pointer so slices and quiet views feed the same total). It is the
-	// observation the difficulty predictor learns from; always non-nil for
+	// pointer so slices and quiet views feed the same total). A completed
+	// check observes it into the mc.solve_work histogram; always non-nil for
 	// budgets built by newBudget.
 	spent *int64
 	ticks int64 // tick counter rate-limiting clock/context polls
@@ -493,16 +491,18 @@ func (c *Checker) checkWith(ctx context.Context, a *assertion.Assertion, s *Sess
 		_, sp = c.tel.StartSpan(ctx, "mc.check", telemetry.String("assertion", a.String()))
 		b.sp = sp
 	}
-	res, err := s.dispatch(b, a)
-	if b.spent != nil && res != nil && err == nil {
-		// Feed the difficulty predictor with what the check actually cost.
-		c.noteCheckCost(a, *b.spent)
-	}
-	if err != nil {
-		if !IsBudget(err) {
-			sp.End(telemetry.String("error", err.Error()))
-			return nil, err
-		}
+	var res *Result
+	err := s.dispatch(func() (err error) {
+		res, err = s.route(b, a)
+		return err
+	})
+	switch {
+	case err == nil:
+		c.mtr.solveWork.Observe(*b.spent)
+	case !IsBudget(err):
+		sp.End(telemetry.String("error", err.Error()))
+		return nil, err
+	default:
 		// Budget died before any engine could make a claim.
 		res = &Result{Status: StatusUnknown, Method: "none", Degraded: true, Cause: err}
 	}
@@ -576,77 +576,4 @@ func propVal(p assertion.Prop, sig *rtl.Signal, v uint64) uint64 {
 		return (v >> uint(p.Bit)) & 1
 	}
 	return v & rtl.Mask(sig.Width)
-}
-
-// windowAssumptions encodes ant(t0) ∧ ¬cons(t0) as assumption literals for a
-// window starting at frame t0 (all frames must be materialized).
-func windowAssumptions(u *cnf.Unroller, d *rtl.Design, a *assertion.Assertion, t0 int, pc propCache) ([]sat.Lit, error) {
-	var assumps []sat.Lit
-	for _, p := range a.Antecedent {
-		l, err := propLit(u, d, p, t0+p.Offset, pc)
-		if err != nil {
-			return nil, err
-		}
-		assumps = append(assumps, l)
-	}
-	cl, err := propLit(u, d, a.Consequent, t0+a.Consequent.Offset, pc)
-	if err != nil {
-		return nil, err
-	}
-	assumps = append(assumps, cl.Neg())
-	return assumps, nil
-}
-
-// propCache memoizes the literal of "proposition p holds at frame t" for one
-// unroller. Encoding a proposition builds a fresh equality gadget (aux
-// variables plus clauses) each time, which is fine for a throwaway solver but
-// leaks formula growth into a persistent session that re-checks propositions
-// at the same frames across many properties. The cache is keyed by the
-// proposition's value shape and frame, so two structurally equal propositions
-// share one gadget.
-type propCache map[propKey]sat.Lit
-
-type propKey struct {
-	sig string
-	bit int
-	val uint64
-	t   int
-}
-
-// propLit encodes (or recalls) the single-literal truth of p at frame t.
-func propLit(u *cnf.Unroller, d *rtl.Design, p assertion.Prop, t int, pc propCache) (sat.Lit, error) {
-	k := propKey{sig: p.Signal, bit: p.Bit, val: p.Value, t: t}
-	if l, ok := pc[k]; ok {
-		return l, nil
-	}
-	e, err := propExpr(d, p)
-	if err != nil {
-		return 0, err
-	}
-	vec, err := u.EncodeExpr(e, t)
-	if err != nil {
-		return 0, err
-	}
-	pc[k] = vec[0]
-	return vec[0], nil
-}
-
-// windowClause encodes "the property holds at the window starting at t0" as
-// the clause ¬ant(t0) ∨ cons(t0): the induction engines add it as a clause,
-// activation-guarded on a persistent solver.
-func windowClause(u *cnf.Unroller, d *rtl.Design, a *assertion.Assertion, t0 int, pc propCache) ([]sat.Lit, error) {
-	lits := make([]sat.Lit, 0, len(a.Antecedent)+2)
-	for _, p := range a.Antecedent {
-		l, err := propLit(u, d, p, t0+p.Offset, pc)
-		if err != nil {
-			return nil, err
-		}
-		lits = append(lits, l.Neg())
-	}
-	cl, err := propLit(u, d, a.Consequent, t0+a.Consequent.Offset, pc)
-	if err != nil {
-		return nil, err
-	}
-	lits = append(lits, cl)
-	return lits, nil
 }

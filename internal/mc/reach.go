@@ -1,12 +1,11 @@
 // Reachability obligations: the directed-stimulus generator asks "is there an
 // input sequence from reset that exercises this coverage hole within k
-// cycles?" — structurally the same ladder as BMC falsification, but the
-// target is an arbitrary conjunction of 1-bit conditions at fixed frame
-// offsets instead of a mined assertion. Obligations run on the Session's
-// persistent reset-constrained state, so the frames unrolled and clauses
-// learned while checking assertions (or earlier holes) are all reused, and
-// the obligations themselves are pure assumption sets — nothing is retracted
-// between holes.
+// cycles?" — the question an assertion check asks of its violation, with an
+// arbitrary conjunction of 1-bit conditions at fixed frame offsets as the
+// target. Obligations run on the Session's one BMC ladder and one induction
+// ladder (session.go), so the frames unrolled and clauses learned while
+// answering earlier queries are all reused, and the obligations themselves
+// are pure assumption sets — nothing is retracted between holes.
 //
 // Verdicts and witnesses are deterministic for the same reason Session checks
 // are: the first SAT depth of the ladder is a property of the encoded
@@ -18,7 +17,6 @@ package mc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"goldmine/internal/cone"
@@ -158,20 +156,13 @@ func (s *Session) ReachFrom(ctx context.Context, ob Obligation, fromDepth, maxDe
 	if err != nil {
 		return nil, err
 	}
-	if fromDepth < 0 {
-		fromDepth = 0
-	}
+	fromDepth = max(fromDepth, 0)
 	minFrames := maxOff + 1
-	if maxDepth < minFrames {
-		maxDepth = minFrames
-	}
+	maxDepth = max(maxDepth, minFrames)
 	s.ReachCalls++
 	if fromDepth >= maxDepth {
 		// Everything the caller asks for is already proven unreachable.
 		return &ReachResult{Status: ReachUnreachable, Depth: fromDepth}, nil
-	}
-	if ins == nil {
-		ins = s.c.reachInputs(ob)
 	}
 	b := s.c.newBudget(ctx)
 	if s.c.tel != nil {
@@ -182,17 +173,16 @@ func (s *Session) ReachFrom(ctx context.Context, ob Obligation, fromDepth, maxDe
 		b.sp = sp
 		defer func() { sp.End() }()
 	}
-	res, err := s.reach(b, ob, minFrames, fromDepth, maxDepth, ins)
-	if err != nil && errors.Is(err, ErrEngineInternal) {
-		// The persistent state was discarded by the panic barrier; one
-		// retry rebuilds it from scratch (same policy as dispatch).
-		res, err = s.reach(b, ob, minFrames, fromDepth, maxDepth, ins)
-	}
+	var res *ReachResult
+	err = s.dispatch(func() (err error) {
+		res, err = s.bmcLadder(b, ob, minFrames, fromDepth, maxDepth, ins, "mc.reach_frame", &s.ReachSolves)
+		return err
+	})
 	return res, err
 }
 
 // obligationAssumps encodes (or recalls) the obligation's props as assumption
-// literals for the window whose last prop lands on frame depth-1.
+// literals for the window based at frame t0.
 func (st *satState) obligationAssumps(ob Obligation, t0 int) ([]sat.Lit, error) {
 	assumps := make([]sat.Lit, 0, len(ob.Props))
 	for _, p := range ob.Props {
@@ -208,74 +198,22 @@ func (st *satState) obligationAssumps(ob Obligation, t0 int) ([]sat.Lit, error) 
 	return assumps, nil
 }
 
-// reach is the obligation ladder against the persistent BMC state. Depths
-// 1..fromDepth are trusted as already-proven unreachable and skipped.
-func (s *Session) reach(b *budget, ob Obligation, minFrames, fromDepth, maxDepth int, ins []*rtl.Signal) (res *ReachResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.bmc, s.ind = nil, nil
-			res, err = nil, fmt.Errorf("%w: session engine panic: %v", ErrEngineInternal, r)
-		}
-	}()
-
-	start := minFrames
-	if fromDepth+1 > start {
-		start = fromDepth + 1
-	}
-	st := s.bmcState()
-	for depth := start; depth <= maxDepth; depth++ {
-		fsp := b.span("mc.reach_frame", telemetry.Int("depth", int64(depth)))
-		for st.u.Frames() < depth {
-			st.u.AddFrame()
-		}
-		assumps, aerr := st.obligationAssumps(ob, depth-minFrames)
-		if aerr != nil {
-			fsp.End(telemetry.String("result", "error"))
-			return nil, aerr
-		}
-		parent := b.sp
-		b.sp = fsp // route this frame's sat.solve span under the frame span
-		s.ReachSolves++
-		verdict, scope, cause := b.solveQuery(st.u, assumps)
-		b.sp = parent
-		fsp.End(telemetry.String("result", verdict.String()))
-		switch verdict {
-		case sat.Sat:
-			csp := b.span("mc.ctx_canon", telemetry.Int("depth", int64(depth)))
-			stim := s.c.canonicalStim(b.quiet(), st.u, assumps, scope, ins, depth)
-			csp.End()
-			return &ReachResult{Status: ReachFound, Stim: stim, Depth: depth}, nil
-		case sat.Unknown:
-			if cause != nil {
-				return &ReachResult{Status: ReachUnknown, Depth: depth - 1, Cause: cause}, nil
-			}
-		}
-	}
-	return &ReachResult{Status: ReachUnreachable, Depth: maxDepth}, nil
-}
-
 // ProveUnreachable attempts to promote a bounded-unreachable obligation to an
-// unbounded one: k-induction on the Session's free-initial-state unrolling.
-// The step case at k asks whether a state sequence with the obligation absent
-// from k consecutive windows can produce it in the next; UNSAT means the
-// obligation can never appear for the first time after k quiet windows, and
-// together with the base case — the caller's proof that the obligation is
-// unreachable within baseDepth frames from reset, which must come from a
-// prior ReachUnreachable verdict at that depth — this closes the induction
-// for every k <= baseDepth-maxOffset. A ReachDead verdict is therefore a
-// proof of unreachability at all depths: the target is dead code.
+// unbounded one on the Session's induction ladder (inductionLadder). The
+// base case is the caller's proof that the obligation is unreachable within
+// baseDepth frames from reset, which must come from a prior ReachUnreachable
+// verdict at that depth. A ReachDead verdict is then a proof of
+// unreachability at all depths: the target is dead code.
 //
-// maxK bounds the induction ladder; it is additionally capped so the base
-// case always covers the winning k. fromK resumes the ladder past steps a
-// prior call already tried: the step formula at a given k does not depend on
-// baseDepth, so a step found satisfiable once is satisfiable forever and the
-// caller may skip it — the contract is that steps 1..fromK were already
-// observed Sat. Hypothesis clauses are guarded by a fresh activation literal
-// and retired on exit, exactly like the assertion induction path, so repeated
-// promotions on one Session stay cheap. Returns ReachUnreachable (the bounded
-// claim stands) when induction does not converge — with K reporting the
-// highest step tried, for the next call's fromK — and ReachUnknown with the
-// cause on budget exhaustion.
+// maxK bounds the induction ladder (0 means the checker's MaxInduction); it
+// is additionally capped at baseDepth-maxOffset so the base case always
+// covers the winning k. fromK resumes the ladder past steps a prior call
+// already tried: the step formula at a given k does not depend on baseDepth,
+// so a step found satisfiable once is satisfiable forever and the caller may
+// skip it — the contract is that steps 1..fromK were already observed Sat.
+// Returns ReachUnreachable (the bounded claim stands) when induction does not
+// converge — with K reporting the highest step tried, for the next call's
+// fromK — and ReachUnknown with the cause on budget exhaustion.
 func (s *Session) ProveUnreachable(ctx context.Context, ob Obligation, baseDepth, fromK, maxK int) (*ReachResult, error) {
 	maxOff, err := validateObligation(ob)
 	if err != nil {
@@ -287,15 +225,8 @@ func (s *Session) ProveUnreachable(ctx context.Context, ob Obligation, baseDepth
 	if maxK <= 0 {
 		maxK = s.c.opts.MaxInduction
 	}
-	if fromK < 0 {
-		fromK = 0
-	}
-	// The base case proves windows based at 0..baseDepth-maxOff-1 empty; the
-	// induction step at k needs the first k windows, so k is capped there.
-	if kcap := baseDepth - maxOff; maxK > kcap {
-		maxK = kcap
-	}
-	if fromK >= maxK {
+	fromK = max(fromK, 0)
+	if fromK >= min(maxK, baseDepth-maxOff) {
 		// Every step the base case can cover was already observed Sat.
 		return &ReachResult{Status: ReachUnreachable, Depth: baseDepth, K: fromK}, nil
 	}
@@ -309,78 +240,25 @@ func (s *Session) ProveUnreachable(ctx context.Context, ob Obligation, baseDepth
 		b.sp = sp
 		defer func() { sp.End() }()
 	}
-	res, err := s.proveUnreachable(b, ob, maxOff, baseDepth, fromK, maxK)
-	if err != nil && errors.Is(err, ErrEngineInternal) {
-		res, err = s.proveUnreachable(b, ob, maxOff, baseDepth, fromK, maxK)
-	}
+	var res *ReachResult
+	err = s.dispatch(func() (err error) {
+		res, err = s.inductionLadder(b, ob, maxOff, baseDepth, fromK, maxK, &s.ReachSolves)
+		return err
+	})
 	return res, err
-}
-
-// proveUnreachable is the induction ladder on the persistent free-init state.
-func (s *Session) proveUnreachable(b *budget, ob Obligation, maxOff, baseDepth, fromK, maxK int) (res *ReachResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.bmc, s.ind = nil, nil
-			res, err = nil, fmt.Errorf("%w: session engine panic: %v", ErrEngineInternal, r)
-		}
-	}()
-
-	is := s.indState()
-	act := sat.Lit(is.s.NewVar())
-	s.Activations++
-	defer func() {
-		// Retire this obligation's hypothesis clauses (see checkSAT).
-		is.s.AddClause(act.Neg())
-		is.s.Simplify()
-	}()
-	hyp := 0 // hypothesis windows encoded so far for this act
-	for k := fromK + 1; k <= maxK; k++ {
-		frames := k + maxOff + 1
-		for is.u.Frames() < frames {
-			is.u.AddFrame()
-		}
-		for ; hyp < k; hyp++ {
-			// "The obligation does not hold at window hyp": the clause of
-			// negated prop literals, guarded by the activation literal.
-			assumps, aerr := is.obligationAssumps(ob, hyp)
-			if aerr != nil {
-				return nil, aerr
-			}
-			clause := make([]sat.Lit, 0, len(assumps)+1)
-			for _, l := range assumps {
-				clause = append(clause, l.Neg())
-			}
-			is.s.AddClause(append(clause, act.Neg())...)
-		}
-		assumps, aerr := is.obligationAssumps(ob, k)
-		if aerr != nil {
-			return nil, aerr
-		}
-		ksp := b.span("mc.induction_step", telemetry.Int("k", int64(k)))
-		kb := *b
-		kb.sp = ksp
-		s.ReachSolves++
-		verdict, cause := kb.solve(is.s, nil, append([]sat.Lit{act}, assumps...)...)
-		ksp.End(telemetry.Bool("proved", verdict == sat.Unsat))
-		if cause != nil {
-			return &ReachResult{Status: ReachUnknown, Depth: baseDepth, Cause: cause}, nil
-		}
-		if verdict == sat.Unsat {
-			return &ReachResult{Status: ReachDead, Depth: baseDepth, K: k}, nil
-		}
-	}
-	return &ReachResult{Status: ReachUnreachable, Depth: baseDepth, K: maxK}, nil
 }
 
 // reachInputs derives the canonicalization input set from the obligation's
 // support cones (sorted by name, like every canonical input order).
 func (c *Checker) reachInputs(ob Obligation) []*rtl.Signal {
-	seen := map[*rtl.Signal]bool{}
+	support := map[*rtl.Signal]bool{}
 	for _, p := range ob.Props {
-		for sig := range rtl.Support(p.Expr, nil) {
-			for s := range cone.Of(c.d, sig) {
-				seen[s] = true
-			}
+		rtl.Support(p.Expr, support)
+	}
+	seen := map[*rtl.Signal]bool{}
+	for sig := range support {
+		for s := range cone.Of(c.d, sig) {
+			seen[s] = true
 		}
 	}
 	return cone.Inputs(c.d, seen)

@@ -1,33 +1,39 @@
 // Incremental model checking: a Session keeps persistent SAT solvers and CNF
 // unrollings alive across checks against one design, so the transition
 // relation is encoded (and its learned clauses earned) once instead of per
-// assertion. Two solver states are maintained:
+// assertion or per coverage hole.
 //
-//   - bmc: the reset-constrained unrolling shared by every bounded check.
-//     Properties are pure assumption sets (ant ∧ ¬cons window literals), so
-//     nothing has to be retracted between checks — dropping the assumptions
-//     is the retraction.
-//   - ind: the free-initial-state unrolling for k-induction. The "property
-//     holds at windows 0..k-1" hypotheses are real clauses, so each checked
-//     assertion gets a fresh activation literal act: every hypothesis clause
-//     carries ¬act, the step query assumes act, and retiring the assertion is
-//     the unit clause ¬act (the hypotheses become inert tautologies).
+// Every SAT question a Session answers is a reach obligation (reach.go): is
+// there an input sequence from reset that satisfies a conjunction of 1-bit
+// props at fixed frame offsets? A coverage hole is one directly; an assertion
+// check asks for the obligation of its violation — every antecedent prop
+// true, the consequent false. One BMC ladder (bmcLadder) and one k-induction
+// ladder (inductionLadder) decide them all, on two solver states:
+//
+//   - bmc: the reset-constrained unrolling shared by every bounded query.
+//     Obligations are pure assumption sets, so nothing has to be retracted
+//     between queries — dropping the assumptions is the retraction.
+//   - ind: the free-initial-state unrolling for k-induction. The "obligation
+//     misses windows 0..k-1" hypotheses are real clauses, so each query gets
+//     a fresh activation literal act: every hypothesis clause carries ¬act,
+//     the step query assumes act, and retiring the query is the unit clause
+//     ¬act (the hypotheses become inert tautologies).
 //
 // Both states only ever grow: frames are appended monotonically, and extra
 // frames cannot change the satisfiability of a window query because the
 // transition functions are total (every added frame is definitional). Learned
 // clauses are implied by the clause database alone, so they remain sound
-// across properties — that retention is where the speedup comes from.
+// across queries — that retention is where the speedup comes from.
 //
 // # Determinism
 //
 // Counterexamples from a persistent solver would depend on solver history
-// (which assertions were checked before this one), breaking both the
+// (which queries were asked before this one), breaking both the
 // fresh-vs-pooled equivalence and -j1 ≡ -jN artifact determinism. Every
-// check therefore canonicalizes its counterexample (canonicalCtx): the model
-// is minimized to the lexicographically smallest assignment of the
-// assertion's cone-of-influence input bits, which is a property of the
-// formula, not of the search that found a first model. Verdict statuses are
+// witness is therefore canonicalized (canonicalStim): the model is minimized
+// to the lexicographically smallest assignment of the obligation's
+// cone-of-influence input bits, which is a property of the formula, not of
+// the search that found a first model. Verdict statuses are
 // history-independent already: the first SAT depth of the BMC ladder and the
 // first UNSAT k of induction are truths about the encoded formulas.
 //
@@ -45,7 +51,6 @@ import (
 
 	"goldmine/internal/assertion"
 	"goldmine/internal/cnf"
-	"goldmine/internal/cone"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sat"
 	"goldmine/internal/sim"
@@ -56,12 +61,9 @@ import (
 type satState struct {
 	s *sat.Solver
 	u *cnf.Unroller
-	// pc memoizes proposition gadgets per frame so re-checking structurally
-	// equal propositions (ubiquitous across a mined suite) reuses literals
-	// instead of growing the persistent formula.
-	pc propCache
-	// ec memoizes reach-obligation expression gadgets per frame (keyed by
-	// node identity — hole extraction reuses Expr nodes across attempts).
+	// ec memoizes prop gadgets per frame, keyed by expression node identity
+	// (exprLit), so a prop re-asked at a frame reuses its literal instead of
+	// growing the persistent formula.
 	ec map[exprAt]sat.Lit
 }
 
@@ -71,12 +73,17 @@ type satState struct {
 // one Session per goroutine (see the package comment of sat).
 type Session struct {
 	c   *Checker
-	bmc *satState // reset-constrained; properties are assumption-only
-	ind *satState // free initial state; properties under activation literals
+	bmc *satState // reset-constrained; obligations are assumption-only
+	ind *satState // free initial state; hypotheses under activation literals
 
-	// Activations counts properties encoded into the induction state (each
-	// consumed one activation literal); Reuses counts checks answered by the
-	// persistent states. Advisory, single-goroutine like the Session.
+	// props interns one expression per proposition shape (signal, bit,
+	// value), so structurally equal propositions across checks share one
+	// gadget per frame in the node-keyed literal memos.
+	props map[assertion.Prop]rtl.Expr
+
+	// Activations counts queries encoded into the induction state (each
+	// consumed one activation literal); Reuses counts queries answered by the
+	// persistent bmc state. Advisory, single-goroutine like the Session.
 	Activations int
 	Reuses      int
 
@@ -91,8 +98,8 @@ type Session struct {
 }
 
 // NewSession creates an incremental checking context. The underlying solver
-// states are built lazily on first use. If a check faults mid-encode, the
-// states are dropped and the check is decided once more on rebuilt ones.
+// states are built lazily on first use. If a query faults mid-encode, the
+// states are dropped and the query is decided once more on rebuilt ones.
 func (c *Checker) NewSession() *Session { return &Session{c: c} }
 
 // Checker returns the Session's underlying (shared) checker.
@@ -111,18 +118,31 @@ func (s *Session) CheckCtx(ctx context.Context, a *assertion.Assertion) (*Result
 	return s.c.checkWith(ctx, a, s)
 }
 
-// dispatch decides the check on the Session's states. An engine fault
+// dispatch runs one query behind the panic barrier (guard). An engine fault
 // (ErrEngineInternal) means the persistent states may hold half-encoded
-// clauses: they are dropped and the check is decided once more on freshly
+// clauses: they are dropped and the query is decided once more on freshly
 // built ones, so one fault costs one rebuild, not a wrong verdict. A second
 // fault is returned; core's recover barrier reports it as an engine error.
-func (s *Session) dispatch(b *budget, a *assertion.Assertion) (*Result, error) {
-	res, err := s.route(b, a)
+func (s *Session) dispatch(fn func() error) error {
+	err := s.guard(fn)
 	if errors.Is(err, ErrEngineInternal) {
 		s.reset()
-		res, err = s.route(b, a)
+		err = s.guard(fn)
 	}
-	return res, err
+	return err
+}
+
+// guard runs fn with the session's panic barrier: a panic inside the engines
+// discards all persistent states (they may hold half-encoded clauses) and
+// surfaces as ErrEngineInternal so dispatch can rebuild them and retry.
+func (s *Session) guard(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.reset()
+			err = fmt.Errorf("%w: session engine panic: %v", ErrEngineInternal, r)
+		}
+	}()
+	return fn()
 }
 
 // route sends the check to an engine, degrading explicit-state to SAT when
@@ -135,30 +155,26 @@ func (s *Session) route(b *budget, a *assertion.Assertion) (*Result, error) {
 	// worst-case state count so a check can never blow up.
 	freeBits := c.d.InputBits()*(a.Consequent.Offset+1) - c.pinnedInputBits(a)
 	explicitWork := c.d.StateBits() + freeBits
-	switch {
-	case len(c.d.Registers()) == 0:
-		return s.checkCombinational(b, a)
-	case c.ExplicitOK && explicitWork <= c.opts.MaxExplicitBits:
-		// The explicit engine gets half the remaining budget; if that slice
-		// is exhausted the SAT engine inherits what is left.
-		esp := b.span("mc.explicit", telemetry.Int("free_bits", int64(freeBits)))
-		res, err := c.checkExplicit(b.slice(0.5), a)
-		esp.End(telemetry.Bool("fell_back", err != nil && IsBudget(err)))
-		if err != nil && IsBudget(err) {
-			res, err = s.checkSAT(b, a)
-			// A decisive SAT verdict is as good as the explicit one would
-			// have been; only a weaker outcome counts as degraded.
-			if res != nil && (res.Status == StatusBounded || res.Status == StatusUnknown) {
-				res.Degraded = true
-				if res.Cause == nil {
-					res.Cause = fmt.Errorf("%w: explicit engine budget slice exhausted", ErrBudgetExceeded)
-				}
-			}
-		}
-		return res, err
-	default:
+	if len(c.d.Registers()) == 0 || !c.ExplicitOK || explicitWork > c.opts.MaxExplicitBits {
 		return s.checkSAT(b, a)
 	}
+	// The explicit engine gets half the remaining budget; if that slice is
+	// exhausted the SAT engine inherits what is left.
+	esp := b.span("mc.explicit", telemetry.Int("free_bits", int64(freeBits)))
+	res, err := c.checkExplicit(b.slice(0.5), a)
+	esp.End(telemetry.Bool("fell_back", err != nil && IsBudget(err)))
+	if err != nil && IsBudget(err) {
+		res, err = s.checkSAT(b, a)
+		// A decisive SAT verdict is as good as the explicit one would have
+		// been; only a weaker outcome counts as degraded.
+		if res != nil && (res.Status == StatusBounded || res.Status == StatusUnknown) {
+			res.Degraded = true
+			if res.Cause == nil {
+				res.Cause = fmt.Errorf("%w: explicit engine budget slice exhausted", ErrBudgetExceeded)
+			}
+		}
+	}
+	return res, err
 }
 
 // reset drops every persistent solver state; each is rebuilt lazily on its
@@ -167,26 +183,12 @@ func (s *Session) reset() {
 	s.bmc, s.ind = nil, nil
 }
 
-// guard runs fn with the session's panic barrier: a panic inside the
-// persistent-state engines discards all persistent states (they may hold
-// half-encoded clauses) and surfaces as ErrEngineInternal so dispatch can
-// rebuild them and retry.
-func (s *Session) guard(fn func() (*Result, error)) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.reset()
-			res, err = nil, fmt.Errorf("%w: session engine panic: %v", ErrEngineInternal, r)
-		}
-	}()
-	return fn()
-}
-
 func (s *Session) bmcState() *satState {
 	if s.bmc == nil {
 		sol := s.c.newSolver()
 		u := s.c.newUnroller(sol)
 		u.InitZero()
-		s.bmc = &satState{s: sol, u: u, pc: propCache{}}
+		s.bmc = &satState{s: sol, u: u}
 	} else {
 		s.Reuses++
 	}
@@ -196,201 +198,235 @@ func (s *Session) bmcState() *satState {
 func (s *Session) indState() *satState {
 	if s.ind == nil {
 		sol := s.c.newSolver()
-		s.ind = &satState{s: sol, u: s.c.newUnroller(sol), pc: propCache{}}
+		s.ind = &satState{s: sol, u: s.c.newUnroller(sol)}
 	}
 	return s.ind
 }
 
-// checkCombinational is the single-frame SAT check against the persistent
-// bmc state (InitZero is a no-op without registers).
-func (s *Session) checkCombinational(b *budget, a *assertion.Assertion) (*Result, error) {
-	return s.guard(func() (*Result, error) {
-		st := s.bmcState()
-		assumps, err := windowAssumptions(st.u, s.c.d, a, 0, st.pc)
+// violation is the reach obligation of a's violation: every antecedent
+// proposition holds and the consequent does not, each at its offset. The
+// prop expressions are interned per Session (props).
+func (s *Session) violation(a *assertion.Assertion) (Obligation, error) {
+	ob := Obligation{Props: make([]ReachProp, 0, len(a.Antecedent)+1)}
+	add := func(p assertion.Prop, holds bool) error {
+		k := assertion.Prop{Signal: p.Signal, Bit: p.Bit, Value: p.Value}
+		e, ok := s.props[k]
+		if !ok {
+			var err error
+			if e, err = propExpr(s.c.d, p); err != nil {
+				return err
+			}
+			if s.props == nil {
+				s.props = map[assertion.Prop]rtl.Expr{}
+			}
+			s.props[k] = e
+		}
+		ob.Props = append(ob.Props, ReachProp{Expr: e, Value: holds, Offset: p.Offset})
+		return nil
+	}
+	for _, p := range a.Antecedent {
+		if err := add(p, true); err != nil {
+			return ob, err
+		}
+	}
+	return ob, add(a.Consequent, false)
+}
+
+// checkSAT decides a on the SAT ladders as the obligation of its violation.
+// BMC runs from reset on 60% of the remaining wall budget and k-induction
+// inherits the rest. On a register-free design every window is the same
+// formula, so one BMC rung at the window size, on the whole budget, decides
+// the check at every depth (method sat-comb). The verdict degrades
+// gracefully: a budget hit during BMC reports the deepest fully explored
+// bound (or no claim if not even the first window completed); a budget hit
+// during induction falls back to the completed BMC bound. A falsification
+// found before the budget dies is always reported — budget pressure can
+// weaken a claim but never invert one.
+func (s *Session) checkSAT(b *budget, a *assertion.Assertion) (*Result, error) {
+	ob, err := s.violation(a)
+	if err != nil {
+		return nil, err
+	}
+	maxOff, err := validateObligation(ob)
+	if err != nil {
+		return nil, err
+	}
+	minFrames := maxOff + 1
+	comb := len(s.c.d.Registers()) == 0
+	maxDepth, bmcBudget, method := max(s.c.opts.MaxBMCDepth, minFrames), b.slice(0.6), "bmc"
+	if comb {
+		maxDepth, bmcBudget, method = minFrames, b, "sat-comb"
+	}
+	r, err := s.bmcLadder(bmcBudget, ob, minFrames, 0, maxDepth, nil, "mc.bmc_frame", nil)
+	switch {
+	case err != nil:
+		return nil, err
+	case r.Status == ReachFound:
+		return &Result{Status: StatusFalsified, Ctx: r.Stim, Method: method, Depth: r.Depth}, nil
+	case r.Status == ReachUnknown && r.Depth < minFrames:
+		// Not even the shortest window was decided: nothing to claim.
+		return nil, r.Cause
+	case r.Status == ReachUnknown:
+		return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: r.Depth, Degraded: true, Cause: r.Cause}, nil
+	case comb:
+		return &Result{Status: StatusProved, Method: method, Depth: minFrames}, nil
+	}
+
+	r, err = s.inductionLadder(b, ob, maxOff, maxDepth, 0, s.c.opts.MaxInduction, nil)
+	switch {
+	case err != nil:
+		return nil, err
+	case r.Status == ReachDead:
+		return &Result{Status: StatusProved, Method: fmt.Sprintf("k-induction(k=%d)", r.K), Depth: r.K}, nil
+	case r.Status == ReachUnknown:
+		return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: maxDepth, Degraded: true, Cause: r.Cause}, nil
+	}
+	return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: maxDepth}, nil
+}
+
+// bmcLadder is the one BMC ladder. From reset it looks for a witness of ob
+// whose window ends on frame depth-1, for depth = max(from+1, minFrames)..to,
+// where minFrames spans ob's window; depths 1..from are trusted as already
+// proven unreachable. Each rung opens a telemetry span named span; solves,
+// when non-nil, counts the rung solves. A witness is canonicalized over ins
+// (nil derives ob's cone inputs). The result is ReachFound with the witness,
+// ReachUnknown with the cause and the deepest depth fully explored, or
+// ReachUnreachable at depth to.
+func (s *Session) bmcLadder(b *budget, ob Obligation, minFrames, from, to int, ins []*rtl.Signal, span string, solves *int) (*ReachResult, error) {
+	st := s.bmcState()
+	for depth := max(from+1, minFrames); depth <= to; depth++ {
+		fsp := b.span(span, telemetry.Int("depth", int64(depth)))
+		for st.u.Frames() < depth {
+			st.u.AddFrame()
+		}
+		assumps, err := st.obligationAssumps(ob, depth-minFrames)
+		if err != nil {
+			fsp.End(telemetry.String("result", "error"))
+			return nil, err
+		}
+		if solves != nil {
+			*solves++
+		}
+		fb := *b
+		fb.sp = fsp // this rung's sat.solve span hangs under the rung span
+		verdict, scope, cause := fb.solveQuery(st.u, assumps)
+		fsp.End(telemetry.String("result", verdict.String()))
+		switch {
+		case verdict == sat.Sat:
+			if ins == nil {
+				ins = s.c.reachInputs(ob)
+			}
+			// One span for the whole minimization; the probe storm runs on a
+			// quieted budget so its micro-solves do not each journal a
+			// sat.solve line (they still hit the sat.* counters).
+			csp := b.span("mc.ctx_canon", telemetry.Int("depth", int64(depth)))
+			stim := s.c.canonicalStim(b.quiet(), st.u, assumps, scope, ins, depth)
+			csp.End()
+			return &ReachResult{Status: ReachFound, Stim: stim, Depth: depth}, nil
+		case cause != nil:
+			return &ReachResult{Status: ReachUnknown, Depth: depth - 1, Cause: cause}, nil
+		}
+	}
+	return &ReachResult{Status: ReachUnreachable, Depth: to}, nil
+}
+
+// inductionLadder is the one k-induction ladder, on the free-initial-state unrolling.
+// The step at k asks whether a state sequence with ob absent from k
+// consecutive windows can produce it in the next; UNSAT means ob can never
+// appear for the first time after k quiet windows. Together with the base
+// case — the caller's proof that ob is unreachable within base frames from
+// reset — this closes the induction for every k <= base-maxOff (Sheeran,
+// Singh & Stålmarck, FMCAD 2000), so the ladder is capped there: a deeper
+// step would assume quiet windows the base case never checked. Steps
+// 1..fromK are skipped (the caller observed them Sat). The hypothesis
+// clauses carry a fresh activation literal, retired on every exit. The
+// result is ReachDead with the winning K, ReachUnknown with the cause, or
+// ReachUnreachable with K the highest step tried.
+func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK, maxK int, solves *int) (*ReachResult, error) {
+	maxK = min(maxK, base-maxOff)
+	is := s.indState()
+	act := sat.Lit(is.s.NewVar())
+	s.Activations++
+	defer func() {
+		// Retire this query's hypothesis clauses, then physically drop them
+		// (and any learnt clause subsumed by ¬act) from the clause DB and
+		// watch lists: retired clauses are permanently satisfied, but until
+		// simplified they tax every later propagation on the shared solver.
+		is.s.AddClause(act.Neg())
+		is.s.Simplify()
+	}()
+	hyp := 0 // hypothesis windows encoded so far for this act
+	for k := fromK + 1; k <= maxK; k++ {
+		for is.u.Frames() < k+maxOff+1 {
+			is.u.AddFrame()
+		}
+		for ; hyp < k; hyp++ {
+			// "ob does not hold at window hyp": the clause of negated prop
+			// literals, guarded by the activation literal.
+			lits, err := is.obligationAssumps(ob, hyp)
+			if err != nil {
+				return nil, err
+			}
+			clause := make([]sat.Lit, 0, len(lits)+1)
+			for _, l := range lits {
+				clause = append(clause, l.Neg())
+			}
+			is.s.AddClause(append(clause, act.Neg())...)
+		}
+		assumps, err := is.obligationAssumps(ob, k)
 		if err != nil {
 			return nil, err
 		}
-		verdict, scope, cause := b.solveQuery(st.u, assumps)
-		switch verdict {
-		case sat.Sat:
-			ctx := s.c.canonicalCtx(b, st.u, assumps, scope, a, 1)
-			return &Result{Status: StatusFalsified, Ctx: ctx, Method: "sat-comb", Depth: 1}, nil
-		case sat.Unsat:
-			return &Result{Status: StatusProved, Method: "sat-comb", Depth: 1}, nil
-		default:
-			if cause != nil {
-				return &Result{Status: StatusUnknown, Method: "sat-comb", Depth: 1, Degraded: true, Cause: cause}, nil
-			}
-			return &Result{Status: StatusBounded, Method: "sat-comb", Depth: 1}, nil
+		if solves != nil {
+			*solves++
 		}
-	})
-}
-
-// checkSAT runs the BMC + k-induction ladder under the budget against the
-// persistent states. The verdict degrades gracefully: a budget hit during BMC
-// reports the deepest fully explored bound (or StatusUnknown if not even the
-// first window completed); a budget hit during induction falls back to the
-// completed BMC bound. A falsification found before the budget dies is always
-// reported — budget pressure can weaken a claim but never invert one.
-func (s *Session) checkSAT(b *budget, a *assertion.Assertion) (*Result, error) {
-	return s.guard(func() (*Result, error) {
-		c := s.c
-		coff := a.Consequent.Offset
-		minFrames := coff + 1
-
-		// Bounded model checking from reset, incremental in the unroll depth.
-		// BMC gets 60% of the remaining wall budget; induction inherits the rest.
-		bmcBudget := b.slice(0.6)
-		st := s.bmcState()
-		maxDepth := c.opts.MaxBMCDepth
-		if maxDepth < minFrames {
-			maxDepth = minFrames
+		ksp := b.span("mc.induction_step", telemetry.Int("k", int64(k)))
+		kb := *b
+		kb.sp = ksp
+		verdict, cause := kb.solve(is.s, nil, append([]sat.Lit{act}, assumps...)...)
+		ksp.End(telemetry.Bool("proved", verdict == sat.Unsat))
+		if cause != nil {
+			return &ReachResult{Status: ReachUnknown, Depth: base, Cause: cause}, nil
 		}
-		bounded := func(lastOK int, cause error) (*Result, error) {
-			if lastOK < minFrames {
-				// Not even the shortest window was decided: nothing to claim.
-				return nil, cause
-			}
-			return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: lastOK, Degraded: true, Cause: cause}, nil
+		if verdict == sat.Unsat {
+			return &ReachResult{Status: ReachDead, Depth: base, K: k}, nil
 		}
-		for depth := minFrames; depth <= maxDepth; depth++ {
-			fsp := b.span("mc.bmc_frame", telemetry.Int("depth", int64(depth)))
-			for st.u.Frames() < depth {
-				st.u.AddFrame()
-			}
-			assumps, err := windowAssumptions(st.u, c.d, a, depth-minFrames, st.pc)
-			if err != nil {
-				fsp.End(telemetry.String("result", "error"))
-				return nil, err
-			}
-			bmcBudget.sp = fsp
-			verdict, scope, cause := bmcBudget.solveQuery(st.u, assumps)
-			bmcBudget.sp = b.sp
-			fsp.End(telemetry.String("result", verdict.String()))
-			if verdict == sat.Sat {
-				ctx := c.canonicalCtx(bmcBudget, st.u, assumps, scope, a, depth)
-				return &Result{Status: StatusFalsified, Ctx: ctx, Method: "bmc", Depth: depth}, nil
-			}
-			if verdict == sat.Unknown && cause != nil {
-				return bounded(depth-1, cause)
-			}
-		}
-
-		// k-induction against the persistent free-init state. This check's
-		// hypothesis clauses are guarded by a fresh activation literal, which
-		// is retired (unit ¬act) on every exit path below.
-		is := s.indState()
-		act := sat.Lit(is.s.NewVar())
-		s.Activations++
-		defer func() {
-			// Retire this property's hypothesis clauses, then physically drop
-			// them (and any learnt clause subsumed by ¬act) from the clause DB
-			// and watch lists: retired clauses are permanently satisfied, but
-			// until simplified they tax every later propagation on the shared
-			// solver.
-			is.s.AddClause(act.Neg())
-			is.s.Simplify()
-		}()
-		hyp := 0 // hypothesis windows encoded so far for this act
-		for k := 1; k <= c.opts.MaxInduction; k++ {
-			frames := k + coff + 1
-			for is.u.Frames() < frames {
-				is.u.AddFrame()
-			}
-			for ; hyp < k; hyp++ {
-				lits, err := windowClause(is.u, c.d, a, hyp, is.pc)
-				if err != nil {
-					return nil, err
-				}
-				is.s.AddClause(append(lits, act.Neg())...)
-			}
-			assumps, err := windowAssumptions(is.u, c.d, a, k, is.pc)
-			if err != nil {
-				return nil, err
-			}
-			ksp := b.span("mc.induction_step", telemetry.Int("k", int64(k)))
-			kb := *b
-			kb.sp = ksp
-			verdict, cause := kb.solve(is.s, nil, append([]sat.Lit{act}, assumps...)...)
-			ksp.End(telemetry.Bool("proved", verdict == sat.Unsat))
-			if cause != nil {
-				return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: maxDepth, Degraded: true, Cause: cause}, nil
-			}
-			if verdict == sat.Unsat {
-				return &Result{Status: StatusProved, Method: fmt.Sprintf("k-induction(k=%d)", k), Depth: k}, nil
-			}
-		}
-		return &Result{Status: StatusBounded, Method: "bmc-bounded", Depth: maxDepth}, nil
-	})
+	}
+	return &ReachResult{Status: ReachUnreachable, Depth: base, K: maxK}, nil
 }
 
 // ---------------------------------------------------------------------------
-// Canonical counterexamples
+// Canonical witnesses
 // ---------------------------------------------------------------------------
 
-// coneInputs returns the primary inputs in the union of the sequential cones
-// of every signal the assertion references, sorted by name. Only these bits
-// can influence the assertion, so a counterexample is fully described by
-// their values.
-func (c *Checker) coneInputs(a *assertion.Assertion) []*rtl.Signal {
-	seen := map[*rtl.Signal]bool{}
-	add := func(name string) {
-		sig := c.d.Signal(name)
-		if sig == nil {
-			return
-		}
-		for s := range cone.Of(c.d, sig) {
-			seen[s] = true
-		}
-	}
-	for _, p := range a.Antecedent {
-		add(p.Signal)
-	}
-	add(a.Consequent.Signal)
-	return cone.Inputs(c.d, seen)
-}
-
-// canonicalCtx turns the current satisfying model into the canonical
-// counterexample: the lexicographically smallest assignment of the
-// assertion's cone input bits (frame-major, inputs by name, bits LSB first)
-// that still satisfies the violation query in base. The result is a property
-// of the formula, so the fresh and incremental paths — and every solver
-// history — produce byte-identical stimuli.
+// canonicalStim turns the current satisfying model into the canonical
+// witness of the BMC ladder: the lexicographically smallest assignment of
+// the input bits of ins (frame-major, inputs by name, bits LSB first) that
+// still satisfies base, the assumption set that pins the obligation. The
+// result is a property of the formula, so the fresh and incremental paths —
+// and every solver history — produce byte-identical stimuli, whether the
+// obligation is an assertion's violation or a coverage hole.
 //
 // Minimization is model-guided: bits already 0 in the current model are fixed
 // for free, and each 1-bit costs at most one (cheap, heavily-assumed) solve.
 // Before falling back to per-bit probes, each fresh model gets one batch
-// probe that tries to zero every remaining 1-bit at once — lex-min
-// counterexamples are mostly zeros, so the common case collapses to a single
-// solve. A batch Sat answer is exactly the lex-min tail (the all-zero
-// continuation is minimal by definition); a batch Unsat answer reveals
-// nothing about individual bits, so the loop resumes per-bit probing and the
-// result is unchanged either way.
-// If the budget dies mid-minimization the remaining bits keep the values of
-// the last full model, which still satisfies base plus everything fixed so
-// far — the stimulus stays a genuine counterexample, merely non-canonical
-// (the same wall-clock caveat as every other budget degradation).
+// probe that tries to zero every remaining 1-bit at once — lex-min witnesses
+// are mostly zeros, so the common case collapses to a single solve. A batch
+// Sat answer is exactly the lex-min tail (the all-zero continuation is
+// minimal by definition); a batch Unsat answer reveals nothing about
+// individual bits, so the loop resumes per-bit probing and the result is
+// unchanged either way. If the budget dies mid-minimization the remaining
+// bits keep the values of the last full model, which still satisfies base
+// plus everything fixed so far — the stimulus stays a genuine witness,
+// merely non-canonical (the same wall-clock caveat as every other budget
+// degradation).
 //
 // Must be called immediately after a Sat verdict on u.S, while the model is
-// readable; scope is that solve's decision scope, and every probe reuses it.
-func (c *Checker) canonicalCtx(b *budget, u *cnf.Unroller, base []sat.Lit, scope []int, a *assertion.Assertion, depth int) sim.Stimulus {
-	// One span for the whole minimization; the probe storm below runs on a
-	// quieted budget so its micro-solves do not each journal a sat.solve line
-	// (they still hit the sat.* counters via the solver hookup).
-	csp := b.span("mc.ctx_canon", telemetry.Int("depth", int64(depth)))
-	defer csp.End()
-	return c.canonicalStim(b.quiet(), u, base, scope, c.coneInputs(a), depth)
-}
-
-// canonicalStim is the lex-min model minimization over an explicit input-
-// signal set, shared by assertion counterexamples (canonicalCtx) and
-// reachability witnesses (Session.Reach). base is the assumption set that
-// pins the property/obligation; ins orders the minimized bits (frame-major,
-// inputs by name, bits LSB first). scope is the decision scope of the solve
-// that found the model (budget.solveQuery). A probe adds only input-bit
-// literals to base: those in the cone are in the scope already, and those
-// outside it are free leaves, which the solver assigns as assumptions. A bit
-// outside the cone reads 0 in a scoped model, its canonical value.
+// readable. scope is the decision scope of that solve (budget.solveQuery). A
+// probe adds only input-bit literals to base: those in the cone are in the
+// scope already, and those outside it are free leaves, which the solver
+// assigns as assumptions. A bit outside the cone reads 0 in a scoped model,
+// its canonical value.
 //
 // The probe count feeds mc.ctx_canon_probes; a batch probe whose Sat answer
 // ends the probing counts in mc.ctx_canon_batch_hits.

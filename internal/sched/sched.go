@@ -33,7 +33,6 @@ package sched
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -98,24 +97,6 @@ func (q *deque) popBack() (Task, bool) {
 	t := q.tasks[len(q.tasks)-1]
 	q.tasks = q.tasks[:len(q.tasks)-1]
 	return t, true
-}
-
-// PriorityOrder returns a dispatch permutation of n tasks, highest score
-// first; ties keep the original (index) order, so the permutation is fully
-// deterministic. Dispatching predicted-hard checks first is classic
-// longest-processing-time makespan scheduling: the pool never ends a round
-// with one straggling hard property serializing the tail. The caller still
-// merges results positionally (Task.ID is unchanged), so dispatch order never
-// leaks into artifacts.
-func PriorityOrder(n int, score func(int) int64) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return score(order[a]) > score(order[b])
-	})
-	return order
 }
 
 // Workers clamps a worker-count request: n < 1 means GOMAXPROCS, and the

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,30 +155,5 @@ func TestRunTasksPanicIsolation(t *testing.T) {
 	}
 	if st.Completed != 8 {
 		t.Fatalf("Completed = %d, want 8 (panicking tasks still complete)", st.Completed)
-	}
-}
-
-func TestPriorityOrderHardestFirstStable(t *testing.T) {
-	scores := []int64{10, 50, 50, 5, 100, 50}
-	order := PriorityOrder(len(scores), func(i int) int64 { return scores[i] })
-	want := []int{4, 1, 2, 5, 0, 3} // descending score, ties in index order
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("PriorityOrder = %v, want %v", order, want)
-	}
-	// Deterministic: identical inputs give the identical permutation.
-	again := PriorityOrder(len(scores), func(i int) int64 { return scores[i] })
-	if !reflect.DeepEqual(order, again) {
-		t.Fatalf("PriorityOrder not deterministic: %v vs %v", order, again)
-	}
-	// A permutation: every index exactly once.
-	seen := map[int]bool{}
-	for _, i := range order {
-		if seen[i] {
-			t.Fatalf("index %d appears twice in %v", i, order)
-		}
-		seen[i] = true
-	}
-	if empty := PriorityOrder(0, func(int) int64 { return 0 }); len(empty) != 0 {
-		t.Fatalf("PriorityOrder(0) = %v, want empty", empty)
 	}
 }

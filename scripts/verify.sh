@@ -212,6 +212,23 @@ for d in $("$tmpbin/goldmine" -list | while read -r name _; do echo "$name"; don
     echo "cross-check: $d OK (pooled ≡ fresh)"
 done
 
+echo "== smoke: batched check lanes are deterministic (race, -j1 ≡ -j4) =="
+# -batched fans each iteration's leaf checks out over the shared check lanes,
+# dispatched in candidate order; results merge positionally, so the
+# artifacts above the total: line must not depend on the lane count.
+# Race-enabled binary: the lane fan-out is the concurrent part under test.
+for d in arbiter4 fetch b12; do
+    "$tmpbin/goldmine_race" -design "$d" -batched -j 1 >"$tmpbin/bat1.txt"
+    "$tmpbin/goldmine_race" -design "$d" -batched -j 4 >"$tmpbin/bat4.txt"
+    grep -v '^total:' "$tmpbin/bat1.txt" >"$tmpbin/bat1.art"
+    grep -v '^total:' "$tmpbin/bat4.txt" >"$tmpbin/bat4.art"
+    if ! diff "$tmpbin/bat1.art" "$tmpbin/bat4.art"; then
+        echo "smoke: FAILED ($d: -batched -j 4 artifacts differ from -batched -j 1)" >&2
+        exit 1
+    fi
+    echo "smoke: $d -batched -j1 ≡ -j4"
+done
+
 echo "== smoke: corpus reduction is deterministic (race, -j1 ≡ -j4, persisted corpus) =="
 # goldmine -reduce must emit the byte-identical reduced suite regardless of
 # mining parallelism, and repeated runs against the same persisted corpus
