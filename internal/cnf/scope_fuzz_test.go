@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,6 +45,18 @@ type scopeDAG struct {
 	u       *Unroller
 	gates   []gateRec
 	queries [][]sat.Lit
+	// hyps are k-induction steps run after the queries, under one live
+	// activation literal hypAct: each step adds the guarded hypothesis
+	// clause ¬hypAct ∨ ¬l for l in lits, then solves its query under hypAct.
+	hypAct sat.Lit
+	hyps   []hypStep
+}
+
+// hypStep is one induction step of a scopeDAG: a hypothesis over query-cone
+// literals and the step query that follows it.
+type hypStep struct {
+	lits  []sat.Lit
+	query []sat.Lit
 }
 
 // buildScopeDAG decodes one formula from the fuzz bytes. It is deterministic,
@@ -109,16 +122,33 @@ func buildScopeDAG(data []byte) *scopeDAG {
 	addLeaves(r.next() % 4)
 	addGates(r.next() % 24)
 
-	for q := 1 + r.next()%3; q > 0; q-- {
-		var lits []sat.Lit
-		for k := 1 + r.next()%4; k > 0; k-- {
+	// Queries share a random-length prefix with the previous query, as
+	// canonicalisation probes do, so the solver keeps part of its trail.
+	coneLits := func(prefix []sat.Lit, n int) []sat.Lit {
+		lits := append([]sat.Lit(nil), prefix[:r.next()%(len(prefix)+1)]...)
+		for ; n > 0; n-- {
 			l := pool[r.next()%queryPool]
 			if r.next()&1 == 1 {
 				l = l.Neg()
 			}
 			lits = append(lits, l)
 		}
-		g.queries = append(g.queries, lits)
+		return lits
+	}
+	var prev []sat.Lit
+	for q := 1 + r.next()%5; q > 0; q-- {
+		prev = coneLits(prev, 1+r.next()%4)
+		g.queries = append(g.queries, prev)
+	}
+
+	// Induction steps: the live hypotheses sit on the query cone, and every
+	// step query starts with the activation literal.
+	g.hypAct = u.fresh()
+	prev = nil
+	for k := r.next() % 4; k > 0; k-- {
+		hyp := coneLits(nil, 1+r.next()%3)
+		prev = coneLits(prev, 1+r.next()%3)
+		g.hyps = append(g.hyps, hypStep{lits: hyp, query: append([]sat.Lit{g.hypAct}, prev...)})
 	}
 	return g
 }
@@ -210,12 +240,21 @@ func checkCompletion(t *testing.T, g *scopeDAG, scope []int, assumps []sat.Lit) 
 // model, completed by evaluating the undecided gates, must satisfy every
 // clause. Each input runs a short query sequence on one solver, with an
 // unscoped solve after each scoped one, so a heap left loaded for one scope
-// cannot leak into the next solve: the unscoped model must be total. The
-// seed corpus runs under plain go test; the fuzz engine with
+// cannot leak into the next solve: the unscoped model must be total.
+// Consecutive queries share assumption prefixes, so the solver keeps the
+// trail of the shared prefix between solves. The sequence ends with
+// k-induction steps under a live activation literal, scoped as
+// mc.Session.inductionLadder scopes them: the cone of the activation
+// literal, every live hypothesis literal and the step query. The seed corpus
+// runs under plain go test; the fuzz engine with
 // go test -run '^$' -fuzz FuzzScopedSolve ./internal/cnf.
 func FuzzScopedSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 5, 0, 0, 0, 0, 0, 23, 2, 3, 1, 1, 4, 0, 7, 1})
+	// An induction step whose hypothesis lies outside the step query's cone:
+	// scoping the step to the query's cone alone gives a model that violates
+	// the live hypothesis clause.
+	f.Add([]byte("20010&11000000000000000000021010000000000000000000000000000000000000000000000000000000000000000001000001001"))
 	x := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < 48; i++ {
 		seed := make([]byte, 24+i*4)
@@ -230,8 +269,8 @@ func FuzzScopedSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, twin := buildScopeDAG(data), buildScopeDAG(data)
 		ctx := context.Background()
-		for qi, assumps := range g.queries {
-			scope := g.u.ConeVars(assumps)
+		solve := func(name string, assumps, roots []sat.Lit) {
+			scope := g.u.ConeVars(roots)
 			for _, v := range scope {
 				if v < len(g.u.gates) && g.u.gates[v][0] != 0 {
 					in := []int{int(g.u.gates[v][0])}
@@ -243,7 +282,7 @@ func FuzzScopedSolve(f *testing.F) {
 					}
 					for _, w := range in {
 						if !contains(scope, w) {
-							t.Fatalf("query %d: cone holds gate %d but not its input %d", qi, v, w)
+							t.Fatalf("%s: cone holds gate %d but not its input %d", name, v, w)
 						}
 					}
 				}
@@ -251,7 +290,7 @@ func FuzzScopedSolve(f *testing.F) {
 			got := g.u.S.SolveScoped(ctx, scope, assumps...)
 			want := twin.u.S.Solve(assumps...)
 			if got != want {
-				t.Fatalf("query %d %v: scoped %v, unscoped %v", qi, assumps, got, want)
+				t.Fatalf("%s %v: scoped %v, unscoped %v", name, assumps, got, want)
 			}
 			if got == sat.Sat {
 				checkCompletion(t, g, scope, assumps)
@@ -260,7 +299,7 @@ func FuzzScopedSolve(f *testing.F) {
 			// its model must satisfy every clause as read, with nothing
 			// completed.
 			if st := g.u.S.Solve(assumps...); st != want {
-				t.Fatalf("query %d: unscoped after scoped %v, want %v", qi, st, want)
+				t.Fatalf("%s: unscoped after scoped %v, want %v", name, st, want)
 			} else if st == sat.Sat {
 				all := make([]int, g.u.S.NumVars())
 				for i := range all {
@@ -268,6 +307,21 @@ func FuzzScopedSolve(f *testing.F) {
 				}
 				checkCompletion(t, g, all, assumps)
 			}
+		}
+		for qi, assumps := range g.queries {
+			solve(fmt.Sprintf("query %d", qi), assumps, assumps)
+		}
+		roots := []sat.Lit{g.hypAct}
+		for k, h := range g.hyps {
+			for _, st := range []*scopeDAG{g, twin} {
+				clause := []sat.Lit{st.hypAct.Neg()}
+				for _, l := range h.lits {
+					clause = append(clause, l.Neg())
+				}
+				st.u.S.AddClause(clause...)
+			}
+			roots = append(roots, h.lits...)
+			solve(fmt.Sprintf("induction step %d", k+1), h.query, append(roots[:len(roots):len(roots)], h.query...))
 		}
 	})
 }

@@ -226,7 +226,7 @@ type Checker struct {
 type mcMetrics struct {
 	checks, proved, falsified, bounded, unknown, degraded *telemetry.Counter
 	explicitSims                                          *telemetry.Counter
-	ctxProbes, ctxBatchHits                               *telemetry.Counter
+	ctxProbes                                             *telemetry.Counter
 	solveWork                                             *telemetry.Histogram
 }
 
@@ -246,7 +246,6 @@ func (c *Checker) SetTelemetry(tr *telemetry.Tracer) {
 	c.mtr = mcMetrics{
 		checks:       reg.Counter("mc.checks"),
 		ctxProbes:    reg.Counter("mc.ctx_canon_probes"),
-		ctxBatchHits: reg.Counter("mc.ctx_canon_batch_hits"),
 		proved:       reg.Counter("mc.proved"),
 		falsified:    reg.Counter("mc.falsified"),
 		bounded:      reg.Counter("mc.bounded"),
@@ -452,8 +451,9 @@ func (b *budget) solve(s *sat.Solver, scope []int, assumps ...sat.Lit) (sat.Stat
 // or a reach obligation, whose formula is definitional apart from level-0
 // units — deciding only on the Tseitin cone of its assumptions. The scope is
 // returned for canonicalStim: its probes only add cone-input literals to the
-// same assumptions, so they reuse it. k-induction stays unscoped: its
-// activation-guarded hypotheses are clauses outside every gate definition.
+// same assumptions, so they reuse it. A k-induction step scopes itself
+// (Session.inductionLadder): its live activation-guarded hypotheses define
+// no gate, so their literals join the step's assumptions as cone roots.
 func (b *budget) solveQuery(u *cnf.Unroller, assumps []sat.Lit) (sat.Status, []int, error) {
 	scope := u.ConeVars(assumps)
 	st, err := b.solve(u.S, scope, assumps...)

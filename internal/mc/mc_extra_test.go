@@ -171,7 +171,8 @@ func TestCheckerSharedReachabilityCache(t *testing.T) {
 // TestCtxCanonCounters pins the canonicalisation counters against the
 // journal: canonicalStim's probe solves are the only quiet ones (no sat.solve
 // span), so mc.ctx_canon_probes must equal sat.solves minus the journaled
-// sat.solve spans, and a batch hit ends at most one canonicalisation each.
+// sat.solve spans. Each probe extends the previous probe's assumptions, so
+// the solver must keep some of their trail (sat.trail_reused).
 func TestCtxCanonCounters(t *testing.T) {
 	for _, name := range []string{"b11", "pipeline"} {
 		d := benchDesign(t, name)
@@ -201,14 +202,13 @@ func TestCtxCanonCounters(t *testing.T) {
 			}
 		}
 		probes := reg.Counter("mc.ctx_canon_probes").Value()
-		hits := reg.Counter("mc.ctx_canon_batch_hits").Value()
 		solves := reg.Counter("sat.solves").Value()
 		if probes == 0 || probes != solves-spans["sat.solve"] {
 			t.Errorf("%s: mc.ctx_canon_probes = %d, want sat.solves %d - sat.solve spans %d",
 				name, probes, solves, spans["sat.solve"])
 		}
-		if hits > spans["mc.ctx_canon"] {
-			t.Errorf("%s: %d batch hits for %d canonicalisations", name, hits, spans["mc.ctx_canon"])
+		if reused := reg.Counter("sat.trail_reused").Value(); reused <= 0 {
+			t.Errorf("%s: sat.trail_reused = %d, want > 0", name, reused)
 		}
 	}
 }

@@ -339,7 +339,11 @@ func (s *Session) bmcLadder(b *budget, ob Obligation, minFrames, from, to int, i
 // Singh & Stålmarck, FMCAD 2000), so the ladder is capped there: a deeper
 // step would assume quiet windows the base case never checked. Steps
 // 1..fromK are skipped (the caller observed them Sat). The hypothesis
-// clauses carry a fresh activation literal, retired on every exit. The
+// clauses carry a fresh activation literal, retired on every exit. Each
+// step decides only on the Tseitin cone of act, every hypothesis literal
+// and the step's assumptions: every other clause of the induction state
+// defines a gate or is a retired hypothesis, satisfied at level 0 by its
+// ¬act unit, so the scope rule of sat.Solver.SolveScoped holds. The
 // result is ReachDead with the winning K, ReachUnknown with the cause, or
 // ReachUnreachable with K the highest step tried.
 func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK, maxK int, solves *int) (*ReachResult, error) {
@@ -355,7 +359,8 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 		is.s.AddClause(act.Neg())
 		is.s.Simplify()
 	}()
-	hyp := 0 // hypothesis windows encoded so far for this act
+	hyp := 0                   // hypothesis windows encoded so far for this act
+	coneLits := []sat.Lit{act} // act and every hypothesis literal: the step scope's roots
 	for k := fromK + 1; k <= maxK; k++ {
 		for is.u.Frames() < k+maxOff+1 {
 			is.u.AddFrame()
@@ -372,6 +377,7 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 				clause = append(clause, l.Neg())
 			}
 			is.s.AddClause(append(clause, act.Neg())...)
+			coneLits = append(coneLits, lits...)
 		}
 		assumps, err := is.obligationAssumps(ob, k)
 		if err != nil {
@@ -383,7 +389,8 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 		ksp := b.span("mc.induction_step", telemetry.Int("k", int64(k)))
 		kb := *b
 		kb.sp = ksp
-		verdict, cause := kb.solve(is.s, nil, append([]sat.Lit{act}, assumps...)...)
+		scope := is.u.ConeVars(append(coneLits[:len(coneLits):len(coneLits)], assumps...))
+		verdict, cause := kb.solve(is.s, scope, append([]sat.Lit{act}, assumps...)...)
 		ksp.End(telemetry.Bool("proved", verdict == sat.Unsat))
 		if cause != nil {
 			return &ReachResult{Status: ReachUnknown, Depth: base, Cause: cause}, nil
@@ -409,13 +416,9 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 //
 // Minimization is model-guided: bits already 0 in the current model are fixed
 // for free, and each 1-bit costs at most one (cheap, heavily-assumed) solve.
-// Before falling back to per-bit probes, each fresh model gets one batch
-// probe that tries to zero every remaining 1-bit at once — lex-min witnesses
-// are mostly zeros, so the common case collapses to a single solve. A batch
-// Sat answer is exactly the lex-min tail (the all-zero continuation is
-// minimal by definition); a batch Unsat answer reveals nothing about
-// individual bits, so the loop resumes per-bit probing and the result is
-// unchanged either way. If the budget dies mid-minimization the remaining
+// Every probe is the assumption list of the previous one plus one literal,
+// so the solver keeps the previous probe's trail and propagates only the new
+// bit. If the budget dies mid-minimization the remaining
 // bits keep the values of the last full model, which still satisfies base
 // plus everything fixed so far — the stimulus stays a genuine witness,
 // merely non-canonical (the same wall-clock caveat as every other budget
@@ -428,8 +431,7 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 // assigns as assumptions. A bit outside the cone reads 0 in a scoped model,
 // its canonical value.
 //
-// The probe count feeds mc.ctx_canon_probes; a batch probe whose Sat answer
-// ends the probing counts in mc.ctx_canon_batch_hits.
+// The probe count feeds mc.ctx_canon_probes.
 func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scope []int, ins []*rtl.Signal, depth int) sim.Stimulus {
 	s := u.S
 	type ctxBit struct {
@@ -463,14 +465,8 @@ func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scop
 
 	fixed := make([]sat.Lit, 0, len(base)+len(bits))
 	fixed = append(fixed, base...)
-	batch := true // one batch-zero attempt per model snapshot
-	probes, batchHit := int64(0), false
-	defer func() {
-		c.mtr.ctxProbes.Add(probes)
-		if batchHit {
-			c.mtr.ctxBatchHits.Inc()
-		}
-	}()
+	probes := int64(0)
+	defer func() { c.mtr.ctxProbes.Add(probes) }()
 	for i, cb := range bits {
 		if !cb.enc {
 			continue // unconstrained: already at its canonical 0
@@ -480,36 +476,8 @@ func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scop
 			fixed = append(fixed, cb.lit.Neg())
 			continue
 		}
-		if batch {
-			batch = false
-			probe := append(fixed[:len(fixed):len(fixed)], cb.lit.Neg())
-			for j := i + 1; j < len(bits); j++ {
-				if bits[j].enc && vals[j] {
-					probe = append(probe, bits[j].lit.Neg())
-				}
-			}
-			probes++
-			verdict, cause := b.solve(s, scope, probe...)
-			if verdict == sat.Unknown || cause != nil {
-				break
-			}
-			if verdict == sat.Sat {
-				// Every remaining 1-bit zeroes at once: the lex-min tail.
-				batchHit = true
-				fixed = append(fixed, cb.lit.Neg())
-				vals[i] = false
-				for j := i + 1; j < len(bits); j++ {
-					if bits[j].enc {
-						vals[j] = s.ValueLit(bits[j].lit)
-					}
-				}
-				continue
-			}
-			// Batch Unsat: no per-bit information — probe this bit alone.
-		}
 		probe := append(fixed[:len(fixed):len(fixed)], cb.lit.Neg())
 		probes++
-		batchHit = false
 		verdict, cause := b.solve(s, scope, probe...)
 		if verdict == sat.Unknown || cause != nil {
 			// Budget died: keep the last model's values for the rest.
@@ -523,7 +491,6 @@ func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scop
 					vals[j] = s.ValueLit(bits[j].lit)
 				}
 			}
-			batch = true // fresh model: a batch attempt may pay off again
 		} else {
 			fixed = append(fixed, cb.lit) // 0 impossible: the bit is 1
 		}

@@ -31,8 +31,6 @@ import (
 
 // Budget-stop causes reported by StopCause after an Unknown verdict.
 var (
-	// ErrConflictBudget: MaxConflicts was exhausted.
-	ErrConflictBudget = errors.New("sat: conflict budget exhausted")
 	// ErrPropagationBudget: MaxPropagations was exhausted.
 	ErrPropagationBudget = errors.New("sat: propagation budget exhausted")
 	// ErrDeadline: the Deadline passed mid-search.
@@ -165,12 +163,20 @@ type Solver struct {
 
 	unsat bool // empty clause derived at level 0
 
+	// prevAssumps is the previous solve's assumption list. Decision level i
+	// of the trail left behind holds assumption i-1 and its propagation, so
+	// the next solve keeps the levels of the longest common prefix.
+	prevAssumps []Lit
+
 	// statistics
 	Conflicts    int64
 	Decisions    int64
 	Propagations int64
 	Learned      int64
 	Restarts     int64
+	// TrailReused counts the literals at decision levels >= 1 that a solve
+	// kept from the previous one instead of propagating them again.
+	TrailReused int64
 
 	// Counters, when non-nil, receives the deltas of the solver's search
 	// statistics (and one solve tick) at the end of every Solve/SolveCtx call.
@@ -178,11 +184,9 @@ type Solver struct {
 	// loop itself carries no telemetry cost.
 	Counters *SolveCounters
 
-	// MaxConflicts bounds one Solve call; <= 0 means unlimited.
-	MaxConflicts int64
-	// MaxPropagations bounds one Solve call; <= 0 means unlimited. Unlike
-	// conflicts, propagations accrue on every search step, so this is a
-	// deterministic work budget even on easy instances.
+	// MaxPropagations bounds one Solve call; <= 0 means unlimited.
+	// Propagations accrue on every search step, so this is a deterministic
+	// work budget even on easy instances.
 	MaxPropagations int64
 	// Deadline bounds one Solve call by wall clock; the zero value means no
 	// deadline. Polled every pollInterval propagations.
@@ -519,33 +523,26 @@ func (s *Solver) backjump(level int) {
 		return
 	}
 	limit := s.trailLim[level]
-	if level == 0 && len(s.trail)-limit > 64 {
-		// Full restarts between incremental solves undo nearly the whole
-		// trail; rebuilding the order heap in one O(scope) pass beats
-		// pushing each variable back individually.
-		for i := len(s.trail) - 1; i >= limit; i-- {
-			vd := &s.vars[s.trail[i].vix()]
-			vd.assign = lUndef
-			vd.reason = nil
-		}
-		s.trail = s.trail[:limit]
-		s.trailLim = s.trailLim[:0]
-		s.qhead = len(s.trail)
-		s.order.rebuild()
-		return
-	}
+	// A solve about to reload the heap (order.stale), or a full restart
+	// between incremental solves that undoes nearly the whole trail, rebuilds
+	// the order heap in one O(scope) pass instead of pushing each variable
+	// back individually.
+	reload := s.order.stale || level == 0 && len(s.trail)-limit > 64
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		il := s.trail[i]
 		vd := &s.vars[il.vix()]
 		vd.assign = lUndef
 		vd.reason = nil
-		if s.scope == nil || vd.inScope {
+		if !reload && (s.scope == nil || vd.inScope) {
 			s.order.push(il.vix())
 		}
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
+	if reload {
+		s.order.rebuild()
+	}
 }
 
 // pickBranch chooses the next decision variable by activity, using the saved
@@ -670,8 +667,8 @@ func luby(i int64) int64 {
 
 // Solve determines satisfiability under the given assumptions. A Sat result
 // leaves the model readable via Value; Unsat means unsatisfiable under the
-// assumptions; Unknown means a budget (MaxConflicts, MaxPropagations,
-// Deadline) was exhausted — StopCause then reports which.
+// assumptions; Unknown means a budget (MaxPropagations, Deadline, or the
+// context of SolveCtx) was exhausted — StopCause then reports which.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	return s.SolveScoped(context.Background(), nil, assumptions...)
 }
@@ -695,14 +692,22 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 // model by evaluating the undecided gates, with undecided leaves at false.
 // cnf.Unroller.ConeVars computes such a scope (the Tseitin cone of a query's
 // assumption literals). Assumptions outside the scope are still applied.
+//
+// A solve keeps the trail of the assumption prefix it shares with the
+// previous solve: it backjumps to the end of that prefix, not to level 0, so
+// a query that extends the last one propagates only its new assumptions.
+// The kept levels hold assumptions and their unit propagation, never a
+// decision, so they are valid under any scope. AddClause, Simplify, a budget
+// stop and a level-0 conflict all backjump to level 0, which leaves nothing
+// to keep.
 func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Lit) Status {
 	if s.Counters != nil {
 		defer s.Counters.observe(s)()
 	}
+	s.stopCause = nil
 	if s.unsat {
 		return Unsat
 	}
-	s.stopCause = nil
 	s.ctx = ctx
 	s.polling = ctx.Done() != nil || !s.Deadline.IsZero() || s.MaxPropagations > 0
 	s.nextPoll = s.Propagations // poll on the first search step
@@ -720,21 +725,31 @@ func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Li
 		s.scope = scope
 		defer s.endScope()
 	}
+	keep := 0
+	for keep < len(assumptions) && keep < len(s.prevAssumps) && keep < s.decisionLevel() &&
+		assumptions[keep] == s.prevAssumps[keep] {
+		keep++
+	}
+	s.prevAssumps = append(s.prevAssumps[:0], assumptions...)
 	// The heap must hold exactly the unassigned scope variables. A heap
 	// loaded for an earlier scope (or about to serve a new one) is reloaded
 	// unless undoing the previous model already did it.
 	s.order.stale = scope != nil || s.order.scoped
-	s.backjump(0)
+	s.backjump(keep)
 	if s.order.stale {
 		s.order.rebuild()
 	}
-	if c := s.propagate(); c != nil {
+	if keep > 0 {
+		// Every solve returns with its trail fully propagated, so the kept
+		// levels need no propagation, and a kept trail cannot hide a level-0
+		// conflict: that would have set unsat.
+		s.TrailReused += int64(len(s.trail) - s.trailLim[0])
+	} else if c := s.propagate(); c != nil {
 		s.unsat = true
 		return Unsat
 	}
 
 	restartNum := int64(0)
-	conflictsAtStart := s.Conflicts
 	maxLearnts := int64(len(s.clauses)/3 + 100)
 
 	for {
@@ -748,11 +763,6 @@ func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Li
 			return Unknown
 		}
 		s.Restarts++
-		if s.MaxConflicts > 0 && s.Conflicts-conflictsAtStart >= s.MaxConflicts {
-			s.stopCause = ErrConflictBudget
-			s.backjump(0)
-			return Unknown
-		}
 	}
 }
 
@@ -766,8 +776,8 @@ func (s *Solver) endScope() {
 }
 
 // StopCause reports why the previous Solve returned Unknown: a context error,
-// ErrDeadline, ErrPropagationBudget, or ErrConflictBudget. It is nil after a
-// decided (Sat/Unsat) result.
+// ErrDeadline, or ErrPropagationBudget. It is nil after a decided (Sat/Unsat)
+// result.
 func (s *Solver) StopCause() error { return s.stopCause }
 
 // shouldStop polls the cancellation and budget sources. It is rate-limited by

@@ -388,31 +388,6 @@ func TestSimplifyRetiresSatisfiedClauses(t *testing.T) {
 	}
 }
 
-func TestMaxConflictsUnknown(t *testing.T) {
-	// A hard instance with a tiny budget should return Unknown.
-	s := New()
-	s.MaxConflicts = 1
-	// PHP(5,4): unsat but needs search.
-	v := func(p, h int) Lit { return Lit(p*4 + h + 1) }
-	for p := 0; p < 5; p++ {
-		s.AddClause(v(p, 0), v(p, 1), v(p, 2), v(p, 3))
-	}
-	for h := 0; h < 4; h++ {
-		for p1 := 0; p1 < 5; p1++ {
-			for p2 := p1 + 1; p2 < 5; p2++ {
-				s.AddClause(-v(p1, h), -v(p2, h))
-			}
-		}
-	}
-	st := s.Solve()
-	if st == Sat {
-		t.Fatal("PHP(5,4) cannot be sat")
-	}
-	// Either it finished fast (Unsat) or hit the budget (Unknown): both fine,
-	// but with budget 1 we expect Unknown on this instance.
-	t.Logf("status with 1-conflict budget: %v, %s", st, s)
-}
-
 func TestStatsAndString(t *testing.T) {
 	s := New()
 	s.AddClause(1, 2)
@@ -484,6 +459,27 @@ func TestPropagationBudgetUnknown(t *testing.T) {
 	}
 	if s.StopCause() != nil {
 		t.Fatalf("StopCause after decided result = %v, want nil", s.StopCause())
+	}
+}
+
+// TestStopCauseClearedByLevelZeroUnsat: a solve that answers Unsat because
+// the formula is already refuted at level 0 is a decided result, so it must
+// clear the previous solve's budget stop.
+func TestStopCauseClearedByLevelZeroUnsat(t *testing.T) {
+	s := New()
+	php(s, 9, 8)
+	s.MaxPropagations = 500
+	if st := s.Solve(); st != Unknown {
+		t.Fatalf("want Unknown under 500-propagation budget, got %v", st)
+	}
+	s.MaxPropagations = 0
+	s.AddClause(1)
+	s.AddClause(-1)
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("contradictory units: %v, want Unsat", st)
+	}
+	if err := s.StopCause(); err != nil {
+		t.Fatalf("StopCause after level-0 Unsat = %v, want nil", err)
 	}
 }
 

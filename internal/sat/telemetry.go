@@ -13,6 +13,9 @@ type SolveCounters struct {
 	Decisions    *telemetry.Counter
 	Restarts     *telemetry.Counter
 	Learned      *telemetry.Counter
+	// TrailReused counts the assumption-trail literals a solve kept from the
+	// previous solve on the same solver (Solver.TrailReused).
+	TrailReused *telemetry.Counter
 	// LearntDB tracks the learnt-clause database size after the most recent
 	// solve (a gauge: reduceDB shrinks it, so a counter would mislead).
 	LearntDB *telemetry.Gauge
@@ -30,6 +33,7 @@ func NewSolveCounters(reg *telemetry.Registry) *SolveCounters {
 		Decisions:    reg.Counter("sat.decisions"),
 		Restarts:     reg.Counter("sat.restarts"),
 		Learned:      reg.Counter("sat.learned"),
+		TrailReused:  reg.Counter("sat.trail_reused"),
 		LearntDB:     reg.Gauge("sat.learnt_db"),
 	}
 }
@@ -37,7 +41,7 @@ func NewSolveCounters(reg *telemetry.Registry) *SolveCounters {
 // observe snapshots the statistics before a solve and returns the closure
 // that records the deltas after it.
 func (c *SolveCounters) observe(s *Solver) func() {
-	p0, c0, d0, r0, l0 := s.Propagations, s.Conflicts, s.Decisions, s.Restarts, s.Learned
+	p0, c0, d0, r0, l0, t0 := s.Propagations, s.Conflicts, s.Decisions, s.Restarts, s.Learned, s.TrailReused
 	return func() {
 		c.Solves.Add(1)
 		c.Propagations.Add(s.Propagations - p0)
@@ -45,6 +49,7 @@ func (c *SolveCounters) observe(s *Solver) func() {
 		c.Decisions.Add(s.Decisions - d0)
 		c.Restarts.Add(s.Restarts - r0)
 		c.Learned.Add(s.Learned - l0)
+		c.TrailReused.Add(s.TrailReused - t0)
 		c.LearntDB.Set(int64(len(s.learnts)))
 	}
 }
