@@ -15,12 +15,14 @@ package holes
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"goldmine/internal/cone"
 	"goldmine/internal/coverage"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
+	"goldmine/internal/simc"
 )
 
 // Kind classifies coverage holes.
@@ -413,6 +415,90 @@ func (h *Hole) Hit(tr *sim.Trace) int {
 		}
 	}
 	return -1
+}
+
+// HitMask is Hit on a lane-parallel trace, one cycle at a time: it returns
+// the lanes among those set in among that are live at cycle t (their
+// stimulus is longer than t) and exercise the hole there. Lane l's bit is
+// set exactly when Hit on bt.Lane(l) would see the hole at t, so the first
+// cycle whose mask holds l is that lane's Hit. Toggle and FSM holes are word
+// operations over the packed bits; branch-arm and condition holes evaluate
+// their expression once per candidate lane through a lane view of the row.
+func (h *Hole) HitMask(bt *simc.BatchTrace, t int, among uint64) uint64 {
+	among &= bt.Live(t)
+	if among == 0 {
+		return 0
+	}
+	switch h.Kind {
+	case BranchArm, CondTrue, CondFalse:
+		want := uint64(1)
+		if h.Kind == CondFalse {
+			want = 0
+		}
+		env := maskedEnv{bt.Env()}
+		var m uint64
+		for rest := among; rest != 0; rest &= rest - 1 {
+			l := bits.TrailingZeros64(rest)
+			env.At(t, l)
+			if rtl.Eval(h.Point.Expr, env)&1 == want {
+				m |= 1 << uint(l)
+			}
+		}
+		return m
+	case ToggleRise, ToggleFall:
+		if t == 0 {
+			return 0
+		}
+		pb, cb := bitWord(bt, h.Sig, h.Bit, t-1), bitWord(bt, h.Sig, h.Bit, t)
+		if h.Kind == ToggleRise {
+			return among &^ pb & cb
+		}
+		return among & pb &^ cb
+	case FSMState:
+		return among & stateWord(bt, h.Reg, h.To, t)
+	default: // FSMArc
+		if t == 0 {
+			return 0
+		}
+		return among & stateWord(bt, h.Reg, h.From, t-1) & stateWord(bt, h.Reg, h.To, t)
+	}
+}
+
+// maskedEnv reads a lane view width-masked, as rowEnv does.
+type maskedEnv struct{ *simc.LaneEnv }
+
+func (e maskedEnv) Get(s *rtl.Signal) uint64 { return e.LaneEnv.Get(s) & rtl.Mask(s.Width) }
+
+// bitWord returns bit b of sig at cycle t in every lane; a bit at or past
+// the width reads zero in every lane, so it never toggles.
+func bitWord(bt *simc.BatchTrace, sig *rtl.Signal, b, t int) uint64 {
+	col := bt.Column(sig, t)
+	if b >= sig.Width || b >= len(col) {
+		return 0
+	}
+	return col[b]
+}
+
+// stateWord returns the lanes whose width-masked reg equals v at cycle t; a
+// v with bits above the width matches no lane.
+func stateWord(bt *simc.BatchTrace, reg *rtl.Signal, v uint64, t int) uint64 {
+	if v&^rtl.Mask(reg.Width) != 0 {
+		return 0
+	}
+	col := bt.Column(reg, t)
+	m := ^uint64(0)
+	for i := 0; i < reg.Width; i++ {
+		var w uint64
+		if i < len(col) {
+			w = col[i]
+		}
+		if v>>uint(i)&1 == 1 {
+			m &= w
+		} else {
+			m &^= w
+		}
+	}
+	return m
 }
 
 // ReportHoles counts the holes that contribute to the coverage report's

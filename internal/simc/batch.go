@@ -130,8 +130,9 @@ type BatchProgram struct {
 	// Trace gather: per sim.NewTrace column, the stored words to copy into
 	// each packed row.
 	traceSigs []*rtl.Signal
-	colOff    []int32 // offset of each column's words within a packed row
-	rowGather []int32 // word index per packed-row position
+	colIdx    map[*rtl.Signal]int32 // trace column of each signal
+	colOff    []int32               // offset of each column's words within a packed row
+	rowGather []int32               // word index per packed-row position
 
 	forceable map[string]*forceSlots
 
@@ -863,8 +864,10 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 	// Trace gather in sim.NewTrace column order, raw stored bits per column.
 	tr := sim.NewTrace(d)
 	p.traceSigs = tr.Signals
+	p.colIdx = make(map[*rtl.Signal]int32, len(tr.Signals))
 	p.colOff = make([]int32, len(tr.Signals)+1)
 	for i, sig := range tr.Signals {
+		p.colIdx[sig] = int32(i)
 		p.colOff[i] = int32(len(p.rowGather))
 		p.rowGather = append(p.rowGather, p.sigBits[sig]...)
 	}

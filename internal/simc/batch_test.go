@@ -428,3 +428,97 @@ func TestBatchStateLoadMatchesInterpreter(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedStimAndColumnViews builds a packed stimulus input by input with
+// SetInput and requires it to run exactly as Pack of the same vectors, then
+// checks the trace's column views against the transposed lanes: Column's
+// words, LaneEnv's raw values and Live's masks, on every design.
+func TestPackedStimAndColumnViews(t *testing.T) {
+	for _, b := range designs.All() {
+		d, err := b.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := simc.CompileBatch(d, simc.BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(len(b.Name))))
+		nl, cycles := 1+rng.Intn(simc.MaxLanes), 1+rng.Intn(30)
+		ps, err := p.NewPackedStim(nl, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes := make([]sim.Stimulus, nl)
+		for l := range lanes {
+			lanes[l] = stimgen.Random(d, cycles, int64(l), 2)
+			for c, iv := range lanes[l] {
+				for i, in := range d.Inputs() {
+					// Unmasked draws: SetInput masks to the width as Pack does.
+					ps.SetInput(l, c, i, rng.Uint64())
+					ps.SetInput(l, c, i, iv[in.Name]|rng.Uint64()<<uint(in.Width%64)&^rtl.Mask(in.Width))
+				}
+			}
+		}
+		m := simc.NewBatchMachine(p)
+		got, err := m.RunPacked(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.RunBatch(lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := got.Env()
+		for l := range lanes {
+			tr, err := got.Lane(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(tr.Values) != fmt.Sprint(want[l].Values) {
+				t.Fatalf("%s lane %d: SetInput rows run differently from Pack", b.Name, l)
+			}
+			for c, row := range tr.Values {
+				if got.Live(c)>>uint(l)&1 != 1 {
+					t.Fatalf("%s: lane %d not live at cycle %d", b.Name, l, c)
+				}
+				env.At(c, l)
+				for j, sig := range tr.Signals {
+					var v uint64
+					for i, w := range got.Column(sig, c) {
+						v |= (w >> uint(l) & 1) << uint(i)
+					}
+					if v != row[j] || env.Get(sig) != row[j] {
+						t.Fatalf("%s lane %d cycle %d %s: column %#x env %#x, trace %#x", b.Name, l, c, sig.Name, v, env.Get(sig), row[j])
+					}
+				}
+			}
+		}
+		if clk := d.Signal(d.Clock); clk != nil && (got.Column(clk, 0) != nil || env.Get(clk) != 0) {
+			t.Fatalf("%s: the clock has a column", b.Name)
+		}
+		if got.Live(cycles) != 0 || got.Live(-1) != 0 {
+			t.Fatalf("%s: lanes live outside the trace", b.Name)
+		}
+	}
+	b, err := designs.Get("arbiter2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := b.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := simc.CompileBatch(d, simc.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, simc.MaxLanes + 1} {
+		if _, err := p.NewPackedStim(n, 4); err == nil {
+			t.Errorf("NewPackedStim(%d lanes) accepted", n)
+		}
+	}
+	if _, err := p.NewPackedStim(1, -1); err == nil {
+		t.Error("NewPackedStim with negative cycles accepted")
+	}
+}

@@ -31,25 +31,14 @@ func (ps *PackedStim) Cycles() int { return ps.cycles }
 // Pack transposes up to 64 stimulus sequences into lane-parallel rows,
 // validating names with the interpreter's exact error strings.
 func (p *BatchProgram) Pack(lanes []sim.Stimulus) (*PackedStim, error) {
-	if len(lanes) == 0 {
-		return nil, fmt.Errorf("simc: pack of zero lanes")
+	if err := checkLanes(len(lanes)); err != nil {
+		return nil, err
 	}
-	if len(lanes) > MaxLanes {
-		return nil, fmt.Errorf("simc: %d lanes exceed the %d-lane word width", len(lanes), MaxLanes)
-	}
-	ps := &PackedStim{p: p, lanes: len(lanes), laneLen: make([]int, len(lanes))}
+	laneLen := make([]int, len(lanes))
 	for l, stim := range lanes {
-		ps.laneLen[l] = len(stim)
-		if len(stim) > ps.cycles {
-			ps.cycles = len(stim)
-		}
+		laneLen[l] = len(stim)
 	}
-	nw := len(p.inWords)
-	arena := make([]uint64, ps.cycles*nw)
-	ps.rows = make([][]uint64, ps.cycles)
-	for c := range ps.rows {
-		ps.rows[c] = arena[c*nw : (c+1)*nw : (c+1)*nw]
-	}
+	ps := p.newPacked(laneLen)
 	for l, stim := range lanes {
 		bit := uint64(1) << uint(l)
 		for c, in := range stim {
@@ -81,12 +70,71 @@ func (p *BatchProgram) Pack(lanes []sim.Stimulus) (*PackedStim, error) {
 	return ps, nil
 }
 
+// NewPackedStim returns an all-zero packed stimulus of lanes lanes, each
+// cycles cycles long, for SetInput to fill: a generator writes its draws
+// straight into the rows and never builds a sim.InputVec.
+func (p *BatchProgram) NewPackedStim(lanes, cycles int) (*PackedStim, error) {
+	if err := checkLanes(lanes); err != nil {
+		return nil, err
+	}
+	if cycles < 0 {
+		return nil, fmt.Errorf("simc: negative cycle count %d", cycles)
+	}
+	laneLen := make([]int, lanes)
+	for l := range laneLen {
+		laneLen[l] = cycles
+	}
+	return p.newPacked(laneLen), nil
+}
+
+// checkLanes rejects a lane count that does not fit one word.
+func checkLanes(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("simc: pack of zero lanes")
+	}
+	if n > MaxLanes {
+		return fmt.Errorf("simc: %d lanes exceed the %d-lane word width", n, MaxLanes)
+	}
+	return nil
+}
+
+// newPacked allocates zeroed rows for lanes of the given lengths, carved
+// from one arena.
+func (p *BatchProgram) newPacked(laneLen []int) *PackedStim {
+	ps := &PackedStim{p: p, lanes: len(laneLen), laneLen: laneLen}
+	for _, n := range laneLen {
+		if n > ps.cycles {
+			ps.cycles = n
+		}
+	}
+	nw := len(p.inWords)
+	arena := make([]uint64, ps.cycles*nw)
+	ps.rows = make([][]uint64, ps.cycles)
+	for c := range ps.rows {
+		ps.rows[c] = arena[c*nw : (c+1)*nw : (c+1)*nw]
+	}
+	return ps
+}
+
+// SetInput sets data input i (rtl.Design.Inputs order) of lane l at cycle c
+// to v, masked to the input's width — the same bits Pack writes for that
+// input's entry in lane l's vector of cycle c.
+func (ps *PackedStim) SetInput(l, c, i int, v uint64) {
+	in := ps.p.inputs[i]
+	row := ps.rows[c][in.off : in.off+in.sig.Width]
+	bit := uint64(1) << uint(l)
+	for b := range row {
+		row[b] = row[b]&^bit | (v>>uint(b)&1)<<uint(l)
+	}
+}
+
 // BatchTrace is the lane-parallel trace: one packed row per cycle holding the
 // raw stored bit words of every trace column. Lane extraction transposes one
 // lane back into a standard sim.Trace.
 type BatchTrace struct {
 	p       *BatchProgram
 	laneLen []int
+	live    []uint64 // per cycle, the lanes whose stimulus reaches it
 	rows    [][]uint64
 }
 
@@ -95,6 +143,61 @@ func (bt *BatchTrace) Lanes() int { return len(bt.laneLen) }
 
 // Cycles returns the packed cycle count (longest lane).
 func (bt *BatchTrace) Cycles() int { return len(bt.rows) }
+
+// Live returns the mask of lanes recorded at cycle c: bit l is set when lane
+// l's stimulus is longer than c. Rows past a lane's end hold padding, not
+// that lane's run.
+func (bt *BatchTrace) Live(c int) uint64 {
+	if c < 0 || c >= len(bt.live) {
+		return 0
+	}
+	return bt.live[c]
+}
+
+// Column returns sig's raw stored bit words at cycle c, least significant
+// bit first, bit l of each word belonging to lane l — the column Lane
+// transposes. Bits past the returned words read as zero. A signal without a
+// trace column (the clock) has no words. The slice aliases the trace.
+func (bt *BatchTrace) Column(sig *rtl.Signal, c int) []uint64 {
+	j, ok := bt.p.colIdx[sig]
+	if !ok {
+		return nil
+	}
+	return bt.rows[c][bt.p.colOff[j]:bt.p.colOff[j+1]]
+}
+
+// LaneEnv is an rtl.Env over one lane of one packed trace row: Get gathers
+// that lane's raw stored bits, the value Lane's row holds, so an expression
+// evaluates on the packed trace without transposing it. Signals without a
+// column read zero. Position it with At; one env serves a whole scan.
+type LaneEnv struct {
+	bt    *BatchTrace
+	row   []uint64
+	shift uint
+}
+
+// Env returns a lane view of the trace; position it with At before Get.
+func (bt *BatchTrace) Env() *LaneEnv { return &LaneEnv{bt: bt} }
+
+// At moves the view to lane l of cycle c.
+func (e *LaneEnv) At(c, l int) {
+	e.row = e.bt.rows[c]
+	e.shift = uint(l)
+}
+
+// Get returns sig's raw value in the viewed lane and cycle.
+func (e *LaneEnv) Get(sig *rtl.Signal) uint64 {
+	p := e.bt.p
+	j, ok := p.colIdx[sig]
+	if !ok {
+		return 0
+	}
+	var v uint64
+	for i, w := range e.row[p.colOff[j]:p.colOff[j+1]] {
+		v |= (w >> e.shift & 1) << uint(i)
+	}
+	return v
+}
 
 // Lane transposes lane l into a standard trace, truncated to that lane's own
 // stimulus length. The resulting rows are bit-for-bit the interpreter's.
@@ -279,7 +382,22 @@ func (m *BatchMachine) RunPacked(ps *PackedStim) (*BatchTrace, error) {
 	m.Reset()
 	rw := len(m.p.rowGather)
 	arena := make([]uint64, ps.cycles*rw)
-	bt := &BatchTrace{p: m.p, laneLen: ps.laneLen, rows: make([][]uint64, ps.cycles)}
+	bt := &BatchTrace{p: m.p, laneLen: ps.laneLen, live: make([]uint64, ps.cycles), rows: make([][]uint64, ps.cycles)}
+	// Every non-empty lane is live from cycle 0 until its end: mark each
+	// lane's end cycle in place, then sweep the live set across the cycles.
+	var live uint64
+	for l, n := range ps.laneLen {
+		if n > 0 {
+			live |= 1 << uint(l)
+		}
+		if n < ps.cycles {
+			bt.live[n] |= 1 << uint(l)
+		}
+	}
+	for c, ended := range bt.live {
+		live &^= ended
+		bt.live[c] = live
+	}
 	for c := 0; c < ps.cycles; c++ {
 		row := arena[c*rw : (c+1)*rw : (c+1)*rw]
 		m.Settle(ps.rows[c])

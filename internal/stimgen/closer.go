@@ -35,6 +35,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"sort"
 
 	"goldmine/internal/coverage"
@@ -54,13 +56,14 @@ import (
 // — is identical under any -j.
 const shareWave = 16
 
-// closureWorkers is the per-run worker pool: one persistent mc.Session and
-// one batch machine per worker, living across waves and iterations so
-// unrolled frames, learned clauses, and memoized obligation gadgets are paid
-// for once.
+// closureWorkers is the per-run worker pool: one persistent mc.Session, one
+// batch machine and one fuzz random source per worker, living across waves
+// and iterations so unrolled frames, learned clauses, and memoized
+// obligation gadgets are paid for once.
 type closureWorkers struct {
 	sessions []*mc.Session
 	bms      []*simc.BatchMachine
+	rngs     []*rand.Rand
 }
 
 func newClosureWorkers(d *rtl.Design, nholes int, opts DirectedOptions) (*closureWorkers, error) {
@@ -72,12 +75,14 @@ func newClosureWorkers(d *rtl.Design, nholes int, opts DirectedOptions) (*closur
 	cw := &closureWorkers{
 		sessions: make([]*mc.Session, n),
 		bms:      make([]*simc.BatchMachine, n),
+		rngs:     make([]*rand.Rand, n),
 	}
 	for w := 0; w < n; w++ {
 		checker := mc.NewWithOptions(d, opts.MC)
 		checker.SetTelemetry(opts.Telemetry)
 		cw.sessions[w] = checker.NewSession()
 		cw.bms[w] = simc.NewBatchMachine(bp)
+		cw.rngs[w] = rand.New(rand.NewSource(0)) // reseeded per lane
 	}
 	return cw, nil
 }
@@ -161,7 +166,7 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 						}
 						continue
 					}
-					out[i] = attemptAdaptive(tctx, cw.sessions[w], cw.bms[w],
+					out[i] = attemptAdaptive(tctx, cw.sessions[w], cw.bms[w], cw.rngs[w],
 						hs[i], i, caps[i], proven[hs[i].Key()], tried[hs[i].Key()], opts)
 					if tctx.Err() != nil {
 						return
@@ -177,7 +182,7 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 			}
 		}
 		// Barrier: replay this wave's witnesses against every hole still
-		// waiting. Lane order is index order, and the first hitting lane
+		// waiting. Lane order is index order, and the lowest hitting lane
 		// wins, so coverage attribution is deterministic.
 		var lanes []sim.Stimulus
 		var owners []int
@@ -191,17 +196,14 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 		if len(lanes) > 0 && end < len(hs) {
 			// Witness replay is an optimization: on a sim fault the later
 			// holes simply issue their own queries.
-			if traces, err := cw.bms[0].RunBatch(lanes); err == nil {
+			if bt, err := cw.runPacked(lanes); err == nil {
 				for j := end; j < len(hs); j++ {
 					if coveredBy[j] >= 0 {
 						continue
 					}
-					for l, tr := range traces {
-						if hit := hs[j].Hit(tr); hit >= 0 {
-							coveredBy[j], coveredAt[j] = owners[l], hit
-							shared++
-							break
-						}
+					if l, hit := lowestLaneHit(hs[j], bt); l >= 0 {
+						coveredBy[j], coveredAt[j] = owners[l], hit
+						shared++
 					}
 				}
 			}
@@ -224,12 +226,38 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 	return out
 }
 
+// runPacked packs stimuli into lanes and runs them on worker 0's machine;
+// more than simc.MaxLanes stimuli is an error.
+func (cw *closureWorkers) runPacked(lanes []sim.Stimulus) (*simc.BatchTrace, error) {
+	bm := cw.bms[0]
+	ps, err := bm.Program().Pack(lanes)
+	if err != nil {
+		return nil, err
+	}
+	return bm.RunPacked(ps)
+}
+
+// lowestLaneHit returns the lowest lane of bt that exercises h at any cycle
+// and that lane's first hit cycle, or -1, -1: the winner of a lane-by-lane
+// Hit scan, found on the packed trace. Once a lane hits, only lanes below it
+// can still win.
+func lowestLaneHit(h *holes.Hole, bt *simc.BatchTrace) (lane, hit int) {
+	lane, hit = -1, -1
+	for t, among := 0, ^uint64(0); t < bt.Cycles() && among&bt.Live(t) != 0; t++ {
+		if m := h.HitMask(bt, t, among); m != 0 {
+			lane, hit = bits.TrailingZeros64(m), t
+			among = m&-m - 1
+		}
+	}
+	return lane, hit
+}
+
 // attemptAdaptive runs the capped, resumable SAT→fuzz→induction ladder for
 // one hole. rank is the hole's index in the ranked list (the fuzz seed
 // derives from it, not from the worker); fromDepth is the depth already
 // proven unreachable in earlier iterations, fromK the induction steps
 // already observed Sat — both ladders resume, never repeat.
-func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachine, h *holes.Hole, rank, cap, fromDepth, fromK int, opts DirectedOptions) *HoleAttempt {
+func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachine, rng *rand.Rand, h *holes.Hole, rank, cap, fromDepth, fromK int, opts DirectedOptions) *HoleAttempt {
 	at := &HoleAttempt{Hole: h}
 	var sp *telemetry.Span
 	if opts.Telemetry != nil {
@@ -295,10 +323,18 @@ func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachin
 	}
 
 	// Fallback: focused batch fuzzing. The cap may simply be too small (fuzz
-	// lanes run past it), so bounded-UNSAT still gets a fuzz shot.
-	lanes := FocusedLanes(bm.Program().Design(), h.Inputs, opts.FuzzLanes, opts.FuzzCycles,
-		opts.Seed+int64(rank)*1000003, 2)
-	traces, err := bm.RunBatch(lanes)
+	// lanes run past it), so bounded-UNSAT still gets a fuzz shot. The lanes
+	// are drawn straight into packed rows and hits are found on the packed
+	// trace, cycle-major: the first cycle any lane hits wins, the lowest such
+	// lane breaks the tie, and only that lane is drawn again as a stimulus.
+	const resetCycles = 2
+	fd := newFocusDraw(bm.Program().Design(), h.Inputs)
+	seed := opts.Seed + int64(rank)*1000003
+	ps, err := fd.packed(bm.Program(), rng, opts.FuzzLanes, opts.FuzzCycles, seed, resetCycles)
+	var bt *simc.BatchTrace
+	if err == nil {
+		bt, err = bm.RunPacked(ps)
+	}
 	if err != nil {
 		if at.Err == nil {
 			at.Err = err
@@ -306,17 +342,14 @@ func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachin
 		at.Method = MethodError
 		return at
 	}
-	best, bestLane := -1, -1
-	for l, tr := range traces {
-		if hit := h.Hit(tr); hit >= 0 && (best < 0 || hit < best) {
-			best, bestLane = hit, l
+	for t := 0; t < bt.Cycles(); t++ {
+		if m := h.HitMask(bt, t, ^uint64(0)); m != 0 {
+			lane := bits.TrailingZeros64(m)
+			at.Method, at.Depth = MethodFuzz, t+1
+			at.Stim = fd.lane(rng, seed+int64(lane), t+1, resetCycles)
+			at.SATUnreachable = unreachable
+			return at
 		}
-	}
-	if best >= 0 {
-		at.Method, at.Depth = MethodFuzz, best+1
-		at.Stim = lanes[bestLane][:best+1].Clone()
-		at.SATUnreachable = unreachable
-		return at
 	}
 	switch {
 	case at.Err != nil:
@@ -538,21 +571,26 @@ func (cw *closureWorkers) compactSuite(ctx context.Context, res *ClosureResult, 
 	for _, at := range pendOrder {
 		lanes = append(lanes, at.Stim)
 	}
-	traces, err := cw.bms[0].RunBatch(lanes)
+	bt, err := cw.runPacked(lanes)
 	if err != nil {
 		// Compaction is an optimization: on a sim fault keep the suite as is.
 		sp.End(telemetry.String("error", err.Error()))
 		return nil
 	}
 	sigs := make([]map[string]bool, len(lanes))
-	for l, tr := range traces {
-		sig := map[string]bool{}
-		for _, h := range universe {
-			if h.Hit(tr) >= 0 {
-				sig[h.Key()] = true
-			}
+	for l := range sigs {
+		sigs[l] = map[string]bool{}
+	}
+	for _, h := range universe {
+		var hit uint64
+		for t, among := 0, ^uint64(0); t < bt.Cycles() && among&bt.Live(t) != 0; t++ {
+			m := h.HitMask(bt, t, among)
+			hit |= m
+			among &^= m
 		}
-		sigs[l] = sig
+		for ; hit != 0; hit &= hit - 1 {
+			sigs[bits.TrailingZeros64(hit)][h.Key()] = true
+		}
 	}
 
 	covers := map[string]int{} // fact -> kept stimuli covering it

@@ -148,41 +148,105 @@ func stateEq(reg *rtl.Signal, v uint64) rtl.Expr {
 // toggle randomly while every other input is held at zero (it cannot affect
 // the hole), with the usual reset prefix. Lane l uses seed+l.
 func FocusedLanes(d *rtl.Design, focus []*rtl.Signal, lanes, cycles int, seed int64, resetCycles int) []sim.Stimulus {
-	inCone := map[string]bool{}
-	for _, s := range focus {
-		inCone[s.Name] = true
-	}
-	ins := d.Inputs()
+	fd := newFocusDraw(d, focus)
+	r := rand.New(rand.NewSource(seed))
 	out := make([]sim.Stimulus, lanes)
 	for l := range out {
-		rng := rand.New(rand.NewSource(seed + int64(l)))
-		stim := make(sim.Stimulus, 0, cycles)
-		for c := 0; c < cycles; c++ {
-			iv := sim.InputVec{}
-			for _, in := range ins {
-				if inCone[in.Name] {
-					iv[in.Name] = rng.Uint64() & rtl.Mask(in.Width)
-				} else {
-					iv[in.Name] = 0
-				}
-			}
-			for _, rname := range []string{"rst", "reset"} {
-				if _, ok := iv[rname]; !ok {
-					continue
-				}
-				if c < resetCycles {
-					iv[rname] = 1
-				} else if inCone[rname] && rng.Intn(16) == 0 {
-					iv[rname] = 1
-				} else {
-					iv[rname] = 0
-				}
-			}
-			stim = append(stim, iv)
-		}
-		out[l] = stim
+		out[l] = fd.lane(r, seed+int64(l), cycles, resetCycles)
 	}
 	return out
+}
+
+// focusDraw is the one draw routine of focused fuzzing. Its stream per lane
+// is fixed: per cycle, one Uint64 per cone input in rtl.Design.Inputs order
+// (a cone rst/reset draws too, and the draw is then overwritten), then, past
+// the reset prefix, one Intn(16) for rst and then for reset when that input
+// is in the cone. Two sinks consume it: every lane written straight into
+// packed rows (the fuzz run), and one lane as a sim.Stimulus (the witness,
+// and FocusedLanes).
+type focusDraw struct {
+	ins     []*rtl.Signal
+	inCone  []bool
+	isReset []bool
+	resets  []int // input indices of rst, then reset, when present
+}
+
+func newFocusDraw(d *rtl.Design, focus []*rtl.Signal) *focusDraw {
+	cone := make(map[string]bool, len(focus))
+	for _, s := range focus {
+		cone[s.Name] = true
+	}
+	fd := &focusDraw{ins: d.Inputs()}
+	fd.inCone = make([]bool, len(fd.ins))
+	fd.isReset = make([]bool, len(fd.ins))
+	for i, in := range fd.ins {
+		fd.inCone[i] = cone[in.Name]
+	}
+	for _, rname := range []string{"rst", "reset"} {
+		for i, in := range fd.ins {
+			if in.Name == rname {
+				fd.resets = append(fd.resets, i)
+				fd.isReset[i] = true
+			}
+		}
+	}
+	return fd
+}
+
+// draw reseeds r with seed and hands set every input value of the first
+// cycles cycles, once each: set(c, i, v) for input i (rtl.Design.Inputs
+// order) at cycle c, out-of-cone inputs included (as zero). A shorter draw
+// is a prefix of a longer one.
+func (fd *focusDraw) draw(r *rand.Rand, seed int64, cycles, resetCycles int, set func(c, i int, v uint64)) {
+	r.Seed(seed)
+	for c := 0; c < cycles; c++ {
+		for i, in := range fd.ins {
+			var v uint64
+			if fd.inCone[i] {
+				v = r.Uint64() & rtl.Mask(in.Width)
+			}
+			if !fd.isReset[i] {
+				set(c, i, v)
+			}
+		}
+		for _, i := range fd.resets {
+			var v uint64
+			if c < resetCycles || fd.inCone[i] && r.Intn(16) == 0 {
+				v = 1
+			}
+			set(c, i, v)
+		}
+	}
+}
+
+// lane draws one lane of cycles cycles as a stimulus: FocusedLanes(...)[l]
+// for seed+l, or its prefix.
+func (fd *focusDraw) lane(r *rand.Rand, seed int64, cycles, resetCycles int) sim.Stimulus {
+	stim := make(sim.Stimulus, cycles)
+	for c := range stim {
+		stim[c] = make(sim.InputVec, len(fd.ins))
+	}
+	fd.draw(r, seed, cycles, resetCycles, func(c, i int, v uint64) {
+		stim[c][fd.ins[i].Name] = v
+	})
+	return stim
+}
+
+// packed draws lanes lanes (lane l seeded seed+l) of cycles cycles straight
+// into packed rows of p: the run FocusedLanes would pack, with no InputVec.
+func (fd *focusDraw) packed(p *simc.BatchProgram, r *rand.Rand, lanes, cycles int, seed int64, resetCycles int) (*simc.PackedStim, error) {
+	ps, err := p.NewPackedStim(lanes, cycles)
+	if err != nil {
+		return nil, err
+	}
+	for l := 0; l < lanes; l++ {
+		fd.draw(r, seed+int64(l), cycles, resetCycles, func(c, i int, v uint64) {
+			if v != 0 { // the rows start zeroed
+				ps.SetInput(l, c, i, v)
+			}
+		})
+	}
+	return ps, nil
 }
 
 // DirectedFromHoles synthesizes stimulus per hole: SAT-directed first,

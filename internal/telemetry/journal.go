@@ -114,7 +114,14 @@ func (e *Event) wire() (JSONEvent, error) {
 // degrades by losing events, never by stalling the refinement loop. Close
 // flushes the queue and appends a trailer line recording written/dropped
 // totals, so a consumer can always tell whether the record is complete.
+//
+// Every timestamp a journal writes lies on one timeline: the wall-clock
+// reading of the journal's base (taken once, at NewJournal) plus the
+// monotonic time elapsed since it. A span's ts_us is its start on that
+// timeline and its dur_us is monotonic too, so a wall-clock step between a
+// parent's start and a child's cannot make the child escape its parent.
 type Journal struct {
+	base    time.Time
 	ch      chan Event
 	done    chan struct{}
 	w       *bufio.Writer
@@ -144,6 +151,7 @@ func NewJournal(w io.Writer, buffer int) *Journal {
 		buffer = 1
 	}
 	j := &Journal{
+		base: time.Now(),
 		ch:   make(chan Event, buffer),
 		done: make(chan struct{}),
 		w:    bufio.NewWriter(w),
@@ -263,7 +271,13 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// Emit queues one event; a full buffer drops it and bumps the drop counter.
+// stamp places t on the journal's timeline: base.Add(t.Sub(base)) is the
+// base's wall-clock reading plus the monotonic time from base to t (a t
+// without a monotonic reading keeps its own wall-clock reading).
+func (j *Journal) stamp(t time.Time) time.Time { return j.base.Add(t.Sub(j.base)) }
+
+// Emit queues one event, its TS moved onto the journal's timeline; a full
+// buffer drops it and bumps the drop counter.
 // Nil-safe: a nil journal swallows events for free. Emits after Close are
 // dropped (counted), never a crash — a straggler goroutine finishing its last
 // span after shutdown must not take the process down.
@@ -274,6 +288,7 @@ func (j *Journal) Emit(e Event) {
 		}
 		return
 	}
+	e.TS = j.stamp(e.TS)
 	select {
 	case j.ch <- e:
 	default:
@@ -311,7 +326,7 @@ func (j *Journal) Close() error {
 		j.ch <- Event{Kind: kindStop}
 		<-j.done
 		trailer := JSONEvent{
-			TS:   time.Now().UnixMicro(),
+			TS:   j.stamp(time.Now()).UnixMicro(),
 			Kind: KindClose,
 			Attrs: map[string]any{
 				"written": j.written.Load(),

@@ -277,6 +277,65 @@ func TestStartSpanParenting(t *testing.T) {
 	}
 }
 
+// TestSpanTimestampsNestOnJournalTimeline pins the timestamp rule: a span's
+// ts_us is its start placed on the journal's one timeline, base.Add(start.
+// Sub(base)) — the base's wall-clock reading plus a monotonic offset — so a
+// child's [ts, ts+dur] nests in its parent's (up to the microsecond
+// truncation of both fields) whatever the wall clock does between the two
+// starts. Stamping each start with its own wall-clock reading, as spans once
+// did, let a wall-clock step move a child outside its parent.
+func TestSpanTimestampsNestOnJournalTimeline(t *testing.T) {
+	var buf bytes.Buffer
+	j := NewJournal(&buf, 64)
+	tr := New(NewRegistry(), j)
+
+	// The rule itself: a monotonic start lands at base + monotonic offset;
+	// a start without a monotonic reading keeps its wall-clock reading.
+	now := time.Now()
+	if got, want := j.stamp(now).UnixNano(), j.base.UnixNano()+int64(now.Sub(j.base)); got != want {
+		t.Fatalf("stamp = %d, want base + monotonic offset %d", got, want)
+	}
+	if wall := time.Unix(1e9, 123456789); !j.stamp(wall).Equal(wall) {
+		t.Fatalf("stamp moved a wall-clock-only time: %v", j.stamp(wall))
+	}
+
+	ctx, root := tr.StartSpan(context.Background(), "root")
+	for i := 0; i < 3; i++ {
+		cctx, child := tr.StartSpan(ctx, "child")
+		time.Sleep(200 * time.Microsecond)
+		_, leaf := tr.StartSpan(cctx, "leaf")
+		time.Sleep(100 * time.Microsecond)
+		leaf.End()
+		child.End()
+	}
+	root.End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[uint64]JSONEvent{}
+	for _, e := range decodeLines(t, buf.Bytes()) {
+		if e.Kind == KindSpan {
+			spans[e.Span] = e
+		}
+	}
+	if len(spans) != 7 {
+		t.Fatalf("%d spans journaled, want 7", len(spans))
+	}
+	for _, sp := range spans {
+		if sp.TS < j.base.UnixMicro() {
+			t.Errorf("span %s starts at %d, before the journal base %d", sp.Name, sp.TS, j.base.UnixMicro())
+		}
+		if sp.Parent == 0 {
+			continue
+		}
+		par := spans[sp.Parent]
+		if sp.TS < par.TS || sp.TS+sp.DurUS > par.TS+par.DurUS+1 {
+			t.Errorf("span %s [%d,%d] escapes parent %s [%d,%d]",
+				sp.Name, sp.TS, sp.TS+sp.DurUS, par.Name, par.TS, par.TS+par.DurUS)
+		}
+	}
+}
+
 // TestAppendEventMatchesWire pins the drain goroutine's hand-rolled encoder
 // against the reference JSONEvent marshaling: for events covering every field
 // and the string-escaping edge cases, both encodings must decode to the same

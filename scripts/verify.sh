@@ -16,13 +16,16 @@ go vet ./...
 echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # go test ./... above runs only the seed corpora; this leg runs the fuzz
 # engine itself on each target: the decision-scope rule of the SAT solver,
-# trail reuse between solves, the JSONL replay/torn-tail rule, and
-# batch-engine ≡ interpreter. A failing input lands in the package's
+# trail reuse between solves, the JSONL replay/torn-tail rule,
+# batch-engine ≡ interpreter, packed hole hits ≡ Hole.Hit per lane, and the
+# parser/elaborator never panicking. A failing input lands in the package's
 # testdata/fuzz, ready to commit as a seed.
 go test -run '^$' -fuzz '^FuzzScopedSolve$' -fuzztime 10s -parallel 2 ./internal/cnf
 go test -run '^$' -fuzz '^FuzzTrailReuse$' -fuzztime 10s -parallel 2 ./internal/sat
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -parallel 2 ./internal/jsonl
 go test -run '^$' -fuzz '^FuzzBatchMatchesInterpreter$' -fuzztime 10s -parallel 2 ./internal/simc
+go test -run '^$' -fuzz '^FuzzHitMaskMatchesHit$' -fuzztime 10s -parallel 2 ./internal/holes
+go test -run '^$' -fuzz '^FuzzElaborateSource$' -fuzztime 10s -parallel 2 ./internal/rtl
 
 echo "== go test -race ./... =="
 go test -race ./...
@@ -134,12 +137,15 @@ if [ "$closure_strict" != 1 ]; then
 fi
 
 echo "== smoke: closure is deterministic and its journal validates =="
-"$tmpbin/coverage_race" -design decode -cycles 512 -directed -j 1 >"$tmpbin/cc1.txt"
-"$tmpbin/coverage_race" -design decode -cycles 512 -directed -j 4 >"$tmpbin/cc4.txt"
-if ! diff "$tmpbin/cc1.txt" "$tmpbin/cc4.txt"; then
-    echo "smoke: FAILED (closure output differs between -j 1 and -j 4)" >&2
-    exit 1
-fi
+# b17 is the design where the focused-fuzz fallback dominates closure time.
+for d in decode b17; do
+    "$tmpbin/coverage_race" -design "$d" -cycles 512 -directed -j 1 >"$tmpbin/cc1.txt"
+    "$tmpbin/coverage_race" -design "$d" -cycles 512 -directed -j 4 >"$tmpbin/cc4.txt"
+    if ! diff "$tmpbin/cc1.txt" "$tmpbin/cc4.txt"; then
+        echo "smoke: FAILED ($d: closure output differs between -j 1 and -j 4)" >&2
+        exit 1
+    fi
+done
 "$tmpbin/goldmine" -design decode -close-coverage -cover-cycles 512 \
     -telemetry "$tmpbin/cc.jsonl" >/dev/null
 "$tmpbin/telcheck" \
