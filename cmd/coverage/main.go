@@ -83,7 +83,6 @@ func run(o cliOpts, w io.Writer) error {
 			DirectedOptions: stimgen.DirectedOptions{Seed: o.seed, Workers: o.workers},
 			TotalCycles:     o.cycles,
 			FillRandom:      true,
-			Compiled:        true,
 			DeadFile:        o.deadFile,
 		})
 		if err != nil {

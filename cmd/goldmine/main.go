@@ -60,9 +60,6 @@ func main() {
 		checkTO  = flag.Duration("check-timeout", 0, "wall-clock budget per formal check (0 = none)")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel mining workers (1 = sequential; results are identical for any value)")
 		schedOut = flag.Bool("sched-stats", false, "print scheduler/cache telemetry to stderr (advisory, non-deterministic)")
-		incr     = flag.Bool("incremental", true, "reuse pooled SAT solver sessions across checks; false decides each check on a fresh session (verdicts and counterexamples are identical either way)")
-		compiled = flag.Bool("compiled", true, "simulate seed and counterexample traces (and -close-coverage suites) on the 64-lane batch engine instead of the interpreter (artifacts are identical either way)")
-		coi      = flag.Bool("coi", true, "cone-of-influence CNF reduction: encode only the logic each assertion can observe")
 		closeCov = flag.Bool("close-coverage", false, "run the coverage-closure loop (SAT-directed stimulus aimed at the uncovered points) instead of mining")
 		coverCyc = flag.Int("cover-cycles", 2000, "total stimulus cycle budget for -close-coverage")
 		coverSd  = flag.Int64("cover-seed", 1, "random seed for -close-coverage")
@@ -102,7 +99,6 @@ func main() {
 		maxIter: *maxIter, checkTO: *checkTO, workers: *workers,
 		batched: *batched, fullCtx: *full, printTree: *tree, canonical: *canon,
 		reduce: *reduce, corpus: *corpusF, minimize: *minimize, schedOut: *schedOut,
-		incremental: *incr, coi: *coi, compiled: *compiled,
 		closeCoverage: *closeCov, coverCycles: *coverCyc, coverSeed: *coverSd,
 		coverDead: *coverDd,
 		telemetry: *telOut, metricsSummary: *metrics,
@@ -118,8 +114,7 @@ func main() {
 	}
 }
 
-// runOpts carries the flag values into run; the zero value of the two
-// engine toggles is "off", so tests opt in explicitly where they matter.
+// runOpts carries the flag values into run.
 type runOpts struct {
 	design, file, output string
 	bit, window          int
@@ -133,8 +128,6 @@ type runOpts struct {
 	corpus               string
 	canonical            bool
 	minimize, schedOut   bool
-	incremental, coi     bool
-	compiled             bool
 	closeCoverage        bool
 	coverCycles          int
 	coverSeed            int64
@@ -231,9 +224,6 @@ func run(ctx context.Context, o runOpts) error {
 		Batched(o.batched).
 		FullCtxTrace(o.fullCtx).
 		Workers(o.workers).
-		Incremental(o.incremental).
-		Compiled(o.compiled).
-		CoI(o.coi).
 		CheckTimeout(o.checkTO)
 	if o.window >= 0 {
 		copts.Window(o.window)
@@ -392,8 +382,8 @@ func run(ctx context.Context, o runOpts) error {
 		totalProved, totalCtx, extra, eng.Checker.Checks, eng.Checker.TotalTime.Seconds())
 	if o.schedOut && all.Sched != nil {
 		s := all.Sched
-		fmt.Fprintf(os.Stderr, "sched: workers=%d tasks=%d stolen=%d panics=%d cache-hits=%d deduped=%d misses=%d hit-rate=%.1f%%\n",
-			s.Workers, s.Tasks, s.TasksStolen, s.WorkerPanics, s.CacheHits, s.ChecksDeduped, s.CacheMisses, 100*s.CacheHitRate)
+		fmt.Fprintf(os.Stderr, "sched: workers=%d tasks=%d panics=%d cache-hits=%d deduped=%d misses=%d hit-rate=%.1f%%\n",
+			s.Workers, s.Tasks, s.WorkerPanics, s.CacheHits, s.ChecksDeduped, s.CacheMisses, 100*s.CacheHitRate)
 	}
 	if interrupted {
 		return fmt.Errorf("%w (%d/%d targets mined)", errInterrupted, mined, len(targets))
@@ -413,7 +403,6 @@ func runClosure(ctx context.Context, d *rtl.Design, o runOpts, tel *telemetry.Tr
 		},
 		TotalCycles: o.coverCycles,
 		FillRandom:  true,
-		Compiled:    o.compiled,
 		DeadFile:    o.coverDead,
 	})
 	if err != nil {

@@ -19,19 +19,6 @@ func TestRunDesign(t *testing.T) {
 		design: "arbiter2", output: "gnt0", bit: 0, window: -1,
 		seed: "directed", format: "ltl", maxIter: 32, workers: 2,
 		batched: true, printTree: true, minimize: true,
-		incremental: true, coi: true,
-	}
-	if err := run(context.Background(), o); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunDesignFresh exercises the fresh-session checker path that
-// -incremental=false selects, with -coi off.
-func TestRunDesignFresh(t *testing.T) {
-	o := runOpts{
-		design: "arbiter2", output: "gnt0", bit: 0, window: -1,
-		seed: "directed", format: "ltl", maxIter: 32, workers: 1,
 	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
@@ -44,7 +31,6 @@ func TestRunCancelledContext(t *testing.T) {
 	o := runOpts{
 		design: "arbiter2", bit: -1, window: -1,
 		seed: "directed", format: "ltl", maxIter: 8, workers: 2,
-		incremental: true, coi: true,
 	}
 	err := run(ctx, o)
 	if !errors.Is(err, errInterrupted) {
@@ -56,7 +42,7 @@ func TestRunAllOutputsSVA(t *testing.T) {
 	o := runOpts{
 		design: "cex_small", bit: -1, window: -1,
 		seed: "none", format: "sva", maxIter: 16, workers: 2,
-		reduce: true, incremental: true, coi: true,
+		reduce: true,
 	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
@@ -74,7 +60,6 @@ func TestRunFile(t *testing.T) {
 		file: path, output: "y", bit: 0, window: 0,
 		seed: "random:8", format: "psl", maxIter: 8, workers: 2,
 		fullCtx: true, reduce: true, minimize: true,
-		incremental: true, coi: true,
 	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
@@ -84,7 +69,7 @@ func TestRunFile(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	base := runOpts{
 		bit: -1, window: -1, seed: "directed", format: "ltl",
-		maxIter: 8, workers: 2, incremental: true, coi: true,
+		maxIter: 8, workers: 2,
 	}
 	if err := run(context.Background(), base); err == nil {
 		t.Error("missing design should error")
@@ -174,7 +159,7 @@ func TestRunTelemetryJournal(t *testing.T) {
 	o := runOpts{
 		design: "arbiter2", bit: -1, window: -1,
 		seed: "directed", format: "ltl", maxIter: 8, workers: 1,
-		incremental: true, coi: true, telemetry: path,
+		telemetry: path,
 	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)

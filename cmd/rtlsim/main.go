@@ -31,16 +31,15 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random stimulus seed")
 		quiet  = flag.Bool("quiet", false, "suppress the trace, print only coverage")
 		vcd    = flag.String("vcd", "", "write the trace as a VCD file")
-		comp   = flag.Bool("compiled", true, "simulate on the 64-lane batch engine instead of the interpreter (trace, VCD and coverage are identical)")
 	)
 	flag.Parse()
-	if err := run(*design, *file, *cycles, *stim, *seed, *quiet, *vcd, *comp); err != nil {
+	if err := run(*design, *file, *cycles, *stim, *seed, *quiet, *vcd); err != nil {
 		fmt.Fprintln(os.Stderr, "rtlsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(design, file string, cycles int, stimSpec string, seed int64, quiet bool, vcdPath string, compiled bool) error {
+func run(design, file string, cycles int, stimSpec string, seed int64, quiet bool, vcdPath string) error {
 	if cycles < 0 {
 		return fmt.Errorf("-cycles must be >= 0, got %d", cycles)
 	}
@@ -88,29 +87,15 @@ func run(design, file string, cycles int, stimSpec string, seed int64, quiet boo
 		return fmt.Errorf("bad -stim %q", stimSpec)
 	}
 
-	// The compiled path observes the recorded trace; the interpreter path
-	// keeps the live observer hook, so -compiled=false is an end-to-end
-	// reference for both the trace and the coverage line.
-	col := coverage.New(d)
-	var trace *sim.Trace
-	if compiled {
-		traces, err := simc.SimulateBatch(d, []sim.Stimulus{stim})
-		if err != nil {
-			return err
-		}
-		trace = traces[0]
-		col.ObserveTrace(trace)
-	} else {
-		s, err := sim.New(d)
-		if err != nil {
-			return err
-		}
-		s.Observe(col.Observe)
-		col.BeginRun()
-		if trace, err = s.Run(stim); err != nil {
-			return err
-		}
+	// The stimulus runs as lane 0 of the batch engine, whose trace equals
+	// the sim.Simulator interpreter's; coverage observes the recorded trace.
+	traces, err := simc.SimulateBatch(d, []sim.Stimulus{stim})
+	if err != nil {
+		return err
 	}
+	trace := traces[0]
+	col := coverage.New(d)
+	col.ObserveTrace(trace)
 
 	if !quiet {
 		// Header.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"goldmine/internal/designs"
@@ -10,79 +9,80 @@ import (
 	"goldmine/internal/stimgen"
 )
 
-// mineCompiled mines a benchmark with the compiled simulator toggled and
-// returns the canonical artifact string.
-func mineCompiled(t *testing.T, name string, compiled bool, workers, maxIter int) string {
-	t.Helper()
-	b, err := designs.Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := b.Design()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Window = b.Window
-	cfg.Workers = workers
-	cfg.CompiledSim = compiled
-	if maxIter > 0 {
-		cfg.MaxIterations = maxIter
-	}
-	eng, err := NewEngine(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compiled && eng.compiled == nil {
-		t.Fatal("CompiledSim set but engine has no compiled-program holder")
-	}
-	if !compiled && eng.compiled != nil {
-		t.Fatal("CompiledSim unset but engine holds a compiled program")
-	}
-	var seed sim.Stimulus
-	if b.Directed != nil {
-		seed = b.Directed()
-	}
-	res, err := eng.MineAll(context.Background(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Canonical()
-}
-
-// TestCompiledMiningCanonical is the compiled-simulator determinism contract:
-// the mining artifacts must be byte-identical whether seed and counterexample
-// traces come from lane 0 of the batch machine or the tree-walking
-// interpreter, sequentially and in parallel (forked engines share one
-// compiled program).
+// TestCompiledMiningCanonical checks the batch engine's traces against the
+// interpreter at the point mining depends on them: every counterexample
+// of a falsified candidate, replayed on the sim.Simulator interpreter,
+// violates its assertion in its last window. The designs span arbiter state,
+// a wide datapath (fetch) and a 21-flop serial converter (b09), sequentially
+// and in parallel (forked engines share one compiled program), and the
+// canonical artifacts must not depend on the worker count.
 func TestCompiledMiningCanonical(t *testing.T) {
 	cases := []struct {
 		design  string
 		maxIter int
 	}{
-		{"arbiter2", 0},
 		{"arbiter4", 6},
 		{"fetch", 3},
-		{"b01", 4},
+		{"b09", 4},
 	}
 	for _, tc := range cases {
-		interp := mineCompiled(t, tc.design, false, 1, tc.maxIter)
+		b, err := designs.Get(tc.design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := b.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var canon []string
 		for _, workers := range []int{1, 4} {
-			comp := mineCompiled(t, tc.design, true, workers, tc.maxIter)
-			if comp != interp {
-				t.Errorf("%s -j%d: compiled and interpreter artifacts differ:\ninterpreter:\n%s\ncompiled:\n%s",
-					tc.design, workers, interp, comp)
+			cfg := DefaultConfig()
+			cfg.Window = b.Window
+			cfg.Workers = workers
+			cfg.MaxIterations = tc.maxIter
+			eng, err := NewEngine(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seed sim.Stimulus
+			if b.Directed != nil {
+				seed = b.Directed()
+			}
+			res, err := eng.MineAll(context.Background(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canon = append(canon, res.Canonical())
+			failed := 0
+			for _, o := range res.Outputs {
+				if len(o.Failed) != len(o.Ctx) {
+					t.Fatalf("%s %s[%d]: %d failed records, %d counterexamples", tc.design, o.Output, o.Bit, len(o.Failed), len(o.Ctx))
+				}
+				for i, rec := range o.Failed {
+					stim := o.Ctx[i]
+					tr, err := sim.Simulate(d, stim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !violatesAt(tr, rec.Assertion, len(stim)-(rec.Assertion.Consequent.Offset+1)) {
+						t.Errorf("%s -j%d: ctx %d of %s[%d] does not violate %s on the interpreter",
+							tc.design, workers, i, o.Output, o.Bit, rec.Assertion)
+					}
+					failed++
+				}
+			}
+			if failed == 0 {
+				t.Errorf("%s -j%d: no falsified candidate to replay", tc.design, workers)
 			}
 		}
-		if !strings.Contains(interp, "output") {
-			t.Errorf("%s: canonical form looks empty:\n%s", tc.design, interp)
+		if canon[0] != canon[1] {
+			t.Errorf("%s: -j1 and -j4 artifacts differ:\n-j1:\n%s\n-j4:\n%s", tc.design, canon[0], canon[1])
 		}
 	}
 }
 
-// TestCompiledSimulateMatchesInterpreter ensures a compile failure silently falls back to the
-// interpreter rather than corrupting mining: a nil compiled holder (the
-// CompiledSim=false path) and the compiled path must both serve Simulate.
+// TestCompiledSimulateMatchesInterpreter: the engine's simulate (lane 0 of
+// the batch machine) returns the interpreter's trace, cycle for cycle.
 func TestCompiledSimulateMatchesInterpreter(t *testing.T) {
 	b, err := designs.Get("b09")
 	if err != nil {
@@ -103,7 +103,7 @@ func TestCompiledSimulateMatchesInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.sim.Run(stim)
+	want, err := sim.Simulate(d, stim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ type Config struct {
 	// the next one (their leaves are NOT marked stuck).
 	IterationTimeout time.Duration
 	// Workers is the parallelism degree of MineAll/MineTargets: output-bit
-	// mining jobs are spread over a work-stealing pool of this many workers,
+	// mining jobs are spread over a task pool of this many workers,
 	// and in BatchedChecks mode a batch's independent leaf checks fan out
 	// over the same worker budget. <= 1 mines sequentially. Mining artifacts
 	// (assertions, counterexample stimuli, iteration stats) are identical
@@ -89,25 +89,6 @@ type Config struct {
 	// model-checker-option fingerprints, so sharing across engines and
 	// designs is safe. Nil means a private per-engine cache.
 	Cache *sched.VerdictCache
-	// Incremental routes formal checks through a pool of persistent
-	// mc.Session solver contexts, amortizing the transition-relation
-	// encoding and learned clauses across the thousands of checks of a
-	// refinement run. False decides each check on a fresh throwaway
-	// Session instead. Verdicts and counterexamples are identical either
-	// way (sessions canonicalize counterexamples), so the
-	// -j1 ≡ -jN determinism contract is unaffected. One caveat: with a
-	// deterministic MC.MaxWork budget, *where* a hard check degrades along
-	// proved→bounded→unknown can depend on which session answered it
-	// (verdicts only ever weaken; they never flip). DefaultConfig enables it.
-	Incremental bool
-	// CompiledSim routes seed and counterexample simulation through the
-	// 64-lane batch engine (internal/simc, one stimulus as lane 0) instead of
-	// the tree interpreter. The design is compiled once per engine (shared
-	// across forks); traces are bit-for-bit identical to the interpreter's,
-	// so every mining artifact — including Result.Canonical — is unchanged.
-	// If compilation fails the engine silently falls back to the interpreter.
-	// DefaultConfig enables it.
-	CompiledSim bool
 	// MC are the model checker limits.
 	MC mc.Options
 }
@@ -117,15 +98,14 @@ func DefaultConfig() Config {
 	return Config{
 		Window:        1,
 		MaxIterations: 64,
-		Incremental:   true,
-		CompiledSim:   true,
 		MC:            mc.DefaultOptions(),
 	}
 }
 
 // FormalChecker is the formal-verification boundary the engine drives. It is
-// satisfied by *mc.Checker; tests substitute hostile implementations to prove
-// the engine fails soft.
+// satisfied by *mc.Checker, whose CheckCtx decides each check on a throwaway
+// session — the fresh reference the pooled sessions are tested against; tests
+// also substitute hostile implementations to prove the engine fails soft.
 type FormalChecker interface {
 	CheckCtx(ctx context.Context, a *assertion.Assertion) (*mc.Result, error)
 }
@@ -264,15 +244,12 @@ func (r *OutputResult) Assertions() []*assertion.Assertion {
 
 // SchedStats is the scheduler telemetry of one MineAll/MineTargets run. All
 // of it is advisory: none of these numbers participate in the determinism
-// contract (work stealing and cache-hit attribution are benign races).
+// contract (worker assignment and cache-hit attribution are benign races).
 type SchedStats struct {
 	// Workers is the resolved parallelism degree (1 = sequential).
 	Workers int
 	// Tasks is the number of output-bit mining jobs scheduled.
 	Tasks int
-	// TasksStolen counts jobs executed by a worker other than the one they
-	// were initially sharded onto.
-	TasksStolen int64
 	// WorkerPanics counts whole-job panics isolated by the worker barrier.
 	WorkerPanics int64
 	// ChecksDeduped counts formal checks that waited on an identical
@@ -399,14 +376,15 @@ type Engine struct {
 	D       *rtl.Design
 	Cfg     Config
 	Checker *mc.Checker
-	checker FormalChecker // overrides Checker when set (fault injection)
-	sim     *sim.Simulator
+	checker FormalChecker // overrides the pooled sessions when set
 	// compiled holds the once-compiled batch program, shared by every fork
 	// (compilation is per design, not per goroutine); machine is this
 	// engine's private executor over it (simc.BatchMachine is
-	// single-goroutine, like sim.Simulator).
+	// single-goroutine).
 	compiled *compiledSim
 	machine  *simc.BatchMachine
+	// cycles counts simulated cycles (sim.cycles); nil when telemetry is off.
+	cycles *telemetry.Counter
 
 	// cache memoizes model-checker verdicts under canonical keys; shared by
 	// every fork of this engine (and across engines when Config.Cache is
@@ -418,11 +396,10 @@ type Engine struct {
 	// in-flight mining jobs stays at the configured degree (each job always
 	// keeps one lane of its own).
 	checkSem chan struct{}
-	// sessions pools incremental mc.Sessions (nil when Cfg.Incremental is
-	// off). A Session is single-goroutine, so each in-flight check takes one
-	// out, uses it exclusively, and returns it; the channel is shared by
-	// every fork of this engine so warmed-up solver states migrate between
-	// mining jobs. A check that panics simply never returns its session —
+	// sessions pools incremental mc.Sessions. A Session is single-goroutine,
+	// so each in-flight check takes one out, uses it exclusively, and returns
+	// it; the channel is shared by every fork of this engine so warmed-up
+	// solver states migrate between mining jobs. A check that panics simply never returns its session —
 	// the possibly-corrupt state is dropped, not repooled.
 	sessions chan *mc.Session
 	// tel routes the refinement loop's telemetry (spans per output /
@@ -443,10 +420,6 @@ type coreMetrics struct {
 // NewEngine creates an engine (shared model-checker reachability and verdict
 // caches across outputs).
 func NewEngine(d *rtl.Design, cfg Config) (*Engine, error) {
-	s, err := sim.New(d)
-	if err != nil {
-		return nil, err
-	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = sched.NewVerdictCache()
@@ -459,18 +432,13 @@ func NewEngine(d *rtl.Design, cfg Config) (*Engine, error) {
 		D:         d,
 		Cfg:       cfg,
 		Checker:   mc.NewWithOptions(d, cfg.MC),
-		sim:       s,
+		compiled:  &compiledSim{},
 		cache:     cache,
 		keyPrefix: sched.DesignFingerprint(d) + "|" + sched.OptionsFingerprint(cfg.MC) + "|",
 		checkSem:  make(chan struct{}, lanes),
-	}
-	if cfg.CompiledSim {
-		e.compiled = &compiledSim{}
-	}
-	if cfg.Incremental {
 		// Capacity covers the worst-case concurrent checks (one per mining
 		// worker plus every spare check lane) so sessions are parked, not lost.
-		e.sessions = make(chan *mc.Session, cfg.Workers+lanes+2)
+		sessions: make(chan *mc.Session, cfg.Workers+lanes+2),
 	}
 	return e, nil
 }
@@ -486,7 +454,7 @@ func (e *Engine) SetTelemetry(tr *telemetry.Tracer) {
 	e.Checker.SetTelemetry(tr)
 	if tr == nil {
 		e.mtr = coreMetrics{}
-		e.sim.Cycles = nil
+		e.cycles = nil
 		return
 	}
 	reg := tr.Registry()
@@ -497,7 +465,7 @@ func (e *Engine) SetTelemetry(tr *telemetry.Tracer) {
 		ctxFound:   reg.Counter("mine.ctx_found"),
 		proved:     reg.Counter("mine.proved"),
 	}
-	e.sim.Cycles = reg.Counter("sim.cycles")
+	e.cycles = reg.Counter("sim.cycles")
 }
 
 // getSession checks a pooled incremental session out (or warms a new one up).
@@ -518,20 +486,14 @@ func (e *Engine) putSession(s *mc.Session) {
 	}
 }
 
-// fork clones the engine for one parallel mining job: a fresh simulator
-// (sim.Simulator is single-goroutine), sharing the design, the thread-safe
-// model checker (and its reachability cache), the verdict cache, and the
-// check-lane budget.
-func (e *Engine) fork() (*Engine, error) {
-	s, err := sim.New(e.D)
-	if err != nil {
-		return nil, err
-	}
+// fork clones the engine for one parallel mining job: its own batch machine
+// (executors are single-goroutine), sharing the design, the compiled
+// program, the thread-safe model checker (and its reachability cache), the
+// session pool, the verdict cache, and the check-lane budget.
+func (e *Engine) fork() *Engine {
 	fe := *e
-	fe.sim = s
-	fe.sim.Cycles = e.sim.Cycles
-	fe.machine = nil // executors are single-goroutine; the program is shared
-	return &fe, nil
+	fe.machine = nil
+	return &fe
 }
 
 // compiledSim is the fork-shared compile-once cell for the batch simulator.
@@ -541,48 +503,45 @@ type compiledSim struct {
 	err  error
 }
 
-// compiledMachine returns this engine's compiled executor, compiling the
-// shared program on first use (under a sim.compile span). Nil means the
-// compiled path is disabled or compilation failed — callers fall back to the
-// interpreter.
-func (e *Engine) compiledMachine(ctx context.Context) *simc.BatchMachine {
-	if e.compiled == nil {
-		return nil
-	}
+// compiledMachine returns this engine's batch executor, compiling the shared
+// program on first use (under a sim.compile span).
+func (e *Engine) compiledMachine(ctx context.Context) (*simc.BatchMachine, error) {
 	e.compiled.once.Do(func() {
 		_, sp := e.tel.StartSpan(ctx, "sim.compile", telemetry.String("design", e.D.Name))
 		e.compiled.prog, e.compiled.err = simc.CompileBatch(e.D, simc.BatchOptions{})
 		sp.End()
 	})
 	if e.compiled.err != nil {
-		return nil
+		return nil, e.compiled.err
 	}
 	if e.machine == nil {
 		e.machine = simc.NewBatchMachine(e.compiled.prog)
 	}
-	e.machine.Cycles = e.sim.Cycles
-	return e.machine
+	e.machine.Cycles = e.cycles
+	return e.machine, nil
 }
 
-// simulate runs a stimulus as lane 0 of the batch machine when the compiled
-// path is available, else on the interpreter. Compiled and interpreted
-// traces are bit-for-bit identical (enforced by the differential tests in
-// internal/simc), so the choice never changes mining artifacts.
+// simulate runs a stimulus as lane 0 of the batch machine. Its traces are
+// bit-for-bit those of the sim.Simulator interpreter, the reference oracle
+// (enforced by the differential tests in internal/simc).
 func (e *Engine) simulate(ctx context.Context, stim sim.Stimulus) (*sim.Trace, error) {
-	if m := e.compiledMachine(ctx); m != nil {
-		traces, err := m.RunBatch([]sim.Stimulus{stim})
-		if err != nil {
-			return nil, err
-		}
-		return traces[0], nil
+	m, err := e.compiledMachine(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return e.sim.Run(stim)
+	traces, err := m.RunBatch([]sim.Stimulus{stim})
+	if err != nil {
+		return nil, err
+	}
+	return traces[0], nil
 }
 
-// SetChecker substitutes the formal checker — the fault-injection seam. A nil
-// fc restores the built-in mc.Checker. The verdict cache is reset so stale
-// verdicts from the previous checker cannot mask the substitute; in parallel
-// runs the substitute must itself be safe for concurrent CheckCtx calls.
+// SetChecker substitutes the formal checker for the pooled sessions — the
+// fault-injection seam, and the way tests run every check fresh
+// (SetChecker(mc.NewWithOptions(d, cfg.MC))). A nil fc restores the pooled
+// sessions. The verdict cache is reset so stale verdicts from the previous
+// checker cannot mask the substitute; in parallel runs the substitute must
+// itself be safe for concurrent CheckCtx calls.
 func (e *Engine) SetChecker(fc FormalChecker) {
 	e.checker = fc
 	e.cache = sched.NewVerdictCache()
@@ -591,13 +550,6 @@ func (e *Engine) SetChecker(fc FormalChecker) {
 // cacheKey derives the verdict-cache key of a candidate assertion.
 func (e *Engine) cacheKey(a *assertion.Assertion) string {
 	return e.keyPrefix + a.CanonicalKey()
-}
-
-func (e *Engine) formalChecker() FormalChecker {
-	if e.checker != nil {
-		return e.checker
-	}
-	return e.Checker
 }
 
 // leafKey renders a leaf's root path for fault records.
@@ -643,17 +595,17 @@ func (e *Engine) safeCheck(ctx context.Context, out string, cand mine.Candidate)
 	ctx, psp := e.tel.StartSpan(ctx, "sched.cache_probe")
 	defer psp.End()
 	v, outcome, err := e.cache.Check(ctx, e.cacheKey(cand.Assertion), func() (*mc.Result, error) {
-		// The fault-injection override always wins; otherwise prefer an
-		// incremental session when the engine keeps a pool. A panicking
-		// session is never repooled (the deferred recover above fires before
-		// putSession runs), so corrupt solver state dies with the check.
-		if e.checker == nil && e.sessions != nil {
-			s := e.getSession()
-			r, err := s.CheckCtx(ctx, cand.Assertion)
-			e.putSession(s)
-			return r, err
+		// A substitute checker always wins; otherwise the check takes a
+		// pooled session. A panicking session is never repooled (the deferred
+		// recover above fires before putSession runs), so corrupt solver
+		// state dies with the check.
+		if e.checker != nil {
+			return e.checker.CheckCtx(ctx, cand.Assertion)
 		}
-		return e.formalChecker().CheckCtx(ctx, cand.Assertion)
+		s := e.getSession()
+		r, err := s.CheckCtx(ctx, cand.Assertion)
+		e.putSession(s)
+		return r, err
 	})
 	co.outcome = outcome
 	psp.Annotate(telemetry.String("outcome", outcome.String()))
@@ -1074,8 +1026,8 @@ func (e *Engine) mineOutputSafe(ctx context.Context, out *rtl.Signal, bit int, s
 }
 
 // MineTargets mines the given output bits under a context. With
-// Cfg.Workers > 1 the jobs are spread over a work-stealing pool (each job on a
-// forked engine with its own simulator); results are merged positionally, so
+// Cfg.Workers > 1 the jobs are spread over a task pool (each job on a
+// forked engine with its own batch machine); results are merged positionally, so
 // the mining artifacts are identical for any Workers value. On cancellation
 // or deadline the pool drains cleanly: jobs never started are excluded from
 // Outputs, running jobs stop at their next boundary and contribute their
@@ -1120,13 +1072,8 @@ func (e *Engine) MineTargets(ctx context.Context, targets []Target, seed sim.Sti
 	for i := range targets {
 		i := i
 		t := targets[i]
-		tasks[i] = sched.Task{ID: i, Run: func(jctx context.Context) {
-			fe, err := e.fork()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i], errs[i] = fe.mineOutputSafe(jctx, t.Output, t.Bit, seed)
+		tasks[i] = sched.Task{ID: i, Run: func(jctx context.Context, _ int) {
+			outs[i], errs[i] = e.fork().mineOutputSafe(jctx, t.Output, t.Bit, seed)
 		}}
 	}
 	st := sched.RunTasks(ctx, workers, tasks, func(t sched.Task, pe *sched.PanicError) {
@@ -1158,7 +1105,6 @@ func (e *Engine) MineTargets(ctx context.Context, targets []Target, seed sim.Sti
 	e.finishSched(res, &SchedStats{
 		Workers:      st.Workers,
 		Tasks:        st.Tasks,
-		TasksStolen:  st.Stolen,
 		WorkerPanics: st.Panics,
 	}, cacheBefore)
 	res.Elapsed = time.Since(start)

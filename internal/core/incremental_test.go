@@ -2,16 +2,18 @@ package core
 
 import (
 	"context"
-
 	"testing"
 
 	"goldmine/internal/designs"
+	"goldmine/internal/mc"
 	"goldmine/internal/sim"
 )
 
-// mineIncr mines a benchmark with the incremental session pool on or off and
-// returns the canonical artifact string.
-func mineIncr(t *testing.T, name string, incremental, satOnly bool, workers, maxIter int) string {
+// minePooledOrFresh mines every output of a benchmark and returns the
+// canonical artifact string. fresh substitutes the model checker itself
+// through SetChecker, so every check runs on a throwaway session (the
+// reference) instead of the engine's session pool.
+func minePooledOrFresh(t *testing.T, name string, fresh, satOnly bool, workers, maxIter int) string {
 	t.Helper()
 	b, err := designs.Get(name)
 	if err != nil {
@@ -24,18 +26,18 @@ func mineIncr(t *testing.T, name string, incremental, satOnly bool, workers, max
 	cfg := DefaultConfig()
 	cfg.Window = b.Window
 	cfg.Workers = workers
-	cfg.Incremental = incremental
+	cfg.MaxIterations = maxIter
 	if satOnly {
 		// Disqualify the explicit engine so the SAT paths (the ones sessions
 		// change) decide every check.
 		cfg.MC.MaxStateBits = 0
 	}
-	if maxIter > 0 {
-		cfg.MaxIterations = maxIter
-	}
 	eng, err := NewEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fresh {
+		eng.SetChecker(mc.NewWithOptions(d, cfg.MC))
 	}
 	var seed sim.Stimulus
 	if b.Directed != nil {
@@ -49,28 +51,29 @@ func mineIncr(t *testing.T, name string, incremental, satOnly bool, workers, max
 }
 
 // TestIncrementalMatchesFresh is the engine-level equivalence contract of the
-// incremental backend: session-pooled and fresh-session checking produce
+// session pool: pooled sessions and a fresh session per check produce
 // byte-identical mining artifacts (verdicts, counterexample stimuli,
-// iteration stats), with the SAT engines forced on so the persistent solver
-// states actually decide the checks.
+// iteration stats) on every bundled design, sequentially and in parallel.
+// Two rows force the SAT engines on, so the persistent solver states decide
+// every check.
 func TestIncrementalMatchesFresh(t *testing.T) {
-	cases := []struct {
+	type row struct {
 		design  string
 		satOnly bool
-		workers int
-		maxIter int
-	}{
-		{"arbiter2", true, 1, 0},
-		{"arbiter2", false, 1, 0},
-		{"arbiter2", true, 4, 0},
-		{"fetch", true, 1, 3},
 	}
-	for _, tc := range cases {
-		fresh := mineIncr(t, tc.design, false, tc.satOnly, tc.workers, tc.maxIter)
-		incr := mineIncr(t, tc.design, true, tc.satOnly, tc.workers, tc.maxIter)
-		if fresh != incr {
-			t.Errorf("%s (satOnly=%v j=%d): incremental and fresh artifacts differ:\nfresh:\n%s\nincremental:\n%s",
-				tc.design, tc.satOnly, tc.workers, fresh, incr)
+	var rows []row
+	for _, b := range designs.All() {
+		rows = append(rows, row{b.Name, false})
+	}
+	rows = append(rows, row{"arbiter2", true}, row{"fetch", true})
+	for _, r := range rows {
+		for _, workers := range []int{1, 4} {
+			fresh := minePooledOrFresh(t, r.design, true, r.satOnly, workers, 8)
+			pooled := minePooledOrFresh(t, r.design, false, r.satOnly, workers, 8)
+			if fresh != pooled {
+				t.Errorf("%s (satOnly=%v j=%d): pooled and fresh artifacts differ:\nfresh:\n%s\npooled:\n%s",
+					r.design, r.satOnly, workers, fresh, pooled)
+			}
 		}
 	}
 }

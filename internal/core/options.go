@@ -29,6 +29,9 @@ type Options struct {
 	cfg       Config
 	tel       *telemetry.Tracer
 	portfolio int // see Portfolio; never reaches Config
+	// removed names each deleted path a false Incremental, Compiled or CoI
+	// asked for; Build rejects them. Never reaches Config.
+	removed []string
 }
 
 // NewOptions starts a builder from DefaultConfig.
@@ -59,16 +62,33 @@ func (o *Options) FullCtxTrace(b bool) *Options { o.cfg.AddFullCtxTrace = b; ret
 // SignalCone falls back to signal-granular cone-of-influence analysis.
 func (o *Options) SignalCone(b bool) *Options { o.cfg.SignalCone = b; return o }
 
-// Incremental toggles the persistent SAT session pool.
-func (o *Options) Incremental(b bool) *Options { o.cfg.Incremental = b; return o }
+// Incremental, Compiled and CoI are what remains of three removed switches:
+// every check takes a pooled mc.Session, simulation always runs on the
+// 64-lane batch engine, and the model checker always encodes the cone of
+// influence. They write nothing into Config, and Build rejects false with an
+// error naming the removed path. They stay only because the perfbench
+// harness (perfbench/workloads.go, mineOptions) still calls them with true;
+// the next change to that harness drops the calls and these setters together.
+func (o *Options) Incremental(b bool) *Options {
+	return o.keep(b, "fresh-session checking removed: Incremental(false)")
+}
 
-// Compiled toggles the compiled batch simulator for seed and
-// counterexample simulation (on by default; traces and mining artifacts are
-// identical either way — the interpreter remains the reference oracle).
-func (o *Options) Compiled(b bool) *Options { o.cfg.CompiledSim = b; return o }
+// Compiled: see Incremental.
+func (o *Options) Compiled(b bool) *Options {
+	return o.keep(b, "interpreter simulation removed: Compiled(false)")
+}
 
-// CoI toggles cone-of-influence CNF reduction in the model checker.
-func (o *Options) CoI(b bool) *Options { o.cfg.MC.CoI = b; return o }
+// CoI: see Incremental.
+func (o *Options) CoI(b bool) *Options {
+	return o.keep(b, "eager whole-design CNF removed: CoI(false)")
+}
+
+func (o *Options) keep(b bool, removed string) *Options {
+	if !b {
+		o.removed = append(o.removed, removed)
+	}
+	return o
+}
 
 // Timeout bounds one whole MineOutput call by wall clock (0 = none).
 func (o *Options) Timeout(d time.Duration) *Options { o.cfg.Timeout = d; return o }
@@ -141,6 +161,7 @@ func (o *Options) Build() (Config, error) {
 	if o.portfolio != 0 && o.portfolio != 1 {
 		bad("racing portfolio removed: Portfolio(%d) must be 0 or 1", o.portfolio)
 	}
+	errs = append(errs, o.removed...)
 	// Contradictions between the budget layers: an inner budget wider than an
 	// outer one means the inner bound can never fire — almost certainly a
 	// mistaken unit, so reject instead of silently ignoring the knob.

@@ -31,8 +31,6 @@ func TestOptionsSetters(t *testing.T) {
 		Batched(true).
 		FullCtxTrace(true).
 		SignalCone(true).
-		Incremental(true).
-		CoI(true).
 		Timeout(time.Minute).
 		IterationTimeout(time.Second).
 		CheckTimeout(time.Millisecond).
@@ -45,7 +43,7 @@ func TestOptionsSetters(t *testing.T) {
 	}
 	if cfg.Window != 3 || cfg.MaxIterations != 7 || cfg.MaxChecks != 11 ||
 		cfg.Workers != 4 || !cfg.BatchedChecks || !cfg.AddFullCtxTrace ||
-		!cfg.SignalCone || !cfg.Incremental || !cfg.MC.CoI ||
+		!cfg.SignalCone ||
 		cfg.Timeout != time.Minute || cfg.IterationTimeout != time.Second ||
 		cfg.MC.CheckTimeout != time.Millisecond || cfg.MC.MaxWork != 99 ||
 		cfg.MC.MaxBMCDepth != 5 || cfg.MC.MaxInduction != 6 {
@@ -102,6 +100,33 @@ func TestOptionsPortfolioRemoved(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "racing portfolio removed") {
 			t.Errorf("Portfolio(%d): err = %v, want a racing portfolio removed error", n, err)
 		}
+	}
+}
+
+// TestOptionsRemovedSwitches: the fresh-session, interpreter and eager-CNF
+// paths are gone, so Incremental, Compiled and CoI build only with true,
+// never touch Config, and each false is rejected with the removed path named.
+func TestOptionsRemovedSwitches(t *testing.T) {
+	cfg, err := NewOptions().Incremental(true).Compiled(true).CoI(true).Build()
+	if err != nil {
+		t.Fatalf("true switches: %v", err)
+	}
+	if want := DefaultConfig(); cfg.MC != want.MC || cfg.Window != want.Window || cfg.MaxIterations != want.MaxIterations {
+		t.Fatalf("true switches changed the config: %+v", cfg)
+	}
+	for name, o := range map[string]*Options{
+		"fresh-session checking removed": NewOptions().Incremental(false),
+		"interpreter simulation removed": NewOptions().Compiled(false),
+		"eager whole-design CNF removed": NewOptions().CoI(false),
+	} {
+		_, err := o.Build()
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("err = %v, want a %q error", err, name)
+		}
+	}
+	_, err = NewOptions().Incremental(false).Compiled(false).CoI(false).Build()
+	if err == nil || strings.Count(err.Error(), "removed") != 3 {
+		t.Errorf("all three false: err = %v, want three removed paths", err)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestCacheKeyIncludesOptions(t *testing.T) {
 // StageWorker fault instead of crashing the run.
 func TestWorkerPanicIsolation(t *testing.T) {
 	e := mustEngine(t, arbiterSrc, DefaultConfig())
-	e.sim = nil // any seeded mining run now nil-derefs before the first check
+	e.compiled = nil // any seeded mining run now nil-derefs before the first check
 	res, err := e.MineTargets(context.Background(), e.Targets(), paperSeed())
 	if err != nil {
 		t.Fatal(err)

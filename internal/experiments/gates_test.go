@@ -201,7 +201,6 @@ func coverClosure(t *testing.T, name string) (res *stimgen.ClosureResult, random
 		DirectedOptions: stimgen.DirectedOptions{Seed: seed, Workers: 2},
 		TotalCycles:     budget,
 		FillRandom:      true,
-		Compiled:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -188,20 +188,20 @@ func explicitEquiv(a, b *rtl.Design) (*EquivResult, error) {
 	insA, insB := a.Inputs(), b.Inputs()
 	regsA, regsB := a.Registers(), b.Registers()
 
-	// b's input i is driven with a's input i's value (inputs pair up by
-	// position): bInSrc maps each of b's packed input words to a's word, or
-	// -1 past the end of a's input.
+	// Inputs pair up by name (sameInterface matched names and widths), not
+	// by declaration order: bInSrc maps each of b's packed input words to
+	// the word of a's same-named input bit.
+	offA := map[string]int{}
+	off := 0
+	for _, in := range insA {
+		offA[in.Name] = off
+		off += in.Width
+	}
 	var bInSrc []int
-	offA := 0
-	for i, in := range insB {
+	for _, in := range insB {
 		for bit := 0; bit < in.Width; bit++ {
-			src := -1
-			if bit < insA[i].Width {
-				src = offA + bit
-			}
-			bInSrc = append(bInSrc, src)
+			bInSrc = append(bInSrc, offA[in.Name]+bit)
 		}
-		offA += insA[i].Width
 	}
 
 	x := newBFS(append(append([]*rtl.Signal(nil), regsA...), regsB...), insA, len(regsA)+len(regsB))
@@ -222,10 +222,7 @@ func explicitEquiv(a, b *rtl.Design) (*EquivResult, error) {
 				inA[j] = enumWord(base, j)
 			}
 			for j, src := range bInSrc {
-				inB[j] = 0
-				if src >= 0 {
-					inB[j] = inA[src]
-				}
+				inB[j] = inA[src]
 			}
 			ma.Settle(inA)
 			mb.Settle(inB)

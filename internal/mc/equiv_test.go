@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fmt"
 	"testing"
 
 	"goldmine/internal/sim"
@@ -149,6 +150,66 @@ func TestEquivStatusString(t *testing.T) {
 	for _, s := range []EquivStatus{EquivEqual, EquivDifferent, EquivBounded} {
 		if s.String() == "" {
 			t.Error("empty status")
+		}
+	}
+}
+
+// TestEquivReorderedPorts: inputs pair up by name, not declaration order, on
+// all three paths. Each row's b declares a's ports in another order; equal
+// rows must not differ, and every distinguishing sequence reported for a
+// different row must make the named output differ on the interpreter.
+func TestEquivReorderedPorts(t *testing.T) {
+	const comb = `module m(input [1:0] x, input y, output q); assign q = %s; endmodule`
+	const combR = `module m(input y, input [1:0] x, output q); assign q = %s; endmodule`
+	const seq = `module m(input clk, input [1:0] x, input y, output reg q, output reg r);
+  always @(posedge clk) begin q <= %s; r <= q ^ y; end
+endmodule`
+	const seqR = `module m(input clk, input y, input [1:0] x, output reg q, output reg r);
+  always @(posedge clk) begin q <= %s; r <= q ^ y; end
+endmodule`
+	same, other := "x[1] & ~y ^ x[0]", "y & ~x[1] ^ x[0]"
+	bounded := DefaultOptions()
+	bounded.MaxStateBits = 0
+	bounded.MaxBMCDepth = 4
+	cases := []struct {
+		name   string
+		a, b   string
+		opts   Options
+		status EquivStatus
+	}{
+		{"miter equal", fmt.Sprintf(comb, same), fmt.Sprintf(combR, same), DefaultOptions(), EquivEqual},
+		{"miter different", fmt.Sprintf(comb, same), fmt.Sprintf(combR, other), DefaultOptions(), EquivDifferent},
+		{"explicit equal", fmt.Sprintf(seq, same), fmt.Sprintf(seqR, same), DefaultOptions(), EquivEqual},
+		{"explicit different", fmt.Sprintf(seq, same), fmt.Sprintf(seqR, other), DefaultOptions(), EquivDifferent},
+		{"bounded equal", fmt.Sprintf(seq, same), fmt.Sprintf(seqR, same), bounded, EquivBounded},
+		{"bounded different", fmt.Sprintf(seq, same), fmt.Sprintf(seqR, other), bounded, EquivDifferent},
+	}
+	for _, tc := range cases {
+		a, b := mustDesign(t, tc.a), mustDesign(t, tc.b)
+		res, err := Equivalent(a, b, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Status != tc.status {
+			t.Errorf("%s: %v (output %s after %d cycles), want %v", tc.name, res.Status, res.Output, len(res.Ctx), tc.status)
+			continue
+		}
+		if res.Status != EquivDifferent {
+			continue
+		}
+		ta, err := sim.Simulate(a, res.Ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := sim.Simulate(b, res.Ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(res.Ctx) - 1
+		va, _ := ta.Value(last, res.Output)
+		vb, _ := tb.Value(last, res.Output)
+		if va == vb {
+			t.Errorf("%s: distinguishing sequence %v leaves %s=%d on both", tc.name, res.Ctx, res.Output, va)
 		}
 	}
 }

@@ -146,11 +146,6 @@ type Options struct {
 	// single shared pool. 0 means no limit. Unlike CheckTimeout this budget
 	// is reproducible, which the degradation tests rely on.
 	MaxWork int64
-	// CoI enables cone-of-influence CNF reduction: the SAT engines encode
-	// only the transitive sequential cone of the signals an assertion
-	// references (lazy unrolling) instead of the whole transition relation.
-	// Sound — see cnf.NewLazyUnroller — and on by default.
-	CoI bool
 }
 
 // DefaultOptions returns sensible limits for benchmark-scale designs.
@@ -162,17 +157,7 @@ func DefaultOptions() Options {
 		MaxExplicitBits: 22,
 		MaxBMCDepth:     24,
 		MaxInduction:    12,
-		CoI:             true,
 	}
-}
-
-// newUnroller builds the CNF unroller the SAT engines use, honouring the CoI
-// option.
-func (c *Checker) newUnroller(s *sat.Solver) *cnf.Unroller {
-	if c.opts.CoI {
-		return cnf.NewLazyUnroller(s, c.d)
-	}
-	return cnf.NewUnroller(s, c.d)
 }
 
 // Checker verifies assertions against one design, caching reachability

@@ -140,29 +140,6 @@ func TestSessionActivationRetired(t *testing.T) {
 	verifyCtx(t, d, falsified, r.Ctx)
 }
 
-// TestCanonicalCtxIndependentOfCoI checks the canonical counterexample does
-// not depend on whether cone-of-influence reduction is on: the lex-min model
-// over the cone bits is a property of the assertion, not the encoding.
-func TestCanonicalCtxIndependentOfCoI(t *testing.T) {
-	d := mustDesign(t, arbiterSrc)
-	for _, a := range arbiterSuite() {
-		withCoI := satOnlyOptions()
-		withoutCoI := satOnlyOptions()
-		withoutCoI.CoI = false
-		r1, err := NewWithOptions(d, withCoI).Check(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := NewWithOptions(d, withoutCoI).Check(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Status != r2.Status || !reflect.DeepEqual(r1.Ctx, r2.Ctx) {
-			t.Errorf("%s: CoI on=(%v %v) off=(%v %v)", a, r1.Status, r1.Ctx, r2.Status, r2.Ctx)
-		}
-	}
-}
-
 // TestTwoChecksOneReachabilityPass is the satellite regression guard: the
 // explicit-state fixpoint is computed once per Checker no matter how many
 // checks (or sessions) consume it.

@@ -297,7 +297,8 @@ func (c *VerdictCache) Check(ctx context.Context, key string, compute func() (*m
 		default: // in flight: wait for the leader
 			s.shared++
 			s.mu.Unlock()
-			// A deduplicated concurrent check: advisory, like steals.
+			// A deduplicated concurrent check: advisory (which caller leads is a
+			// benign race).
 			if tr := telemetry.ContextTracer(ctx); tr != nil {
 				tr.Event("sched.dedup")
 				tr.Registry().Counter("sched.dedups").Inc()

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ func TestRunTasksRunsEveryTaskOnce(t *testing.T) {
 		tasks := make([]Task, n)
 		for i := range tasks {
 			i := i
-			tasks[i] = Task{ID: i, Run: func(context.Context) {
+			tasks[i] = Task{ID: i, Run: func(context.Context, int) {
 				atomic.AddInt32(&ran[i], 1)
 			}}
 		}
@@ -46,39 +47,73 @@ func TestWorkersClamp(t *testing.T) {
 	}
 }
 
-func TestRunTasksStealing(t *testing.T) {
-	// One worker's deque gets every slow task (round-robin with 2 workers and
-	// slow tasks at even indices); the other must steal to stay busy. With a
-	// blocking rendezvous we force both workers to be active at once, so at
-	// least one steal is guaranteed: worker 1's own deque holds one quick
-	// task, and the gate only opens once worker 1 has entered a stolen task.
-	gate := make(chan struct{})
-	entered := make(chan int, 16)
-	tasks := []Task{
-		{ID: 0, Run: func(ctx context.Context) {
-			// Worker 0 parks here until another worker steals task 2 or 3.
-			select {
-			case <-gate:
-			case <-ctx.Done():
-			}
-		}},
-		{ID: 1, Run: func(context.Context) {}},
-		{ID: 2, Run: func(context.Context) { entered <- 2; close(gate) }},
-		{ID: 3, Run: func(context.Context) {}},
-	}
+// TestRunTasksNoIdleWorker: task 0 blocks until every other task has run, so
+// with two workers the second must take tasks 1..n-1 on its own. A static
+// shard (task i pinned to worker i mod 2) would leave the odd tasks queued
+// behind task 0 and hang until the timeout.
+func TestRunTasksNoIdleWorker(t *testing.T) {
+	const n = 9
+	var rest atomic.Int32
+	allRan := make(chan struct{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	timedOut := false
+	tasks := make([]Task, n)
+	tasks[0] = Task{ID: 0, Run: func(ctx context.Context, _ int) {
+		select {
+		case <-allRan:
+		case <-ctx.Done():
+			timedOut = true
+		}
+	}}
+	for i := 1; i < n; i++ {
+		tasks[i] = Task{ID: i, Run: func(context.Context, int) {
+			if rest.Add(1) == n-1 {
+				close(allRan)
+			}
+		}}
+	}
 	st := RunTasks(ctx, 2, tasks, nil)
-	if st.Completed != 4 {
-		t.Fatalf("Completed = %d, want 4", st.Completed)
+	if timedOut {
+		t.Fatalf("task 0 waited out the timeout: %d of %d other tasks ran", rest.Load(), n-1)
 	}
-	if st.Stolen == 0 {
-		t.Fatal("expected at least one stolen task")
+	if st.Completed != n {
+		t.Fatalf("Completed = %d, want %d", st.Completed, n)
 	}
-	select {
-	case <-entered:
-	default:
-		t.Fatal("task 2 never ran")
+}
+
+// TestRunTasksExclusiveWorkerIndex: no two running tasks ever share a worker
+// index, and every index is in [0, Workers). Run under -race, the per-index
+// flag is also what a caller's per-worker state would be.
+func TestRunTasksExclusiveWorkerIndex(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 9} {
+		const n = 200
+		inUse := make([]atomic.Bool, workers)
+		owner := make([]int, workers) // per-worker state, written without locks
+		tasks := make([]Task, n)
+		for i := range tasks {
+			i := i
+			tasks[i] = Task{ID: i, Run: func(_ context.Context, w int) {
+				if w < 0 || w >= workers {
+					t.Errorf("workers=%d: task %d got worker index %d", workers, i, w)
+					return
+				}
+				if !inUse[w].CompareAndSwap(false, true) {
+					t.Errorf("workers=%d: worker index %d handed to two running tasks", workers, w)
+					return
+				}
+				owner[w] = i
+				runtime.Gosched()
+				if owner[w] != i {
+					t.Errorf("workers=%d: worker %d state overwritten while task %d ran", workers, w, i)
+				}
+				inUse[w].Store(false)
+			}}
+		}
+		st := RunTasks(context.Background(), workers, tasks, nil)
+		if st.Completed != n {
+			t.Fatalf("workers=%d: Completed = %d, want %d", workers, st.Completed, n)
+		}
 	}
 }
 
@@ -92,7 +127,7 @@ func TestRunTasksCancellationDrains(t *testing.T) {
 	tasks := make([]Task, n)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{ID: i, Run: func(context.Context) {
+		tasks[i] = Task{ID: i, Run: func(context.Context, int) {
 			atomic.AddInt64(&ran, 1)
 			if i < 2 {
 				cancel()
@@ -112,7 +147,7 @@ func TestRunTasksPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	tasks := []Task{{ID: 0, Run: func(context.Context) { atomic.AddInt64(&ran, 1) }}}
+	tasks := []Task{{ID: 0, Run: func(context.Context, int) { atomic.AddInt64(&ran, 1) }}}
 	st := RunTasks(ctx, 4, tasks, nil)
 	if ran != 0 || st.Completed != 0 {
 		t.Fatalf("pre-cancelled pool ran %d tasks (completed %d)", ran, st.Completed)
@@ -126,7 +161,7 @@ func TestRunTasksPanicIsolation(t *testing.T) {
 	tasks := make([]Task, 8)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{ID: i, Run: func(context.Context) {
+		tasks[i] = Task{ID: i, Run: func(context.Context, int) {
 			if i%3 == 0 {
 				panic("hostile task")
 			}

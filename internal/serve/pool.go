@@ -16,10 +16,10 @@ import (
 // the server's cache.
 func poolKey(d *rtl.Design, cfg core.Config) string {
 	return sched.DesignFingerprint(d) + "|" + sched.OptionsFingerprint(cfg.MC) +
-		fmt.Sprintf("|w%d/i%d/c%d/win%d/b%v/f%v/sc%v/inc%v/cs%v/t%v/it%v",
+		fmt.Sprintf("|w%d/i%d/c%d/win%d/b%v/f%v/sc%v/t%v/it%v",
 			cfg.Workers, cfg.MaxIterations, cfg.MaxChecks, cfg.Window,
 			cfg.BatchedChecks, cfg.AddFullCtxTrace, cfg.SignalCone,
-			cfg.Incremental, cfg.CompiledSim, cfg.Timeout, cfg.IterationTimeout)
+			cfg.Timeout, cfg.IterationTimeout)
 }
 
 // enginePool parks idle core.Engine instances per poolKey so successive jobs

@@ -141,7 +141,6 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 	for i := range coveredBy {
 		coveredBy[i] = -1
 	}
-	workers := len(cw.sessions)
 	for base := 0; base < len(hs); base += shareWave {
 		end := base + shareWave
 		if end > len(hs) {
@@ -154,27 +153,24 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 				telemetry.Int("base", int64(base)),
 				telemetry.Int("size", int64(end-base)))
 		}
-		tasks := make([]sched.Task, workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			tasks[w] = sched.Task{ID: w, Run: func(tctx context.Context) {
-				for i := base + w; i < end; i += workers {
-					if coveredBy[i] >= 0 {
-						out[i] = &HoleAttempt{
-							Hole: hs[i], Method: MethodShared,
-							Via: hs[coveredBy[i]].Key(), Depth: coveredAt[i] + 1,
-						}
-						continue
+		// One task per hole, each to the next free worker: a hard hole
+		// occupies one worker while the others drain the rest of the wave.
+		tasks := make([]sched.Task, 0, end-base)
+		for i := base; i < end; i++ {
+			i := i
+			tasks = append(tasks, sched.Task{ID: i, Run: func(tctx context.Context, w int) {
+				if coveredBy[i] >= 0 {
+					out[i] = &HoleAttempt{
+						Hole: hs[i], Method: MethodShared,
+						Via: hs[coveredBy[i]].Key(), Depth: coveredAt[i] + 1,
 					}
-					out[i] = attemptAdaptive(tctx, cw.sessions[w], cw.bms[w], cw.rngs[w],
-						hs[i], i, caps[i], proven[hs[i].Key()], tried[hs[i].Key()], opts)
-					if tctx.Err() != nil {
-						return
-					}
+					return
 				}
-			}}
+				out[i] = attemptAdaptive(tctx, cw.sessions[w], cw.bms[w], cw.rngs[w],
+					hs[i], i, caps[i], proven[hs[i].Key()], tried[hs[i].Key()], opts)
+			}})
 		}
-		sched.RunTasks(wctx, workers, tasks, nil)
+		sched.RunTasks(wctx, len(cw.sessions), tasks, nil)
 		// Cancellation can abandon tasks before they touch their slots.
 		for i := base; i < end; i++ {
 			if out[i] == nil {
@@ -383,7 +379,7 @@ func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachin
 // and the terminally fruitless, attempt the rest in shared waves at their
 // adaptive caps, fold witnesses into the suite, grow the caps of deferred
 // holes, and iterate while anything moved.
-func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, collect func([]sim.Stimulus) error, res *ClosureResult, opts ClosureOptions) error {
+func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, res *ClosureResult, opts ClosureOptions) error {
 	fp := sched.DesignFingerprint(d)
 	dead := map[string]DeadHole{}
 	var deadLog *jsonl.Log
@@ -509,7 +505,7 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 		if len(fresh) > 0 {
 			res.Suite = append(res.Suite, fresh...)
 			before := len(holes.FromCollector(col))
-			if err := collect(fresh); err != nil {
+			if err := col.RunSuiteCompiled(fresh); err != nil {
 				itSp.End(telemetry.String("error", err.Error()))
 				return err
 			}
@@ -529,7 +525,7 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 	}
 
 	if cw != nil && len(pendOrder) > 0 {
-		if err := cw.compactSuite(ctx, res, seedLen, pendOrder, collect, opts); err != nil {
+		if err := cw.compactSuite(ctx, col, res, seedLen, pendOrder, opts); err != nil {
 			return err
 		}
 	}
@@ -556,7 +552,7 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 // shallow iterations admit short witnesses that deeper ones subsume, and
 // without eviction those stale cycles crowd out the deep witnesses a
 // fixed-depth ladder would have afforded.
-func (cw *closureWorkers) compactSuite(ctx context.Context, res *ClosureResult, seedLen int, pendOrder []*HoleAttempt, collect func([]sim.Stimulus) error, opts ClosureOptions) error {
+func (cw *closureWorkers) compactSuite(ctx context.Context, col *coverage.Collector, res *ClosureResult, seedLen int, pendOrder []*HoleAttempt, opts ClosureOptions) error {
 	if opts.TotalCycles <= 0 {
 		return nil
 	}
@@ -681,7 +677,7 @@ func (cw *closureWorkers) compactSuite(ctx context.Context, res *ClosureResult, 
 		// The evicted witnesses' facts stay observed in the collector (they
 		// are covered elsewhere by construction); only the readmitted ones
 		// carry new coverage.
-		return collect(fresh)
+		return col.RunSuiteCompiled(fresh)
 	}
 	return nil
 }

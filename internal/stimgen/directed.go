@@ -290,8 +290,10 @@ type ClosureOptions struct {
 	// FillRandom tops the suite up with random stimulus to TotalCycles
 	// after closure, for equal-budget comparisons against random-only.
 	FillRandom bool
-	// Compiled routes coverage collection through the 64-lane batch engine
-	// instead of the interpreter (identical observations).
+	// Compiled is ignored: coverage collection always runs on the 64-lane
+	// batch engine, whose observations equal the interpreter's. It stays
+	// only because the perfbench harness (perfbench/workloads.go, closePass)
+	// still sets it; the next change to that harness drops both.
 	Compiled bool
 	// ResetCycles is the reset prefix of generated random stimuli
 	// (default 2).
@@ -385,12 +387,6 @@ func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*Cl
 	}
 
 	col := coverage.New(d)
-	collect := func(stims []sim.Stimulus) error {
-		if opts.Compiled {
-			return col.RunSuiteCompiled(stims)
-		}
-		return col.RunSuite(stims)
-	}
 
 	res := &ClosureResult{Methods: map[string]int{}}
 	seed := RandomLanes(d, opts.SeedLanes, opts.SeedCycles, opts.Seed, opts.ResetCycles)
@@ -415,12 +411,12 @@ func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*Cl
 	for _, s := range seed {
 		res.CyclesUsed += len(s)
 	}
-	if err := collect(seed); err != nil {
+	if err := col.RunSuiteCompiled(seed); err != nil {
 		return nil, err
 	}
 	res.Initial = col.Report()
 
-	if err := closeAdaptive(ctx, d, col, collect, res, opts); err != nil {
+	if err := closeAdaptive(ctx, d, col, res, opts); err != nil {
 		return nil, err
 	}
 	if !res.Converged && len(holes.FromCollector(col)) == 0 {
@@ -431,7 +427,7 @@ func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*Cl
 		fill := Random(d, opts.TotalCycles-res.CyclesUsed, opts.Seed+0x5eed, opts.ResetCycles)
 		res.Suite = append(res.Suite, fill)
 		res.CyclesUsed += len(fill)
-		if err := collect([]sim.Stimulus{fill}); err != nil {
+		if err := col.RunSuiteCompiled([]sim.Stimulus{fill}); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"goldmine/internal/coverage"
+	"goldmine/internal/designs"
 	"goldmine/internal/holes"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
@@ -361,26 +362,53 @@ func TestCloseCoverageRespectsCycleBudget(t *testing.T) {
 	}
 }
 
+// TestCloseCoverageCompiledMatchesInterpreter: closure collects coverage on the
+// batch engine; replaying its suite through the interpreter-backed
+// collector must reproduce the reported final coverage. The closure's own
+// collector counts re-collected cycles again, so only the replay's Cycles is
+// pinned, to CyclesUsed.
+// b12's 512-cycle budget parks witnesses, so the replay also covers the
+// compaction pass's evictions and readmissions.
 func TestCloseCoverageCompiledMatchesInterpreter(t *testing.T) {
-	d := mustElab(t, fsmSrc)
-	run := func(compiled bool) *ClosureResult {
-		res, err := CloseCoverage(context.Background(), d, ClosureOptions{
-			DirectedOptions: DirectedOptions{Seed: 11},
-			SeedLanes:       1,
-			SeedCycles:      8,
-			MaxIterations:   2,
-			Compiled:        compiled,
-		})
-		if err != nil {
-			t.Fatal(err)
+	b12, err := designs.Get("b12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d12, err := b12.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		d      *rtl.Design
+		cycles int
+	}{
+		{mustElab(t, fsmSrc), 96},
+		{mustElab(t, arbiterSrc), 96},
+		{d12, 512},
+	}
+	for _, tc := range cases {
+		d := tc.d
+		for _, workers := range []int{1, 4} {
+			res, err := CloseCoverage(context.Background(), d, ClosureOptions{
+				DirectedOptions: DirectedOptions{Seed: 11, Workers: workers},
+				TotalCycles:     tc.cycles,
+				FillRandom:      true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := coverage.New(d)
+			if err := col.RunSuite(res.Suite); err != nil {
+				t.Fatal(err)
+			}
+			got := col.Report()
+			if got.Cycles != res.CyclesUsed {
+				t.Errorf("%s -j%d: replayed %d cycles, suite reports %d", d.Name, workers, got.Cycles, res.CyclesUsed)
+			}
+			got.Cycles = res.Final.Cycles
+			if got != res.Final {
+				t.Errorf("%s -j%d: replayed coverage %s, reported %s", d.Name, workers, got, res.Final)
+			}
 		}
-		return res
-	}
-	ri, rc := run(false), run(true)
-	if !reflect.DeepEqual(ri.Suite, rc.Suite) {
-		t.Error("suites differ between coverage engines")
-	}
-	if ri.Final != rc.Final {
-		t.Errorf("final reports differ: %s vs %s", ri.Final, rc.Final)
 	}
 }

@@ -14,7 +14,7 @@
 // (rather than blocks on) overflow.
 //
 // Naming convention: metric and span names are dotted lowercase,
-// subsystem-first ("sat.propagations", "mine.iteration", "sched.steal").
+// subsystem-first ("sat.propagations", "mine.iteration", "sched.dedup").
 // DESIGN.md §4.4 documents the full taxonomy and the overhead contract.
 package telemetry
 

@@ -55,38 +55,24 @@ if ! diff "$tmpbin/j1.art" "$tmpbin/j4.art"; then
 fi
 echo "smoke: -j 4 artifacts identical to -j 1 ($(cat "$tmpbin/sched.txt"))"
 
-echo "== smoke: batch engine matches the interpreter byte-for-byte =="
-# The compiled simulator (default: the 64-lane batch engine, one stimulus as
-# lane 0) must leave every artifact untouched: same seed, -compiled=false vs
-# true, and -j1 vs -j4 with the batch engine on, all byte-identical above the
-# total: wall-clock line.
+echo "== smoke: batch-engine mining is deterministic (-j1 ≡ -j4) =="
+# Seed and counterexample simulation run on the 64-lane batch engine (one
+# stimulus as lane 0; forked engines share one compiled program). Its
+# equality with the interpreter is checked by the go tests above
+# (TestCompiledMiningCanonical, TestCompiledSimulateMatchesInterpreter,
+# TestRunVCDIdenticalAcrossEngines and the internal/simc differential tests);
+# here the artifacts must not depend on the worker count.
 for d in arbiter4 fetch b09; do
-    "$tmpbin/goldmine" -design "$d" -max-iter 6 -compiled=false >"$tmpbin/interp.txt"
-    "$tmpbin/goldmine" -design "$d" -max-iter 6 -compiled=true  >"$tmpbin/comp.txt"
-    "$tmpbin/goldmine" -design "$d" -max-iter 6 -compiled=true -j 4 >"$tmpbin/comp4.txt"
-    grep -v '^total:' "$tmpbin/interp.txt" >"$tmpbin/interp.art"
+    "$tmpbin/goldmine" -design "$d" -max-iter 6 -j 1 >"$tmpbin/comp.txt"
+    "$tmpbin/goldmine" -design "$d" -max-iter 6 -j 4 >"$tmpbin/comp4.txt"
     grep -v '^total:' "$tmpbin/comp.txt"  >"$tmpbin/comp.art"
     grep -v '^total:' "$tmpbin/comp4.txt" >"$tmpbin/comp4.art"
-    if ! diff "$tmpbin/interp.art" "$tmpbin/comp.art"; then
-        echo "smoke: FAILED ($d: batch-engine artifacts differ from interpreter)" >&2
-        exit 1
-    fi
     if ! diff "$tmpbin/comp.art" "$tmpbin/comp4.art"; then
         echo "smoke: FAILED ($d: batch-engine -j 4 artifacts differ from -j 1)" >&2
         exit 1
     fi
-    echo "smoke: $d batch engine ≡ interpreter (and -j1 ≡ -j4)"
+    echo "smoke: $d batch engine -j1 ≡ -j4"
 done
-
-echo "== smoke: rtlsim batch-engine output identical to the interpreter =="
-go build -o "$tmpbin/rtlsim" ./cmd/rtlsim
-"$tmpbin/rtlsim" -design b06 -cycles 200 -seed 7 -compiled=false >"$tmpbin/rs_i.txt"
-"$tmpbin/rtlsim" -design b06 -cycles 200 -seed 7 -compiled=true  >"$tmpbin/rs_c.txt"
-if ! diff "$tmpbin/rs_i.txt" "$tmpbin/rs_c.txt"; then
-    echo "smoke: FAILED (rtlsim batch-engine output differs from interpreter)" >&2
-    exit 1
-fi
-echo "smoke: rtlsim batch engine ≡ interpreter"
 
 echo "== smoke: telemetry journal is well-formed and covers every phase =="
 # Mine the fetch stage with the JSONL journal on: telcheck re-parses every
@@ -198,26 +184,27 @@ for key in $(sed -n 's/.*"key":"\([^"]*\)".*/\1/p' "$tmpbin/dead.jsonl"); do
 done
 echo "smoke: b12 dead corpus persists (rerun solves=$rerun_solves, pruned holes stay gone)"
 
-echo "== cross-check: pooled ≡ fresh sessions (race) =="
-# Every bundled design, race-enabled binary, with pooled sessions + the
-# cone-of-influence path diffed against fresh sessions (one throwaway
-# mc.Session per check) with the full encoding. Verdicts and counterexamples
-# must be byte-identical; only the total: wall clock line may differ.
-# -max-iter 8 bounds the refinement loop so the sweep stays a few minutes
-# under the race detector (both modes use the same bound, so the comparison
-# is unaffected).
+echo "== cross-check: pooled sessions are deterministic on every design (race, -j1 ≡ -j4) =="
+# Pooled ≡ fresh sessions is TestIncrementalMatchesFresh (internal/core):
+# every bundled design at -j 1 and -j 4, pooled sessions diffed against a
+# fresh checker substituted through Engine.SetChecker; the go test -race
+# leg above runs it under the race detector. Here a race-enabled binary
+# mines every design with pooled sessions shared by four workers, and the
+# artifacts must equal the -j 1 run; only the total: wall clock line may
+# differ. -max-iter 8 bounds the refinement loop so the sweep stays a few
+# minutes under the race detector.
 go build -race -o "$tmpbin/goldmine_race" ./cmd/goldmine
 for d in $("$tmpbin/goldmine" -list | while read -r name _; do echo "$name"; done); do
-    "$tmpbin/goldmine_race" -design "$d" -max-iter 8 -incremental=false -coi=false >"$tmpbin/fresh.txt"
-    "$tmpbin/goldmine_race" -design "$d" -max-iter 8 >"$tmpbin/incr.txt"
-    grep -v '^total:' "$tmpbin/fresh.txt" >"$tmpbin/fresh.art"
-    grep -v '^total:' "$tmpbin/incr.txt" >"$tmpbin/incr.art"
-    if ! diff "$tmpbin/fresh.art" "$tmpbin/incr.art" >/dev/null; then
-        echo "cross-check: FAILED ($d: pooled-session artifacts differ from fresh sessions)" >&2
-        diff "$tmpbin/fresh.art" "$tmpbin/incr.art" | head >&2
+    "$tmpbin/goldmine" -design "$d" -max-iter 8 -j 1 >"$tmpbin/seq.txt"
+    "$tmpbin/goldmine_race" -design "$d" -max-iter 8 -j 4 >"$tmpbin/par.txt"
+    grep -v '^total:' "$tmpbin/seq.txt" >"$tmpbin/seq.art"
+    grep -v '^total:' "$tmpbin/par.txt" >"$tmpbin/par.art"
+    if ! diff "$tmpbin/seq.art" "$tmpbin/par.art" >/dev/null; then
+        echo "cross-check: FAILED ($d: -j 4 pooled-session artifacts differ from -j 1)" >&2
+        diff "$tmpbin/seq.art" "$tmpbin/par.art" | head >&2
         exit 1
     fi
-    echo "cross-check: $d OK (pooled ≡ fresh)"
+    echo "cross-check: $d OK (-j1 ≡ -j4, race)"
 done
 
 echo "== smoke: batched check lanes are deterministic (race, -j1 ≡ -j4) =="
