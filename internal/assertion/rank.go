@@ -58,51 +58,25 @@ func Rank(as []*Assertion) []*Assertion {
 // proposition, and a's antecedent is a subset of b's. If a is a proven
 // invariant, b adds nothing to a suite containing a.
 func Subsumes(a, b *Assertion) bool {
-	if a.Consequent.Signal != b.Consequent.Signal ||
-		a.Consequent.Bit != b.Consequent.Bit ||
-		a.Consequent.Offset != b.Consequent.Offset ||
-		a.Consequent.Value != b.Consequent.Value {
+	if !sameProp(a.Consequent, b.Consequent) || len(a.Antecedent) > len(b.Antecedent) {
 		return false
 	}
-	if len(a.Antecedent) > len(b.Antecedent) {
-		return false
-	}
-	bprops := map[string]bool{}
-	for _, p := range b.Antecedent {
-		bprops[propKey(p)] = true
-	}
+next:
 	for _, p := range a.Antecedent {
-		if !bprops[propKey(p)] {
-			return false
+		for _, q := range b.Antecedent {
+			if sameProp(p, q) {
+				continue next
+			}
 		}
+		return false
 	}
 	return true
 }
 
-func propKey(p Prop) string {
-	return p.Name() + "@" + itoa(p.Offset) + "=" + itoa(int(p.Value))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+// sameProp reports whether two propositions test the same bit or signal at
+// the same offset for the same value (Width is descriptive, not compared).
+func sameProp(p, q Prop) bool {
+	return p.Signal == q.Signal && p.Bit == q.Bit && p.Offset == q.Offset && p.Value == q.Value
 }
 
 // ReduceSuite removes assertions subsumed by another assertion in the suite

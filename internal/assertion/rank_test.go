@@ -1,6 +1,8 @@
 package assertion
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -117,11 +119,62 @@ func TestQuickSubsumptionReflexiveAndAntisymmetric(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
-	cases := map[int]string{0: "0", 7: "7", 42: "42", -3: "-3", 1000: "1000"}
-	for n, want := range cases {
-		if got := itoa(n); got != want {
-			t.Errorf("itoa(%d)=%q", n, got)
+// TestQuickSubsumesMatchesStringKeys checks Subsumes against the string-key
+// reference it replaced: a's antecedent keys must all be among b's, where a
+// key renders Name()@offset=value. On bracket-free signal names the two
+// agree.
+func TestQuickSubsumesMatchesStringKeys(t *testing.T) {
+	key := func(p Prop) string { return fmt.Sprintf("%s@%d=%d", p.Name(), p.Offset, p.Value) }
+	ref := func(a, b *Assertion) bool {
+		if key(a.Consequent) != key(b.Consequent) || len(a.Antecedent) > len(b.Antecedent) {
+			return false
 		}
+		keys := map[string]bool{}
+		for _, p := range b.Antecedent {
+			keys[key(p)] = true
+		}
+		for _, p := range a.Antecedent {
+			if !keys[key(p)] {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		prop := func() Prop {
+			return Prop{
+				Signal: []string{"a", "b", "c"}[rng.Intn(3)],
+				Bit:    rng.Intn(3) - 1,
+				Offset: rng.Intn(3),
+				Value:  uint64(rng.Intn(3)),
+				Width:  1 + rng.Intn(2),
+			}
+		}
+		props := func(n int) []Prop {
+			out := make([]Prop, n)
+			for i := range out {
+				out[i] = prop()
+			}
+			return out
+		}
+		b := &Assertion{Consequent: prop(), Antecedent: props(rng.Intn(5))}
+		a := &Assertion{Consequent: b.Consequent, Antecedent: props(rng.Intn(4))}
+		if rng.Intn(2) == 0 {
+			// A subset of b's antecedent, so that subsumption often holds.
+			a.Antecedent = a.Antecedent[:0]
+			for _, p := range b.Antecedent {
+				if rng.Intn(2) == 0 {
+					a.Antecedent = append(a.Antecedent, p)
+				}
+			}
+		}
+		if rng.Intn(4) == 0 {
+			a.Consequent = prop()
+		}
+		return Subsumes(a, b) == ref(a, b) && Subsumes(b, a) == ref(b, a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,6 +11,7 @@ package corpus
 
 import (
 	"sort"
+	"strings"
 
 	"goldmine/internal/assertion"
 	"goldmine/internal/cone"
@@ -37,8 +38,15 @@ func (c *Cluster) Collapsed() int { return len(c.Entries) - len(c.Survivors) }
 // whole computation is deterministic for a given corpus.
 func Clusters(d *rtl.Design, entries []*Entry) []Cluster {
 	bysig := map[string][]*Entry{}
+	sigOf := map[string]string{} // cone signature per referenced-signal set
 	for _, e := range entries {
-		s := cone.Signature(d, e.A.Signals())
+		names := e.A.Signals()
+		set := strings.Join(names, "\x00")
+		s, ok := sigOf[set]
+		if !ok {
+			s = cone.Signature(d, names)
+			sigOf[set] = s
+		}
 		bysig[s] = append(bysig[s], e)
 	}
 	out := make([]Cluster, 0, len(bysig))
@@ -78,4 +86,35 @@ func collapse(members []*Entry) []*Entry {
 		}
 	}
 	return kept
+}
+
+// designClusters returns d's entries and their Clusters, memoised per design
+// namespace: clustering depends on the corpus slice alone, so every Reduce of
+// an unchanged corpus shares one computation. Any new entry drops the memo.
+func (c *Corpus) designClusters(d *rtl.Design) ([]*Entry, []Cluster) {
+	ns := Namespace(d)
+	c.mu.Lock()
+	memo, ok := c.clusters[ns]
+	gen := c.gen
+	c.mu.Unlock()
+	if ok {
+		return memo.entries, memo.clusters
+	}
+	memo.entries = c.ForDesign(d)
+	memo.clusters = Clusters(d, memo.entries)
+	c.mu.Lock()
+	if c.gen == gen { // no entry landed while clustering
+		if c.clusters == nil {
+			c.clusters = map[string]clusterMemo{}
+		}
+		c.clusters[ns] = memo
+	}
+	c.mu.Unlock()
+	return memo.entries, memo.clusters
+}
+
+// clusterMemo is one namespace's memoised clustering.
+type clusterMemo struct {
+	entries  []*Entry
+	clusters []Cluster
 }

@@ -101,6 +101,10 @@ type Corpus struct {
 	// land. It runs after Ingest releases the corpus lock, so a slow sink
 	// (one fsync per batch in the store) never stalls corpus readers.
 	sink func([]*Entry)
+	// gen counts the entries ever added; clusters memoises designClusters
+	// per namespace and is dropped whenever gen moves.
+	gen      int
+	clusters map[string]clusterMemo
 }
 
 // New returns an empty corpus.
@@ -148,6 +152,7 @@ func (c *Corpus) Ingest(runID string, d *rtl.Design, recs []Mined) IngestStats {
 			continue
 		}
 		c.entries[e.id()] = e
+		c.grew()
 		st.New++
 		if c.sink != nil {
 			// Snapshot under the lock: a concurrent duplicate ingest may
@@ -202,7 +207,15 @@ func (c *Corpus) add(e *Entry) bool {
 		return false
 	}
 	c.entries[e.id()] = e
+	c.grew()
 	return true
+}
+
+// grew records a new entry: it invalidates the clustering memo. Call with
+// c.mu held.
+func (c *Corpus) grew() {
+	c.gen++
+	c.clusters = nil
 }
 
 // Len returns the number of unique entries.

@@ -9,10 +9,16 @@
 //     (mutate.SimCampaign) pins stuck-at faults into separate simulation
 //     lanes; an entry's kill set is the set of faults whose lane makes it
 //     fire a violation.
-//   - Coverage contribution: a clean-design monitor replay with activation
-//     recording; an entry's coverage set is the set of (consequent, cycle)
-//     pairs where its antecedent matched — the design behaviors the monitor
-//     actually watches over time.
+//   - Coverage contribution: one more, unforced lane of the same campaign
+//     runs the fault-free design, and the packed monitor feeds its
+//     activations to a hook; an entry's coverage set is the set of
+//     (consequent, cycle) pairs where its antecedent matched — the design
+//     behaviors the monitor actually watches over time.
+//
+// Both measures come from one packed evaluation per chunk
+// (monitor.Monitor.RunPacked): no lane is transposed or replayed through a
+// scalar monitor. Clustering depends on the corpus slice alone, so it is
+// memoised on the Corpus and shared by every Reduce until an entry lands.
 //
 // Selection is greedy set cover over the union of both element spaces,
 // running until the selected suite covers everything the full corpus covers.
@@ -32,7 +38,6 @@ import (
 	"sort"
 
 	"goldmine/internal/assertion"
-	"goldmine/internal/monitor"
 	"goldmine/internal/mutate"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
@@ -126,13 +131,12 @@ func monitorProps(a *assertion.Assertion) int { return len(a.Antecedent) + 1 }
 // Reduce runs the full pipeline — cluster, measure, select — on d's slice of
 // the corpus.
 func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
-	entries := c.ForDesign(d)
+	entries, clusters := c.designClusters(d)
 	red := &Reduction{Design: d.Name, Total: len(entries)}
 	if len(entries) == 0 {
 		return red, nil
 	}
 
-	clusters := Clusters(d, entries)
 	red.Clusters = len(clusters)
 	var candidates []*Entry
 	for _, cl := range clusters {
@@ -169,54 +173,24 @@ func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
 		asserts[i] = e.A
 		index[e] = i
 	}
-	elems := make([][]int, len(entries))
-
-	dets, err := mutate.SimCampaign(d, asserts, faults, stim, opts.Telemetry)
+	elems, err := measure(d, asserts, faults, stim, opts.Telemetry)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: reduce %s: %w", d.Name, err)
-	}
-	for fi, det := range dets {
-		for _, ai := range det.Detecting {
-			elems[ai] = append(elems[ai], fi)
-		}
-	}
-
-	// Clean-trace activation replay. Coverage elements are (consequent
-	// atom, window-start cycle) pairs: keeping them per-consequent means a
-	// reduced suite cannot trade away observability of one output for
-	// activity on another.
-	mon, err := monitor.New(d, asserts)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: reduce %s: %w", d.Name, err)
-	}
-	consID := map[string]int{}
-	for _, a := range asserts {
-		atom := fmt.Sprintf("%s@%d=%d", a.Consequent.Name(), a.Consequent.Offset, a.Consequent.Value)
-		if _, ok := consID[atom]; !ok {
-			consID[atom] = len(consID)
-		}
-	}
-	consOf := make([]int, len(asserts))
-	for i, a := range asserts {
-		atom := fmt.Sprintf("%s@%d=%d", a.Consequent.Name(), a.Consequent.Offset, a.Consequent.Value)
-		consOf[i] = consID[atom]
 	}
 	base := len(faults)
-	span := len(stim) + 1
-	mon.OnActivation = func(ai, cycle int) {
-		elems[ai] = append(elems[ai], base+consOf[ai]*span+cycle)
-	}
-	if err := mon.RunSuite([]sim.Stimulus{stim}); err != nil {
-		return nil, fmt.Errorf("corpus: reduce %s: %w", d.Name, err)
-	}
 
-	// Deduplicate element lists (an assertion activating at the same cycle
-	// across monitor windows cannot happen, but kill lists and activation
-	// lists are disjoint id ranges built append-only; keep it robust).
-	universe := map[int]bool{}
+	// Sort the element lists (the clean lane's activations land before the
+	// kills) and deduplicate them.
+	nel := 0 // one past the largest element id
 	for i := range elems {
 		elems[i] = dedupInts(elems[i])
-		for _, el := range elems[i] {
+		if n := len(elems[i]); n > 0 {
+			nel = max(nel, elems[i][n-1]+1)
+		}
+	}
+	universe := make([]bool, nel)
+	for _, els := range elems {
+		for _, el := range els {
 			universe[el] = true
 		}
 	}
@@ -226,10 +200,12 @@ func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
 			red.Vacuous++
 		}
 	}
-	for el := range universe {
-		if el < base {
+	for el, in := range universe {
+		switch {
+		case !in:
+		case el < base:
 			red.KillsFull++
-		} else {
+		default:
 			red.WindowsFull++
 		}
 	}
@@ -237,7 +213,11 @@ func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
 	// Greedy marginal-gain selection over the candidates until the covered
 	// set equals the full-corpus universe. The collapse in Clusters is
 	// lossless (see cluster.go), so the candidates' union always reaches it.
-	covered := make(map[int]bool, len(universe))
+	candElems := make([][]int, len(candidates))
+	for i, cand := range candidates {
+		candElems[i] = elems[index[cand]]
+	}
+	covered := make([]bool, nel)
 	used := make([]bool, len(candidates))
 	for {
 		best, bestGain, bestCost := -1, 0, 0
@@ -246,7 +226,7 @@ func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
 				continue
 			}
 			gain := 0
-			for _, el := range elems[index[cand]] {
+			for _, el := range candElems[i] {
 				if !covered[el] {
 					gain++
 				}
@@ -266,7 +246,7 @@ func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
 		}
 		used[best] = true
 		sel := Selected{Entry: candidates[best]}
-		for _, el := range elems[index[candidates[best]]] {
+		for _, el := range candElems[best] {
 			if !covered[el] {
 				covered[el] = true
 				if el < base {
@@ -278,15 +258,50 @@ func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
 		}
 		red.Selected = append(red.Selected, sel)
 		red.PropsSelected += bestCost
-	}
-	for el := range covered {
-		if el < base {
-			red.KillsSelected++
-		} else {
-			red.WindowsSelected++
-		}
+		red.KillsSelected += sel.GainKills
+		red.WindowsSelected += sel.GainWindows
 	}
 	return red, nil
+}
+
+// measure runs the oracle on stim and returns each assertion's elements:
+// the faults whose lane makes it fire (ids [0, len(faults))), then the
+// coverage elements of its activations on the fault-free lane of the same
+// campaign (coverElem).
+func measure(d *rtl.Design, asserts []*assertion.Assertion, faults []mutate.Fault, stim sim.Stimulus, tel *telemetry.Tracer) ([][]int, error) {
+	elems := make([][]int, len(asserts))
+	elem := coverElem(asserts, len(faults), len(stim))
+	dets, err := mutate.SimCampaignWithClean(d, asserts, faults, stim, tel, func(ai, cycle int) {
+		elems[ai] = append(elems[ai], elem(ai, cycle))
+	})
+	if err != nil {
+		return nil, err
+	}
+	for fi, det := range dets {
+		for _, ai := range det.Detecting {
+			elems[ai] = append(elems[ai], fi)
+		}
+	}
+	return elems, nil
+}
+
+// coverElem numbers coverage elements: (consequent atom, window-start cycle)
+// pairs, from base on. Keeping them per-consequent means a reduced suite
+// cannot trade away observability of one output for activity on another.
+func coverElem(asserts []*assertion.Assertion, base, cycles int) func(ai, cycle int) int {
+	consID := map[string]int{}
+	consOf := make([]int, len(asserts))
+	for i, a := range asserts {
+		atom := fmt.Sprintf("%s@%d=%d", a.Consequent.Name(), a.Consequent.Offset, a.Consequent.Value)
+		id, ok := consID[atom]
+		if !ok {
+			id = len(consID)
+			consID[atom] = id
+		}
+		consOf[i] = id
+	}
+	span := cycles + 1
+	return func(ai, cycle int) int { return base + consOf[ai]*span + cycle }
 }
 
 // dedupInts sorts and deduplicates in place.

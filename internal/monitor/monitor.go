@@ -3,15 +3,19 @@
 // live simulation, the way traditional testbench monitors consume SVA. The
 // paper's conclusion positions the mined assertions exactly this way — as
 // regression monitors in a validation environment — and the Section 7.4
-// fault experiment uses them as the regression vehicle.
+// fault experiment uses them as the regression vehicle. RunPacked evaluates
+// the same suite on a 64-lane simc.BatchTrace as lane masks, which is how
+// fault campaigns run it; the scalar Observe path is its reference.
 package monitor
 
 import (
 	"fmt"
+	"math/bits"
 
 	"goldmine/internal/assertion"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
+	"goldmine/internal/simc"
 )
 
 // Violation records one assertion failure during simulation.
@@ -39,13 +43,24 @@ type Monitor struct {
 	// resolved propositions per assertion.
 	ants  [][]resolvedProp
 	cons  []resolvedProp
-	depth int // window depth = max consequent offset + 1
+	depth int // window depth = max proposition offset + 1
 
-	// ring buffer of the last `depth` cycle snapshots.
-	ring  [][]uint64
-	sigs  []*rtl.Signal
-	index map[*rtl.Signal]int
-	seen  int // cycles observed since reset
+	// ring buffer of the last `depth` cycle snapshots, one value per sigs
+	// entry.
+	ring [][]uint64
+	sigs []*rtl.Signal
+	seen int // cycles observed since reset
+
+	// props lists the distinct (signal, bit, value) propositions of the
+	// suite. RunPacked keeps their lane masks for the last depth cycles in
+	// packedRing, one row of len(props) words per cycle, each row stored
+	// twice so that every window is depth contiguous rows. Within a window
+	// a proposition is the word at offset*len(props)+pid: antKeys and
+	// consKeys hold these per assertion.
+	props      []packedProp
+	antKeys    [][]int
+	consKeys   []int
+	packedRing []uint64
 
 	stats      []Stats
 	violations []Violation
@@ -58,37 +73,64 @@ type Monitor struct {
 	OnActivation func(index, cycle int)
 }
 
+// resolvedProp is one proposition of the suite: slot indexes the monitor's
+// sigs (the scalar ring's columns), pid its props (what it tests).
 type resolvedProp struct {
-	sig    *rtl.Signal
-	bit    int
+	slot   int
+	pid    int
 	offset int
-	value  uint64
 }
 
-// New builds a monitor for the assertion suite on a design.
+// packedProp is a distinct (signal, bit, value) proposition, offset aside.
+type packedProp struct {
+	sig   *rtl.Signal
+	bit   int    // -1 for the whole signal
+	value uint64 // masked to the signal width, or to one bit
+}
+
+// New builds a monitor for the assertion suite on a design. Every
+// proposition must name a design signal at a non-negative offset; the
+// window spans the largest offset of any proposition, antecedent or
+// consequent.
 func New(d *rtl.Design, suite []*assertion.Assertion) (*Monitor, error) {
 	m := &Monitor{
 		d:     d,
 		suite: suite,
 		stats: make([]Stats, len(suite)),
-		index: map[*rtl.Signal]int{},
 	}
+	slots := map[*rtl.Signal]int{}
+	pids := map[packedProp]int{}
 	resolve := func(p assertion.Prop) (resolvedProp, error) {
 		sig := d.Signal(p.Signal)
 		if sig == nil {
 			return resolvedProp{}, fmt.Errorf("monitor: unknown signal %q", p.Signal)
 		}
-		if _, ok := m.index[sig]; !ok {
-			m.index[sig] = len(m.sigs)
+		if p.Offset < 0 {
+			return resolvedProp{}, fmt.Errorf("monitor: %s at negative offset %d", p.Name(), p.Offset)
+		}
+		slot, ok := slots[sig]
+		if !ok {
+			slot = len(m.sigs)
+			slots[sig] = slot
 			m.sigs = append(m.sigs, sig)
 		}
-		rp := resolvedProp{sig: sig, bit: p.Bit, offset: p.Offset, value: p.Value}
+		pp := packedProp{sig: sig, bit: p.Bit, value: p.Value}
 		if p.Bit < 0 {
-			rp.value &= rtl.Mask(sig.Width)
+			pp.bit = -1
+			pp.value &= rtl.Mask(sig.Width)
 		} else {
-			rp.value &= 1
+			pp.value &= 1
 		}
-		return rp, nil
+		pid, ok := pids[pp]
+		if !ok {
+			pid = len(m.props)
+			pids[pp] = pid
+			m.props = append(m.props, pp)
+		}
+		if p.Offset+1 > m.depth {
+			m.depth = p.Offset + 1
+		}
+		return resolvedProp{slot: slot, pid: pid, offset: p.Offset}, nil
 	}
 	for _, a := range suite {
 		var ants []resolvedProp
@@ -105,9 +147,6 @@ func New(d *rtl.Design, suite []*assertion.Assertion) (*Monitor, error) {
 		}
 		m.ants = append(m.ants, ants)
 		m.cons = append(m.cons, cp)
-		if cp.offset+1 > m.depth {
-			m.depth = cp.offset + 1
-		}
 	}
 	if m.depth == 0 {
 		m.depth = 1
@@ -115,6 +154,15 @@ func New(d *rtl.Design, suite []*assertion.Assertion) (*Monitor, error) {
 	m.ring = make([][]uint64, m.depth)
 	for i := range m.ring {
 		m.ring[i] = make([]uint64, len(m.sigs))
+	}
+	key := func(p resolvedProp) int { return p.offset*len(m.props) + p.pid }
+	for ai, ants := range m.ants {
+		keys := make([]int, len(ants))
+		for i, p := range ants {
+			keys[i] = key(p)
+		}
+		m.antKeys = append(m.antKeys, keys)
+		m.consKeys = append(m.consKeys, key(m.cons[ai]))
 	}
 	return m, nil
 }
@@ -147,7 +195,7 @@ func (m *Monitor) advance() {
 	for ai := range m.suite {
 		match := true
 		for _, p := range m.ants[ai] {
-			if m.windowValue(start, p) != p.value {
+			if !m.holds(start, p) {
 				match = false
 				break
 			}
@@ -155,32 +203,122 @@ func (m *Monitor) advance() {
 		if !match {
 			continue
 		}
-		m.stats[ai].Activations++
-		if m.OnActivation != nil {
-			m.OnActivation(ai, start)
-		}
-		if m.windowValue(start, m.cons[ai]) != m.cons[ai].value {
-			m.stats[ai].Violations++
-			maxV := m.MaxViolations
-			if maxV <= 0 {
-				maxV = 1000
-			}
-			if len(m.violations) < maxV {
-				m.violations = append(m.violations, Violation{Index: ai, Cycle: start})
-			}
-		}
+		m.record(ai, start, !m.holds(start, m.cons[ai]))
 	}
 }
 
-// windowValue reads the proposition's value at window-start cycle + offset
-// from the ring buffer.
-func (m *Monitor) windowValue(start int, p resolvedProp) uint64 {
-	slot := (start + p.offset) % m.depth
-	v := m.ring[slot][m.index[p.sig]]
-	if p.bit >= 0 {
-		return (v >> uint(p.bit)) & 1
+// record books one antecedent match of assertion ai in the window starting
+// at start, and its violation when violated.
+func (m *Monitor) record(ai, start int, violated bool) {
+	m.stats[ai].Activations++
+	if m.OnActivation != nil {
+		m.OnActivation(ai, start)
 	}
-	return v
+	if !violated {
+		return
+	}
+	m.stats[ai].Violations++
+	maxV := m.MaxViolations
+	if maxV <= 0 {
+		maxV = 1000
+	}
+	if len(m.violations) < maxV {
+		m.violations = append(m.violations, Violation{Index: ai, Cycle: start})
+	}
+}
+
+// holds reports whether the proposition holds at window-start cycle +
+// offset, read from the ring buffer.
+func (m *Monitor) holds(start int, p resolvedProp) bool {
+	v, pp := m.ring[(start+p.offset)%m.depth][p.slot], m.props[p.pid]
+	if pp.bit >= 0 {
+		v = (v >> uint(pp.bit)) & 1
+	}
+	return v == pp.value
+}
+
+// RunPacked evaluates the suite on every complete window of every live lane
+// of a lane-parallel trace, without transposing a lane: per window cycle it
+// computes each distinct proposition's lane-equality mask once, and per
+// window and assertion the antecedent mask is the AND of its propositions'
+// masks and the violation mask the antecedent mask minus the consequent's.
+// A lane's window starting at s counts when the lane is live at its last
+// cycle, s+depth-1. It returns, per assertion, the lanes in which the
+// assertion fired at least one violation.
+//
+// The lanes of observe are also booked as if each had been replayed through
+// Observe after BeginRun: their activations and violations add to
+// AssertionStats, the violation list and OnActivation, in window order, then
+// assertion order, then lane order. With one lane observed, the booking is
+// exactly that lane's scalar replay.
+func (m *Monitor) RunPacked(bt *simc.BatchTrace, observe uint64) []uint64 {
+	np := len(m.props)
+	if len(m.packedRing) != 2*m.depth*np {
+		m.packedRing = make([]uint64, 2*m.depth*np)
+	}
+	fired := make([]uint64, len(m.suite))
+	for c := 0; c < bt.Cycles(); c++ {
+		live := bt.Live(c)
+		if live == 0 {
+			break // lanes only ever end, so no later cycle is live either
+		}
+		slot := c % m.depth
+		row := m.packedRing[slot*np : (slot+1)*np]
+		for i, pp := range m.props {
+			row[i] = pp.mask(bt, c)
+		}
+		copy(m.packedRing[(slot+m.depth)*np:], row)
+		start := c - m.depth + 1
+		if start < 0 {
+			continue // window not yet full
+		}
+		win := m.packedRing[start%m.depth*np:]
+		for ai, keys := range m.antKeys {
+			act := live
+			for _, k := range keys {
+				if act &= win[k]; act == 0 {
+					break
+				}
+			}
+			if act == 0 {
+				continue
+			}
+			viol := act &^ win[m.consKeys[ai]]
+			fired[ai] |= viol
+			for obs := act & observe; obs != 0; obs &= obs - 1 {
+				m.record(ai, start, viol>>uint(bits.TrailingZeros64(obs))&1 == 1)
+			}
+		}
+	}
+	return fired
+}
+
+// mask returns the lanes in which the proposition holds at cycle c of bt,
+// reading only bits below the signal width, as the width-masked scalar ring
+// does: a bit at or past the width reads 0.
+func (pp packedProp) mask(bt *simc.BatchTrace, c int) uint64 {
+	col := bt.Column(pp.sig, c)
+	word := func(i int) uint64 {
+		if i < pp.sig.Width && i < len(col) {
+			return col[i]
+		}
+		return 0
+	}
+	if pp.bit >= 0 {
+		if pp.value == 1 {
+			return word(pp.bit)
+		}
+		return ^word(pp.bit)
+	}
+	m := ^uint64(0)
+	for i := 0; i < pp.sig.Width && i < 64; i++ {
+		if pp.value>>uint(i)&1 == 1 {
+			m &= word(i)
+		} else {
+			m &^= word(i)
+		}
+	}
+	return m
 }
 
 // Violations returns the recorded failures.
@@ -202,36 +340,6 @@ func (m *Monitor) VacuousCount() int {
 		}
 	}
 	return n
-}
-
-// RunTrace replays a recorded trace through the monitor without
-// re-simulating: each row is treated as one settled cycle. This is how
-// batched simulation output (64 lanes transposed back to individual traces)
-// feeds the regression monitors — the simulator has already run, only the
-// window evaluation remains. Trace values are stored raw (driver-width), so
-// they are masked to signal width here exactly as Observe masks live values.
-func (m *Monitor) RunTrace(tr *sim.Trace) error {
-	cols := make([]int, len(m.sigs))
-	for i, sig := range m.sigs {
-		c := tr.Column(sig.Name)
-		if c < 0 {
-			return fmt.Errorf("monitor: trace has no signal %q", sig.Name)
-		}
-		if tr.Signals[c].Width != sig.Width {
-			return fmt.Errorf("monitor: trace signal %s width %d, design width %d",
-				sig.Name, tr.Signals[c].Width, sig.Width)
-		}
-		cols[i] = c
-	}
-	m.BeginRun()
-	for _, row := range tr.Values {
-		slot := m.seen % m.depth
-		for i, sig := range m.sigs {
-			m.ring[slot][i] = row[cols[i]] & rtl.Mask(sig.Width)
-		}
-		m.advance()
-	}
-	return nil
 }
 
 // RunSuite resets and replays each stimulus with the monitor attached.

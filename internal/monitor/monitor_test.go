@@ -1,13 +1,9 @@
 package monitor_test
 
 import (
-	"context"
-
 	"testing"
 
 	"goldmine/internal/assertion"
-	"goldmine/internal/core"
-	"goldmine/internal/designs"
 	"goldmine/internal/monitor"
 	"goldmine/internal/mutate"
 	"goldmine/internal/rtl"
@@ -16,26 +12,7 @@ import (
 )
 
 func arbiterSuite(t *testing.T) (*rtl.Design, []*assertion.Assertion) {
-	t.Helper()
-	b, err := designs.Get("arbiter2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := b.Design()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Window = b.Window
-	eng, err := core.NewEngine(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.MineAll(context.Background(), b.Directed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, res.Assertions()
+	return minedSuite(t, "arbiter2")
 }
 
 func TestMonitorCleanOnCorrectDesign(t *testing.T) {

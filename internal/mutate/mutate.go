@@ -164,14 +164,25 @@ type Detection struct {
 // SimCampaign is the simulation flavor of Campaign: instead of re-checking
 // each assertion formally on a mutated design, it runs the stimulus on the
 // bit-parallel batch simulator with up to 64 stuck-at faults pinned into
-// separate lanes of one run, then replays each lane's trace through the
-// assertion monitors. An assertion detects a fault when it fires at least one
-// violation on that fault's lane. The design compiles once (all fault signals
-// declared forceable) and faults are re-pinned between 64-lane chunks, so a
+// separate lanes of one run, then evaluates the assertion monitors on the
+// packed trace (monitor.Monitor.RunPacked). An assertion detects a fault when
+// it fires at least one violation on that fault's lane. The design compiles
+// once (all fault signals declared forceable), the monitor is built and the
+// stimulus packed once, and faults are re-pinned between 64-lane chunks, so a
 // whole campaign costs a handful of batched simulations regardless of the
 // fault-list length. tel may be nil; when set, each chunk records a sim.batch
 // span.
 func SimCampaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, stim sim.Stimulus, tel *telemetry.Tracer) ([]Detection, error) {
+	return SimCampaignWithClean(d, asserts, faults, stim, tel, nil)
+}
+
+// SimCampaignWithClean is SimCampaign plus the fault-free replay of the same
+// stimulus: when onActivation is non-nil, one unforced lane also runs — a
+// spare lane of the last chunk, or one more chunk when the faults fill every
+// chunk — and each antecedent match on it is passed to onActivation as
+// (assertion index, window-start cycle), in the order monitor.Monitor's
+// OnActivation sees them when the stimulus replays on the interpreter.
+func SimCampaignWithClean(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, stim sim.Stimulus, tel *telemetry.Tracer, onActivation func(index, cycle int)) ([]Detection, error) {
 	names := make([]string, 0, len(faults))
 	seen := map[string]bool{}
 	for _, f := range faults {
@@ -183,16 +194,30 @@ func SimCampaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, 
 			names = append(names, f.Signal)
 		}
 	}
+	mon, err := monitor.New(d, asserts)
+	if err != nil {
+		return nil, err
+	}
+	mon.OnActivation = onActivation
+	chunks := (len(faults) + simc.MaxLanes - 1) / simc.MaxLanes
+	if onActivation != nil && len(faults)%simc.MaxLanes == 0 {
+		chunks++ // no spare lane: the clean lane gets a chunk of its own
+	}
 	p, err := simc.CompileBatch(d, simc.BatchOptions{Forceable: names})
+	if err != nil {
+		return nil, err
+	}
+	// Every lane carries the same stimulus; a lane left unforced runs the
+	// fault-free design.
+	ps, err := p.Broadcast(stim, simc.MaxLanes)
 	if err != nil {
 		return nil, err
 	}
 	m := simc.NewBatchMachine(p)
 	out := make([]Detection, 0, len(faults))
-	for off := 0; off < len(faults); off += simc.MaxLanes {
-		chunk := faults[off:min(off+simc.MaxLanes, len(faults))]
+	for k := 0; k < chunks; k++ {
+		chunk := faults[min(k*simc.MaxLanes, len(faults)):min((k+1)*simc.MaxLanes, len(faults))]
 		m.ClearForces()
-		lanes := make([]sim.Stimulus, len(chunk))
 		for l, f := range chunk {
 			var v uint64
 			if f.StuckAt1 {
@@ -201,28 +226,27 @@ func SimCampaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, 
 			if err := m.SetForce(l, f.Signal, v); err != nil {
 				return nil, err
 			}
-			lanes[l] = stim
+		}
+		var clean uint64
+		lanes := len(chunk)
+		if onActivation != nil && k == chunks-1 {
+			clean = 1 << uint(lanes)
+			lanes++
 		}
 		sp := tel.Root("sim.batch",
 			telemetry.String("design", d.Name),
-			telemetry.Int("lanes", int64(len(chunk))),
+			telemetry.Int("lanes", int64(lanes)),
 			telemetry.Int("cycles", int64(len(stim))))
-		traces, err := m.RunBatch(lanes)
+		bt, err := m.RunPacked(ps)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
+		fired := mon.RunPacked(bt, clean)
 		for l, f := range chunk {
-			mon, err := monitor.New(d, asserts)
-			if err != nil {
-				return nil, err
-			}
-			if err := mon.RunTrace(traces[l]); err != nil {
-				return nil, err
-			}
 			det := Detection{Fault: f, Total: len(asserts)}
-			for i, st := range mon.AssertionStats() {
-				if st.Violations > 0 {
+			for i, mask := range fired {
+				if mask>>uint(l)&1 == 1 {
 					det.Detected++
 					det.Detecting = append(det.Detecting, i)
 				}

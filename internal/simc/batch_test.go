@@ -522,3 +522,59 @@ func TestPackedStimAndColumnViews(t *testing.T) {
 		t.Error("NewPackedStim with negative cycles accepted")
 	}
 }
+
+// TestBroadcastMatchesPack requires Broadcast of one stimulus to run exactly
+// like Pack of that many copies of it, every lane and cycle, and to reject
+// what Pack rejects.
+func TestBroadcastMatchesPack(t *testing.T) {
+	for _, b := range designs.All() {
+		d, err := b.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := simc.CompileBatch(d, simc.BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := simc.NewBatchMachine(p)
+		for _, n := range []int{1, 37, simc.MaxLanes} {
+			stim := stimgen.Random(d, 1+n%23, int64(n), 2)
+			ps, err := p.Broadcast(stim, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps.Lanes() != n || ps.Cycles() != len(stim) {
+				t.Fatalf("%s: broadcast of %d lanes packs %d lanes of %d cycles", b.Name, n, ps.Lanes(), ps.Cycles())
+			}
+			got, err := m.RunPacked(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copies := make([]sim.Stimulus, n)
+			for l := range copies {
+				copies[l] = stim
+			}
+			want, err := m.RunBatch(copies)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := range copies {
+				tr, err := got.Lane(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(tr.Values) != fmt.Sprint(want[l].Values) {
+					t.Fatalf("%s: lane %d of a %d-lane broadcast differs from Pack", b.Name, l, n)
+				}
+			}
+		}
+		for _, n := range []int{0, simc.MaxLanes + 1} {
+			if _, err := p.Broadcast(sim.Stimulus{{}}, n); err == nil {
+				t.Errorf("%s: broadcast to %d lanes accepted", b.Name, n)
+			}
+		}
+		if _, err := p.Broadcast(sim.Stimulus{{"nosuch": 1}}, 2); err == nil {
+			t.Errorf("%s: broadcast of an unknown input accepted", b.Name)
+		}
+	}
+}

@@ -70,6 +70,32 @@ func (p *BatchProgram) Pack(lanes []sim.Stimulus) (*PackedStim, error) {
 	return ps, nil
 }
 
+// Broadcast packs one stimulus into each of lanes lanes: the rows Pack builds
+// from lanes copies of stim, at the cost of packing one.
+func (p *BatchProgram) Broadcast(stim sim.Stimulus, lanes int) (*PackedStim, error) {
+	if err := checkLanes(lanes); err != nil {
+		return nil, err
+	}
+	ps, err := p.Pack([]sim.Stimulus{stim})
+	if err != nil {
+		return nil, err
+	}
+	all := ^uint64(0) >> uint(MaxLanes-lanes)
+	for _, row := range ps.rows {
+		for i, w := range row {
+			if w != 0 {
+				row[i] = all
+			}
+		}
+	}
+	ps.lanes = lanes
+	ps.laneLen = make([]int, lanes)
+	for l := range ps.laneLen {
+		ps.laneLen[l] = len(stim)
+	}
+	return ps, nil
+}
+
 // NewPackedStim returns an all-zero packed stimulus of lanes lanes, each
 // cycles cycles long, for SetInput to fill: a generator writes its draws
 // straight into the rows and never builds a sim.InputVec.
