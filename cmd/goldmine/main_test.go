@@ -195,3 +195,52 @@ func TestRunTelemetryJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestRunReduceRejectsCorpusOffsetAboveBound: a -corpus journal holding an
+// assertion whose consequent offset is past assertion.MaxOffset, followed
+// by intact lines, makes -reduce fail with an error instead of sizing the
+// reduction's monitors by the offset.
+func TestRunReduceRejectsCorpusOffsetAboveBound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.jsonl")
+	o := runOpts{
+		design: "arbiter2", bit: -1, window: -1,
+		seed: "directed", format: "ltl", maxIter: 8, workers: 1,
+		reduce: true, corpus: path,
+	}
+	if err := run(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	var bad []byte
+	for _, ln := range lines {
+		if !strings.Contains(ln, `"corpus.entry"`) {
+			continue
+		}
+		dec := json.NewDecoder(strings.NewReader(ln))
+		dec.UseNumber()
+		var ev map[string]any
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		ev["data"].(map[string]any)["cons"].(map[string]any)["o"] = json.Number("4611686018427387904")
+		if bad, err = json.Marshal(ev); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	if bad == nil {
+		t.Fatal("first run saved no corpus entry")
+	}
+	// Mid-file: after the header, before every intact entry.
+	corrupt := lines[0] + string(bad) + "\n" + strings.Join(lines[1:], "")
+	if err := os.WriteFile(path, []byte(corrupt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), o); err == nil {
+		t.Error("-reduce accepted a corpus offset past the bound")
+	}
+}

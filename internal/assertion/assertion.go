@@ -23,6 +23,12 @@ type Prop struct {
 	Width  int
 }
 
+// MaxOffset bounds a proposition's cycle offset, so a window spans at most
+// MaxOffset+1 cycles. Mined windows sit far below it (core.Options.Build
+// rejects a longer one); the bound stops an assertion read from a corpus
+// file from sizing a monitor's window buffers by a corrupt offset.
+const MaxOffset = 64
+
 // P builds a whole-signal proposition (Bit = -1).
 func P(signal string, offset int, value uint64, width int) Prop {
 	return Prop{Signal: signal, Bit: -1, Offset: offset, Value: value, Width: width}
@@ -74,6 +80,23 @@ type Assertion struct {
 	// of trace rows matching the antecedent.
 	Confidence float64
 	Support    int
+}
+
+// CheckOffsets reports the first proposition whose offset lies outside
+// 0..MaxOffset.
+func (a *Assertion) CheckOffsets() error {
+	check := func(p Prop) error {
+		if p.Offset < 0 || p.Offset > MaxOffset {
+			return fmt.Errorf("assertion: %s at offset %d outside 0..%d", p.Name(), p.Offset, MaxOffset)
+		}
+		return nil
+	}
+	for _, p := range a.Antecedent {
+		if err := check(p); err != nil {
+			return err
+		}
+	}
+	return check(a.Consequent)
 }
 
 // Normalize sorts the antecedent deterministically.

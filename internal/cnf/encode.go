@@ -49,10 +49,11 @@ type Unroller struct {
 	coneMark []uint64
 }
 
+// frame holds the encodings of one time frame: vecs[sig.ID] is the literal
+// vector of an input, register or combinational signal, nil while it is
+// not materialised.
 type frame struct {
-	inputs map[*rtl.Signal]Vec
-	regs   map[*rtl.Signal]Vec
-	comb   map[*rtl.Signal]Vec
+	vecs []Vec
 }
 
 // NewUnroller creates an unroller with zero frames.
@@ -100,37 +101,27 @@ func (u *Unroller) Frames() int { return len(u.frames) }
 // next-state functions of frame t-1.
 func (u *Unroller) AddFrame() int {
 	t := len(u.frames)
-	f := &frame{
-		inputs: map[*rtl.Signal]Vec{},
-		regs:   map[*rtl.Signal]Vec{},
-		comb:   map[*rtl.Signal]Vec{},
-	}
+	f := &frame{vecs: make([]Vec, len(u.D.Signals))}
 	u.frames = append(u.frames, f)
 	if u.lazy {
 		return t
 	}
 	for _, in := range u.D.Inputs() {
-		f.inputs[in] = u.freshVec(in.Width)
+		f.vecs[in.ID] = u.freshVec(in.Width)
 	}
-	if t == 0 {
-		for _, reg := range u.D.Registers() {
-			f.regs[reg] = u.regVec(f, 0, reg)
-		}
-	} else {
-		for _, reg := range u.D.Registers() {
-			f.regs[reg] = u.regVec(f, t, reg)
-		}
+	for _, reg := range u.D.Registers() {
+		u.regVec(f, t, reg)
 	}
 	return t
 }
 
-// regVec materializes register sig at frame t: fresh variables at frame 0
-// (reset-constrained when InitZero is in effect), the encoded next-state
-// function of frame t-1 otherwise. The caller stores the result in f.regs.
+// regVec materializes register sig at frame t and stores it in f: fresh
+// variables at frame 0 (reset-constrained when InitZero is in effect), the
+// encoded next-state function of frame t-1 otherwise.
 func (u *Unroller) regVec(f *frame, t int, sig *rtl.Signal) Vec {
 	if t == 0 {
 		v := u.freshVec(sig.Width)
-		f.regs[sig] = v
+		f.vecs[sig.ID] = v
 		if u.initZero {
 			for _, l := range v {
 				u.S.AddClause(l.Neg())
@@ -139,7 +130,7 @@ func (u *Unroller) regVec(f *frame, t int, sig *rtl.Signal) Vec {
 		return v
 	}
 	v := u.encodeExpr(u.D.Next[sig], t-1)
-	f.regs[sig] = v
+	f.vecs[sig.ID] = v
 	return v
 }
 
@@ -151,8 +142,8 @@ func (u *Unroller) InitZero() {
 	if len(u.frames) == 0 {
 		u.AddFrame()
 	}
-	for _, v := range u.frames[0].regs {
-		for _, l := range v {
+	for _, reg := range u.D.Registers() {
+		for _, l := range u.frames[0].vecs[reg.ID] {
 			u.S.AddClause(l.Neg())
 		}
 	}
@@ -167,19 +158,16 @@ func (u *Unroller) freshVec(w int) Vec {
 }
 
 // SignalVec returns the literal vector of sig at frame t, encoding its
-// combinational cone on demand.
+// combinational cone on demand. A signal of another design is an error.
 func (u *Unroller) SignalVec(t int, sig *rtl.Signal) (Vec, error) {
 	if t < 0 || t >= len(u.frames) {
 		return nil, fmt.Errorf("frame %d not materialized (have %d)", t, len(u.frames))
 	}
+	if !u.D.Owns(sig) {
+		return nil, fmt.Errorf("signal %s is not a signal of design %s", sig.Name, u.D.Name)
+	}
 	f := u.frames[t]
-	if v, ok := f.inputs[sig]; ok {
-		return v, nil
-	}
-	if v, ok := f.regs[sig]; ok {
-		return v, nil
-	}
-	if v, ok := f.comb[sig]; ok {
+	if v := f.vecs[sig.ID]; v != nil {
 		return v, nil
 	}
 	if u.lazy {
@@ -187,7 +175,7 @@ func (u *Unroller) SignalVec(t int, sig *rtl.Signal) (Vec, error) {
 		// register at t > 0, its next-state cone in frame t-1).
 		if sig.Kind == rtl.SigInput && sig.Name != u.D.Clock {
 			v := u.freshVec(sig.Width)
-			f.inputs[sig] = v
+			f.vecs[sig.ID] = v
 			return v, nil
 		}
 		if sig.IsState {
@@ -199,7 +187,7 @@ func (u *Unroller) SignalVec(t int, sig *rtl.Signal) (Vec, error) {
 		return nil, fmt.Errorf("signal %s has no encoding at frame %d", sig.Name, t)
 	}
 	v := u.encodeExpr(e, t)
-	f.comb[sig] = v
+	f.vecs[sig.ID] = v
 	return v, nil
 }
 
@@ -216,11 +204,11 @@ func (u *Unroller) EncodeExpr(e rtl.Expr, t int) (Vec, error) {
 // missing vector means the input is outside every encoded cone at that frame
 // and is therefore unconstrained.
 func (u *Unroller) InputVecAt(t int, sig *rtl.Signal) (Vec, bool) {
-	if t < 0 || t >= len(u.frames) {
+	if t < 0 || t >= len(u.frames) || !u.D.Owns(sig) || sig.Kind != rtl.SigInput {
 		return nil, false
 	}
-	v, ok := u.frames[t].inputs[sig]
-	return v, ok
+	v := u.frames[t].vecs[sig.ID]
+	return v, v != nil
 }
 
 // InputModel extracts the input assignment of frame t from a satisfying
@@ -228,7 +216,11 @@ func (u *Unroller) InputVecAt(t int, sig *rtl.Signal) (Vec, bool) {
 func (u *Unroller) InputModel(t int) sim.InputVec {
 	f := u.frames[t]
 	iv := sim.InputVec{}
-	for sig, vec := range f.inputs {
+	for id, vec := range f.vecs {
+		sig := u.D.Signals[id]
+		if vec == nil || sig.Kind != rtl.SigInput {
+			continue
+		}
 		var val uint64
 		for i, l := range vec {
 			if u.S.ValueLit(l) {

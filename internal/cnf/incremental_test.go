@@ -159,7 +159,7 @@ func TestLazyConeReduction(t *testing.T) {
 	}
 	// gnt1 must not have been materialized by the gnt0 cone.
 	f := ul.frames[1]
-	if _, ok := f.regs[d.MustSignal("gnt1")]; ok {
+	if f.vecs[d.MustSignal("gnt1").ID] != nil {
 		t.Error("gnt1 materialized at frame 1 despite not being in gnt0's cone")
 	}
 }

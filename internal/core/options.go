@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"goldmine/internal/assertion"
 	"goldmine/internal/mc"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sched"
@@ -134,8 +135,8 @@ func (o *Options) Build() (Config, error) {
 	var errs []string
 	bad := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
 	c := o.cfg
-	if c.Window < 0 {
-		bad("window must be >= 0 (got %d)", c.Window)
+	if c.Window < 0 || c.Window > assertion.MaxOffset {
+		bad("window must be in 0..%d (got %d)", assertion.MaxOffset, c.Window)
 	}
 	if c.MaxIterations < 0 {
 		bad("max iterations must be >= 0 (got %d)", c.MaxIterations)

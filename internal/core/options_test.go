@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"goldmine/internal/assertion"
 	"goldmine/internal/designs"
 	"goldmine/internal/telemetry"
 )
@@ -58,6 +59,7 @@ func TestOptionsValidation(t *testing.T) {
 		want []string
 	}{
 		{"negative window", NewOptions().Window(-1), []string{"window"}},
+		{"window past the offset bound", NewOptions().Window(assertion.MaxOffset + 1), []string{"window"}},
 		{"negative iterations", NewOptions().MaxIterations(-2), []string{"max iterations"}},
 		{"negative workers", NewOptions().Workers(-1), []string{"workers"}},
 		{"zero BMC depth", NewOptions().BMCDepth(0), []string{"BMC depth"}},

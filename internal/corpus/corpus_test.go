@@ -228,6 +228,65 @@ func TestLoadToleratesTornTailOnly(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsOffsetAboveBound: a journal entry whose assertion has an
+// offset past assertion.MaxOffset is rejected like a line that fails to
+// parse — fatal mid-file, cut as the torn tail when it is the last line —
+// so no reduction ever sizes a monitor by it.
+func TestLoadRejectsOffsetAboveBound(t *testing.T) {
+	d := mustDesign(t, arbiterSrc)
+	c := New()
+	c.Ingest("run1", d, []Mined{{A: rstImpliesNoGnt0(), Status: "proved"}})
+	good := c.Entries()[0]
+	a := *good.A
+	a.Consequent.Offset = 1 << 62
+	bad := *good
+	bad.A = &a
+	goodLine, err := encodeEntryEvent(nil, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badLine, err := encodeEntryEvent(nil, &bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, lines ...[]byte) string {
+		path := filepath.Join(dir, name)
+		var buf []byte
+		for _, l := range lines {
+			buf = append(buf, l...)
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	mid := write("mid.jsonl", goodLine, badLine, goodLine)
+	if _, err := Load(mid); err == nil {
+		t.Error("Load accepted an out-of-bound offset mid-file")
+	}
+	if _, st, err := OpenStore(mid); err == nil {
+		st.Close()
+		t.Error("OpenStore accepted an out-of-bound offset mid-file")
+	}
+
+	last := write("last.jsonl", goodLine, badLine)
+	if got, err := Load(last); err != nil {
+		t.Errorf("Load with the bad line last: %v", err)
+	} else if got.Len() != 1 {
+		t.Errorf("Load with the bad line last: len=%d, want the good entry", got.Len())
+	}
+	c2, st, err := OpenStore(last)
+	if err != nil {
+		t.Fatalf("OpenStore with the bad line last: %v", err)
+	}
+	defer st.Close()
+	if c2.Len() != 1 {
+		t.Errorf("OpenStore with the bad line last: len=%d, want 1", c2.Len())
+	}
+}
+
 func TestOpenStorePersistsAcrossReopen(t *testing.T) {
 	d := mustDesign(t, arbiterSrc)
 	path := filepath.Join(t.TempDir(), "corpus.jsonl")

@@ -204,7 +204,8 @@ func Load(path string) (*Corpus, error) {
 }
 
 // loadLine ingests one journal line. Header, trailer and foreign events are
-// skipped; a line that fails to parse is rejected.
+// skipped; a line that fails to parse, or whose assertion has an offset
+// outside 0..assertion.MaxOffset, is rejected.
 func (c *Corpus) loadLine(line []byte) error {
 	var je telemetry.JSONEvent
 	if err := json.Unmarshal(line, &je); err != nil {
@@ -217,7 +218,11 @@ func (c *Corpus) loadLine(line []byte) error {
 	if err := json.Unmarshal(*je.Data, &ej); err != nil {
 		return err
 	}
-	c.add(entryFromWire(&ej))
+	e := entryFromWire(&ej)
+	if err := e.A.CheckOffsets(); err != nil {
+		return err
+	}
+	c.add(e)
 	return nil
 }
 

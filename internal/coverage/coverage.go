@@ -173,28 +173,11 @@ func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
 // one Observe per trace row, read through an unmasked row view.
 func (c *Collector) ObserveTrace(tr *sim.Trace) {
 	c.BeginRun()
-	env := &rowEnv{col: make(map[*rtl.Signal]int, len(tr.Signals))}
-	for j, s := range tr.Signals {
-		env.col[s] = j
-	}
+	env := &sim.RowEnv{Trace: tr}
 	for _, row := range tr.Values {
-		env.row = row
+		env.Row = row
 		c.Observe(env)
 	}
-}
-
-// rowEnv is an rtl.Env over one trace row. Signals without a column (the
-// clock) read zero, as in the interpreter.
-type rowEnv struct {
-	col map[*rtl.Signal]int
-	row []uint64
-}
-
-func (e *rowEnv) Get(sig *rtl.Signal) uint64 {
-	if j, ok := e.col[sig]; ok {
-		return e.row[j]
-	}
-	return 0
 }
 
 // Metric is covered/total with a percentage view.

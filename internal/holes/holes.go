@@ -359,25 +359,20 @@ func rank(hs []*Hole) {
 	}
 }
 
-// rowEnv adapts one trace row to rtl.Env for hit detection.
-type rowEnv struct {
-	tr  *sim.Trace
-	row []uint64
-}
+// masked reads an environment width-masked: a trace row or lane view holds
+// raw stored values, which may carry bits above a signal's width.
+type masked struct{ rtl.Env }
 
-func (e rowEnv) Get(s *rtl.Signal) uint64 {
-	if c := e.tr.Column(s.Name); c >= 0 {
-		return e.row[c] & rtl.Mask(s.Width)
-	}
-	return 0
-}
+func (e masked) Get(s *rtl.Signal) uint64 { return e.Env.Get(s) & rtl.Mask(s.Width) }
 
 // Hit returns the first cycle index at which the trace exercises the hole,
 // or -1. Adjacent-frame holes (toggles, FSM arcs) report the index of the
 // second frame of the pair.
 func (h *Hole) Hit(tr *sim.Trace) int {
-	for t := 0; t < len(tr.Values); t++ {
-		cur := rowEnv{tr, tr.Values[t]}
+	rows := [2]sim.RowEnv{{Trace: tr}, {Trace: tr}}
+	prev, cur := &masked{&rows[0]}, &masked{&rows[1]}
+	for t, row := range tr.Values {
+		rows[0].Row, rows[1].Row = rows[1].Row, row
 		switch h.Kind {
 		case BranchArm, CondTrue:
 			if rtl.Eval(h.Point.Expr, cur)&1 == 1 {
@@ -391,7 +386,6 @@ func (h *Hole) Hit(tr *sim.Trace) int {
 			if t == 0 {
 				continue
 			}
-			prev := rowEnv{tr, tr.Values[t-1]}
 			pb := (prev.Get(h.Sig) >> uint(h.Bit)) & 1
 			cb := (cur.Get(h.Sig) >> uint(h.Bit)) & 1
 			if h.Kind == ToggleRise && pb == 0 && cb == 1 {
@@ -408,7 +402,6 @@ func (h *Hole) Hit(tr *sim.Trace) int {
 			if t == 0 {
 				continue
 			}
-			prev := rowEnv{tr, tr.Values[t-1]}
 			if prev.Get(h.Reg) == h.From && cur.Get(h.Reg) == h.To {
 				return t
 			}
@@ -435,11 +428,12 @@ func (h *Hole) HitMask(bt *simc.BatchTrace, t int, among uint64) uint64 {
 		if h.Kind == CondFalse {
 			want = 0
 		}
-		env := maskedEnv{bt.Env()}
+		lane := bt.Env()
+		env := &masked{lane}
 		var m uint64
 		for rest := among; rest != 0; rest &= rest - 1 {
 			l := bits.TrailingZeros64(rest)
-			env.At(t, l)
+			lane.At(t, l)
 			if rtl.Eval(h.Point.Expr, env)&1 == want {
 				m |= 1 << uint(l)
 			}
@@ -449,7 +443,10 @@ func (h *Hole) HitMask(bt *simc.BatchTrace, t int, among uint64) uint64 {
 		if t == 0 {
 			return 0
 		}
-		pb, cb := bitWord(bt, h.Sig, h.Bit, t-1), bitWord(bt, h.Sig, h.Bit, t)
+		// A bit at or past the width reads zero in every lane, so it never
+		// toggles.
+		pb := simc.MatchLanes(bt.Column(h.Sig, t-1), h.Sig, h.Bit, 1)
+		cb := simc.MatchLanes(bt.Column(h.Sig, t), h.Sig, h.Bit, 1)
 		if h.Kind == ToggleRise {
 			return among &^ pb & cb
 		}
@@ -464,41 +461,13 @@ func (h *Hole) HitMask(bt *simc.BatchTrace, t int, among uint64) uint64 {
 	}
 }
 
-// maskedEnv reads a lane view width-masked, as rowEnv does.
-type maskedEnv struct{ *simc.LaneEnv }
-
-func (e maskedEnv) Get(s *rtl.Signal) uint64 { return e.LaneEnv.Get(s) & rtl.Mask(s.Width) }
-
-// bitWord returns bit b of sig at cycle t in every lane; a bit at or past
-// the width reads zero in every lane, so it never toggles.
-func bitWord(bt *simc.BatchTrace, sig *rtl.Signal, b, t int) uint64 {
-	col := bt.Column(sig, t)
-	if b >= sig.Width || b >= len(col) {
-		return 0
-	}
-	return col[b]
-}
-
 // stateWord returns the lanes whose width-masked reg equals v at cycle t; a
 // v with bits above the width matches no lane.
 func stateWord(bt *simc.BatchTrace, reg *rtl.Signal, v uint64, t int) uint64 {
 	if v&^rtl.Mask(reg.Width) != 0 {
 		return 0
 	}
-	col := bt.Column(reg, t)
-	m := ^uint64(0)
-	for i := 0; i < reg.Width; i++ {
-		var w uint64
-		if i < len(col) {
-			w = col[i]
-		}
-		if v>>uint(i)&1 == 1 {
-			m &= w
-		} else {
-			m &^= w
-		}
-	}
-	return m
+	return simc.MatchLanes(bt.Column(reg, t), reg, -1, v)
 }
 
 // ReportHoles counts the holes that contribute to the coverage report's

@@ -233,7 +233,7 @@ func explicitEquiv(a, b *rtl.Design) (*EquivResult, error) {
 				wa, wb = ma.Bits(oa[i], wa), mb.Bits(ob[i], wb)
 				diffs[i] = 0
 				for k := 0; k < oa[i].Width; k++ {
-					diffs[i] |= laneWord(wa, k) ^ laneWord(wb, k)
+					diffs[i] |= simc.MatchLanes(wa, oa[i], k, 1) ^ simc.MatchLanes(wb, ob[i], k, 1)
 				}
 				differ |= diffs[i]
 			}

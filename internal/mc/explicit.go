@@ -75,15 +75,6 @@ func enumWord(base uint64, j int) uint64 {
 	return 0
 }
 
-// laneValue gathers lane l's value from lane-parallel bit words.
-func laneValue(ws []uint64, l int) uint64 {
-	var v uint64
-	for i, w := range ws {
-		v |= (w >> uint(l) & 1) << uint(i)
-	}
-	return v
-}
-
 // inputValues unpacks input combination n into per-input values: the inputs'
 // bits are concatenated in order, least significant first.
 func inputValues(ins []*rtl.Signal, n uint64) []uint64 {
@@ -154,7 +145,7 @@ func (x *bfs) latched(m *simc.BatchMachine, regs []*rtl.Signal, at int) {
 // input combination n, unless it is already known.
 func (x *bfs) visit(l int, from stateKey, n uint64) {
 	for i, ws := range x.words {
-		x.next[i] = laneValue(ws, l)
+		x.next[i] = simc.LaneValue(ws, l)
 	}
 	x.kb = appendKey(x.kb[:0], x.next)
 	if _, seen := x.r.states[stateKey(x.kb)]; seen {
@@ -282,35 +273,11 @@ func resolveProp(d *rtl.Design, p assertion.Prop) (rp, error) {
 	return rp{sig: sig, prop: p, off: p.Offset, val: want}, nil
 }
 
-// laneWord returns bit i's lane word from lane-parallel bit words (zero past
-// the stored bits).
-func laneWord(ws []uint64, i int) uint64 {
-	if i < len(ws) {
-		return ws[i]
-	}
-	return 0
-}
-
 // holds returns the lanes in which the settled value of p's signal satisfies
 // p. buf is scratch for the signal's bit words.
 func (p *rp) holds(m *simc.BatchMachine, buf *[]uint64) uint64 {
-	ws := m.Bits(p.sig, *buf)
-	*buf = ws
-	if p.prop.Bit >= 0 {
-		if p.val == 1 {
-			return laneWord(ws, p.prop.Bit)
-		}
-		return ^laneWord(ws, p.prop.Bit)
-	}
-	h := ^uint64(0)
-	for i := 0; i < p.sig.Width; i++ {
-		if p.val>>uint(i)&1 == 1 {
-			h &= laneWord(ws, i)
-		} else {
-			h &^= laneWord(ws, i)
-		}
-	}
-	return h
+	*buf = m.Bits(p.sig, *buf)
+	return simc.MatchLanes(*buf, p.sig, p.prop.Bit, p.val)
 }
 
 func (c *Checker) checkExplicit(b *budget, a *assertion.Assertion) (*Result, error) {
@@ -328,9 +295,9 @@ func (c *Checker) checkExplicit(b *budget, a *assertion.Assertion) (*Result, err
 
 	// Split the antecedent: propositions on primary inputs pin bits of the
 	// enumerated window; everything else is checked during simulation.
-	inputIdx := map[*rtl.Signal]int{}
+	inputIdx := make([]int, len(c.d.Signals)) // by ID: position in r.inputs + 1, 0 = not an input
 	for i, in := range r.inputs {
-		inputIdx[in] = i
+		inputIdx[in.ID] = i + 1
 	}
 	fixedVal := make([][]uint64, frames)
 	fixedMask := make([][]uint64, frames)
@@ -344,8 +311,8 @@ func (c *Checker) checkExplicit(b *budget, a *assertion.Assertion) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		ii, isInput := inputIdx[pr.sig]
-		if !isInput || pr.off >= frames {
+		ii := inputIdx[pr.sig.ID] - 1
+		if ii < 0 || pr.off >= frames {
 			simProps = append(simProps, pr)
 			continue
 		}

@@ -89,31 +89,27 @@ type packedProp struct {
 }
 
 // New builds a monitor for the assertion suite on a design. Every
-// proposition must name a design signal at a non-negative offset; the
-// window spans the largest offset of any proposition, antecedent or
-// consequent.
+// proposition must name a design signal at an offset in
+// 0..assertion.MaxOffset; the window spans the largest offset of any
+// proposition, antecedent or consequent.
 func New(d *rtl.Design, suite []*assertion.Assertion) (*Monitor, error) {
 	m := &Monitor{
 		d:     d,
 		suite: suite,
 		stats: make([]Stats, len(suite)),
 	}
-	slots := map[*rtl.Signal]int{}
+	slots := make([]int, len(d.Signals)) // by ID: ring column + 1, 0 = none
 	pids := map[packedProp]int{}
 	resolve := func(p assertion.Prop) (resolvedProp, error) {
 		sig := d.Signal(p.Signal)
 		if sig == nil {
 			return resolvedProp{}, fmt.Errorf("monitor: unknown signal %q", p.Signal)
 		}
-		if p.Offset < 0 {
-			return resolvedProp{}, fmt.Errorf("monitor: %s at negative offset %d", p.Name(), p.Offset)
-		}
-		slot, ok := slots[sig]
-		if !ok {
-			slot = len(m.sigs)
-			slots[sig] = slot
+		if slots[sig.ID] == 0 {
 			m.sigs = append(m.sigs, sig)
+			slots[sig.ID] = len(m.sigs)
 		}
+		slot := slots[sig.ID] - 1
 		pp := packedProp{sig: sig, bit: p.Bit, value: p.Value}
 		if p.Bit < 0 {
 			pp.bit = -1
@@ -133,6 +129,9 @@ func New(d *rtl.Design, suite []*assertion.Assertion) (*Monitor, error) {
 		return resolvedProp{slot: slot, pid: pid, offset: p.Offset}, nil
 	}
 	for _, a := range suite {
+		if err := a.CheckOffsets(); err != nil {
+			return nil, fmt.Errorf("monitor: %w", err)
+		}
 		var ants []resolvedProp
 		for _, p := range a.Antecedent {
 			rp, err := resolve(p)
@@ -264,8 +263,9 @@ func (m *Monitor) RunPacked(bt *simc.BatchTrace, observe uint64) []uint64 {
 		}
 		slot := c % m.depth
 		row := m.packedRing[slot*np : (slot+1)*np]
+		// MatchLanes reads width-masked, as the scalar ring does.
 		for i, pp := range m.props {
-			row[i] = pp.mask(bt, c)
+			row[i] = simc.MatchLanes(bt.Column(pp.sig, c), pp.sig, pp.bit, pp.value)
 		}
 		copy(m.packedRing[(slot+m.depth)*np:], row)
 		start := c - m.depth + 1
@@ -291,34 +291,6 @@ func (m *Monitor) RunPacked(bt *simc.BatchTrace, observe uint64) []uint64 {
 		}
 	}
 	return fired
-}
-
-// mask returns the lanes in which the proposition holds at cycle c of bt,
-// reading only bits below the signal width, as the width-masked scalar ring
-// does: a bit at or past the width reads 0.
-func (pp packedProp) mask(bt *simc.BatchTrace, c int) uint64 {
-	col := bt.Column(pp.sig, c)
-	word := func(i int) uint64 {
-		if i < pp.sig.Width && i < len(col) {
-			return col[i]
-		}
-		return 0
-	}
-	if pp.bit >= 0 {
-		if pp.value == 1 {
-			return word(pp.bit)
-		}
-		return ^word(pp.bit)
-	}
-	m := ^uint64(0)
-	for i := 0; i < pp.sig.Width && i < 64; i++ {
-		if pp.value>>uint(i)&1 == 1 {
-			m &= word(i)
-		} else {
-			m &^= word(i)
-		}
-	}
-	return m
 }
 
 // Violations returns the recorded failures.

@@ -115,6 +115,38 @@ func TestMonitorUnknownSignal(t *testing.T) {
 	}
 }
 
+// TestMonitorRejectsOffsetAboveBound: an offset past assertion.MaxOffset is
+// an error, not a window buffer sized by it (1<<62 overflows the make, 1<<40
+// would allocate terabytes).
+func TestMonitorRejectsOffsetAboveBound(t *testing.T) {
+	d, _ := rtl.ElaborateSource(`module m(input a, output y); assign y = a; endmodule`)
+	for _, off := range []int{1 << 62, 1 << 40, assertion.MaxOffset + 1} {
+		cons := &assertion.Assertion{
+			Output:     "y",
+			Antecedent: []assertion.Prop{assertion.P("a", 0, 1, 1)},
+			Consequent: assertion.P("y", off, 1, 1),
+		}
+		ant := &assertion.Assertion{
+			Output:     "y",
+			Antecedent: []assertion.Prop{assertion.P("a", off, 1, 1)},
+			Consequent: assertion.P("y", 0, 1, 1),
+		}
+		for _, a := range []*assertion.Assertion{cons, ant} {
+			if _, err := monitor.New(d, []*assertion.Assertion{a}); err == nil {
+				t.Errorf("offset %d accepted (consequent at %d)", off, a.Consequent.Offset)
+			}
+		}
+	}
+	ok := &assertion.Assertion{
+		Output:     "y",
+		Antecedent: []assertion.Prop{assertion.P("a", 0, 1, 1)},
+		Consequent: assertion.P("y", assertion.MaxOffset, 1, 1),
+	}
+	if _, err := monitor.New(d, []*assertion.Assertion{ok}); err != nil {
+		t.Errorf("offset at the bound rejected: %v", err)
+	}
+}
+
 func TestMonitorViolationCap(t *testing.T) {
 	d, _ := rtl.ElaborateSource(`module m(input a, output y); assign y = a; endmodule`)
 	alwaysWrong := &assertion.Assertion{

@@ -54,9 +54,9 @@ func Apply(d *rtl.Design, f Fault) (*rtl.Design, error) {
 		Next:    map[*rtl.Signal]rtl.Expr{},
 		Cover:   d.Cover,
 	}
-	// Rebuild the signal index by re-adding? rtl.Design has a private map;
-	// construct via the public surface: copy expression maps and rely on
-	// Signal() working through Signals. See rtl.Rebind below.
+	// The mutant shares Signals, so every signal keeps its ID and tables
+	// indexed by ID serve both designs; rtl.Rebind below rebuilds the name
+	// index and revalidates.
 	for s, e := range d.Comb {
 		md.Comb[s] = e
 	}

@@ -9,6 +9,7 @@ import (
 
 	"goldmine/internal/assertion"
 	"goldmine/internal/core"
+	"goldmine/internal/designs"
 	"goldmine/internal/mc"
 	"goldmine/internal/monitor"
 	"goldmine/internal/rtl"
@@ -307,5 +308,43 @@ func TestSimCampaignUnknownSignal(t *testing.T) {
 	d := mustDesign(t, arbiterSrc)
 	if _, err := SimCampaign(d, nil, []Fault{{Signal: "ghost"}}, sim.Stimulus{{}}, nil); err == nil {
 		t.Error("unknown fault signal should error")
+	}
+}
+
+// TestSignalIDsAreIndices: on every bundled design and one mutant of each,
+// a signal's ID is its position in Signals, and the mutant shares the
+// signals (so one ID-indexed table serves both).
+func TestSignalIDsAreIndices(t *testing.T) {
+	check := func(d *rtl.Design) {
+		t.Helper()
+		for i, s := range d.Signals {
+			if s.ID != i {
+				t.Errorf("%s: signal %s at position %d has ID %d", d.Name, s.Name, i, s.ID)
+			}
+		}
+	}
+	for _, b := range designs.All() {
+		d, err := b.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(d)
+		faults := AllFaults(d)
+		if len(faults) == 0 {
+			t.Fatalf("%s: no faults to inject", b.Name)
+		}
+		md, err := Apply(d, faults[0])
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		check(md)
+		for _, s := range d.Signals {
+			if !md.Owns(s) {
+				t.Errorf("%s: mutant %s does not own %s", b.Name, md.Name, s.Name)
+			}
+		}
+	}
+	if n := len(designs.All()); n != 18 {
+		t.Errorf("%d bundled designs, want 18", n)
 	}
 }

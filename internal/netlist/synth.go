@@ -12,7 +12,7 @@ import (
 // trees, and register next-state functions drive the latches.
 func Synthesize(d *rtl.Design) (*AIG, error) {
 	g := New()
-	syn := &synth{g: g, d: d, sigBits: map[*rtl.Signal]Word{}}
+	syn := &synth{g: g, d: d, sigBits: make([]Word, len(d.Signals))}
 
 	// Inputs (deterministic order).
 	for _, in := range d.Inputs() {
@@ -20,7 +20,7 @@ func Synthesize(d *rtl.Design) (*AIG, error) {
 		for i := range w {
 			w[i] = g.NewInput()
 		}
-		syn.sigBits[in] = w
+		syn.sigBits[in.ID] = w
 		g.InputBits[in.Name] = w
 	}
 	// Latches.
@@ -30,7 +30,7 @@ func Synthesize(d *rtl.Design) (*AIG, error) {
 		for i := range w {
 			w[i] = g.NewLatch()
 		}
-		syn.sigBits[reg] = w
+		syn.sigBits[reg.ID] = w
 		g.LatchBits[reg.Name] = w
 	}
 	// Combinational signals on demand; next-state functions last.
@@ -43,7 +43,7 @@ func Synthesize(d *rtl.Design) (*AIG, error) {
 		if err != nil {
 			return nil, fmt.Errorf("synthesizing %s: %w", sig.Name, err)
 		}
-		syn.sigBits[sig] = g.Extend(w, sig.Width)
+		syn.sigBits[sig.ID] = g.Extend(w, sig.Width)
 	}
 	for _, reg := range regs {
 		nw, err := syn.expr(d.Next[reg])
@@ -51,15 +51,15 @@ func Synthesize(d *rtl.Design) (*AIG, error) {
 			return nil, fmt.Errorf("synthesizing next(%s): %w", reg.Name, err)
 		}
 		nw = g.Extend(nw, reg.Width)
-		bits := syn.sigBits[reg]
+		bits := syn.sigBits[reg.ID]
 		for i := range bits {
 			g.SetLatchNext(bits[i], nw[i])
 		}
 	}
 	// Output map.
 	for _, out := range d.Outputs() {
-		w, ok := syn.sigBits[out]
-		if !ok {
+		w := syn.sigBits[out.ID]
+		if w == nil {
 			return nil, fmt.Errorf("output %s has no synthesized bits", out.Name)
 		}
 		g.OutputBits[out.Name] = w
@@ -70,7 +70,7 @@ func Synthesize(d *rtl.Design) (*AIG, error) {
 type synth struct {
 	g       *AIG
 	d       *rtl.Design
-	sigBits map[*rtl.Signal]Word
+	sigBits []Word // by signal ID, nil until synthesized
 }
 
 func (s *synth) expr(e rtl.Expr) (Word, error) {
@@ -80,11 +80,10 @@ func (s *synth) expr(e rtl.Expr) (Word, error) {
 		return g.ConstWord(x.Val, x.W), nil
 
 	case *rtl.Ref:
-		w, ok := s.sigBits[x.Sig]
-		if !ok {
+		if !s.d.Owns(x.Sig) || s.sigBits[x.Sig.ID] == nil {
 			return nil, fmt.Errorf("signal %s not yet synthesized", x.Sig.Name)
 		}
-		return w, nil
+		return s.sigBits[x.Sig.ID], nil
 
 	case *rtl.Unary:
 		sub, err := s.expr(x.X)

@@ -35,6 +35,10 @@ type Signal struct {
 	Name  string
 	Width int
 	Kind  SigKind
+	// ID is the signal's position in its design's Signals. Tables indexed
+	// by ID belong to that design (and its mutants, which share Signals);
+	// Design.Owns tells a foreign signal apart.
+	ID int
 	// IsState marks sequential registers (may coincide with SigOutput for
 	// output regs).
 	IsState bool
@@ -72,6 +76,13 @@ type Design struct {
 	// to first use safely. The published slice is immutable.
 	combMu    sync.Mutex
 	combOrder []*Signal
+}
+
+// Owns reports whether sig is this design's signal at position sig.ID, the
+// check every ID-indexed table makes before it reads a slot: a signal of
+// another elaboration has an ID too, but it names another design's slot.
+func (d *Design) Owns(sig *Signal) bool {
+	return uint(sig.ID) < uint(len(d.Signals)) && d.Signals[sig.ID] == sig
 }
 
 // Signal returns the signal named name, or nil.
@@ -198,11 +209,15 @@ func (d *Design) CombOrder() ([]*Signal, error) {
 	return order, nil
 }
 
-// Validate performs structural checks: every output is driven, every register
-// has a next-state function, no expression reads the clock, and the
-// combinational logic is acyclic.
+// Validate performs structural checks: every signal's ID is its position in
+// Signals, every driven or read signal is one of them, every output is
+// driven, every register has a next-state function, no expression reads the
+// clock, and the combinational logic is acyclic.
 func (d *Design) Validate() error {
-	for _, s := range d.Signals {
+	for i, s := range d.Signals {
+		if s.ID != i {
+			return fmt.Errorf("design %s: signal %s at position %d has ID %d", d.Name, s.Name, i, s.ID)
+		}
 		switch {
 		case s.Kind == SigOutput && !s.IsState:
 			if _, ok := d.Comb[s]; !ok {
@@ -214,21 +229,27 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
-	check := func(e Expr) error {
+	check := func(s *Signal, e Expr) error {
+		if !d.Owns(s) {
+			return fmt.Errorf("design %s: %s is driven but is not a signal of the design", d.Name, s.Name)
+		}
 		for sig := range Support(e, nil) {
+			if !d.Owns(sig) {
+				return fmt.Errorf("design %s: %s reads %s, which is not a signal of the design", d.Name, s.Name, sig.Name)
+			}
 			if sig.Name == d.Clock && d.Clock != "" {
 				return fmt.Errorf("design %s: clock %s used as data", d.Name, d.Clock)
 			}
 		}
 		return nil
 	}
-	for _, e := range d.Comb {
-		if err := check(e); err != nil {
+	for s, e := range d.Comb {
+		if err := check(s, e); err != nil {
 			return err
 		}
 	}
-	for _, e := range d.Next {
-		if err := check(e); err != nil {
+	for s, e := range d.Next {
+		if err := check(s, e); err != nil {
 			return err
 		}
 	}
@@ -255,6 +276,7 @@ func (d *Design) addSignal(s *Signal) error {
 	if _, dup := d.byName[s.Name]; dup {
 		return fmt.Errorf("design %s: duplicate signal %q", d.Name, s.Name)
 	}
+	s.ID = len(d.Signals)
 	d.Signals = append(d.Signals, s)
 	d.byName[s.Name] = s
 	return nil

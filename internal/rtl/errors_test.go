@@ -144,6 +144,21 @@ func TestRebind(t *testing.T) {
 	if err := Rebind(nd); err == nil {
 		t.Error("rebind of register without next-state should fail")
 	}
+	// A reordered signal list breaks ID = position, which every ID-indexed
+	// table relies on.
+	swapped := &Design{Name: d.Name, Signals: append([]*Signal(nil), d.Signals...),
+		Clock: d.Clock, Comb: d.Comb, Next: d.Next, Cover: d.Cover}
+	swapped.Signals[0], swapped.Signals[1] = swapped.Signals[1], swapped.Signals[0]
+	if err := Rebind(swapped); err == nil || !strings.Contains(err.Error(), "ID") {
+		t.Errorf("rebind of reordered signals: err = %v, want an ID error", err)
+	}
+	// An expression reading another elaboration's signal would index this
+	// design's tables with a foreign ID.
+	other := elaborate(t, arbiter2Src)
+	nd.Next[nd.MustSignal("gnt0")] = &Ref{Sig: other.MustSignal("req0")}
+	if err := Rebind(nd); err == nil || !strings.Contains(err.Error(), "not a signal of the design") {
+		t.Errorf("rebind of a foreign read: err = %v, want a foreign-signal error", err)
+	}
 }
 
 func TestSignalStringer(t *testing.T) {

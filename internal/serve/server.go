@@ -628,6 +628,11 @@ func (s *Server) scheduleRetry(j *Job, attempt int, msg string) {
 		telemetry.String("id", j.ID),
 		telemetry.Int("attempt", int64(attempt)),
 		telemetry.Int("delay_us", delay.Microseconds()))
+	// timersMu is held until t is stored: a timer that fires at once
+	// waits on it, so it reads t only after the assignment and deletes the
+	// entry only after it exists.
+	s.timersMu.Lock()
+	defer s.timersMu.Unlock()
 	var t *time.Timer
 	t = time.AfterFunc(delay, func() {
 		s.timersMu.Lock()
@@ -638,9 +643,7 @@ func (s *Server) scheduleRetry(j *Job, attempt int, msg string) {
 		}
 		s.q.push(j)
 	})
-	s.timersMu.Lock()
 	s.timers[t] = struct{}{}
-	s.timersMu.Unlock()
 }
 
 func (s *Server) stopping() bool {

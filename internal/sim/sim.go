@@ -45,7 +45,9 @@ func (st Stimulus) Clone() Stimulus {
 type Trace struct {
 	Signals []*rtl.Signal
 	Values  [][]uint64
-	index   map[string]int
+	// cols is the ID→column table: cols[sig.ID] is sig's column. The
+	// clock's entry is 0, a column that Col's ownership check refuses it.
+	cols []int
 }
 
 // NewTrace creates an empty trace over the design's signals (excluding the
@@ -59,22 +61,51 @@ func NewTrace(d *rtl.Design) *Trace {
 		sigs = append(sigs, s)
 	}
 	sort.Slice(sigs, func(i, j int) bool { return sigs[i].Name < sigs[j].Name })
-	idx := make(map[string]int, len(sigs))
-	for i, s := range sigs {
-		idx[s.Name] = i
+	cols := make([]int, len(d.Signals))
+	for j, s := range sigs {
+		cols[s.ID] = j
 	}
-	return &Trace{Signals: sigs, index: idx}
+	return &Trace{Signals: sigs, cols: cols}
 }
 
 // Cycles returns the number of recorded cycles.
 func (t *Trace) Cycles() int { return len(t.Values) }
 
-// Column returns the column index of a signal name, or -1.
-func (t *Trace) Column(name string) int {
-	if i, ok := t.index[name]; ok {
-		return i
+// Col returns sig's column, or -1 when it has none: the clock, or a signal
+// of another design (its ID names some other signal's slot here).
+func (t *Trace) Col(sig *rtl.Signal) int {
+	if uint(sig.ID) < uint(len(t.cols)) {
+		if j := t.cols[sig.ID]; j < len(t.Signals) && t.Signals[j] == sig {
+			return j
+		}
 	}
 	return -1
+}
+
+// Column returns the column index of a signal name, or -1. Columns are
+// sorted by name.
+func (t *Trace) Column(name string) int {
+	j := sort.Search(len(t.Signals), func(j int) bool { return t.Signals[j].Name >= name })
+	if j < len(t.Signals) && t.Signals[j].Name == name {
+		return j
+	}
+	return -1
+}
+
+// RowEnv is an rtl.Env over one trace row: Get reads a signal's raw
+// recorded value through the ID→column table. Signals without a column (the
+// clock, another design's signals) read zero, as in the interpreter.
+type RowEnv struct {
+	Trace *Trace
+	Row   []uint64
+}
+
+// Get returns sig's raw value in the row.
+func (e *RowEnv) Get(sig *rtl.Signal) uint64 {
+	if j := e.Trace.Col(sig); j >= 0 {
+		return e.Row[j]
+	}
+	return 0
 }
 
 // Value returns the value of signal name at cycle c.
@@ -112,10 +143,30 @@ func (t *Trace) Append(other *Trace) error {
 	return nil
 }
 
+// values is the simulator's environment: every signal's raw value, indexed
+// by ID. A signal of another design reads zero.
+type values struct {
+	d *rtl.Design
+	v []uint64
+}
+
+func (e *values) Get(sig *rtl.Signal) uint64 {
+	if e.d.Owns(sig) {
+		return e.v[sig.ID]
+	}
+	return 0
+}
+
+// pin is one signal's stuck-at override.
+type pin struct {
+	v  uint64
+	on bool
+}
+
 // Simulator steps an elaborated design cycle by cycle.
 type Simulator struct {
 	d     *rtl.Design
-	vals  rtl.MapEnv
+	vals  values
 	order []*rtl.Signal
 	// inputs are the data inputs (clock excluded), precomputed so Step
 	// zeroes them directly instead of scanning every design signal.
@@ -125,10 +176,9 @@ type Simulator struct {
 	// instead of allocating a map per cycle.
 	nextSigs []*rtl.Signal
 	nextBuf  []uint64
-	// forces pins signals to constant values (stuck-at semantics for fault
-	// regression); forced is the deterministic application order.
-	forces map[*rtl.Signal]uint64
-	forced []*rtl.Signal
+	// forces pins signals to constant values by ID (stuck-at semantics for
+	// fault regression); nil when nothing was forced since ClearForces.
+	forces []pin
 	// observers are invoked once per cycle after combinational settling.
 	observers []func(env rtl.Env)
 	cycle     int
@@ -143,7 +193,7 @@ func New(d *rtl.Design) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{d: d, order: order, vals: rtl.MapEnv{}}
+	s := &Simulator{d: d, order: order, vals: values{d: d, v: make([]uint64, len(d.Signals))}}
 	s.inputs = d.Inputs()
 	for reg := range d.Next {
 		s.nextSigs = append(s.nextSigs, reg)
@@ -160,10 +210,7 @@ func (s *Simulator) Design() *rtl.Design { return s.d }
 // Reset zeroes all state and inputs. Matches the formal engine's initial
 // state (all registers zero).
 func (s *Simulator) Reset() {
-	s.vals = rtl.MapEnv{}
-	for _, sig := range s.d.Signals {
-		s.vals[sig] = 0
-	}
+	clear(s.vals.v)
 	s.cycle = 0
 }
 
@@ -182,7 +229,7 @@ func (s *Simulator) Peek(name string) (uint64, error) {
 	if sig == nil {
 		return 0, fmt.Errorf("no signal %q", name)
 	}
-	return s.vals[sig] & rtl.Mask(sig.Width), nil
+	return s.vals.v[sig.ID] & rtl.Mask(sig.Width), nil
 }
 
 // Force pins a signal to a constant value (masked to the signal's width) from
@@ -198,45 +245,32 @@ func (s *Simulator) Force(name string, v uint64) error {
 		return fmt.Errorf("force targets clock %q", name)
 	}
 	if s.forces == nil {
-		s.forces = make(map[*rtl.Signal]uint64)
+		s.forces = make([]pin, len(s.d.Signals))
 	}
-	if _, ok := s.forces[sig]; !ok {
-		s.forced = append(s.forced, sig)
-	}
-	s.forces[sig] = v & rtl.Mask(sig.Width)
+	s.forces[sig.ID] = pin{v & rtl.Mask(sig.Width), true}
 	return nil
 }
 
 // Unforce releases a forced signal; unknown or unforced names are no-ops.
 func (s *Simulator) Unforce(name string) {
 	sig := s.d.Signal(name)
-	if sig == nil {
-		return
-	}
-	if _, ok := s.forces[sig]; !ok {
-		return
-	}
-	delete(s.forces, sig)
-	for i, f := range s.forced {
-		if f == sig {
-			s.forced = append(s.forced[:i], s.forced[i+1:]...)
-			break
-		}
+	if sig != nil && s.forces != nil {
+		s.forces[sig.ID] = pin{}
 	}
 }
 
 // ClearForces releases all forced signals.
 func (s *Simulator) ClearForces() {
 	s.forces = nil
-	s.forced = nil
 }
 
 // Step applies one input vector, settles combinational logic, invokes
 // observers, records into trace (if non-nil), and advances the clock.
 func (s *Simulator) Step(in InputVec, trace *Trace) error {
 	// Zero all data inputs, then apply the vector (unassigned inputs are 0).
+	vals := s.vals.v
 	for _, sig := range s.inputs {
-		s.vals[sig] = 0
+		vals[sig.ID] = 0
 	}
 	for name, v := range in {
 		sig := s.d.Signal(name)
@@ -249,47 +283,47 @@ func (s *Simulator) Step(in InputVec, trace *Trace) error {
 		if sig.Name == s.d.Clock {
 			return fmt.Errorf("stimulus drives clock %q", name)
 		}
-		s.vals[sig] = v & rtl.Mask(sig.Width)
+		vals[sig.ID] = v & rtl.Mask(sig.Width)
 	}
-	if len(s.forces) == 0 {
+	if s.forces == nil {
 		// Fast path: no stuck-at overrides, settle in dependency order.
 		for _, sig := range s.order {
-			s.vals[sig] = rtl.Eval(s.d.Comb[sig], s.vals)
+			vals[sig.ID] = rtl.Eval(s.d.Comb[sig], &s.vals)
 		}
 	} else {
 		// Pin non-combinational signals (inputs, registers) before settling so
 		// downstream logic reads the forced value; combinational signals are
 		// pinned in place of their driver during the settle pass.
-		for _, sig := range s.forced {
-			if _, comb := s.d.Comb[sig]; !comb {
-				s.vals[sig] = s.forces[sig]
+		for id, f := range s.forces {
+			if f.on && s.d.Comb[s.d.Signals[id]] == nil {
+				vals[id] = f.v
 			}
 		}
 		for _, sig := range s.order {
-			if fv, ok := s.forces[sig]; ok {
-				s.vals[sig] = fv
+			if f := s.forces[sig.ID]; f.on {
+				vals[sig.ID] = f.v
 				continue
 			}
-			s.vals[sig] = rtl.Eval(s.d.Comb[sig], s.vals)
+			vals[sig.ID] = rtl.Eval(s.d.Comb[sig], &s.vals)
 		}
 	}
 	// Observe and record the settled cycle.
 	for _, fn := range s.observers {
-		fn(s.vals)
+		fn(&s.vals)
 	}
 	if trace != nil {
 		row := make([]uint64, len(trace.Signals))
 		for i, sig := range trace.Signals {
-			row[i] = s.vals[sig]
+			row[i] = s.vals.Get(sig)
 		}
 		trace.Values = append(trace.Values, row)
 	}
 	// Clock edge: latch next state (two-phase via the persistent buffer).
 	for i, reg := range s.nextSigs {
-		s.nextBuf[i] = rtl.Eval(s.d.Next[reg], s.vals)
+		s.nextBuf[i] = rtl.Eval(s.d.Next[reg], &s.vals)
 	}
 	for i, reg := range s.nextSigs {
-		s.vals[reg] = s.nextBuf[i]
+		vals[reg.ID] = s.nextBuf[i]
 	}
 	s.cycle++
 	s.Cycles.Inc()

@@ -116,9 +116,10 @@ type BatchProgram struct {
 	comb []binstr
 	next []binstr
 
-	// sigBits maps each non-clock signal to its raw stored bit words (the
-	// bit-blasted equivalent of the interpreter's raw s.vals entry).
-	sigBits map[*rtl.Signal]wbits
+	// sigBits holds each non-clock signal's raw stored bit words by ID (the
+	// bit-blasted equivalent of the interpreter's raw value); nil for the
+	// clock and for a signal not compiled yet.
+	sigBits []wbits
 
 	// Input packing: inWords is the flat list of machine-written input bit
 	// words; packIdx resolves stimulus names with the interpreter's error
@@ -127,12 +128,12 @@ type BatchProgram struct {
 	inputs  []packedInput
 	packIdx map[string]inputEntry
 
-	// Trace gather: per sim.NewTrace column, the stored words to copy into
+	// Trace gather: per column of the empty trace tr (sim.NewTrace order,
+	// reached through its ID→column table), the stored words to copy into
 	// each packed row.
-	traceSigs []*rtl.Signal
-	colIdx    map[*rtl.Signal]int32 // trace column of each signal
-	colOff    []int32               // offset of each column's words within a packed row
-	rowGather []int32               // word index per packed-row position
+	tr        *sim.Trace
+	colOff    []int32 // offset of each column's words within a packed row
+	rowGather []int32 // word index per packed-row position
 
 	forceable map[string]*forceSlots
 
@@ -143,16 +144,6 @@ type BatchProgram struct {
 
 // Design returns the compiled design.
 func (p *BatchProgram) Design() *rtl.Design { return p.d }
-
-// Words returns the word-array size (diagnostics / sizing).
-func (p *BatchProgram) Words() int { return int(p.nwords) }
-
-// CombOps and NextOps return tape lengths (diagnostics).
-func (p *BatchProgram) CombOps() int { return len(p.comb) }
-func (p *BatchProgram) NextOps() int { return len(p.next) }
-
-// RowWords returns the packed trace row width in words.
-func (p *BatchProgram) RowWords() int { return len(p.rowGather) }
 
 type bkey struct {
 	op      uint8
@@ -505,8 +496,8 @@ func (b *bbuild) expr(e rtl.Expr) (wbits, error) {
 		return constBits(x.Val), nil
 
 	case *rtl.Ref:
-		stored, ok := b.p.sigBits[x.Sig]
-		if !ok {
+		stored := b.p.bits(x.Sig)
+		if stored == nil {
 			return nil, fmt.Errorf("simc: expression reads unknown signal %q", x.Sig.Name)
 		}
 		return stored.trunc(x.Sig.Width), nil
@@ -691,7 +682,7 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 	}
 	p := &BatchProgram{
 		d:         d,
-		sigBits:   make(map[*rtl.Signal]wbits),
+		sigBits:   make([]wbits, len(d.Signals)),
 		packIdx:   make(map[string]inputEntry),
 		forceable: make(map[string]*forceSlots),
 	}
@@ -724,9 +715,9 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 			p.inputs = append(p.inputs, packedInput{sig: sig, off: len(p.inWords)})
 			p.packIdx[sig.Name] = inputEntry{slot: int32(len(p.inputs) - 1), mask: rtl.Mask(sig.Width), kind: inOK}
 			p.inWords = append(p.inWords, ws...)
-			p.sigBits[sig] = ws
+			p.sigBits[sig.ID] = ws
 		case d.Next[sig] != nil:
-			p.sigBits[sig] = b.words(sig.Width)
+			p.sigBits[sig.ID] = b.words(sig.Width)
 		}
 	}
 	// Stimulus error taxonomy for non-input signals.
@@ -771,7 +762,7 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 		if _, comb := d.Comb[sig]; comb {
 			continue // handled at the signal's definition below
 		}
-		emitForce(forceWords(sig), p.sigBits[sig])
+		emitForce(forceWords(sig), p.sigBits[sig.ID])
 	}
 
 	// Combinational settle in dependency order.
@@ -799,7 +790,7 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 			emitForce(forceWords(sig), priv)
 			v = priv
 		}
-		p.sigBits[sig] = v
+		p.sigBits[sig.ID] = v
 	}
 
 	// Next tape: evaluate all next-state roots, then latch. Roots that alias
@@ -813,7 +804,7 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 			continue
 		}
 		if sig.Kind == rtl.SigInput || d.Next[sig] != nil {
-			for _, w := range p.sigBits[sig] {
+			for _, w := range p.sigBits[sig.ID] {
 				volatileWords[w] = true
 			}
 		}
@@ -845,7 +836,7 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 		plans = append(plans, latchPlan{reg, v})
 	}
 	for _, pl := range plans {
-		stored := p.sigBits[pl.reg]
+		stored := p.sigBits[pl.reg.ID]
 		// Raw next-state bits beyond the register's pre-allocated width need
 		// extra persistent words (the interpreter stores the raw value).
 		for len(stored) < len(pl.bits) {
@@ -854,40 +845,31 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 		for i, dst := range stored {
 			*b.tape = append(*b.tape, binstr{op: bCopy, dst: dst, a: pl.bits.get(i)})
 		}
-		p.sigBits[pl.reg] = stored
+		p.sigBits[pl.reg.ID] = stored
 	}
 
 	for _, reg := range d.Registers() {
-		p.regBits = append(p.regBits, p.sigBits[reg])
+		p.regBits = append(p.regBits, p.sigBits[reg.ID])
 	}
 
 	// Trace gather in sim.NewTrace column order, raw stored bits per column.
-	tr := sim.NewTrace(d)
-	p.traceSigs = tr.Signals
-	p.colIdx = make(map[*rtl.Signal]int32, len(tr.Signals))
-	p.colOff = make([]int32, len(tr.Signals)+1)
-	for i, sig := range tr.Signals {
-		p.colIdx[sig] = int32(i)
+	p.tr = sim.NewTrace(d)
+	p.colOff = make([]int32, len(p.tr.Signals)+1)
+	for i, sig := range p.tr.Signals {
 		p.colOff[i] = int32(len(p.rowGather))
-		p.rowGather = append(p.rowGather, p.sigBits[sig]...)
+		p.rowGather = append(p.rowGather, p.sigBits[sig.ID]...)
 	}
-	p.colOff[len(tr.Signals)] = int32(len(p.rowGather))
+	p.colOff[len(p.tr.Signals)] = int32(len(p.rowGather))
 	return p, nil
 }
 
-// OneBitFraction reports the fraction of trace columns that are single-bit —
-// the batch engine's sweet spot (diagnostics and bench labeling).
-func (p *BatchProgram) OneBitFraction() float64 {
-	if len(p.traceSigs) == 0 {
-		return 0
+// bits returns sig's stored words, or nil for the clock, a signal not
+// compiled yet and a signal of another design.
+func (p *BatchProgram) bits(sig *rtl.Signal) wbits {
+	if !p.d.Owns(sig) {
+		return nil
 	}
-	n := 0
-	for _, s := range p.traceSigs {
-		if s.Width == 1 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(p.traceSigs))
+	return p.sigBits[sig.ID]
 }
 
 // Forceable returns the sorted names of lane-forceable signals.

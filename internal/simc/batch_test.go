@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"goldmine/internal/cnf"
 	"goldmine/internal/designs"
 	"goldmine/internal/rtl"
+	"goldmine/internal/sat"
 	"goldmine/internal/sim"
 	"goldmine/internal/simc"
 	"goldmine/internal/stimgen"
@@ -575,6 +577,76 @@ func TestBroadcastMatchesPack(t *testing.T) {
 		}
 		if _, err := p.Broadcast(sim.Stimulus{{"nosuch": 1}}, 2); err == nil {
 			t.Errorf("%s: broadcast of an unknown input accepted", b.Name)
+		}
+	}
+}
+
+// TestForeignSignalsRejected hands every signal of a second elaboration of
+// the same source to the ID-indexed lookups of the first: each signal's ID
+// names a slot of the first design (the same-named signal), so a lookup
+// that skipped the ownership check would return that signal's data. The
+// batch trace and machine must return no words, the trace no column, and
+// the unroller an error.
+func TestForeignSignalsRejected(t *testing.T) {
+	b, err := designs.Get("b12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := b.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := b.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := simc.CompileBatch(d, simc.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := simc.NewBatchMachine(p)
+	ps, err := p.Pack([]sim.Stimulus{stimgen.Random(d, 8, 1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := m.RunPacked(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := bt.Lane(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := bt.Env()
+	env.At(0, 0)
+	u := cnf.NewUnroller(sat.New(), d)
+	u.AddFrame()
+	lazy := cnf.NewLazyUnroller(sat.New(), d)
+	lazy.AddFrame()
+	for _, s := range other.Signals {
+		if s.Name == d.Clock {
+			continue
+		}
+		own := d.MustSignal(s.Name)
+		if len(bt.Column(own, 0)) == 0 || len(m.Bits(own, nil)) == 0 || tr.Col(own) < 0 {
+			t.Fatalf("%s: the design's own signal has no data", s.Name)
+		}
+		if ws := bt.Column(s, 0); ws != nil {
+			t.Errorf("%s: BatchTrace.Column returned %d words for a foreign signal", s.Name, len(ws))
+		}
+		if ws := m.Bits(s, nil); len(ws) != 0 {
+			t.Errorf("%s: BatchMachine.Bits returned %d words for a foreign signal", s.Name, len(ws))
+		}
+		if env.Get(s) != 0 {
+			t.Errorf("%s: LaneEnv.Get read a foreign signal", s.Name)
+		}
+		if j := tr.Col(s); j >= 0 {
+			t.Errorf("%s: Trace.Col gave column %d to a foreign signal", s.Name, j)
+		}
+		for _, un := range []*cnf.Unroller{u, lazy} {
+			if v, err := un.SignalVec(0, s); err == nil {
+				t.Errorf("%s: SignalVec encoded a foreign signal (%d literals)", s.Name, len(v))
+			}
 		}
 	}
 }

@@ -183,13 +183,54 @@ func (bt *BatchTrace) Live(c int) uint64 {
 // Column returns sig's raw stored bit words at cycle c, least significant
 // bit first, bit l of each word belonging to lane l — the column Lane
 // transposes. Bits past the returned words read as zero. A signal without a
-// trace column (the clock) has no words. The slice aliases the trace.
+// trace column (the clock, a signal of another design) has no words. The
+// slice aliases the trace.
 func (bt *BatchTrace) Column(sig *rtl.Signal, c int) []uint64 {
-	j, ok := bt.p.colIdx[sig]
-	if !ok {
+	j := bt.p.tr.Col(sig)
+	if j < 0 {
 		return nil
 	}
 	return bt.rows[c][bt.p.colOff[j]:bt.p.colOff[j+1]]
+}
+
+// LaneValue gathers lane l's value from lane-parallel bit words ws (word i
+// holds bit i of every lane), as Column and BatchMachine.Bits return them.
+func LaneValue(ws []uint64, l int) uint64 {
+	var v uint64
+	for i, w := range ws {
+		v |= (w >> uint(l) & 1) << uint(i)
+	}
+	return v
+}
+
+// MatchLanes returns the lanes in which a proposition on sig holds, given
+// sig's lane-parallel bit words ws: with bit >= 0, the value's bit at that
+// position equals v&1; with bit < 0, the whole value equals v. The value is
+// read width-masked (bits at or past sig's width, or past ws, read zero),
+// and bits of v at or above the width are not compared, so a caller settles
+// a wider v by its own rule first.
+func MatchLanes(ws []uint64, sig *rtl.Signal, bit int, v uint64) uint64 {
+	word := func(i int) uint64 {
+		if i < sig.Width && i < len(ws) {
+			return ws[i]
+		}
+		return 0
+	}
+	if bit >= 0 {
+		if v&1 == 1 {
+			return word(bit)
+		}
+		return ^word(bit)
+	}
+	m := ^uint64(0)
+	for i := 0; i < sig.Width && i < 64; i++ {
+		if v>>uint(i)&1 == 1 {
+			m &= word(i)
+		} else {
+			m &^= word(i)
+		}
+	}
+	return m
 }
 
 // LaneEnv is an rtl.Env over one lane of one packed trace row: Get gathers
@@ -197,9 +238,9 @@ func (bt *BatchTrace) Column(sig *rtl.Signal, c int) []uint64 {
 // evaluates on the packed trace without transposing it. Signals without a
 // column read zero. Position it with At; one env serves a whole scan.
 type LaneEnv struct {
-	bt    *BatchTrace
-	row   []uint64
-	shift uint
+	bt   *BatchTrace
+	row  []uint64
+	lane int
 }
 
 // Env returns a lane view of the trace; position it with At before Get.
@@ -208,21 +249,17 @@ func (bt *BatchTrace) Env() *LaneEnv { return &LaneEnv{bt: bt} }
 // At moves the view to lane l of cycle c.
 func (e *LaneEnv) At(c, l int) {
 	e.row = e.bt.rows[c]
-	e.shift = uint(l)
+	e.lane = l
 }
 
 // Get returns sig's raw value in the viewed lane and cycle.
 func (e *LaneEnv) Get(sig *rtl.Signal) uint64 {
 	p := e.bt.p
-	j, ok := p.colIdx[sig]
-	if !ok {
+	j := p.tr.Col(sig)
+	if j < 0 {
 		return 0
 	}
-	var v uint64
-	for i, w := range e.row[p.colOff[j]:p.colOff[j+1]] {
-		v |= (w >> e.shift & 1) << uint(i)
-	}
-	return v
+	return LaneValue(e.row[p.colOff[j]:p.colOff[j+1]], e.lane)
 }
 
 // Lane transposes lane l into a standard trace, truncated to that lane's own
@@ -234,18 +271,14 @@ func (bt *BatchTrace) Lane(l int) (*sim.Trace, error) {
 	p := bt.p
 	tr := sim.NewTrace(p.d)
 	n := bt.laneLen[l]
-	ncols := len(p.traceSigs)
+	ncols := len(tr.Signals)
 	arena := make([]uint64, n*ncols)
 	tr.Values = make([][]uint64, n)
 	for c := 0; c < n; c++ {
 		row := arena[c*ncols : (c+1)*ncols : (c+1)*ncols]
 		packed := bt.rows[c]
-		for j := 0; j < ncols; j++ {
-			var v uint64
-			for i, w := int32(0), p.colOff[j]; w < p.colOff[j+1]; i, w = i+1, w+1 {
-				v |= (packed[w] >> uint(l) & 1) << uint(i)
-			}
-			row[j] = v
+		for j := range row {
+			row[j] = LaneValue(packed[p.colOff[j]:p.colOff[j+1]], l)
 		}
 		tr.Values[c] = row
 	}
@@ -389,10 +422,11 @@ func (m *BatchMachine) Latch() { m.exec(m.p.next) }
 // Bits returns sig's raw stored value in lane-parallel form, reusing dst:
 // word i holds bit i of every lane, and bits past the returned words are
 // zero. Read after Settle it is the settled cycle's value; a register read
-// after Latch holds its new state. The clock has no stored value (no words).
+// after Latch holds its new state. The clock and a signal of another design
+// have no stored value (no words).
 func (m *BatchMachine) Bits(sig *rtl.Signal, dst []uint64) []uint64 {
 	dst = dst[:0]
-	for _, w := range m.p.sigBits[sig] {
+	for _, w := range m.p.bits(sig) {
 		dst = append(dst, m.words[w])
 	}
 	return dst

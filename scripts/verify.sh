@@ -1,7 +1,9 @@
 #!/bin/sh
-# Repo verification gate: tier-1 build+test, vet, race-enabled suite, and a
-# short-budget smoke run proving cmd/goldmine exits cleanly under a deadline
-# (0 = completed, 2 = clean partial flush; anything else is a failure).
+# Repo verification gate: tier-1 build+test, vet, fuzz smoke, artifact
+# hashes pinned across commits (scripts/golden.sha256), race-enabled suite,
+# and a short-budget smoke run proving cmd/goldmine exits cleanly under a
+# deadline (0 = completed, 2 = clean partial flush; anything else is a
+# failure).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +30,17 @@ go test -run '^$' -fuzz '^FuzzBatchMatchesInterpreter$' -fuzztime 10s -parallel 
 go test -run '^$' -fuzz '^FuzzHitMaskMatchesHit$' -fuzztime 10s -parallel 2 ./internal/holes
 go test -run '^$' -fuzz '^FuzzPackedMonitor$' -fuzztime 10s -parallel 2 ./internal/monitor
 go test -run '^$' -fuzz '^FuzzElaborateSource$' -fuzztime 10s -parallel 2 ./internal/rtl
+
+echo "== artifacts match scripts/golden.sha256 (every design, -j 1 and -j 4) =="
+# The -j1 ≡ -j4 legs below pin determinism within one commit; this leg pins
+# the artifacts across commits: goldmine -canonical and coverage -directed
+# on every bundled design must hash to the committed listing. A change that
+# alters an artifact on purpose re-records it (scripts/golden.sh).
+if ! scripts/golden.sh | diff scripts/golden.sha256 -; then
+    echo "golden: FAILED (artifacts differ from scripts/golden.sha256)" >&2
+    exit 1
+fi
+echo "golden: $(wc -l <scripts/golden.sha256) artifact hashes match"
 
 echo "== go test -race ./... =="
 go test -race ./...
