@@ -287,7 +287,7 @@ func FuzzScopedSolve(f *testing.F) {
 					}
 				}
 			}
-			got := g.u.S.SolveScoped(ctx, scope, assumps...)
+			got := g.u.S.SolveScoped(ctx, func() []int { return scope }, assumps...)
 			want := twin.u.S.Solve(assumps...)
 			if got != want {
 				t.Fatalf("%s %v: scoped %v, unscoped %v", name, assumps, got, want)

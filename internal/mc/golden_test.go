@@ -25,7 +25,10 @@ import (
 // against a slice of its stuck-at mutants; plus the synthetic lane-boundary
 // cases below. The values were recorded with the map-environment stepper
 // that preceded the 64-lane batch engine, so equality here means the batch
-// engine changed none of them.
+// engine changed none of them. The one exception is the witness of an
+// equivalence decided by the SAT miter: it is a raw solver model, so those
+// were re-recorded when the solver's decision order gained its index
+// tie-break, and recordEquiv replays every witness.
 const goldenFile = "testdata/explicit_golden.json"
 
 // goldenReachListMax bounds the Reachable listing stored verbatim; larger
@@ -207,6 +210,21 @@ func recordEquiv(t testing.TB, d *rtl.Design) []goldenEquiv {
 		res, err := mc.Equivalent(d, b, mc.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: equivalent %s: %v", d.Name, name, err)
+		}
+		if res.Status == mc.EquivDifferent {
+			// A SAT-miter witness is a raw model, so solver order may move
+			// it; whatever it is, it must tell the two designs apart.
+			ta, errA := sim.Simulate(d, res.Ctx)
+			tb, errB := sim.Simulate(b, res.Ctx)
+			if errA != nil || errB != nil {
+				t.Fatalf("%s %s: replay: %v %v", d.Name, name, errA, errB)
+			}
+			last := len(res.Ctx) - 1
+			va, _ := ta.Value(last, res.Output)
+			vb, _ := tb.Value(last, res.Output)
+			if va == vb {
+				t.Errorf("%s %s: witness %v leaves %s=%d on both", d.Name, name, res.Ctx, res.Output, va)
+			}
 		}
 		out = append(out, goldenEquiv{Fault: name, Status: res.Status.String(),
 			Output: res.Output, Depth: res.Depth, Ctx: res.Ctx})

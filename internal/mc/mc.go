@@ -396,9 +396,9 @@ func (b *budget) slice(frac float64) *budget {
 
 // solve runs one budgeted SAT call, charging the pool for the propagations
 // consumed. An Unknown verdict comes back with the mapped taxonomy error.
-// scope is the solve's decision scope (sat.Solver.SolveScoped; nil decides on
-// every variable).
-func (b *budget) solve(s *sat.Solver, scope []int, assumps ...sat.Lit) (sat.Status, error) {
+// scope yields the solve's decision scope (sat.Solver.SolveScoped; nil
+// decides on every variable); the solver asks for it only if it decides.
+func (b *budget) solve(s *sat.Solver, scope func() []int, assumps ...sat.Lit) (sat.Status, error) {
 	// Reset per-call limits first: a Session reuses one solver across many
 	// budgets, and a stale MaxPropagations from a previous budgeted check
 	// would silently cap an unbudgeted one.
@@ -434,14 +434,22 @@ func (b *budget) solve(s *sat.Solver, scope []int, assumps ...sat.Lit) (sat.Stat
 
 // solveQuery runs one query on a reset-constrained unrolling — a BMC window
 // or a reach obligation, whose formula is definitional apart from level-0
-// units — deciding only on the Tseitin cone of its assumptions. The scope is
-// returned for canonicalStim: its probes only add cone-input literals to the
-// same assumptions, so they reuse it. A k-induction step scopes itself
-// (Session.inductionLadder): its live activation-guarded hypotheses define
-// no gate, so their literals join the step's assumptions as cone roots.
+// units — deciding only on the Tseitin cone of its assumptions. The cone is
+// computed only if the solve decides. After a Sat verdict the scope is
+// returned for canonicalStim (computed then if the solve did not decide):
+// its probes only add cone-input literals to the same assumptions, so they
+// reuse it. A k-induction step scopes itself (Session.inductionLadder): its
+// live activation-guarded hypotheses define no gate, so their literals join
+// the step's assumptions as cone roots.
 func (b *budget) solveQuery(u *cnf.Unroller, assumps []sat.Lit) (sat.Status, []int, error) {
-	scope := u.ConeVars(assumps)
-	st, err := b.solve(u.S, scope, assumps...)
+	var scope []int
+	st, err := b.solve(u.S, func() []int {
+		scope = u.ConeVars(assumps)
+		return scope
+	}, assumps...)
+	if st == sat.Sat && scope == nil {
+		scope = u.ConeVars(assumps)
+	}
 	return st, scope, err
 }
 

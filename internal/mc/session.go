@@ -344,7 +344,8 @@ func (s *Session) bmcLadder(b *budget, ob Obligation, minFrames, from, to int, i
 // 1..fromK are skipped (the caller observed them Sat). The hypothesis
 // clauses carry a fresh activation literal, retired on every exit. Each
 // step decides only on the Tseitin cone of act, every hypothesis literal
-// and the step's assumptions: every other clause of the induction state
+// and the step's assumptions, computed only if the step decides: every
+// other clause of the induction state
 // defines a gate or is a retired hypothesis, satisfied at level 0 by its
 // ¬act unit, so the scope rule of sat.Solver.SolveScoped holds. The
 // result is ReachDead with the winning K, ReachUnknown with the cause, or
@@ -392,7 +393,9 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 		ksp := b.span("mc.induction_step", telemetry.Int("k", int64(k)))
 		kb := *b
 		kb.sp = ksp
-		scope := is.u.ConeVars(append(coneLits[:len(coneLits):len(coneLits)], assumps...))
+		scope := func() []int {
+			return is.u.ConeVars(append(coneLits[:len(coneLits):len(coneLits)], assumps...))
+		}
 		verdict, cause := kb.solve(is.s, scope, append([]sat.Lit{act}, assumps...)...)
 		ksp.End(telemetry.Bool("proved", verdict == sat.Unsat))
 		if cause != nil {
@@ -468,6 +471,7 @@ func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scop
 
 	fixed := make([]sat.Lit, 0, len(base)+len(bits))
 	fixed = append(fixed, base...)
+	probeScope := func() []int { return scope }
 	probes := int64(0)
 	defer func() { c.mtr.ctxProbes.Add(probes) }()
 	for i, cb := range bits {
@@ -481,7 +485,7 @@ func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scop
 		}
 		probe := append(fixed[:len(fixed):len(fixed)], cb.lit.Neg())
 		probes++
-		verdict, cause := b.solve(s, scope, probe...)
+		verdict, cause := b.solve(s, probeScope, probe...)
 		if verdict == sat.Unknown || cause != nil {
 			// Budget died: keep the last model's values for the rest.
 			break

@@ -77,9 +77,13 @@ func BenchmarkSolverFresh(b *testing.B) {
 // session: one persistent solver holds a small query cone (a 32-input parity
 // tree and an OR of pairwise ANDs) plus a large definitional block that
 // reads the cone but feeds no query, the shape of a BMC session's deeper
-// frames and earlier properties. Each iteration flips the assumed output
-// values, so every solve finds a new model. "cone" decides only on the
-// query's Tseitin cone; "nil" decides on every variable.
+// frames and earlier properties. In "cone" and "nil" each iteration flips
+// the assumed output values, so every solve finds a new model; "cone"
+// decides only on the query's Tseitin cone, "nil" on every variable.
+// "unsat" assumes two leaves of one AND pair and the OR false, which
+// propagation refutes before any decision, the shape of most scoped solves
+// in the model checker's ladders. Every case reports heap_loads/op, the
+// variables loaded into the decision-order heap per solve.
 func BenchmarkSolveScoped(b *testing.B) {
 	s := New()
 	var cone []int
@@ -138,23 +142,39 @@ func BenchmarkSolveScoped(b *testing.B) {
 		pool = append(pool, o)
 	}
 	ctx := context.Background()
+	full := func() []int { return cone }
+	query := func(i int) []Lit {
+		p, q := parity, any
+		if i&1 == 1 {
+			p = -p
+		}
+		if i&2 == 2 {
+			q = -q
+		}
+		return []Lit{p, q}
+	}
+	refuted := func(i int) []Lit {
+		k := 2 * (i % 16) // pair k, k+1 feeds the OR
+		return []Lit{leaves[k], leaves[k+1], -any}
+	}
 	for _, tc := range []struct {
-		name  string
-		scope []int
-	}{{"cone", cone}, {"nil", nil}} {
+		name   string
+		scope  func() []int
+		assume func(int) []Lit
+		want   Status
+	}{
+		{"cone", full, query, Sat},
+		{"nil", nil, query, Sat},
+		{"unsat", full, refuted, Unsat},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
+			loads := s.HeapLoads
 			for i := 0; i < b.N; i++ {
-				p, q := parity, any
-				if i&1 == 1 {
-					p = -p
-				}
-				if i&2 == 2 {
-					q = -q
-				}
-				if st := s.SolveScoped(ctx, tc.scope, p, q); st != Sat {
-					b.Fatalf("SolveScoped = %v, want Sat", st)
+				if st := s.SolveScoped(ctx, tc.scope, tc.assume(i)...); st != tc.want {
+					b.Fatalf("SolveScoped = %v, want %v", st, tc.want)
 				}
 			}
+			b.ReportMetric(float64(s.HeapLoads-loads)/float64(b.N), "heap_loads/op")
 		})
 	}
 }

@@ -103,7 +103,8 @@ type varData struct {
 	phase  bool // saved phase: last assigned polarity
 	seen   bool
 	// inScope marks the variable as a member of the in-flight solve's
-	// decision scope; set and cleared by SolveScoped, false between calls.
+	// decision scope; set at the solve's first decision (loadOrder), cleared
+	// by endScope, false between calls.
 	inScope bool
 }
 
@@ -157,9 +158,17 @@ type Solver struct {
 	claInc float64
 
 	order *activityHeap
-	// scope is the in-flight solve's decision scope (nil: every variable).
-	// Set for the duration of one SolveScoped call only, like ctx.
-	scope []int
+	// scopeFn yields the in-flight solve's decision scope (nil: every
+	// variable) until the solve's first decision fetches it into scope and
+	// marks it; nil from then on. Both live for one SolveScoped call only,
+	// like ctx, and scope stays nil for the whole of a solve that never
+	// decides.
+	scopeFn func() []int
+	scope   []int
+	// decideHook, when non-nil, sees every decision variable before it is
+	// assigned; returning true restarts the search instead. It is a test
+	// hook, nil in production.
+	decideHook func(v int) (restart bool)
 
 	unsat bool // empty clause derived at level 0
 
@@ -177,6 +186,10 @@ type Solver struct {
 	// TrailReused counts the literals at decision levels >= 1 that a solve
 	// kept from the previous one instead of propagating them again.
 	TrailReused int64
+	// HeapLoads counts the variables loaded into the decision-order heap by
+	// the reloads at a solve's first decision (and after a full restart):
+	// the order work a solve pays for its scope.
+	HeapLoads int64
 
 	// Counters, when non-nil, receives the deltas of the solver's search
 	// statistics (and one solve tick) at the end of every Solve/SolveCtx call.
@@ -232,7 +245,12 @@ func (s *Solver) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
 	v := len(s.vars) - 1
-	s.order.push(v)
+	// A fresh variable joins the heap only where the heap covers every
+	// variable: a scoped heap holds none outside its scope, and a stale one
+	// is reloaded at the next decision anyway.
+	if s.scope == nil {
+		s.order.push(v)
+	}
 	return v
 }
 
@@ -504,6 +522,9 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Rescaling can round distinct activities to equal ones, which the
+		// index tie-break may order differently: reload before deciding.
+		s.order.stale = true
 	}
 	s.order.update(v)
 }
@@ -523,31 +544,34 @@ func (s *Solver) backjump(level int) {
 		return
 	}
 	limit := s.trailLim[level]
-	// A solve about to reload the heap (order.stale), or a full restart
-	// between incremental solves that undoes nearly the whole trail, rebuilds
-	// the order heap in one O(scope) pass instead of pushing each variable
-	// back individually.
-	reload := s.order.stale || level == 0 && len(s.trail)-limit > 64
+	// A full restart that undoes nearly the whole trail leaves the heap to be
+	// reloaded in one O(scope) pass at the next decision instead of pushing
+	// each variable back individually; a stale heap takes no pushes.
+	if level == 0 && len(s.trail)-limit > 64 {
+		s.order.stale = true
+	}
+	push := !s.order.stale
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		il := s.trail[i]
 		vd := &s.vars[il.vix()]
 		vd.assign = lUndef
 		vd.reason = nil
-		if !reload && (s.scope == nil || vd.inScope) {
+		if push && (s.scope == nil || vd.inScope) {
 			s.order.push(il.vix())
 		}
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
-	if reload {
-		s.order.rebuild()
-	}
 }
 
-// pickBranch chooses the next decision variable by activity, using the saved
-// phase for polarity.
+// pickBranch chooses the next decision variable: the unassigned scope
+// variable of maximal activity, ties going to the lower index, with the
+// saved phase for polarity. A stale heap is reloaded first.
 func (s *Solver) pickBranch() ilit {
+	if s.order.stale {
+		s.loadOrder()
+	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
@@ -681,9 +705,18 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 }
 
 // SolveScoped is SolveCtx with a decision scope: the search branches only on
-// the variables listed in scope, and a scope assigned without conflict is a
+// the variables scope returns, and a scope assigned without conflict is a
 // Sat answer even when variables outside it are still unassigned. A nil
-// scope means every variable (SolveCtx). The scope lives for this call only.
+// scope function, or a nil result, means every variable (SolveCtx). The scope
+// lives for this call only.
+//
+// The scope is asked for at most once, at the solve's first decision: a
+// solve settled by propagation, by a conflicting assumption or by a budget
+// stop before deciding never calls scope, and pays nothing for it. The
+// order heap is loaded at the same point, with the scope variables still
+// unassigned after assumption propagation. Because the heap's order is
+// total (activity, then the lower index), a decision does not depend on
+// when the heap was loaded.
 //
 // A scoped Sat answer is sound when every clause mentioning a variable
 // outside the scope is either a definition of that variable in terms of
@@ -700,7 +733,7 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...Lit) Status {
 // decision, so they are valid under any scope. AddClause, Simplify, a budget
 // stop and a level-0 conflict all backjump to level 0, which leaves nothing
 // to keep.
-func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Lit) Status {
+func (s *Solver) SolveScoped(ctx context.Context, scope func() []int, assumptions ...Lit) Status {
 	if s.Counters != nil {
 		defer s.Counters.observe(s)()
 	}
@@ -718,11 +751,9 @@ func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Li
 	defer func() { s.ctx = nil }()
 
 	if scope != nil {
-		for _, v := range scope {
-			s.ensure(v)
-			s.vars[v].inScope = true
-		}
-		s.scope = scope
+		// The heap holds the last solve's variables, not this scope's.
+		s.scopeFn = scope
+		s.order.stale = true
 		defer s.endScope()
 	}
 	keep := 0
@@ -731,14 +762,7 @@ func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Li
 		keep++
 	}
 	s.prevAssumps = append(s.prevAssumps[:0], assumptions...)
-	// The heap must hold exactly the unassigned scope variables. A heap
-	// loaded for an earlier scope (or about to serve a new one) is reloaded
-	// unless undoing the previous model already did it.
-	s.order.stale = scope != nil || s.order.scoped
 	s.backjump(keep)
-	if s.order.stale {
-		s.order.rebuild()
-	}
 	if keep > 0 {
 		// Every solve returns with its trail fully propagated, so the kept
 		// levels need no propagation, and a kept trail cannot hide a level-0
@@ -766,13 +790,31 @@ func (s *Solver) SolveScoped(ctx context.Context, scope []int, assumptions ...Li
 	}
 }
 
-// endScope clears the in-flight solve's decision scope. The heap keeps only
-// scope variables (activityHeap.scoped), so the next solve reloads it.
+// endScope clears the in-flight solve's decision scope, and the scope marks
+// if the solve got as far as setting them. The heap holds only scope
+// variables, so it is left stale for the next solve to reload.
 func (s *Solver) endScope() {
 	for _, v := range s.scope {
 		s.vars[v].inScope = false
 	}
-	s.scope = nil
+	s.scopeFn, s.scope = nil, nil
+	s.order.stale = true
+}
+
+// loadOrder readies a stale heap for a decision. At a scoped solve's first
+// decision it fetches the scope and marks it; then it reloads the heap with
+// the unassigned scope variables (every unassigned variable when the scope
+// is nil).
+func (s *Solver) loadOrder() {
+	if s.scopeFn != nil {
+		s.scope, s.scopeFn = s.scopeFn(), nil
+		for _, v := range s.scope {
+			s.ensure(v)
+			s.vars[v].inScope = true
+		}
+	}
+	s.order.rebuild()
+	s.HeapLoads += int64(len(s.order.heap))
 }
 
 // StopCause reports why the previous Solve returned Unknown: a context error,
@@ -881,6 +923,11 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 		if next == 0 {
 			return Sat // every scope variable assigned without conflict
 		}
+		if s.decideHook != nil && s.decideHook(next.vix()) {
+			s.order.push(next.vix()) // popped but never assigned
+			s.backjump(0)
+			return Unknown
+		}
 		s.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.enqueue(next, nil)
@@ -930,17 +977,22 @@ type activityHeap struct {
 	// instead of a map: pickBranch pops and re-pushes variables on every
 	// decision/backjump, and map hashing dominated that path in profiles.
 	indices []int
-	// scoped records that the last rebuild loaded a decision scope rather
-	// than every variable; stale asks the solve in progress to reload.
-	scoped, stale bool
+	// stale marks a heap that no longer holds every unassigned variable of
+	// the solve's scope: the next decision reloads it (Solver.loadOrder),
+	// and until then push and update are no-ops.
+	stale bool
 }
 
 func newActivityHeap(s *Solver) *activityHeap {
 	return &activityHeap{s: s}
 }
 
+// less orders by activity, ties by the lower variable index. The order is
+// total, so the top is the same variable whatever the heap's history.
 func (h *activityHeap) less(i, j int) bool {
-	return h.s.activity[h.heap[i]] > h.s.activity[h.heap[j]]
+	vi, vj := h.heap[i], h.heap[j]
+	ai, aj := h.s.activity[vi], h.s.activity[vj]
+	return ai > aj || ai == aj && vi < vj
 }
 
 func (h *activityHeap) swap(i, j int) {
@@ -980,6 +1032,9 @@ func (h *activityHeap) down(i int) {
 }
 
 func (h *activityHeap) push(v int) {
+	if h.stale {
+		return
+	}
 	for len(h.indices) <= v {
 		h.indices = append(h.indices, -1)
 	}
@@ -1009,9 +1064,8 @@ func (h *activityHeap) pop() (int, bool) {
 // rebuild reloads the heap with the unassigned variables of the solve's
 // scope (every variable when the scope is nil) and restores heap order
 // bottom-up. Floyd's heapify is O(scope) against O(scope log scope) for
-// pushing variables back one at a time, and reloading also drops stale
-// entries for assigned variables so the next solve's pops never sift dead
-// wood.
+// pushing variables back one at a time, and reloading also drops entries
+// for assigned variables so the solve's pops never sift dead wood.
 func (h *activityHeap) rebuild() {
 	for _, v := range h.heap {
 		h.indices[v] = -1
@@ -1036,14 +1090,14 @@ func (h *activityHeap) rebuild() {
 			}
 		}
 	}
-	h.scoped, h.stale = scope != nil, false
+	h.stale = false
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
 func (h *activityHeap) update(v int) {
-	if len(h.indices) > v && h.indices[v] >= 0 {
+	if !h.stale && len(h.indices) > v && h.indices[v] >= 0 {
 		h.up(h.indices[v])
 		h.down(h.indices[v])
 	}

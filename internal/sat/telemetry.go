@@ -16,6 +16,9 @@ type SolveCounters struct {
 	// TrailReused counts the assumption-trail literals a solve kept from the
 	// previous solve on the same solver (Solver.TrailReused).
 	TrailReused *telemetry.Counter
+	// HeapLoads counts the variables loaded into the decision-order heap
+	// (Solver.HeapLoads): over sat.decisions, the order work per decision.
+	HeapLoads *telemetry.Counter
 	// LearntDB tracks the learnt-clause database size after the most recent
 	// solve (a gauge: reduceDB shrinks it, so a counter would mislead).
 	LearntDB *telemetry.Gauge
@@ -34,6 +37,7 @@ func NewSolveCounters(reg *telemetry.Registry) *SolveCounters {
 		Restarts:     reg.Counter("sat.restarts"),
 		Learned:      reg.Counter("sat.learned"),
 		TrailReused:  reg.Counter("sat.trail_reused"),
+		HeapLoads:    reg.Counter("sat.heap_loads"),
 		LearntDB:     reg.Gauge("sat.learnt_db"),
 	}
 }
@@ -41,7 +45,7 @@ func NewSolveCounters(reg *telemetry.Registry) *SolveCounters {
 // observe snapshots the statistics before a solve and returns the closure
 // that records the deltas after it.
 func (c *SolveCounters) observe(s *Solver) func() {
-	p0, c0, d0, r0, l0, t0 := s.Propagations, s.Conflicts, s.Decisions, s.Restarts, s.Learned, s.TrailReused
+	p0, c0, d0, r0, l0, t0, h0 := s.Propagations, s.Conflicts, s.Decisions, s.Restarts, s.Learned, s.TrailReused, s.HeapLoads
 	return func() {
 		c.Solves.Add(1)
 		c.Propagations.Add(s.Propagations - p0)
@@ -50,6 +54,7 @@ func (c *SolveCounters) observe(s *Solver) func() {
 		c.Restarts.Add(s.Restarts - r0)
 		c.Learned.Add(s.Learned - l0)
 		c.TrailReused.Add(s.TrailReused - t0)
+		c.HeapLoads.Add(s.HeapLoads - h0)
 		c.LearntDB.Set(int64(len(s.learnts)))
 	}
 }

@@ -108,7 +108,11 @@ func FuzzTrailReuse(f *testing.F) {
 					scope = append(scope, v)
 				}
 			}
-			got := s.SolveScoped(ctx, scope, assumps...)
+			var scopeFn func() []int
+			if scope != nil {
+				scopeFn = func() []int { return scope }
+			}
+			got := s.SolveScoped(ctx, scopeFn, assumps...)
 			s.MaxPropagations = 0
 			if got == Unknown {
 				if s.StopCause() == nil {

@@ -18,13 +18,15 @@ go vet ./...
 echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # go test ./... above runs only the seed corpora; this leg runs the fuzz
 # engine itself on each target: the decision-scope rule of the SAT solver,
-# trail reuse between solves, the JSONL replay/torn-tail rule,
+# trail reuse between solves, the solver's lazily loaded decision order,
+# the JSONL replay/torn-tail rule,
 # batch-engine ≡ interpreter, packed hole hits ≡ Hole.Hit per lane, the
 # packed assertion monitor ≡ the scalar monitor per lane, and the
 # parser/elaborator never panicking. A failing input lands in the package's
 # testdata/fuzz, ready to commit as a seed.
 go test -run '^$' -fuzz '^FuzzScopedSolve$' -fuzztime 10s -parallel 2 ./internal/cnf
 go test -run '^$' -fuzz '^FuzzTrailReuse$' -fuzztime 10s -parallel 2 ./internal/sat
+go test -run '^$' -fuzz '^FuzzDecisionOrder$' -fuzztime 10s -parallel 2 ./internal/sat
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -parallel 2 ./internal/jsonl
 go test -run '^$' -fuzz '^FuzzBatchMatchesInterpreter$' -fuzztime 10s -parallel 2 ./internal/simc
 go test -run '^$' -fuzz '^FuzzHitMaskMatchesHit$' -fuzztime 10s -parallel 2 ./internal/holes
