@@ -18,7 +18,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		fmt.Fprintf(bw, "%d 0\n", u)
 	}
 	for _, c := range s.clauses {
-		for _, il := range c.lits {
+		for _, il := range s.ca.lits(c) {
 			fmt.Fprintf(bw, "%d ", fromInternal(il))
 		}
 		fmt.Fprintf(bw, "0\n")
@@ -35,7 +35,7 @@ func (s *Solver) units() []Lit {
 		limit = s.trailLim[0]
 	}
 	for _, il := range s.trail[:limit] {
-		if s.vars[il.vix()].reason == nil {
+		if s.vars[il.vix()].reason == crefUndef {
 			out = append(out, fromInternal(il))
 		}
 	}

@@ -115,11 +115,11 @@ func FuzzDecisionOrder(f *testing.F) {
 		restarts, restartAt, decided, asked := 0, 0, 0, 0
 		s.decideHook = func(v int) bool {
 			decided++
-			if !in(v) || s.vars[v].assign != lUndef {
+			if !in(v) || s.vals[2*v] != lUndef {
 				t.Fatalf("decision %d is not an unassigned scope variable (scope %v)", v, scope)
 			}
 			for u := 1; u <= s.NumVars(); u++ {
-				if in(u) && s.vars[u].assign == lUndef && (s.activity[u] > s.activity[v] || s.activity[u] == s.activity[v] && u < v) {
+				if in(u) && s.vals[2*u] == lUndef && (s.activity[u] > s.activity[v] || s.activity[u] == s.activity[v] && u < v) {
 					t.Fatalf("decided %d (activity %g) over %d (activity %g)", v, s.activity[v], u, s.activity[u])
 				}
 			}
@@ -245,7 +245,7 @@ func FuzzDecisionOrder(f *testing.F) {
 			// Sat means every scope variable is assigned: one missing from
 			// the heap would be left undecided.
 			for v := 1; v <= s.NumVars(); v++ {
-				if in(v) && s.vars[v].assign == lUndef {
+				if in(v) && s.vals[2*v] == lUndef {
 					t.Fatalf("op %d: scope variable %d unassigned at Sat (scope %v)", op, v, scope)
 				}
 			}

@@ -6,6 +6,12 @@
 // the decision procedure behind the GoldMine formal verification engine
 // (bounded model checking and k-induction).
 //
+// Clauses live in one pointer-free arena of 32-bit words addressed by a
+// cref (arena.go), the assignment is one value byte per literal, and the
+// watcher of a two-literal clause implies the other literal without reading
+// the clause, so propagation makes at most one memory access per clause it
+// visits.
+//
 // Variables are positive integers. A literal is a signed variable: +v is the
 // positive literal, -v the negation, as in DIMACS.
 //
@@ -85,21 +91,17 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits     []ilit
-	learnt   bool
-	activity float64
-}
-
+// watcher is one entry of a watch list: the watched clause (with the
+// binaryWatch flag for a two-literal clause) and a blocker, a literal of the
+// clause whose truth lets propagation skip the clause without reading it.
 type watcher struct {
-	c       *clause
+	cref    cref
 	blocker ilit
 }
 
 type varData struct {
-	assign lbool
 	level  int
-	reason *clause
+	reason cref // crefUndef unless the variable was implied by a clause
 	phase  bool // saved phase: last assigned polarity
 	seen   bool
 	// inScope marks the variable as a member of the in-flight solve's
@@ -137,8 +139,15 @@ type Solver struct {
 	// random-access pattern in the solver, and packing the activities
 	// together keeps them cache-resident.
 	activity []float64 // index 1..n, parallel to vars
-	clauses  []*clause
-	learnts  []*clause
+	// vals is the assignment, indexed by internal literal: vals[il] is il's
+	// value, so the propagation loop reads a literal's truth in one byte
+	// load with no sign arithmetic.
+	vals []lbool
+	// ca stores every clause; clauses and learnts list the live problem and
+	// learnt clauses in the order they were added.
+	ca      arena
+	clauses []cref
+	learnts []cref
 	// watches is indexed by internal literal (2v / 2v+1): a flat slice
 	// instead of a map keeps the unit-propagation inner loop free of hashing
 	// and map-growth allocations (it is the hottest path of the checker).
@@ -148,11 +157,12 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	// analyze/minimize scratch buffers, reused across conflicts so clause
-	// learning allocates only the final learnt clause (exact-sized), not the
-	// append-grown intermediates.
-	learntBuf  []ilit
-	cleanupBuf []int
+	// Scratch buffers, reused across calls: a clause is built in them and
+	// then copied into the arena, so adding or learning a clause allocates
+	// nothing beyond arena growth.
+	learntBuf  []ilit // analyze/minimize
+	cleanupBuf []int  // analyze's seen marks
+	addBuf     []ilit // AddClause
 
 	varInc float64
 	claInc float64
@@ -169,6 +179,10 @@ type Solver struct {
 	// assigned; returning true restarts the search instead. It is a test
 	// hook, nil in production.
 	decideHook func(v int) (restart bool)
+	// compactHook, when non-nil, is asked after every reduceDB and Simplify
+	// that left garbage in the arena whether to compact it although less
+	// than half of it is garbage. It is a test hook, nil in production.
+	compactHook func() (compact bool)
 
 	unsat bool // empty clause derived at level 0
 
@@ -234,6 +248,7 @@ func New() *Solver {
 	s := &Solver{varInc: 1, claInc: 1}
 	s.vars = make([]varData, 1) // index 0 unused
 	s.activity = make([]float64, 1)
+	s.vals = make([]lbool, 2)        // ilits 0,1 unused
 	s.watches = make([][]watcher, 2) // ilits 0,1 unused
 	s.order = newActivityHeap(s)
 	return s
@@ -241,8 +256,9 @@ func New() *Solver {
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	s.vars = append(s.vars, varData{})
+	s.vars = append(s.vars, varData{reason: crefUndef})
 	s.activity = append(s.activity, 0)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.watches = append(s.watches, nil, nil)
 	v := len(s.vars) - 1
 	// A fresh variable joins the heap only where the heap covers every
@@ -264,19 +280,7 @@ func (s *Solver) ensure(v int) {
 	}
 }
 
-func (s *Solver) value(il ilit) lbool {
-	a := s.vars[il.vix()].assign
-	if a == lUndef {
-		return lUndef
-	}
-	if il&1 == 1 { // negative literal
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
-}
+func (s *Solver) value(il ilit) lbool { return s.vals[il] }
 
 // AddClause adds a clause (a disjunction of literals). Returns false if the
 // formula is already unsatisfiable at level 0. A clause containing literal 0
@@ -291,11 +295,12 @@ func (s *Solver) AddClause(lits ...Lit) (bool, error) {
 		return false, nil
 	}
 	s.backjump(0) // incremental use: drop the previous model's decisions
-	ils := make([]ilit, 0, len(lits))
+	ils := s.addBuf[:0]
 	for _, l := range lits {
 		s.ensure(l.Var())
 		ils = append(ils, toInternal(l))
 	}
+	s.addBuf = ils
 	// Simplify: dedupe, drop false literals, detect tautology/satisfied.
 	sort.Slice(ils, func(i, j int) bool { return ils[i] < ils[j] })
 	out := ils[:0]
@@ -323,75 +328,105 @@ func (s *Solver) AddClause(lits ...Lit) (bool, error) {
 		s.unsat = true
 		return false, nil
 	case 1:
-		s.enqueue(ils[0], nil)
-		if s.propagate() != nil {
+		s.enqueue(ils[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.unsat = true
 			return false, nil
 		}
 		return true, nil
 	}
-	c := &clause{lits: ils}
+	c := s.ca.alloc(ils, false)
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
 	return true, nil
 }
 
-func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].neg()] = append(s.watches[c.lits[0].neg()], watcher{c: c, blocker: c.lits[1]})
-	s.watches[c.lits[1].neg()] = append(s.watches[c.lits[1].neg()], watcher{c: c, blocker: c.lits[0]})
+// watch adds c's two watchers, on its first two literals.
+func (s *Solver) watch(c cref) {
+	lits := s.ca.lits(c)
+	wc := c
+	if len(lits) == 2 {
+		wc |= binaryWatch
+	}
+	s.watches[lits[0].neg()] = append(s.watches[lits[0].neg()], watcher{cref: wc, blocker: lits[1]})
+	s.watches[lits[1].neg()] = append(s.watches[lits[1].neg()], watcher{cref: wc, blocker: lits[0]})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) enqueue(il ilit, reason *clause) {
+func (s *Solver) enqueue(il ilit, reason cref) {
+	s.vals[il] = lTrue
+	s.vals[il.neg()] = lFalse
 	vd := &s.vars[il.vix()]
-	if il&1 == 1 {
-		vd.assign = lFalse
-	} else {
-		vd.assign = lTrue
-	}
 	vd.level = s.decisionLevel()
 	vd.reason = reason
 	vd.phase = il&1 == 0
 	s.trail = append(s.trail, il)
 }
 
-// propagate performs unit propagation; returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns a conflicting clause or
+// crefUndef.
+//
+// A watcher whose blocker is true is kept without reading its clause. A
+// binary watcher never reads its clause either: its blocker is the other
+// literal, implied (or in conflict) at once; only a conflict writes the
+// clause, as [other, ¬p], the order the conflict analysis reads. A longer
+// clause is normalised so that lits[1] is the falsified watch, then its
+// other watch, a replacement watch, or the implication of lits[0] is found,
+// as in MiniSat.
+func (s *Solver) propagate() cref {
+	vals, mem := s.vals, s.ca.mem // neither grows during propagation
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
 		s.Propagations++
+		falseLit := p.neg()
 		ws := s.watches[p]
-		kept := ws[:0]
-		var conflict *clause
-		for i := 0; i < len(ws); i++ {
+		i, j := 0, 0
+		for i < len(ws) {
 			w := ws[i]
-			if conflict != nil {
-				kept = append(kept, ws[i:]...)
-				break
-			}
-			if s.value(w.blocker) == lTrue {
-				kept = append(kept, w)
+			i++
+			if vals[w.blocker] == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			c := w.c
-			// Normalize: watched literal being falsified is c.lits[0] or [1];
-			// put the other watch at position 0.
-			if c.lits[0] == p.neg() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if w.cref&binaryWatch != 0 {
+				ws[j] = w
+				j++
+				if vals[w.blocker] == lFalse {
+					c := w.cref &^ binaryWatch
+					mem[c+clauseHdr], mem[c+clauseHdr+1] = w.blocker, falseLit
+					j += copy(ws[j:], ws[i:])
+					s.watches[p] = ws[:j]
+					s.qhead = len(s.trail)
+					return c
+				}
+				s.enqueue(w.blocker, w.cref&^binaryWatch)
+				continue
 			}
-			// Now c.lits[1] == p.neg().
-			if s.value(c.lits[0]) == lTrue {
-				kept = append(kept, watcher{c: c, blocker: c.lits[0]})
+			c := w.cref
+			start := int(c) + clauseHdr
+			end := start + int(mem[c]>>hdrShift)
+			lits := mem[start:end:end]
+			// Normalize: the falsified watch is lits[0] or [1]; put the other
+			// watch at position 0.
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], falseLit
+			}
+			first := lits[0]
+			if vals[first] == lTrue {
+				ws[j] = watcher{cref: c, blocker: first}
+				j++
 				continue
 			}
 			// Find a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].neg()] = append(s.watches[c.lits[1].neg()], watcher{c: c, blocker: c.lits[0]})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], falseLit
+					nw := lits[1].neg()
+					s.watches[nw] = append(s.watches[nw], watcher{cref: c, blocker: first})
 					found = true
 					break
 				}
@@ -400,27 +435,28 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, w)
-			if s.value(c.lits[0]) == lFalse {
-				conflict = c
+			ws[j] = w
+			j++
+			if vals[first] == lFalse {
+				j += copy(ws[j:], ws[i:])
+				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
-				continue
+				return c
 			}
-			s.enqueue(c.lits[0], c)
+			s.enqueue(first, c)
 		}
-		s.watches[p] = kept
-		if conflict != nil {
-			return conflict
+		if j < len(ws) {
+			s.watches[p] = ws[:j]
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
 // (asserting literal first) and the backjump level. The returned slice aliases
 // an internal scratch buffer valid until the next analyze call — callers copy
 // it when they keep the clause.
-func (s *Solver) analyze(conflict *clause) ([]ilit, int) {
+func (s *Solver) analyze(conflict cref) ([]ilit, int) {
 	learnt := append(s.learntBuf[:0], 0) // slot 0 for the asserting literal
 	counter := 0
 	var p ilit
@@ -429,10 +465,10 @@ func (s *Solver) analyze(conflict *clause) ([]ilit, int) {
 	cleanup := s.cleanupBuf[:0]
 
 	for {
-		if c.learnt {
+		if s.ca.learnt(c) {
 			s.bumpClause(c)
 		}
-		for _, q := range c.lits {
+		for _, q := range s.ca.lits(c) {
 			if p != 0 && q == p {
 				continue
 			}
@@ -497,10 +533,10 @@ func (s *Solver) analyze(conflict *clause) ([]ilit, int) {
 // reason chain (simple recursive local minimization).
 func (s *Solver) redundant(q ilit) bool {
 	r := s.vars[q.vix()].reason
-	if r == nil {
+	if r == crefUndef {
 		return false
 	}
-	for _, l := range r.lits {
+	for _, l := range s.ca.lits(r) {
 		if l == q.neg() {
 			continue
 		}
@@ -529,11 +565,12 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	act := s.ca.activity(c) + s.claInc
+	s.ca.setActivity(c, act)
+	if act > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.ca.setActivity(lc, s.ca.activity(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -553,9 +590,9 @@ func (s *Solver) backjump(level int) {
 	push := !s.order.stale
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		il := s.trail[i]
+		s.vals[il], s.vals[il.neg()] = lUndef, lUndef
 		vd := &s.vars[il.vix()]
-		vd.assign = lUndef
-		vd.reason = nil
+		vd.reason = crefUndef
 		if push && (s.scope == nil || vd.inScope) {
 			s.order.push(il.vix())
 		}
@@ -577,7 +614,7 @@ func (s *Solver) pickBranch() ilit {
 		if !ok {
 			return 0
 		}
-		if s.vars[v].assign == lUndef {
+		if s.vals[2*v] == lUndef {
 			if s.vars[v].phase {
 				return ilit(2 * v)
 			}
@@ -598,15 +635,16 @@ func (s *Solver) Simplify() {
 		return
 	}
 	s.backjump(0)
-	if c := s.propagate(); c != nil {
+	if s.propagate() != crefUndef {
 		s.unsat = true
 		return
 	}
-	filter := func(cs []*clause) []*clause {
+	filter := func(cs []cref) []cref {
 		kept := cs[:0]
 		for _, c := range cs {
 			if s.satisfiedAtZero(c) && !s.locked(c) {
 				s.unwatch(c)
+				s.ca.free(c)
 				continue
 			}
 			kept = append(kept, c)
@@ -615,17 +653,19 @@ func (s *Solver) Simplify() {
 	}
 	s.clauses = filter(s.clauses)
 	s.learnts = filter(s.learnts)
+	s.collect()
 }
 
 // unwatch removes c's two watcher entries. The watch invariant guarantees a
 // live clause is watched exactly on lits[0] and lits[1], so two targeted
 // list edits replace a sweep over every watch list.
-func (s *Solver) unwatch(c *clause) {
+func (s *Solver) unwatch(c cref) {
+	lits := s.ca.lits(c)
 	for i := 0; i < 2; i++ {
-		key := c.lits[i].neg()
+		key := lits[i].neg()
 		ws := s.watches[key]
 		for j := range ws {
-			if ws[j].c == c {
+			if ws[j].cref&^binaryWatch == c {
 				s.watches[key] = append(ws[:j], ws[j+1:]...)
 				break
 			}
@@ -634,8 +674,8 @@ func (s *Solver) unwatch(c *clause) {
 }
 
 // satisfiedAtZero reports whether a clause holds under the level-0 trail alone.
-func (s *Solver) satisfiedAtZero(c *clause) bool {
-	for _, il := range c.lits {
+func (s *Solver) satisfiedAtZero(c cref) bool {
+	for _, il := range s.ca.lits(c) {
 		if s.value(il) == lTrue && s.vars[il.vix()].level == 0 {
 			return true
 		}
@@ -646,35 +686,79 @@ func (s *Solver) satisfiedAtZero(c *clause) bool {
 // reduceDB removes half of the least active learnt clauses.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
-		return s.learnts[i].activity > s.learnts[j].activity
+		return s.ca.activity(s.learnts[i]) > s.ca.activity(s.learnts[j])
 	})
 	keep := len(s.learnts) / 2
 	removed := s.learnts[keep:]
 	s.learnts = s.learnts[:keep]
-	dead := map[*clause]bool{}
+	dead := 0
 	for _, c := range removed {
 		if s.locked(c) {
 			s.learnts = append(s.learnts, c)
 			continue
 		}
-		dead[c] = true
+		s.ca.free(c)
+		dead++
 	}
-	if len(dead) == 0 {
+	if dead == 0 {
 		return
 	}
 	for key, ws := range s.watches {
 		kept := ws[:0]
 		for _, w := range ws {
-			if !dead[w.c] {
+			if !s.ca.deleted(w.cref &^ binaryWatch) {
 				kept = append(kept, w)
 			}
 		}
 		s.watches[key] = kept
 	}
+	s.collect()
 }
 
-func (s *Solver) locked(c *clause) bool {
-	return len(c.lits) > 0 && s.vars[c.lits[0].vix()].reason == c
+// locked reports whether c is the reason of an assignment on the trail. A
+// longer clause implies its lits[0]; a binary clause is implied through its
+// watcher without being reordered, so either literal may be the implied one.
+func (s *Solver) locked(c cref) bool {
+	lits := s.ca.lits(c)
+	return s.vars[lits[0].vix()].reason == c || len(lits) == 2 && s.vars[lits[1].vix()].reason == c
+}
+
+// collect compacts the arena once at least half of it is garbage (or when
+// compactHook asks). It runs after reduceDB and Simplify, the two places
+// that delete clauses.
+func (s *Solver) collect() {
+	if s.ca.wasted == 0 {
+		return
+	}
+	if 2*s.ca.wasted >= len(s.ca.mem) || s.compactHook != nil && s.compactHook() {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses into a fresh arena in list order (problem
+// clauses, then learnts) and rewrites every cref the solver holds: both
+// lists, the watchers and the reasons on the trail. Clause order, literal
+// order and activities are unchanged, so the search is too. The new arena
+// is allocated at exactly the live size and the old one is dropped at once.
+func (s *Solver) compact() {
+	to := arena{mem: make([]ilit, 0, len(s.ca.mem)-s.ca.wasted)}
+	for i, c := range s.clauses {
+		s.clauses[i] = s.ca.move(c, &to)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = s.ca.move(c, &to)
+	}
+	for _, ws := range s.watches {
+		for j, w := range ws {
+			ws[j].cref = s.ca.forward(w.cref&^binaryWatch) | w.cref&binaryWatch
+		}
+	}
+	for _, il := range s.trail {
+		if vd := &s.vars[il.vix()]; vd.reason != crefUndef {
+			vd.reason = s.ca.forward(vd.reason)
+		}
+	}
+	s.ca = to
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -768,7 +852,7 @@ func (s *Solver) SolveScoped(ctx context.Context, scope func() []int, assumption
 		// levels need no propagation, and a kept trail cannot hide a level-0
 		// conflict: that would have set unsat.
 		s.TrailReused += int64(len(s.trail) - s.trailLim[0])
-	} else if c := s.propagate(); c != nil {
+	} else if s.propagate() != crefUndef {
 		s.unsat = true
 		return Unsat
 	}
@@ -860,7 +944,7 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 			return Unknown
 		}
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != crefUndef {
 			s.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -870,12 +954,10 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 			learnt, bj := s.analyze(conflict)
 			s.backjump(bj)
 			if len(learnt) == 1 {
-				s.enqueue(learnt[0], nil)
+				s.enqueue(learnt[0], crefUndef)
 			} else {
-				// analyze returns scratch: copy exactly once, exact-sized.
-				lits := make([]ilit, len(learnt))
-				copy(lits, learnt)
-				c := &clause{lits: lits, learnt: true, activity: s.claInc}
+				c := s.ca.alloc(learnt, true)
+				s.ca.setActivity(c, s.claInc)
 				s.learnts = append(s.learnts, c)
 				s.Learned++
 				s.watch(c)
@@ -907,7 +989,7 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 				return Unsat // conflicting assumptions
 			default:
 				s.trailLim = append(s.trailLim, len(s.trail))
-				s.enqueue(a, nil)
+				s.enqueue(a, crefUndef)
 				continue
 			}
 		}
@@ -930,7 +1012,7 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) Stat
 		}
 		s.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(next, nil)
+		s.enqueue(next, crefUndef)
 	}
 }
 
@@ -943,7 +1025,7 @@ func (s *Solver) Value(v int) bool {
 	if v <= 0 || v >= len(s.vars) {
 		return false
 	}
-	return s.vars[v].assign == lTrue
+	return s.vals[2*v] == lTrue
 }
 
 // ValueLit returns the model value of a literal after a Sat result. An
@@ -1074,17 +1156,17 @@ func (h *activityHeap) rebuild() {
 	for len(h.indices) < len(h.s.vars) {
 		h.indices = append(h.indices, -1)
 	}
-	vars, scope := h.s.vars, h.s.scope
+	vals, scope := h.s.vals, h.s.scope
 	if scope == nil {
-		for v := 1; v < len(vars); v++ {
-			if vars[v].assign == lUndef {
+		for v := 1; v < len(h.s.vars); v++ {
+			if vals[2*v] == lUndef {
 				h.indices[v] = len(h.heap)
 				h.heap = append(h.heap, v)
 			}
 		}
 	} else {
 		for _, v := range scope {
-			if vars[v].assign == lUndef && h.indices[v] < 0 {
+			if vals[2*v] == lUndef && h.indices[v] < 0 {
 				h.indices[v] = len(h.heap)
 				h.heap = append(h.heap, v)
 			}
