@@ -97,12 +97,19 @@ func sameInterface(a, b *rtl.Design) error {
 }
 
 // miterCheck unrolls both designs over shared input variables and searches
-// for a frame where any output differs.
+// for a frame where any output differs. The first frame, output, bit and
+// polarity that can differ are properties of the formula; the
+// distinguishing sequence is made one too: the lexicographically smallest
+// input sequence (frame-major, inputs by name, bits LSB first) under which
+// that bit differs, found by probe solves as canonicalStim finds a mining
+// counterexample. It therefore does not depend on the solver's heuristics.
 func miterCheck(a, b *rtl.Design, depth int, exact bool) (*EquivResult, error) {
 	s := sat.New()
 	ua := cnf.NewUnroller(s, a)
 	ub := cnf.NewUnroller(s, b)
 	outs := outputNames(a)
+	ins := a.Inputs()
+	sort.Slice(ins, func(i, j int) bool { return ins[i].Name < ins[j].Name })
 
 	for t := 0; t < depth; t++ {
 		ua.AddFrame()
@@ -144,10 +151,9 @@ func miterCheck(a, b *rtl.Design, depth int, exact bool) (*EquivResult, error) {
 						la, lb = oa[bit].Neg(), ob[bit]
 					}
 					if s.Solve(la, lb) == sat.Sat {
-						ctx := make(sim.Stimulus, 0, t+1)
-						for f := 0; f <= t; f++ {
-							ctx = append(ctx, ua.InputModel(f))
-						}
+						ctx := lexMinInputs(ua, []sat.Lit{la, lb}, ins, t+1, func(probe []sat.Lit) sat.Status {
+							return s.Solve(probe...)
+						})
 						return &EquivResult{
 							Status: EquivDifferent, Ctx: ctx,
 							Output: name, Depth: t + 1,

@@ -26,9 +26,11 @@ import (
 // cases below. The values were recorded with the map-environment stepper
 // that preceded the 64-lane batch engine, so equality here means the batch
 // engine changed none of them. The one exception is the witness of an
-// equivalence decided by the SAT miter: it is a raw solver model, so those
-// were re-recorded when the solver's decision order gained its index
-// tie-break, and recordEquiv replays every witness.
+// equivalence decided by the SAT miter, which was re-recorded when the
+// miter began to return the lexicographically smallest distinguishing
+// sequence (found by probe solves, as mining canonicalizes a
+// counterexample) instead of a raw solver model; it no longer depends on
+// the solver's heuristics, and recordEquiv replays every witness.
 const goldenFile = "testdata/explicit_golden.json"
 
 // goldenReachListMax bounds the Reachable listing stored verbatim; larger
@@ -212,8 +214,8 @@ func recordEquiv(t testing.TB, d *rtl.Design) []goldenEquiv {
 			t.Fatalf("%s: equivalent %s: %v", d.Name, name, err)
 		}
 		if res.Status == mc.EquivDifferent {
-			// A SAT-miter witness is a raw model, so solver order may move
-			// it; whatever it is, it must tell the two designs apart.
+			// Explicit or SAT-miter, a witness must tell the two designs
+			// apart.
 			ta, errA := sim.Simulate(d, res.Ctx)
 			tb, errB := sim.Simulate(b, res.Ctx)
 			if errA != nil || errB != nil {

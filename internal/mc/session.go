@@ -413,18 +413,12 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 // ---------------------------------------------------------------------------
 
 // canonicalStim turns the current satisfying model into the canonical
-// witness of the BMC ladder: the lexicographically smallest assignment of
-// the input bits of ins (frame-major, inputs by name, bits LSB first) that
-// still satisfies base, the assumption set that pins the obligation. The
-// result is a property of the formula, so the fresh and incremental paths —
-// and every solver history — produce byte-identical stimuli, whether the
-// obligation is an assertion's violation or a coverage hole.
-//
-// Minimization is model-guided: bits already 0 in the current model are fixed
-// for free, and each 1-bit costs at most one (cheap, heavily-assumed) solve.
-// Every probe is the assumption list of the previous one plus one literal,
-// so the solver keeps the previous probe's trail and propagates only the new
-// bit. If the budget dies mid-minimization the remaining
+// witness of the BMC ladder: lexMinInputs over the input bits of ins under
+// base, the assumption set that pins the obligation, with every probe run
+// on the check's budget. The result is a property of the formula, so the
+// fresh and incremental paths — and every solver history — produce
+// byte-identical stimuli, whether the obligation is an assertion's violation
+// or a coverage hole. If the budget dies mid-minimization the remaining
 // bits keep the values of the last full model, which still satisfies base
 // plus everything fixed so far — the stimulus stays a genuine witness,
 // merely non-canonical (the same wall-clock caveat as every other budget
@@ -439,6 +433,35 @@ func (s *Session) inductionLadder(b *budget, ob Obligation, maxOff, base, fromK,
 //
 // The probe count feeds mc.ctx_canon_probes.
 func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scope []int, ins []*rtl.Signal, depth int) sim.Stimulus {
+	probeScope := func() []int { return scope }
+	probes := int64(0)
+	defer func() { c.mtr.ctxProbes.Add(probes) }()
+	return lexMinInputs(u, base, ins, depth, func(probe []sat.Lit) sat.Status {
+		probes++
+		verdict, cause := b.solve(u.S, probeScope, probe...)
+		if cause != nil {
+			return sat.Unknown
+		}
+		return verdict
+	})
+}
+
+// lexMinInputs turns the current satisfying model of u.S into the
+// lexicographically smallest assignment of the input bits of ins
+// (frame-major over frames [0, depth), inputs in the order given, bits LSB
+// first) that still satisfies base, and returns it as a stimulus. An input
+// bit the unrolling never materialized is unconstrained and reads 0.
+//
+// Minimization is model-guided: bits already 0 in the current model are
+// fixed for free, and each 1-bit costs at most one (cheap, heavily-assumed)
+// probe solve. Every probe is the assumption list of the previous one plus
+// one literal, so the solver keeps the previous probe's trail and propagates
+// only the new bit. A probe that returns Unknown stops the minimization;
+// the remaining bits keep the values of the last full model.
+//
+// Must be called immediately after a Sat verdict on u.S, while the model is
+// readable.
+func lexMinInputs(u *cnf.Unroller, base []sat.Lit, ins []*rtl.Signal, depth int, solve func(probe []sat.Lit) sat.Status) sim.Stimulus {
 	s := u.S
 	type ctxBit struct {
 		lit   sat.Lit
@@ -471,9 +494,6 @@ func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scop
 
 	fixed := make([]sat.Lit, 0, len(base)+len(bits))
 	fixed = append(fixed, base...)
-	probeScope := func() []int { return scope }
-	probes := int64(0)
-	defer func() { c.mtr.ctxProbes.Add(probes) }()
 	for i, cb := range bits {
 		if !cb.enc {
 			continue // unconstrained: already at its canonical 0
@@ -483,10 +503,8 @@ func (c *Checker) canonicalStim(b *budget, u *cnf.Unroller, base []sat.Lit, scop
 			fixed = append(fixed, cb.lit.Neg())
 			continue
 		}
-		probe := append(fixed[:len(fixed):len(fixed)], cb.lit.Neg())
-		probes++
-		verdict, cause := b.solve(s, probeScope, probe...)
-		if verdict == sat.Unknown || cause != nil {
+		verdict := solve(append(fixed[:len(fixed):len(fixed)], cb.lit.Neg()))
+		if verdict == sat.Unknown {
 			// Budget died: keep the last model's values for the rest.
 			break
 		}
