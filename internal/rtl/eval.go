@@ -130,4 +130,3 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repo verification gate: tier-1 build+test, vet, fuzz smoke, artifact
+# Repo verification gate: tier-1 build+test, vet, gofmt, fuzz smoke, artifact
 # hashes pinned across commits (scripts/golden.sha256), race-enabled suite,
 # and a short-budget smoke run proving cmd/goldmine exits cleanly under a
 # deadline (0 = completed, 2 = clean partial flush; anything else is a
@@ -14,6 +14,17 @@ go test ./...
 
 echo "== go vet ./... =="
 go vet ./...
+
+echo "== gofmt: every Go file is formatted =="
+# Lists the files gofmt would change and fails if there are any. perfbench's
+# build directory is skipped: it holds the Go build cache, not sources.
+unformatted=$(gofmt -l $(find . -path ./.bench_build -prune -o -name '*.go' -print))
+if [ -n "$unformatted" ]; then
+    echo "gofmt: FAILED, run gofmt -w on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+echo "gofmt: clean"
 
 echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # go test ./... above runs only the seed corpora; this leg runs the fuzz
