@@ -6,8 +6,11 @@
 package assertion
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -41,10 +44,44 @@ func PBit(signal string, bit, offset int, value uint64) Prop {
 
 // Name renders the referenced variable, e.g. "req0" or "state[1]".
 func (p Prop) Name() string {
-	if p.Bit >= 0 {
-		return fmt.Sprintf("%s[%d]", p.Signal, p.Bit)
+	if p.Bit < 0 {
+		return p.Signal
 	}
-	return p.Signal
+	var buf [64]byte
+	return string(p.appendName(buf[:0]))
+}
+
+// appendName appends Name's rendering to b.
+func (p Prop) appendName(b []byte) []byte {
+	b = append(b, p.Signal...)
+	if p.Bit >= 0 {
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(p.Bit), 10)
+		b = append(b, ']')
+	}
+	return b
+}
+
+// appendAtom appends p as name@offset=value, the unit Key and CanonicalKey
+// are built from.
+func (p Prop) appendAtom(b []byte) []byte {
+	b = p.appendName(b)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, int64(p.Offset), 10)
+	b = append(b, '=')
+	return strconv.AppendUint(b, p.Value, 10)
+}
+
+// nameLess reports whether p.Name() < q.Name() without building either
+// string: names whose signals differ before the shorter one ends compare as
+// their signals, the rest are rendered into stack buffers.
+func nameLess(p, q Prop) bool {
+	n := min(len(p.Signal), len(q.Signal))
+	if p.Signal[:n] != q.Signal[:n] || p.Bit < 0 && q.Bit < 0 {
+		return p.Signal < q.Signal
+	}
+	var pb, qb [64]byte
+	return string(p.appendName(pb[:0])) < string(q.appendName(qb[:0]))
 }
 
 // String renders the proposition with X^offset temporal prefixes (LTL).
@@ -99,24 +136,34 @@ func (a *Assertion) CheckOffsets() error {
 	return check(a.Consequent)
 }
 
-// Normalize sorts the antecedent deterministically.
+// Normalize sorts the antecedent deterministically, by (offset, name).
 func (a *Assertion) Normalize() {
-	sort.Slice(a.Antecedent, func(i, j int) bool {
-		if a.Antecedent[i].Offset != a.Antecedent[j].Offset {
-			return a.Antecedent[i].Offset < a.Antecedent[j].Offset
+	ps := a.Antecedent
+	less := func(p, q Prop) bool {
+		if p.Offset != q.Offset {
+			return p.Offset < q.Offset
 		}
-		return a.Antecedent[i].Name() < a.Antecedent[j].Name()
-	})
+		return nameLess(p, q)
+	}
+	// A strictly increasing antecedent (no ties) is already in the one order
+	// any sort would leave, which is how a corpus journal stores it.
+	for i := 1; i < len(ps); i++ {
+		if !less(ps[i-1], ps[i]) {
+			sort.Slice(ps, func(i, j int) bool { return less(ps[i], ps[j]) })
+			return
+		}
+	}
 }
 
 // Key is a canonical identity string used for deduplication.
 func (a *Assertion) Key() string {
-	b := &strings.Builder{}
+	var buf [256]byte
+	b := buf[:0]
 	for _, p := range a.Antecedent {
-		fmt.Fprintf(b, "%s@%d=%d&", p.Name(), p.Offset, p.Value)
+		b = append(p.appendAtom(b), '&')
 	}
-	fmt.Fprintf(b, ">%s@%d=%d", a.Consequent.Name(), a.Consequent.Offset, a.Consequent.Value)
-	return b.String()
+	b = append(b, '>')
+	return string(a.Consequent.appendAtom(b))
 }
 
 // CanonicalKey is the order-independent semantic identity of the assertion:
@@ -128,24 +175,37 @@ func (a *Assertion) Key() string {
 // treat them identically. Statistical metadata (Confidence, Support) and the
 // mining window are deliberately excluded: they do not affect the verdict.
 // The verdict cache keys on this plus a design/options fingerprint.
+//
+// The atoms are rendered once into one buffer and sorted as byte ranges of
+// it; only the returned string is allocated for a typical assertion.
 func (a *Assertion) CanonicalKey() string {
-	parts := make([]string, 0, len(a.Antecedent))
+	type span struct{ lo, hi int }
+	var (
+		atomBuf [256]byte
+		spanBuf [16]span
+		keyBuf  [256]byte
+	)
+	atoms, spans := atomBuf[:0], spanBuf[:0]
 	for _, p := range a.Antecedent {
-		parts = append(parts, fmt.Sprintf("%s@%d=%d", p.Name(), p.Offset, p.Value))
+		lo := len(atoms)
+		atoms = p.appendAtom(atoms)
+		spans = append(spans, span{lo, len(atoms)})
 	}
-	sort.Strings(parts)
-	b := &strings.Builder{}
-	prev := ""
-	for _, s := range parts {
-		if s == prev {
+	slices.SortFunc(spans, func(x, y span) int {
+		return bytes.Compare(atoms[x.lo:x.hi], atoms[y.lo:y.hi])
+	})
+	b := keyBuf[:0]
+	var prev []byte
+	for i, sp := range spans {
+		s := atoms[sp.lo:sp.hi]
+		if i > 0 && bytes.Equal(s, prev) {
 			continue // duplicated proposition: same constraint
 		}
-		b.WriteString(s)
-		b.WriteByte('&')
+		b = append(append(b, s...), '&')
 		prev = s
 	}
-	fmt.Fprintf(b, ">%s@%d=%d", a.Consequent.Name(), a.Consequent.Offset, a.Consequent.Value)
-	return b.String()
+	b = append(b, '>')
+	return string(a.Consequent.appendAtom(b))
 }
 
 // String renders the assertion in LTL notation, e.g.

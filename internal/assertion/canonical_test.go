@@ -1,6 +1,13 @@
 package assertion
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
 
 // Edge cases of the canonical identity and subsumption APIs — the contracts
 // the corpus layer's cross-run dedup and cluster collapse are built on.
@@ -122,5 +129,132 @@ func TestSubsumesDifferentConsequentValue(t *testing.T) {
 	}
 	if Subsumes(a, b) || Subsumes(b, a) {
 		t.Errorf("assertions with opposite consequent values subsume each other")
+	}
+}
+
+// The fmt-based renderings Name, Key, CanonicalKey and Normalize were first
+// written with. They are the oracle TestCanonicalKeyMatchesFormat pins the
+// strconv-append implementations against.
+
+func fmtName(p Prop) string {
+	if p.Bit >= 0 {
+		return fmt.Sprintf("%s[%d]", p.Signal, p.Bit)
+	}
+	return p.Signal
+}
+
+func fmtKey(a *Assertion) string {
+	b := &strings.Builder{}
+	for _, p := range a.Antecedent {
+		fmt.Fprintf(b, "%s@%d=%d&", fmtName(p), p.Offset, p.Value)
+	}
+	fmt.Fprintf(b, ">%s@%d=%d", fmtName(a.Consequent), a.Consequent.Offset, a.Consequent.Value)
+	return b.String()
+}
+
+func fmtCanonicalKey(a *Assertion) string {
+	parts := make([]string, 0, len(a.Antecedent))
+	for _, p := range a.Antecedent {
+		parts = append(parts, fmt.Sprintf("%s@%d=%d", fmtName(p), p.Offset, p.Value))
+	}
+	sort.Strings(parts)
+	b := &strings.Builder{}
+	prev := ""
+	for _, s := range parts {
+		if s == prev {
+			continue
+		}
+		b.WriteString(s)
+		b.WriteByte('&')
+		prev = s
+	}
+	fmt.Fprintf(b, ">%s@%d=%d", fmtName(a.Consequent), a.Consequent.Offset, a.Consequent.Value)
+	return b.String()
+}
+
+func fmtNormalize(a *Assertion) {
+	sort.Slice(a.Antecedent, func(i, j int) bool {
+		if a.Antecedent[i].Offset != a.Antecedent[j].Offset {
+			return a.Antecedent[i].Offset < a.Antecedent[j].Offset
+		}
+		return fmtName(a.Antecedent[i]) < fmtName(a.Antecedent[j])
+	})
+}
+
+// TestCanonicalKeyMatchesFormat compares Name, Key, CanonicalKey and the
+// permutation Normalize leaves against the fmt oracle on random assertions
+// built to hit the orderings a hand-written renderer could get wrong: bit
+// indices on both sides of 10 (a[10] sorts before a[2]), signals that are
+// prefixes of each other, names containing '[' or '@' or non-ASCII bytes,
+// negative offsets and values beyond int64, duplicated and contradictory
+// propositions, and antecedents long enough for sort.Slice to leave
+// insertion sort.
+func TestCanonicalKeyMatchesFormat(t *testing.T) {
+	signals := []string{"a", "ab", "a[1]", "a@2", "b", "state", "stat", "é", "éa", "", "x\x00y", "s[", "s]"}
+	bits := []int{-1, -1, 0, 1, 2, 9, 10, 11, 23, 100, 1 << 40}
+	offsets := []int{-3, -1, 0, 1, 2, 10, 64}
+	values := []uint64{0, 1, 2, 9, 10, 1<<63 + 5, ^uint64(0)}
+	r := rand.New(rand.NewSource(1))
+	prop := func() Prop {
+		return Prop{
+			Signal: signals[r.Intn(len(signals))],
+			Bit:    bits[r.Intn(len(bits))],
+			Offset: offsets[r.Intn(len(offsets))],
+			Value:  values[r.Intn(len(values))],
+			Width:  1 + r.Intn(8),
+		}
+	}
+	for it := 0; it < 3000; it++ {
+		a := &Assertion{Consequent: prop()}
+		for n := r.Intn(20); n > 0; n-- {
+			switch p := prop(); r.Intn(4) {
+			case 0: // duplicate an earlier proposition
+				if len(a.Antecedent) > 0 {
+					p = a.Antecedent[r.Intn(len(a.Antecedent))]
+				}
+				a.Antecedent = append(a.Antecedent, p)
+			case 1: // contradict one: same variable and offset, other value
+				if len(a.Antecedent) > 0 {
+					p = a.Antecedent[r.Intn(len(a.Antecedent))]
+					p.Value ^= 1
+				}
+				a.Antecedent = append(a.Antecedent, p)
+			default:
+				a.Antecedent = append(a.Antecedent, p)
+			}
+		}
+		for _, p := range append([]Prop{a.Consequent}, a.Antecedent...) {
+			if got, want := p.Name(), fmtName(p); got != want {
+				t.Fatalf("Name(%+v) = %q, want %q", p, got, want)
+			}
+		}
+		if got, want := a.Key(), fmtKey(a); got != want {
+			t.Fatalf("Key:\n got %q\nwant %q", got, want)
+		}
+		if got, want := a.CanonicalKey(), fmtCanonicalKey(a); got != want {
+			t.Fatalf("CanonicalKey:\n got %q\nwant %q", got, want)
+		}
+		b := &Assertion{Antecedent: append([]Prop(nil), a.Antecedent...)}
+		a.Normalize()
+		fmtNormalize(b)
+		if !reflect.DeepEqual(a.Antecedent, b.Antecedent) {
+			t.Fatalf("Normalize order differs:\n got %+v\nwant %+v", a.Antecedent, b.Antecedent)
+		}
+		// Normalizing a normalized antecedent again, ties included.
+		a.Normalize()
+		fmtNormalize(b)
+		if !reflect.DeepEqual(a.Antecedent, b.Antecedent) {
+			t.Fatalf("Normalize order differs on a sorted antecedent:\n got %+v\nwant %+v", a.Antecedent, b.Antecedent)
+		}
+	}
+}
+
+// TestCanonicalKeyAllocs pins the point of the strconv rendering: a typical
+// assertion's key costs one allocation, the returned string.
+func TestCanonicalKeyAllocs(t *testing.T) {
+	a := paperA5()
+	a.Antecedent = append(a.Antecedent, PBit("state", 12, 0, 1))
+	if n := testing.AllocsPerRun(100, func() { _ = a.CanonicalKey() }); n != 1 {
+		t.Errorf("CanonicalKey allocates %.0f times, want 1", n)
 	}
 }

@@ -51,8 +51,10 @@ type Entry struct {
 	FirstRun, LastRun string
 }
 
-// id is the corpus-wide identity of an entry.
-func (e *Entry) id() string { return e.NS + "\x00" + e.Key }
+// entryID is the corpus-wide identity of an entry.
+type entryID struct{ ns, key string }
+
+func (e *Entry) id() entryID { return entryID{e.NS, e.Key} }
 
 // Mined is one proven assertion handed to Ingest: the assertion plus the
 // verdict metadata worth keeping (everything else in core.AssertionRecord is
@@ -94,7 +96,7 @@ type Stats struct {
 // concurrent use; all read methods return deterministic sorted snapshots.
 type Corpus struct {
 	mu      sync.Mutex
-	entries map[string]*Entry
+	entries map[entryID]*Entry
 	dupHits int
 	// sink, when set, receives a snapshot of each ingest's newly created
 	// entries — the append-mode store uses it to persist entries as they
@@ -109,7 +111,7 @@ type Corpus struct {
 
 // New returns an empty corpus.
 func New() *Corpus {
-	return &Corpus{entries: map[string]*Entry{}}
+	return &Corpus{entries: map[entryID]*Entry{}}
 }
 
 // SetSink registers a callback invoked, outside the corpus lock, with a
@@ -133,10 +135,18 @@ func (c *Corpus) Ingest(runID string, d *rtl.Design, recs []Mined) IngestStats {
 	c.mu.Lock()
 	var fresh []*Entry
 	for _, m := range recs {
+		id := entryID{ns, m.A.CanonicalKey()}
+		if prev, ok := c.entries[id]; ok {
+			prev.Seen++
+			prev.LastRun = runID
+			c.dupHits++
+			st.Dups++
+			continue
+		}
 		e := &Entry{
 			NS:       ns,
 			Design:   d.Name,
-			Key:      m.A.CanonicalKey(),
+			Key:      id.key,
 			A:        m.A,
 			Status:   m.Status,
 			Method:   m.Method,
@@ -144,14 +154,7 @@ func (c *Corpus) Ingest(runID string, d *rtl.Design, recs []Mined) IngestStats {
 			FirstRun: runID,
 			LastRun:  runID,
 		}
-		if prev, ok := c.entries[e.id()]; ok {
-			prev.Seen++
-			prev.LastRun = runID
-			c.dupHits++
-			st.Dups++
-			continue
-		}
-		c.entries[e.id()] = e
+		c.entries[id] = e
 		c.grew()
 		st.New++
 		if c.sink != nil {

@@ -1,16 +1,16 @@
 // JSONL persistence for the corpus, on the telemetry journal's wire format:
 // every line is a telemetry.JSONEvent, encoded by the same reflection-free
-// telemetry.EncodeEvent the serve WAL uses, decoded by a plain
-// json.Unmarshal. A file is a header line, one corpus.entry event per entry
-// (the assertion serialized in Data), and a trailer carrying the entry
-// count. Reading and appending follow the internal/jsonl contract, so a
+// telemetry.EncodeEvent the serve WAL uses (the entry payload by
+// entryJSON.AppendJSON) and decoded in one pass by the reflection-free
+// lineDecoder (codec.go). A file is a header line, one corpus.entry event
+// per entry (the assertion serialized in Data), and a trailer carrying the
+// entry count. Reading and appending follow the internal/jsonl contract, so a
 // journal a killed daemon left behind (torn final line, no trailer) loads
 // with at most the batch being written lost.
 package corpus
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,8 +91,11 @@ func entryFromWire(je *entryJSON) *Entry {
 		Confidence: je.Confidence,
 		Support:    je.Support,
 	}
-	for _, p := range je.Ant {
-		a.Antecedent = append(a.Antecedent, propFromWire(p))
+	if len(je.Ant) > 0 {
+		a.Antecedent = make([]assertion.Prop, len(je.Ant))
+		for i, p := range je.Ant {
+			a.Antecedent[i] = propFromWire(p)
+		}
 	}
 	a.Normalize()
 	seen := je.Seen
@@ -197,33 +200,25 @@ func Save(path string, c *Corpus) error {
 // discarded, and a bad line followed by anything is corruption.
 func Load(path string) (*Corpus, error) {
 	c := New()
-	if _, err := jsonl.Replay(path, c.loadLine); err != nil {
+	if _, err := jsonl.Replay(path, c.loader()); err != nil {
 		return nil, fmt.Errorf("corpus: load: %w", err)
 	}
 	return c, nil
 }
 
-// loadLine ingests one journal line. Header, trailer and foreign events are
+// loader returns the replay callback that ingests journal lines into c, with
+// one decoder for the whole load. Header, trailer and foreign events are
 // skipped; a line that fails to parse, or whose assertion has an offset
 // outside 0..assertion.MaxOffset, is rejected.
-func (c *Corpus) loadLine(line []byte) error {
-	var je telemetry.JSONEvent
-	if err := json.Unmarshal(line, &je); err != nil {
+func (c *Corpus) loader() func(line []byte) error {
+	d := newLineDecoder()
+	return func(line []byte) error {
+		e, err := d.decode(line)
+		if e != nil {
+			c.add(e)
+		}
 		return err
 	}
-	if je.Name != eventEntry || je.Data == nil {
-		return nil
-	}
-	var ej entryJSON
-	if err := json.Unmarshal(*je.Data, &ej); err != nil {
-		return err
-	}
-	e := entryFromWire(&ej)
-	if err := e.A.CheckOffsets(); err != nil {
-		return err
-	}
-	c.add(e)
-	return nil
 }
 
 // Store is the daemon's append-mode corpus journal. Persistence is
@@ -239,9 +234,10 @@ type Store = jsonl.Log
 // shuts down.
 func OpenStore(path string) (*Corpus, *Store, error) {
 	c := New()
+	load := c.loader()
 	lines := 0
 	st, err := jsonl.Open(path, func(line []byte) error {
-		if err := c.loadLine(line); err != nil {
+		if err := load(line); err != nil {
 			return err
 		}
 		lines++

@@ -49,9 +49,20 @@ func Replay(path string, fn func(line []byte) error) (good int64, err error) {
 func replay(r io.Reader, path string, fn func(line []byte) error) (good int64, err error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var off int64
-	var bad error // the last line fn rejected, fatal if any byte follows
+	var bad error   // the last line fn rejected, fatal if any byte follows
+	var long []byte // a line longer than br's buffer, accumulated
 	for lineNo, badNo := 1, 0; ; lineNo++ {
-		raw, rerr := br.ReadBytes('\n')
+		// A line that fits the buffer is handed to fn in place, uncopied:
+		// fn must not retain it.
+		raw, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], raw...)
+			for rerr == bufio.ErrBufferFull {
+				raw, rerr = br.ReadSlice('\n')
+				long = append(long, raw...)
+			}
+			raw = long
+		}
 		if len(raw) > 0 && bad != nil {
 			return 0, fmt.Errorf("%s:%d: corrupt record: %w", path, badNo, bad)
 		}

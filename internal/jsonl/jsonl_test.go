@@ -128,6 +128,30 @@ func TestCrashAtEveryOffset(t *testing.T) {
 	}
 }
 
+// Replay reads lines in place from its buffer and accumulates only a line
+// longer than the buffer. Such lines, committed or torn, must replay exactly
+// as short ones do, and a short line after a long one must not see its bytes.
+func TestReplayLinesLongerThanTheBuffer(t *testing.T) {
+	long := func(n int) string { return `{"pad":"` + strings.Repeat("x", n) + `"}` }
+	lines := []string{walSubmit, long(200 << 10), walDone, long(64<<10 - 9), long(64 << 10), deadHole}
+	data := strings.Join(lines, "\n") + "\n"
+	for _, tail := range []string{"", long(100 << 10)[:90<<10]} {
+		var got []string
+		good, err := replay(strings.NewReader(data+tail), "long", collect(&got))
+		if err != nil || good != int64(len(data)) {
+			t.Fatalf("tail %d bytes: good=%d err=%v, want good=%d", len(tail), good, err, len(data))
+		}
+		if !reflect.DeepEqual(got, lines) {
+			t.Fatalf("tail %d bytes: replayed records differ from the written ones", len(tail))
+		}
+	}
+	bad := long(100<<10)[:90<<10] + "\n" + walSubmit + "\n"
+	if _, err := replay(strings.NewReader(data+bad), "long", collect(new([]string))); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("long:%d:", len(lines)+1)) {
+		t.Fatalf("long bad line followed by a record: err=%v, want corruption at line %d", err, len(lines)+1)
+	}
+}
+
 // A bad line is the torn tail only when nothing follows it. Any byte after
 // it, a blank line included, is corruption reported with its line number,
 // and Open refuses the file without touching it.

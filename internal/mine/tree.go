@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"goldmine/internal/assertion"
@@ -267,11 +268,14 @@ func (t *Tree) AddRows(rowIdx []int) error {
 }
 
 func pathKey(path []PathStep) string {
-	b := &strings.Builder{}
+	b := make([]byte, 0, 8*len(path))
 	for _, st := range path {
-		fmt.Fprintf(b, "%d=%d/", st.Var, st.Value)
+		b = strconv.AppendInt(b, int64(st.Var), 10)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, uint64(st.Value), 10)
+		b = append(b, '/')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Leaves returns all leaves with their paths, in left-to-right order.

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -163,6 +164,7 @@ type Solver struct {
 	learntBuf  []ilit // analyze/minimize
 	cleanupBuf []int  // analyze's seen marks
 	addBuf     []ilit // AddClause
+	dirtyBuf   []ilit // reduceDB's watch lists holding freed clauses
 
 	varInc float64
 	claInc float64
@@ -691,19 +693,24 @@ func (s *Solver) reduceDB() {
 	keep := len(s.learnts) / 2
 	removed := s.learnts[keep:]
 	s.learnts = s.learnts[:keep]
-	dead := 0
+	// A live clause is watched exactly on lits[0] and lits[1], so only the
+	// lists of the freed clauses' first two literals hold dead watchers.
+	dirty := s.dirtyBuf[:0]
 	for _, c := range removed {
 		if s.locked(c) {
 			s.learnts = append(s.learnts, c)
 			continue
 		}
+		lits := s.ca.lits(c)
+		dirty = append(dirty, lits[0].neg(), lits[1].neg())
 		s.ca.free(c)
-		dead++
 	}
-	if dead == 0 {
+	if len(dirty) == 0 {
 		return
 	}
-	for key, ws := range s.watches {
+	slices.Sort(dirty)
+	for _, key := range slices.Compact(dirty) {
+		ws := s.watches[key]
 		kept := ws[:0]
 		for _, w := range ws {
 			if !s.ca.deleted(w.cref &^ binaryWatch) {
@@ -712,6 +719,7 @@ func (s *Solver) reduceDB() {
 		}
 		s.watches[key] = kept
 	}
+	s.dirtyBuf = dirty
 	s.collect()
 }
 

@@ -58,7 +58,18 @@ type Event struct {
 	Parent uint64
 	Dur    time.Duration
 	Attrs  []Attr
-	Data   any // KindSnapshot payload; marshaled off the hot path
+	// Data is the payload: a KindSnapshot's metrics, a log's record. It is
+	// written by its own AppendJSON method when it has one (jsonAppender),
+	// by json.Marshal otherwise, off the hot path either way.
+	Data any
+}
+
+// jsonAppender is a Data payload that renders itself without reflection.
+// AppendJSON must append exactly what json.Marshal would write for the
+// value, or json.Marshal's error, so the wire form does not depend on which
+// path wrote it.
+type jsonAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
 }
 
 // JSONEvent is the wire form of an Event — one JSONL line. Exported so tests
@@ -189,9 +200,12 @@ func (j *Journal) drain() {
 
 // EncodeEvent formats e as one JSONL line appended to b, producing exactly
 // the JSONEvent wire shape (field set, omitempty behaviour) without
-// reflection. Exported so other JSONL logs — the serve package's durable job
-// journal — reuse the same encoder and wire format as the telemetry journal;
-// the inverse is a plain json.Unmarshal into JSONEvent.
+// reflection; a Data payload with an AppendJSON method renders itself, any
+// other is marshaled by encoding/json. Exported so other JSONL logs — the
+// serve package's durable job journal, the corpus store — reuse the same
+// encoder and wire format as the telemetry journal. Any JSON decoder reads
+// the lines back: json.Unmarshal into JSONEvent, or the corpus store's own
+// single-pass decoder.
 func EncodeEvent(b []byte, e *Event) ([]byte, error) {
 	return appendEvent(b, e)
 }
@@ -235,7 +249,12 @@ func appendEvent(b []byte, e *Event) ([]byte, error) {
 		}
 		b = append(b, '}')
 	}
-	if e.Data != nil {
+	if a, ok := e.Data.(jsonAppender); ok {
+		var err error
+		if b, err = a.AppendJSON(append(b, `,"data":`...)); err != nil {
+			return b, err
+		}
+	} else if e.Data != nil {
 		raw, err := json.Marshal(e.Data)
 		if err != nil {
 			return b, err

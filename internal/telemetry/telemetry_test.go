@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -356,6 +357,8 @@ func TestAppendEventMatchesWire(t *testing.T) {
 		},
 		{TS: time.UnixMicro(99), Kind: KindSnapshot, Name: "metrics",
 			Data: map[string]int{"a": 1}},
+		{TS: time.UnixMicro(100), Kind: KindEvent, Name: "record",
+			Data: &appendingData{N: -7, S: "plain text"}},
 	}
 	for i, e := range events {
 		got, err := appendEvent(nil, &e)
@@ -387,5 +390,26 @@ func TestAppendEventMatchesWire(t *testing.T) {
 		} else if gd != nil && string(*gd) != string(*wd) {
 			t.Errorf("event %d: data differs: %s vs %s", i, *gd, *wd)
 		}
+		if a, ok := e.Data.(*appendingData); ok && a.calls != 1 {
+			t.Errorf("event %d: AppendJSON called %d times, want 1 (json.Marshal must not be used)", i, a.calls)
+		}
 	}
+}
+
+// appendingData is a payload that renders itself: appendEvent must use its
+// AppendJSON, whose bytes are json.Marshal's for an S that strconv.Quote
+// and json.Marshal write alike (printable ASCII without <, > or &).
+type appendingData struct {
+	N     int    `json:"n"`
+	S     string `json:"s"`
+	calls int
+}
+
+func (d *appendingData) AppendJSON(b []byte) ([]byte, error) {
+	d.calls++
+	b = append(b, `{"n":`...)
+	b = strconv.AppendInt(b, int64(d.N), 10)
+	b = append(b, `,"s":`...)
+	b = strconv.AppendQuote(b, d.S)
+	return append(b, '}'), nil
 }

@@ -30,7 +30,8 @@ echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # go test ./... above runs only the seed corpora; this leg runs the fuzz
 # engine itself on each target: the decision-scope rule of the SAT solver,
 # trail reuse between solves, the solver's lazily loaded decision order,
-# the JSONL replay/torn-tail rule,
+# the JSONL replay/torn-tail rule, the corpus journal's line decoder ≡ the
+# json.Unmarshal path it replaced,
 # batch-engine ≡ interpreter, packed hole hits ≡ Hole.Hit per lane, the
 # packed assertion monitor ≡ the scalar monitor per lane, and the
 # parser/elaborator never panicking. A failing input lands in the package's
@@ -39,6 +40,7 @@ go test -run '^$' -fuzz '^FuzzScopedSolve$' -fuzztime 10s -parallel 2 ./internal
 go test -run '^$' -fuzz '^FuzzTrailReuse$' -fuzztime 10s -parallel 2 ./internal/sat
 go test -run '^$' -fuzz '^FuzzDecisionOrder$' -fuzztime 10s -parallel 2 ./internal/sat
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -parallel 2 ./internal/jsonl
+go test -run '^$' -fuzz '^FuzzDecodeEntryLine$' -fuzztime 10s -parallel 2 ./internal/corpus
 go test -run '^$' -fuzz '^FuzzBatchMatchesInterpreter$' -fuzztime 10s -parallel 2 ./internal/simc
 go test -run '^$' -fuzz '^FuzzHitMaskMatchesHit$' -fuzztime 10s -parallel 2 ./internal/holes
 go test -run '^$' -fuzz '^FuzzPackedMonitor$' -fuzztime 10s -parallel 2 ./internal/monitor
