@@ -145,7 +145,7 @@ func TestReplayLinesLongerThanTheBuffer(t *testing.T) {
 			t.Fatalf("tail %d bytes: replayed records differ from the written ones", len(tail))
 		}
 	}
-	bad := long(100<<10)[:90<<10] + "\n" + walSubmit + "\n"
+	bad := long(100 << 10)[:90<<10] + "\n" + walSubmit + "\n"
 	if _, err := replay(strings.NewReader(data+bad), "long", collect(new([]string))); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprintf("long:%d:", len(lines)+1)) {
 		t.Fatalf("long bad line followed by a record: err=%v, want corruption at line %d", err, len(lines)+1)
