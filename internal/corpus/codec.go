@@ -484,7 +484,7 @@ func (d *lineDecoder) int(dst *int) error {
 	if err != nil || null {
 		return err
 	}
-	if n, ok := parseInt(num); ok {
+	if n, ok := parseInt(num); ok && n == int64(int(n)) {
 		*dst = int(n)
 	} else {
 		d.mismatch()

@@ -170,14 +170,14 @@ func TestEntryAppendJSONMatchesMarshal(t *testing.T) {
 	}
 }
 
-// entryFields lists, per object of a corpus line, the field names
-// encoding/json matches keys against.
-var entryFields = struct{ envelope, entry, prop []string }{
-	envelope: []string{"ts_us", "kind", "name", "span", "parent", "dur_us", "attrs", "data"},
-	entry: []string{"ns", "design", "output", "status", "method", "seen", "first_run", "last_run",
-		"window", "confidence", "support", "ant", "cons"},
-	prop: []string{"s", "b", "o", "v", "w"},
-}
+// The field names encoding/json matches keys against, per object of a
+// corpus line.
+var (
+	envelopeFields = []string{"ts_us", "kind", "name", "span", "parent", "dur_us", "attrs", "data"}
+	entryFields    = []string{"ns", "design", "output", "status", "method", "seen", "first_run", "last_run",
+		"window", "confidence", "support", "ant", "cons"}
+	propFields = []string{"s", "b", "o", "v", "w"}
+)
 
 // foldedKey reports whether a valid JSON line has a key that matches one of
 // its object's fields only under encoding/json's case folding ("NS" for
@@ -185,44 +185,54 @@ var entryFields = struct{ envelope, entry, prop []string }{
 // skips it as unknown, the codec's one documented divergence, so the fuzz
 // target leaves these lines out.
 func foldedKey(line []byte) bool {
-	var walk func(v any, fields []string) bool
-	// Objects are walked as ordered key/value lists so repeated keys are
-	// all seen.
-	walk = func(v any, fields []string) bool {
-		obj, ok := v.([]member)
-		if !ok {
-			return false
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber() // a number beyond float64 must not hide a folded key
+	v, err := readValue(dec)
+	if err != nil {
+		return false
+	}
+	env, _ := v.([]member)
+	if folded(env, envelopeFields) {
+		return true
+	}
+	for _, m := range env {
+		if m.key != "data" {
+			continue
 		}
-		for _, m := range obj {
-			for _, f := range fields {
-				if m.key != f && strings.EqualFold(m.key, f) {
+		data, _ := m.val.([]member)
+		if folded(data, entryFields) {
+			return true
+		}
+		for _, f := range data {
+			switch f.key {
+			case "cons":
+				if p, _ := f.val.([]member); folded(p, propFields) {
 					return true
 				}
-			}
-			switch {
-			case reflect.DeepEqual(fields, entryFields.envelope) && m.key == "data":
-				if walk(m.val, entryFields.entry) {
-					return true
-				}
-			case reflect.DeepEqual(fields, entryFields.entry) && m.key == "cons":
-				if walk(m.val, entryFields.prop) {
-					return true
-				}
-			case reflect.DeepEqual(fields, entryFields.entry) && m.key == "ant":
-				arr, _ := m.val.([]any)
+			case "ant":
+				arr, _ := f.val.([]any)
 				for _, el := range arr {
-					if walk(el, entryFields.prop) {
+					if p, _ := el.([]member); folded(p, propFields) {
 						return true
 					}
 				}
 			}
 		}
-		return false
 	}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.UseNumber() // a number beyond float64 must not hide a folded key
-	v, err := readValue(dec)
-	return err == nil && walk(v, entryFields.envelope)
+	return false
+}
+
+// folded reports whether obj has a key equal to one of fields only under
+// case folding.
+func folded(obj []member, fields []string) bool {
+	for _, m := range obj {
+		for _, f := range fields {
+			if m.key != f && strings.EqualFold(m.key, f) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 type member struct {
@@ -231,7 +241,7 @@ type member struct {
 }
 
 // readValue reads one JSON value from dec's token stream, objects as
-// []member in key order and arrays as []any.
+// []member in key order (repeated keys kept) and arrays as []any.
 func readValue(dec *json.Decoder) (any, error) {
 	tok, err := dec.Token()
 	if err != nil {
