@@ -62,9 +62,9 @@ func (p Prop) appendName(b []byte) []byte {
 	return b
 }
 
-// appendAtom appends p as name@offset=value, the unit Key and CanonicalKey
+// AppendAtom appends p as name@offset=value, the unit Key and CanonicalKey
 // are built from.
-func (p Prop) appendAtom(b []byte) []byte {
+func (p Prop) AppendAtom(b []byte) []byte {
 	b = p.appendName(b)
 	b = append(b, '@')
 	b = strconv.AppendInt(b, int64(p.Offset), 10)
@@ -160,10 +160,10 @@ func (a *Assertion) Key() string {
 	var buf [256]byte
 	b := buf[:0]
 	for _, p := range a.Antecedent {
-		b = append(p.appendAtom(b), '&')
+		b = append(p.AppendAtom(b), '&')
 	}
 	b = append(b, '>')
-	return string(a.Consequent.appendAtom(b))
+	return string(a.Consequent.AppendAtom(b))
 }
 
 // CanonicalKey is the order-independent semantic identity of the assertion:
@@ -188,7 +188,7 @@ func (a *Assertion) CanonicalKey() string {
 	atoms, spans := atomBuf[:0], spanBuf[:0]
 	for _, p := range a.Antecedent {
 		lo := len(atoms)
-		atoms = p.appendAtom(atoms)
+		atoms = p.AppendAtom(atoms)
 		spans = append(spans, span{lo, len(atoms)})
 	}
 	slices.SortFunc(spans, func(x, y span) int {
@@ -205,7 +205,7 @@ func (a *Assertion) CanonicalKey() string {
 		prev = s
 	}
 	b = append(b, '>')
-	return string(a.Consequent.appendAtom(b))
+	return string(a.Consequent.AppendAtom(b))
 }
 
 // String renders the assertion in LTL notation, e.g.

@@ -291,12 +291,13 @@ func measure(d *rtl.Design, asserts []*assertion.Assertion, faults []mutate.Faul
 func coverElem(asserts []*assertion.Assertion, base, cycles int) func(ai, cycle int) int {
 	consID := map[string]int{}
 	consOf := make([]int, len(asserts))
+	var atom []byte
 	for i, a := range asserts {
-		atom := fmt.Sprintf("%s@%d=%d", a.Consequent.Name(), a.Consequent.Offset, a.Consequent.Value)
-		id, ok := consID[atom]
+		atom = a.Consequent.AppendAtom(atom[:0])
+		id, ok := consID[string(atom)]
 		if !ok {
 			id = len(consID)
-			consID[atom] = id
+			consID[string(atom)] = id
 		}
 		consOf[i] = id
 	}

@@ -8,6 +8,7 @@ package coverage
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"goldmine/internal/rtl"
@@ -133,15 +134,16 @@ func (c *Collector) RunSuite(suite []sim.Stimulus) error {
 
 // RunSuiteCompiled is RunSuite on the 64-lane batch engine: the suite runs
 // in chunks of up to simc.MaxLanes stimuli on the collector's machine, and
-// each lane is transposed and observed in suite order, so only one lane's
-// trace is held at a time. Observations are identical to RunSuite because
-// trace rows hold the raw values the interpreter's observer hook sees.
+// each chunk is observed on its packed trace without transposing a lane.
+// Observations are identical to RunSuite: the compiled point words are the
+// points' values, and trace rows hold the raw values the interpreter's
+// observer hook sees.
 func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
 	if len(suite) == 0 {
 		return nil
 	}
 	if c.batch == nil {
-		p, err := simc.CompileBatch(c.d, simc.BatchOptions{})
+		p, err := simc.CompileBatch(c.d, simc.BatchOptions{Points: true})
 		if err != nil {
 			return err
 		}
@@ -158,15 +160,62 @@ func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
 		if err != nil {
 			return err
 		}
-		for l := range chunk {
-			tr, err := bt.Lane(l)
-			if err != nil {
-				return err
-			}
-			c.ObserveTrace(tr)
-		}
+		c.observePacked(bt)
 	}
 	return nil
+}
+
+// observePacked is ObserveTrace on every lane of a packed trace at once:
+// each lane is one run from reset, and at cycle t only the lanes live there
+// count. A toggle or FSM transition pairs cycles t-1 and t of one lane (a
+// lane live at t is live at t-1). FSM values are gathered per live lane.
+func (c *Collector) observePacked(bt *simc.BatchTrace) {
+	c.hasPrev = false // each lane is its own run
+	n := bt.Cycles()
+	for t := 0; t < n; t++ {
+		c.Cycles += bits.OnesCount64(bt.Live(t))
+	}
+	for i := range c.seenTrue {
+		for t := 0; t < n && !(c.seenTrue[i] && c.seenFalse[i]); t++ {
+			live, w := bt.Live(t), bt.Point(i, t)
+			if live&w != 0 {
+				c.seenTrue[i] = true
+			}
+			if live&^w != 0 {
+				c.seenFalse[i] = true
+			}
+		}
+	}
+	for i, s := range c.toggleSigs {
+		for t := 1; t < n; t++ {
+			live := bt.Live(t)
+			prev, cur := bt.Column(s, t-1), bt.Column(s, t)
+			for b := 0; b < s.Width && b < len(cur); b++ {
+				if live&^prev[b]&cur[b] != 0 {
+					c.rise[i][b] = true
+				}
+				if live&prev[b]&^cur[b] != 0 {
+					c.fall[i][b] = true
+				}
+			}
+		}
+	}
+	for i, f := range c.d.Cover.FSMs {
+		var state [simc.MaxLanes]uint64 // each lane's value at t-1
+		mask := rtl.Mask(f.Reg.Width)
+		for t := 0; t < n; t++ {
+			col := bt.Column(f.Reg, t)
+			for live := bt.Live(t); live != 0; live &= live - 1 {
+				l := bits.TrailingZeros64(live)
+				v := simc.LaneValue(col, l) & mask
+				c.fsmSeen[i][v] = true
+				if t > 0 {
+					c.fsmTrans[i][[2]uint64{state[l], v}] = true
+				}
+				state[l] = v
+			}
+		}
+	}
 }
 
 // ObserveTrace consumes one recorded run from reset: a reset boundary, then

@@ -414,9 +414,12 @@ func (h *Hole) Hit(tr *sim.Trace) int {
 // the lanes among those set in among that are live at cycle t (their
 // stimulus is longer than t) and exercise the hole there. Lane l's bit is
 // set exactly when Hit on bt.Lane(l) would see the hole at t, so the first
-// cycle whose mask holds l is that lane's Hit. Toggle and FSM holes are word
-// operations over the packed bits; branch-arm and condition holes evaluate
-// their expression once per candidate lane through a lane view of the row.
+// cycle whose mask holds l is that lane's Hit. Every kind is a word
+// operation over the packed row: toggle and FSM holes over their signal's
+// bits, branch-arm and condition holes over their point's word, which the
+// program compiles with simc.BatchOptions.Points. On a trace without point
+// words they evaluate their expression once per candidate lane through a
+// lane view of the row instead.
 func (h *Hole) HitMask(bt *simc.BatchTrace, t int, among uint64) uint64 {
 	among &= bt.Live(t)
 	if among == 0 {
@@ -424,6 +427,12 @@ func (h *Hole) HitMask(bt *simc.BatchTrace, t int, among uint64) uint64 {
 	}
 	switch h.Kind {
 	case BranchArm, CondTrue, CondFalse:
+		if bt.HasPoints() {
+			if h.Kind == CondFalse {
+				return among &^ bt.Point(h.Point.ID, t)
+			}
+			return among & bt.Point(h.Point.ID, t)
+		}
 		want := uint64(1)
 		if h.Kind == CondFalse {
 			want = 0

@@ -208,3 +208,37 @@ func FuzzHitMaskMatchesHit(f *testing.F) {
 		checkHitMask(t, progs[i], universes[i], lanes, next(64))
 	})
 }
+
+// TestHitMaskPointWordsMatchHit is TestHitMaskMatchesHitAllDesigns on
+// programs compiled with simc.BatchOptions.Points, the programs closure
+// runs: branch-arm and condition holes then read their point's word, which
+// must agree with Hit's width-masked evaluation lane by lane.
+func TestHitMaskPointWordsMatchHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ds := []*rtl.Design{rawWidthDesign(t)}
+	for _, b := range designs.All() {
+		d, err := b.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	for _, d := range ds {
+		p, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := packedUniverse(d)
+		for trial := 0; trial < 3; trial++ {
+			nl := 1 + rng.Intn(simc.MaxLanes)
+			if trial == 2 {
+				nl = simc.MaxLanes
+			}
+			lanes := make([]sim.Stimulus, nl)
+			for l := range lanes {
+				lanes[l] = randomStim(d, rng.Intn(40), rng.Int63(), 2)
+			}
+			checkHitMask(t, p, hs, lanes, rng.Uint64())
+		}
+	}
+}

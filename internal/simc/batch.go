@@ -103,6 +103,12 @@ type BatchOptions struct {
 	// force op per bit of each listed signal, so only listed signals are
 	// forceable.
 	Forceable []string
+	// Points compiles every coverage point's expression
+	// (rtl.CoverageInfo.Points) into the comb tape and records one word per
+	// point in each trace row, read with BatchTrace.Point. It costs the
+	// points' gates every cycle, so only programs whose traces are scanned
+	// for coverage ask for it.
+	Points bool
 }
 
 // BatchProgram is the immutable bit-blasted form of a design: every 1-bit net
@@ -134,6 +140,12 @@ type BatchProgram struct {
 	tr        *sim.Trace
 	colOff    []int32 // offset of each column's words within a packed row
 	rowGather []int32 // word index per packed-row position
+
+	// pointOff is where the coverage point words start in a packed row
+	// (after every column); npoints is how many there are (0 unless
+	// compiled with BatchOptions.Points).
+	pointOff int32
+	npoints  int
 
 	forceable map[string]*forceSlots
 
@@ -793,6 +805,19 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 		p.sigBits[sig.ID] = v
 	}
 
+	// Coverage points read the settled cycle, so they close the comb tape;
+	// bit 0 of each is the point's value (rtl.Eval(expr)&1).
+	var pointWords []int32
+	if opts.Points {
+		for _, pt := range d.Cover.Points {
+			v, err := b.expr(pt.Expr)
+			if err != nil {
+				return nil, fmt.Errorf("simc: coverage point %d: %w", pt.ID, err)
+			}
+			pointWords = append(pointWords, v.get(0))
+		}
+	}
+
 	// Next tape: evaluate all next-state roots, then latch. Roots that alias
 	// machine-written words (a next function that is just a register or input
 	// reference) are copied into scratch first so latch order cannot leak a
@@ -860,6 +885,8 @@ func CompileBatch(d *rtl.Design, opts BatchOptions) (*BatchProgram, error) {
 		p.rowGather = append(p.rowGather, p.sigBits[sig.ID]...)
 	}
 	p.colOff[len(p.tr.Signals)] = int32(len(p.rowGather))
+	p.pointOff, p.npoints = int32(len(p.rowGather)), len(pointWords)
+	p.rowGather = append(p.rowGather, pointWords...)
 	return p, nil
 }
 

@@ -193,6 +193,20 @@ func (bt *BatchTrace) Column(sig *rtl.Signal, c int) []uint64 {
 	return bt.rows[c][bt.p.colOff[j]:bt.p.colOff[j+1]]
 }
 
+// Point returns coverage point i's value (rtl.CoverageInfo.Points[i]) at
+// cycle c, bit l for lane l. The program must have been compiled with
+// BatchOptions.Points; without it, or for i out of range, Point panics.
+func (bt *BatchTrace) Point(i, c int) uint64 {
+	if uint(i) >= uint(bt.p.npoints) {
+		panic(fmt.Sprintf("simc: BatchTrace.Point(%d): %d coverage points compiled (CompileBatch with BatchOptions.Points compiles them)", i, bt.p.npoints))
+	}
+	return bt.rows[c][int(bt.p.pointOff)+i]
+}
+
+// HasPoints reports whether the trace carries coverage point words
+// (BatchOptions.Points).
+func (bt *BatchTrace) HasPoints() bool { return bt.p.npoints > 0 }
+
 // LaneValue gathers lane l's value from lane-parallel bit words ws (word i
 // holds bit i of every lane), as Column and BatchMachine.Bits return them.
 func LaneValue(ws []uint64, l int) uint64 {

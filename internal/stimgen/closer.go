@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"goldmine/internal/coverage"
@@ -63,11 +62,11 @@ const shareWave = 16
 type closureWorkers struct {
 	sessions []*mc.Session
 	bms      []*simc.BatchMachine
-	rngs     []*rand.Rand
+	rngs     []*laneSource
 }
 
 func newClosureWorkers(d *rtl.Design, nholes int, opts DirectedOptions) (*closureWorkers, error) {
-	bp, err := simc.CompileBatch(d, simc.BatchOptions{})
+	bp, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
 	if err != nil {
 		return nil, err
 	}
@@ -75,14 +74,14 @@ func newClosureWorkers(d *rtl.Design, nholes int, opts DirectedOptions) (*closur
 	cw := &closureWorkers{
 		sessions: make([]*mc.Session, n),
 		bms:      make([]*simc.BatchMachine, n),
-		rngs:     make([]*rand.Rand, n),
+		rngs:     make([]*laneSource, n),
 	}
 	for w := 0; w < n; w++ {
 		checker := mc.NewWithOptions(d, opts.MC)
 		checker.SetTelemetry(opts.Telemetry)
 		cw.sessions[w] = checker.NewSession()
 		cw.bms[w] = simc.NewBatchMachine(bp)
-		cw.rngs[w] = rand.New(rand.NewSource(0)) // reseeded per lane
+		cw.rngs[w] = newLaneSource(0) // reseeded per lane
 	}
 	return cw, nil
 }
@@ -253,7 +252,7 @@ func lowestLaneHit(h *holes.Hole, bt *simc.BatchTrace) (lane, hit int) {
 // derives from it, not from the worker); fromDepth is the depth already
 // proven unreachable in earlier iterations, fromK the induction steps
 // already observed Sat — both ladders resume, never repeat.
-func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachine, rng *rand.Rand, h *holes.Hole, rank, cap, fromDepth, fromK int, opts DirectedOptions) *HoleAttempt {
+func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachine, rng *laneSource, h *holes.Hole, rank, cap, fromDepth, fromK int, opts DirectedOptions) *HoleAttempt {
 	at := &HoleAttempt{Hole: h}
 	var sp *telemetry.Span
 	if opts.Telemetry != nil {

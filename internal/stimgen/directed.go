@@ -20,7 +20,6 @@ package stimgen
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"goldmine/internal/coverage"
 	"goldmine/internal/holes"
@@ -149,7 +148,7 @@ func stateEq(reg *rtl.Signal, v uint64) rtl.Expr {
 // the hole), with the usual reset prefix. Lane l uses seed+l.
 func FocusedLanes(d *rtl.Design, focus []*rtl.Signal, lanes, cycles int, seed int64, resetCycles int) []sim.Stimulus {
 	fd := newFocusDraw(d, focus)
-	r := rand.New(rand.NewSource(seed))
+	r := newLaneSource(seed)
 	out := make([]sim.Stimulus, lanes)
 	for l := range out {
 		out[l] = fd.lane(r, seed+int64(l), cycles, resetCycles)
@@ -158,7 +157,8 @@ func FocusedLanes(d *rtl.Design, focus []*rtl.Signal, lanes, cycles int, seed in
 }
 
 // focusDraw is the one draw routine of focused fuzzing. Its stream per lane
-// is fixed: per cycle, one Uint64 per cone input in rtl.Design.Inputs order
+// is fixed (laneSource draws what math/rand seeded with the lane's seed
+// draws): per cycle, one Uint64 per cone input in rtl.Design.Inputs order
 // (a cone rst/reset draws too, and the draw is then overwritten), then, past
 // the reset prefix, one Intn(16) for rst and then for reset when that input
 // is in the cone. Two sinks consume it: every lane written straight into
@@ -197,7 +197,7 @@ func newFocusDraw(d *rtl.Design, focus []*rtl.Signal) *focusDraw {
 // cycles cycles, once each: set(c, i, v) for input i (rtl.Design.Inputs
 // order) at cycle c, out-of-cone inputs included (as zero). A shorter draw
 // is a prefix of a longer one.
-func (fd *focusDraw) draw(r *rand.Rand, seed int64, cycles, resetCycles int, set func(c, i int, v uint64)) {
+func (fd *focusDraw) draw(r *laneSource, seed int64, cycles, resetCycles int, set func(c, i int, v uint64)) {
 	r.Seed(seed)
 	for c := 0; c < cycles; c++ {
 		for i, in := range fd.ins {
@@ -221,7 +221,7 @@ func (fd *focusDraw) draw(r *rand.Rand, seed int64, cycles, resetCycles int, set
 
 // lane draws one lane of cycles cycles as a stimulus: FocusedLanes(...)[l]
 // for seed+l, or its prefix.
-func (fd *focusDraw) lane(r *rand.Rand, seed int64, cycles, resetCycles int) sim.Stimulus {
+func (fd *focusDraw) lane(r *laneSource, seed int64, cycles, resetCycles int) sim.Stimulus {
 	stim := make(sim.Stimulus, cycles)
 	for c := range stim {
 		stim[c] = make(sim.InputVec, len(fd.ins))
@@ -234,7 +234,7 @@ func (fd *focusDraw) lane(r *rand.Rand, seed int64, cycles, resetCycles int) sim
 
 // packed draws lanes lanes (lane l seeded seed+l) of cycles cycles straight
 // into packed rows of p: the run FocusedLanes would pack, with no InputVec.
-func (fd *focusDraw) packed(p *simc.BatchProgram, r *rand.Rand, lanes, cycles int, seed int64, resetCycles int) (*simc.PackedStim, error) {
+func (fd *focusDraw) packed(p *simc.BatchProgram, r *laneSource, lanes, cycles int, seed int64, resetCycles int) (*simc.PackedStim, error) {
 	ps, err := p.NewPackedStim(lanes, cycles)
 	if err != nil {
 		return nil, err

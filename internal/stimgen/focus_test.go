@@ -80,7 +80,7 @@ func TestFocusDrawMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		bm := simc.NewBatchMachine(p)
-		r := rand.New(rand.NewSource(0))
+		r := newLaneSource(0)
 		for trial := 0; trial < 4; trial++ {
 			var focus []*rtl.Signal
 			for _, in := range d.Inputs() {
