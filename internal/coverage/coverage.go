@@ -156,7 +156,7 @@ func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
 		if err != nil {
 			return err
 		}
-		bt, err := c.batch.RunPacked(ps)
+		bt, err := c.batch.RunPackedScratch(ps)
 		if err != nil {
 			return err
 		}

@@ -39,6 +39,9 @@ func FuzzPackedCollectorMatchesObserve(f *testing.F) {
 	rng.Read(long)
 	long[0], long[1], long[2] = 8, 150, 70
 	f.Add(long)
+	for i := range all {
+		f.Add([]byte{byte(i), 1, 1, 1, 1}) // two one-cycle stimuli, one per call: no transition
+	}
 	f.Add([]byte{3, 0, 0})     // one stimulus, no cycles
 	f.Add([]byte{5, 64, 64})   // 65 empty stimuli, split after the first chunk
 	f.Add([]byte{11, 63, 200}) // 64 empty stimuli, one call

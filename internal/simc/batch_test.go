@@ -650,3 +650,69 @@ func TestForeignSignalsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPackedScratchMatchesRunPacked runs suites of shrinking and growing
+// lane counts and lengths through one machine's reused scratch trace: every
+// run must equal a fresh RunPacked lane for lane, live masks included, so
+// nothing of a longer earlier run leaks into a shorter later one.
+func TestRunPackedScratchMatchesRunPacked(t *testing.T) {
+	b, err := designs.Get("b12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := b.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, fresh := simc.NewBatchMachine(p), simc.NewBatchMachine(p)
+	rng := rand.New(rand.NewSource(41))
+	for _, shape := range [][2]int{{64, 40}, {3, 7}, {1, 0}, {20, 90}, {64, 12}, {2, 90}} {
+		lanes := make([]sim.Stimulus, shape[0])
+		for l := range lanes {
+			lanes[l] = stimgen.Random(d, rng.Intn(shape[1]+1), rng.Int63(), 2)
+		}
+		ps, err := p.Pack(lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := scratch.RunPackedScratch(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.RunPacked(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cycles() != want.Cycles() || got.Lanes() != want.Lanes() {
+			t.Fatalf("%v: scratch trace is %d lanes × %d cycles, fresh %d × %d", shape, got.Lanes(), got.Cycles(), want.Lanes(), want.Cycles())
+		}
+		for c := 0; c <= want.Cycles(); c++ {
+			if got.Live(c) != want.Live(c) {
+				t.Fatalf("%v cycle %d: scratch live %#x, fresh %#x", shape, c, got.Live(c), want.Live(c))
+			}
+			if c == want.Cycles() {
+				break
+			}
+			for i := range d.Cover.Points {
+				if got.Point(i, c) != want.Point(i, c) {
+					t.Fatalf("%v cycle %d: point %d differs", shape, c, i)
+				}
+			}
+		}
+		for l := range lanes {
+			gl, err := got.Lane(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := want.Lane(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalTraces(t, wl, gl, "scratch lane")
+		}
+	}
+}

@@ -162,6 +162,7 @@ type BatchTrace struct {
 	laneLen []int
 	live    []uint64 // per cycle, the lanes whose stimulus reaches it
 	rows    [][]uint64
+	arena   []uint64 // the rows' storage
 }
 
 // Lanes returns the number of recorded lanes.
@@ -309,6 +310,8 @@ type BatchMachine struct {
 	forces map[int32]uint64
 	// Cycles, when set, counts cycle*lane steps (nil-safe).
 	Cycles *telemetry.Counter
+	// scratch is RunPackedScratch's trace, reused from call to call.
+	scratch BatchTrace
 }
 
 // NewBatchMachine creates an executor for p in the reset state.
@@ -450,13 +453,37 @@ func (m *BatchMachine) Bits(sig *rtl.Signal, dst []uint64) []uint64 {
 // lane-parallel trace. The steady-state loop performs zero allocations; rows
 // are carved from one arena.
 func (m *BatchMachine) RunPacked(ps *PackedStim) (*BatchTrace, error) {
+	return m.run(ps, &BatchTrace{})
+}
+
+// RunPackedScratch is RunPacked into a trace the machine keeps and reuses:
+// the returned trace is overwritten by the next RunPackedScratch on m, so a
+// caller must be done with it by then. A run no longer than an earlier one
+// allocates nothing.
+func (m *BatchMachine) RunPackedScratch(ps *PackedStim) (*BatchTrace, error) {
+	return m.run(ps, &m.scratch)
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough; the contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// run runs ps into bt's storage and returns bt.
+func (m *BatchMachine) run(ps *PackedStim, bt *BatchTrace) (*BatchTrace, error) {
 	if ps.p != m.p {
 		return nil, fmt.Errorf("simc: packed stimulus belongs to a different program")
 	}
 	m.Reset()
 	rw := len(m.p.rowGather)
-	arena := make([]uint64, ps.cycles*rw)
-	bt := &BatchTrace{p: m.p, laneLen: ps.laneLen, live: make([]uint64, ps.cycles), rows: make([][]uint64, ps.cycles)}
+	arena := resize(bt.arena, ps.cycles*rw)
+	bt.p, bt.laneLen, bt.arena = m.p, ps.laneLen, arena
+	bt.live, bt.rows = resize(bt.live, ps.cycles), resize(bt.rows, ps.cycles)
+	clear(bt.live)
 	// Every non-empty lane is live from cycle 0 until its end: mark each
 	// lane's end cycle in place, then sweep the live set across the cycles.
 	var live uint64

@@ -229,7 +229,7 @@ func (cw *closureWorkers) runPacked(lanes []sim.Stimulus) (*simc.BatchTrace, err
 	if err != nil {
 		return nil, err
 	}
-	return bm.RunPacked(ps)
+	return bm.RunPackedScratch(ps)
 }
 
 // lowestLaneHit returns the lowest lane of bt that exercises h at any cycle
@@ -328,7 +328,7 @@ func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachin
 	ps, err := fd.packed(bm.Program(), rng, opts.FuzzLanes, opts.FuzzCycles, seed, resetCycles)
 	var bt *simc.BatchTrace
 	if err == nil {
-		bt, err = bm.RunPacked(ps)
+		bt, err = bm.RunPackedScratch(ps)
 	}
 	if err != nil {
 		if at.Err == nil {
