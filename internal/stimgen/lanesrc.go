@@ -5,8 +5,8 @@ import "math/rand"
 // laneSource produces exactly the stream of rand.New(rand.NewSource(seed))
 // for Uint64 and Intn, but a Seed costs O(1) instead of math/rand's 607-word
 // refill, and a slot of the source's feedback register is computed only when
-// a draw first touches it. A focused-fuzz lane draws a few hundred values at
-// most, so it pays for about twice that many slots, not for 607.
+// a draw first touches it: a focused-fuzz lane that draws N values pays for
+// about 2N slots, at most 607.
 //
 // Why a slot can be computed on its own: math/rand seeds its register from a
 // Park–Miller chain x_n = seed·48271^n mod (2^31−1); slot i is built from
@@ -146,19 +146,11 @@ func (s *laneSource) Uint64() uint64 {
 // int31 is rand.Rand.Int31: the top 31 bits of a 63-bit draw.
 func (s *laneSource) int31() int32 { return int32(s.Uint64() & rngMask >> 32) }
 
-// Intn returns rand.Rand.Intn(n)'s value for 0 < n < 2^31, drawing what it
-// draws.
+// Intn returns rand.Rand.Intn(n)'s value for a power of two n below 2^31,
+// the only kind the fuzz draw asks for, drawing what it draws.
 func (s *laneSource) Intn(n int) int {
-	if n <= 0 || n > 1<<31-1 {
-		panic("stimgen: laneSource.Intn: n out of range")
+	if n <= 0 || n > 1<<30 || n&(n-1) != 0 {
+		panic("stimgen: laneSource.Intn wants a power of two below 2^31")
 	}
-	if n&(n-1) == 0 {
-		return int(s.int31() & int32(n-1))
-	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
-	v := s.int31()
-	for v > max {
-		v = s.int31()
-	}
-	return int(v % int32(n))
+	return int(s.int31() & int32(n-1))
 }

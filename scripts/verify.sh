@@ -33,6 +33,7 @@ echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # the JSONL replay/torn-tail rule, the corpus journal's line decoder ≡ the
 # json.Unmarshal path it replaced,
 # batch-engine ≡ interpreter, packed hole hits ≡ Hole.Hit per lane, the
+# packed coverage collector ≡ the interpreter's Observe, the
 # packed assertion monitor ≡ the scalar monitor per lane, and the
 # parser/elaborator never panicking. A failing input lands in the package's
 # testdata/fuzz, ready to commit as a seed.
@@ -43,6 +44,7 @@ go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -parallel 2 ./internal/json
 go test -run '^$' -fuzz '^FuzzDecodeEntryLine$' -fuzztime 10s -parallel 2 ./internal/corpus
 go test -run '^$' -fuzz '^FuzzBatchMatchesInterpreter$' -fuzztime 10s -parallel 2 ./internal/simc
 go test -run '^$' -fuzz '^FuzzHitMaskMatchesHit$' -fuzztime 10s -parallel 2 ./internal/holes
+go test -run '^$' -fuzz '^FuzzPackedCollectorMatchesObserve$' -fuzztime 10s -parallel 2 ./internal/coverage
 go test -run '^$' -fuzz '^FuzzPackedMonitor$' -fuzztime 10s -parallel 2 ./internal/monitor
 go test -run '^$' -fuzz '^FuzzElaborateSource$' -fuzztime 10s -parallel 2 ./internal/rtl
 
