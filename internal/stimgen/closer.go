@@ -221,8 +221,9 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 	return out
 }
 
-// runPacked packs stimuli into lanes and runs them on worker 0's machine;
-// more than simc.MaxLanes stimuli is an error.
+// runPacked packs stimuli into lanes and runs them on worker 0's machine,
+// into its scratch trace: the trace is valid until that machine's next run.
+// More than simc.MaxLanes stimuli is an error.
 func (cw *closureWorkers) runPacked(lanes []sim.Stimulus) (*simc.BatchTrace, error) {
 	bm := cw.bms[0]
 	ps, err := bm.Program().Pack(lanes)
