@@ -142,12 +142,8 @@ func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
 	if len(suite) == 0 {
 		return nil
 	}
-	if c.batch == nil {
-		p, err := simc.CompileBatch(c.d, simc.BatchOptions{Points: true})
-		if err != nil {
-			return err
-		}
-		c.batch = simc.NewBatchMachine(p)
+	if _, err := c.Program(); err != nil {
+		return err
 	}
 	for len(suite) > 0 {
 		chunk := suite[:min(len(suite), simc.MaxLanes)]
@@ -163,6 +159,20 @@ func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
 		c.observePacked(bt)
 	}
 	return nil
+}
+
+// Program returns the batch program RunSuiteCompiled runs on, compiled with
+// simc.BatchOptions.Points on first use. Programs are immutable, so other
+// machines may run it too.
+func (c *Collector) Program() (*simc.BatchProgram, error) {
+	if c.batch == nil {
+		p, err := simc.CompileBatch(c.d, simc.BatchOptions{Points: true})
+		if err != nil {
+			return nil, err
+		}
+		c.batch = simc.NewBatchMachine(p)
+	}
+	return c.batch.Program(), nil
 }
 
 // observePacked is ObserveTrace on every lane of a packed trace at once:

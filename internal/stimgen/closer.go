@@ -65,11 +65,10 @@ type closureWorkers struct {
 	rngs     []*laneSource
 }
 
-func newClosureWorkers(d *rtl.Design, nholes int, opts DirectedOptions) (*closureWorkers, error) {
-	bp, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
-	if err != nil {
-		return nil, err
-	}
+// newClosureWorkers builds the pool on bp, a program compiled with
+// simc.BatchOptions.Points (hole hits read its point words).
+func newClosureWorkers(bp *simc.BatchProgram, nholes int, opts DirectedOptions) *closureWorkers {
+	d := bp.Design()
 	n := sched.Workers(opts.Workers, nholes)
 	cw := &closureWorkers{
 		sessions: make([]*mc.Session, n),
@@ -83,7 +82,7 @@ func newClosureWorkers(d *rtl.Design, nholes int, opts DirectedOptions) (*closur
 		cw.bms[w] = simc.NewBatchMachine(bp)
 		cw.rngs[w] = newLaneSource(0) // reseeded per lane
 	}
-	return cw, nil
+	return cw
 }
 
 // sumQueries folds the per-worker session counters into the result. The
@@ -424,10 +423,11 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 			break
 		}
 		if cw == nil {
-			var err error
-			if cw, err = newClosureWorkers(d, len(hs), opts.DirectedOptions); err != nil {
+			bp, err := col.Program() // one compile serves collection and the workers
+			if err != nil {
 				return err
 			}
+			cw = newClosureWorkers(bp, len(hs), opts.DirectedOptions)
 			defer cw.sumQueries(res)
 		}
 		capsArr := make([]int, len(hs))

@@ -264,10 +264,11 @@ func DirectedFromHoles(ctx context.Context, d *rtl.Design, hs []*holes.Hole, opt
 	if len(hs) == 0 {
 		return make([]*HoleAttempt, 0), nil
 	}
-	cw, err := newClosureWorkers(d, len(hs), opts)
+	bp, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
 	if err != nil {
 		return nil, err
 	}
+	cw := newClosureWorkers(bp, len(hs), opts)
 	caps := make([]int, len(hs))
 	for i := range caps {
 		caps[i] = opts.MaxDepth
