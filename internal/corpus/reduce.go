@@ -271,7 +271,7 @@ func Reduce(d *rtl.Design, c *Corpus, opts Options) (*Reduction, error) {
 func measure(d *rtl.Design, asserts []*assertion.Assertion, faults []mutate.Fault, stim sim.Stimulus, tel *telemetry.Tracer) ([][]int, error) {
 	elems := make([][]int, len(asserts))
 	elem := coverElem(asserts, len(faults), len(stim))
-	dets, err := mutate.SimCampaignWithClean(d, asserts, faults, stim, tel, func(ai, cycle int) {
+	dets, err := mutate.SimCampaign(d, asserts, faults, stim, tel, func(ai, cycle int) {
 		elems[ai] = append(elems[ai], elem(ai, cycle))
 	})
 	if err != nil {

@@ -67,7 +67,7 @@ func TestReduceCleanLaneMatchesInterpreter(t *testing.T) {
 				if err := mon.RunSuite([]sim.Stimulus{stim}); err != nil {
 					t.Fatal(err)
 				}
-				dets, err := mutate.SimCampaign(d, asserts, faults, stim, nil)
+				dets, err := mutate.SimCampaign(d, asserts, faults, stim, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -152,7 +152,7 @@ func (c *Collector) RunSuiteCompiled(suite []sim.Stimulus) error {
 		if err != nil {
 			return err
 		}
-		bt, err := c.batch.RunPackedScratch(ps)
+		bt, err := c.batch.RunPacked(ps)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 // Package holes promotes the collector's flat uncovered-point strings into a
 // structured model of coverage holes, the unit of work for directed stimulus
-// generation (stimgen.DirectedFromHoles). A Hole names one uncovered bin —
+// generation (stimgen.CloseCoverage). A Hole names one uncovered bin —
 // a branch arm never taken, a condition polarity never observed, a signal bit
 // that never rose or fell, an FSM state or arc never visited — together with
 // the RTL expression or signal bit that witnesses it, its cone-of-influence
@@ -15,7 +15,6 @@ package holes
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"goldmine/internal/cone"
@@ -359,8 +358,8 @@ func rank(hs []*Hole) {
 	}
 }
 
-// masked reads an environment width-masked: a trace row or lane view holds
-// raw stored values, which may carry bits above a signal's width.
+// masked reads an environment width-masked: a trace row holds raw stored
+// values, which may carry bits above a signal's width.
 type masked struct{ rtl.Env }
 
 func (e masked) Get(s *rtl.Signal) uint64 { return e.Env.Get(s) & rtl.Mask(s.Width) }
@@ -416,38 +415,19 @@ func (h *Hole) Hit(tr *sim.Trace) int {
 // set exactly when Hit on bt.Lane(l) would see the hole at t, so the first
 // cycle whose mask holds l is that lane's Hit. Every kind is a word
 // operation over the packed row: toggle and FSM holes over their signal's
-// bits, branch-arm and condition holes over their point's word, which the
-// program compiles with simc.BatchOptions.Points. On a trace without point
-// words they evaluate their expression once per candidate lane through a
-// lane view of the row instead.
+// bits, branch-arm and condition holes over their point's word. The trace's
+// program must therefore be compiled with simc.BatchOptions.Points, or
+// BatchTrace.Point panics on a branch-arm or condition hole.
 func (h *Hole) HitMask(bt *simc.BatchTrace, t int, among uint64) uint64 {
 	among &= bt.Live(t)
 	if among == 0 {
 		return 0
 	}
 	switch h.Kind {
-	case BranchArm, CondTrue, CondFalse:
-		if bt.HasPoints() {
-			if h.Kind == CondFalse {
-				return among &^ bt.Point(h.Point.ID, t)
-			}
-			return among & bt.Point(h.Point.ID, t)
-		}
-		want := uint64(1)
-		if h.Kind == CondFalse {
-			want = 0
-		}
-		lane := bt.Env()
-		env := &masked{lane}
-		var m uint64
-		for rest := among; rest != 0; rest &= rest - 1 {
-			l := bits.TrailingZeros64(rest)
-			lane.At(t, l)
-			if rtl.Eval(h.Point.Expr, env)&1 == want {
-				m |= 1 << uint(l)
-			}
-		}
-		return m
+	case BranchArm, CondTrue:
+		return among & bt.Point(h.Point.ID, t)
+	case CondFalse:
+		return among &^ bt.Point(h.Point.ID, t)
 	case ToggleRise, ToggleFall:
 		if t == 0 {
 			return 0
@@ -477,16 +457,4 @@ func stateWord(bt *simc.BatchTrace, reg *rtl.Signal, v uint64, t int) uint64 {
 		return 0
 	}
 	return simc.MatchLanes(bt.Column(reg, t), reg, -1, v)
-}
-
-// ReportHoles counts the holes that contribute to the coverage report's
-// metrics (FSM arcs are tracked but not part of the reported FSM metric).
-func ReportHoles(hs []*Hole) int {
-	n := 0
-	for _, h := range hs {
-		if h.Kind != FSMArc {
-			n++
-		}
-	}
-	return n
 }

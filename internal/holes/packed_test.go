@@ -102,6 +102,11 @@ endmodule`)
 	return d
 }
 
+// TestHitMaskMatchesHitAllDesigns checks HitMask against Hit on every bundled
+// design, on programs compiled with simc.BatchOptions.Points as closure
+// compiles them: branch-arm and condition holes read their point's word,
+// which must agree with Hit's width-masked evaluation lane by lane. Lanes are
+// ragged, empty ones included.
 func TestHitMaskMatchesHitAllDesigns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := []*rtl.Design{rawWidthDesign(t)}
@@ -113,19 +118,19 @@ func TestHitMaskMatchesHitAllDesigns(t *testing.T) {
 		ds = append(ds, d)
 	}
 	for _, d := range ds {
-		p, err := simc.CompileBatch(d, simc.BatchOptions{})
+		p, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs := packedUniverse(d)
-		for trial := 0; trial < 2; trial++ {
+		for trial := 0; trial < 3; trial++ {
 			nl := 1 + rng.Intn(simc.MaxLanes)
-			if trial == 1 {
+			if trial == 2 {
 				nl = simc.MaxLanes
 			}
 			lanes := make([]sim.Stimulus, nl)
 			for l := range lanes {
-				lanes[l] = randomStim(d, 1+rng.Intn(40), rng.Int63(), 2)
+				lanes[l] = randomStim(d, rng.Intn(40), rng.Int63(), 2)
 			}
 			checkHitMask(t, p, hs, lanes, rng.Uint64())
 		}
@@ -136,7 +141,8 @@ func TestHitMaskMatchesHitAllDesigns(t *testing.T) {
 // count (1..64), ragged per-lane lengths (0 included) and every input bit;
 // for every hole of the design's universe and every lane, the first cycle
 // whose packed HitMask holds the lane must equal Hole.Hit on that lane's
-// trace. Run it with
+// trace. The programs compile the coverage points, so branch-arm and
+// condition holes read their point words. Run it with
 //
 //	go test -run '^$' -fuzz FuzzHitMaskMatchesHit -fuzztime 30s -parallel 2 ./internal/holes
 func FuzzHitMaskMatchesHit(f *testing.F) {
@@ -149,7 +155,7 @@ func FuzzHitMaskMatchesHit(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if progs[i], err = simc.CompileBatch(d, simc.BatchOptions{}); err != nil {
+		if progs[i], err = simc.CompileBatch(d, simc.BatchOptions{Points: true}); err != nil {
 			f.Fatal(err)
 		}
 		ds[i], universes[i] = d, packedUniverse(d)
@@ -207,38 +213,4 @@ func FuzzHitMaskMatchesHit(f *testing.F) {
 		}
 		checkHitMask(t, progs[i], universes[i], lanes, next(64))
 	})
-}
-
-// TestHitMaskPointWordsMatchHit is TestHitMaskMatchesHitAllDesigns on
-// programs compiled with simc.BatchOptions.Points, the programs closure
-// runs: branch-arm and condition holes then read their point's word, which
-// must agree with Hit's width-masked evaluation lane by lane.
-func TestHitMaskPointWordsMatchHit(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ds := []*rtl.Design{rawWidthDesign(t)}
-	for _, b := range designs.All() {
-		d, err := b.Design()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds = append(ds, d)
-	}
-	for _, d := range ds {
-		p, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := packedUniverse(d)
-		for trial := 0; trial < 3; trial++ {
-			nl := 1 + rng.Intn(simc.MaxLanes)
-			if trial == 2 {
-				nl = simc.MaxLanes
-			}
-			lanes := make([]sim.Stimulus, nl)
-			for l := range lanes {
-				lanes[l] = randomStim(d, rng.Intn(40), rng.Int63(), 2)
-			}
-			checkHitMask(t, p, hs, lanes, rng.Uint64())
-		}
-	}
 }

@@ -172,17 +172,14 @@ type Detection struct {
 // whole campaign costs a handful of batched simulations regardless of the
 // fault-list length. tel may be nil; when set, each chunk records a sim.batch
 // span.
-func SimCampaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, stim sim.Stimulus, tel *telemetry.Tracer) ([]Detection, error) {
-	return SimCampaignWithClean(d, asserts, faults, stim, tel, nil)
-}
-
-// SimCampaignWithClean is SimCampaign plus the fault-free replay of the same
-// stimulus: when onActivation is non-nil, one unforced lane also runs — a
-// spare lane of the last chunk, or one more chunk when the faults fill every
-// chunk — and each antecedent match on it is passed to onActivation as
-// (assertion index, window-start cycle), in the order monitor.Monitor's
-// OnActivation sees them when the stimulus replays on the interpreter.
-func SimCampaignWithClean(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, stim sim.Stimulus, tel *telemetry.Tracer, onActivation func(index, cycle int)) ([]Detection, error) {
+//
+// When onActivation is non-nil, the fault-free replay of the same stimulus
+// runs too: one unforced lane — a spare lane of the last chunk, or one more
+// chunk when the faults fill every chunk — and each antecedent match on it is
+// passed to onActivation as (assertion index, window-start cycle), in the
+// order monitor.Monitor's OnActivation sees them when the stimulus replays on
+// the interpreter. A nil onActivation runs no clean lane.
+func SimCampaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, stim sim.Stimulus, tel *telemetry.Tracer, onActivation func(index, cycle int)) ([]Detection, error) {
 	names := make([]string, 0, len(faults))
 	seen := map[string]bool{}
 	for _, f := range faults {

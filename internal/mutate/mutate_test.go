@@ -203,7 +203,7 @@ func TestSimCampaignMatchesScalarForce(t *testing.T) {
 		{Signal: "req1", StuckAt1: true},
 	}
 	stim := stimgen.Random(d, 400, 3, 2)
-	dets, err := SimCampaign(d, asserts, faults, stim, nil)
+	dets, err := SimCampaign(d, asserts, faults, stim, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSimCampaignDetectsFaults(t *testing.T) {
 		{Signal: "gnt0", StuckAt1: true},
 		{Signal: "gnt1", StuckAt1: true},
 	}
-	dets, err := SimCampaign(d, asserts, faults, stimgen.Random(d, 500, 7, 2), nil)
+	dets, err := SimCampaign(d, asserts, faults, stimgen.Random(d, 500, 7, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSimCampaignChunksPast64Lanes(t *testing.T) {
 	for len(faults) < 70 {
 		faults = append(faults, base...)
 	}
-	dets, err := SimCampaign(d, asserts, faults, stimgen.Random(d, 200, 13, 2), nil)
+	dets, err := SimCampaign(d, asserts, faults, stimgen.Random(d, 200, 13, 2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestSimCampaignChunksPast64Lanes(t *testing.T) {
 
 func TestSimCampaignUnknownSignal(t *testing.T) {
 	d := mustDesign(t, arbiterSrc)
-	if _, err := SimCampaign(d, nil, []Fault{{Signal: "ghost"}}, sim.Stimulus{{}}, nil); err == nil {
+	if _, err := SimCampaign(d, nil, []Fault{{Signal: "ghost"}}, sim.Stimulus{{}}, nil, nil); err == nil {
 		t.Error("unknown fault signal should error")
 	}
 }

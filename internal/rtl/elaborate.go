@@ -1129,12 +1129,6 @@ func and1(a, b Expr) Expr {
 	return &Binary{Op: OpLogAnd, A: a, B: b, W: 1}
 }
 
-// And1 and Not1 expose 1-bit logic construction to other packages.
-func And1(a, b Expr) Expr { return and1(a, b) }
-
-// Not1 returns the 1-bit negation of e.
-func Not1(e Expr) Expr { return not1(e) }
-
 // Boolify exposes 1-bit reduction to other packages.
 func Boolify(e Expr) Expr { return boolify(e) }
 

@@ -246,6 +246,3 @@ func walk(e Expr, fn func(Expr)) {
 		}
 	}
 }
-
-// Walk exposes expression traversal to other packages.
-func Walk(e Expr, fn func(Expr)) { walk(e, fn) }

@@ -304,7 +304,7 @@ func (s *Solver) AddClause(lits ...Lit) (bool, error) {
 	}
 	s.addBuf = ils
 	// Simplify: dedupe, drop false literals, detect tautology/satisfied.
-	sort.Slice(ils, func(i, j int) bool { return ils[i] < ils[j] })
+	slices.Sort(ils)
 	out := ils[:0]
 	var prev ilit
 	for i, il := range ils {

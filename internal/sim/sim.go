@@ -342,17 +342,6 @@ func (s *Simulator) Run(stim Stimulus) (*Trace, error) {
 	return trace, nil
 }
 
-// RunAppend applies the stimulus from reset, appending rows to trace.
-func (s *Simulator) RunAppend(stim Stimulus, trace *Trace) error {
-	s.Reset()
-	for _, in := range stim {
-		if err := s.Step(in, trace); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Simulate is a convenience helper: build a simulator and run the stimulus.
 func Simulate(d *rtl.Design, stim Stimulus) (*Trace, error) {
 	s, err := New(d)

@@ -434,7 +434,7 @@ func TestBatchStateLoadMatchesInterpreter(t *testing.T) {
 // TestPackedStimAndColumnViews builds a packed stimulus input by input with
 // SetInput and requires it to run exactly as Pack of the same vectors, then
 // checks the trace's column views against the transposed lanes: Column's
-// words, LaneEnv's raw values and Live's masks, on every design.
+// words and Live's masks, on every design.
 func TestPackedStimAndColumnViews(t *testing.T) {
 	for _, b := range designs.All() {
 		d, err := b.Design()
@@ -462,16 +462,16 @@ func TestPackedStimAndColumnViews(t *testing.T) {
 				}
 			}
 		}
-		m := simc.NewBatchMachine(p)
-		got, err := m.RunPacked(ps)
+		// A machine's next run overwrites its trace: the reference runs on
+		// a second machine.
+		got, err := simc.NewBatchMachine(p).RunPacked(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := m.RunBatch(lanes)
+		want, err := simc.NewBatchMachine(p).RunBatch(lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := got.Env()
 		for l := range lanes {
 			tr, err := got.Lane(l)
 			if err != nil {
@@ -484,19 +484,18 @@ func TestPackedStimAndColumnViews(t *testing.T) {
 				if got.Live(c)>>uint(l)&1 != 1 {
 					t.Fatalf("%s: lane %d not live at cycle %d", b.Name, l, c)
 				}
-				env.At(c, l)
 				for j, sig := range tr.Signals {
 					var v uint64
 					for i, w := range got.Column(sig, c) {
 						v |= (w >> uint(l) & 1) << uint(i)
 					}
-					if v != row[j] || env.Get(sig) != row[j] {
-						t.Fatalf("%s lane %d cycle %d %s: column %#x env %#x, trace %#x", b.Name, l, c, sig.Name, v, env.Get(sig), row[j])
+					if v != row[j] {
+						t.Fatalf("%s lane %d cycle %d %s: column %#x, trace %#x", b.Name, l, c, sig.Name, v, row[j])
 					}
 				}
 			}
 		}
-		if clk := d.Signal(d.Clock); clk != nil && (got.Column(clk, 0) != nil || env.Get(clk) != 0) {
+		if clk := d.Signal(d.Clock); clk != nil && got.Column(clk, 0) != nil {
 			t.Fatalf("%s: the clock has a column", b.Name)
 		}
 		if got.Live(cycles) != 0 || got.Live(-1) != 0 {
@@ -538,7 +537,9 @@ func TestBroadcastMatchesPack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := simc.NewBatchMachine(p)
+		// A machine's next run overwrites its trace: the reference runs on
+		// a second machine.
+		m, ref := simc.NewBatchMachine(p), simc.NewBatchMachine(p)
 		for _, n := range []int{1, 37, simc.MaxLanes} {
 			stim := stimgen.Random(d, 1+n%23, int64(n), 2)
 			ps, err := p.Broadcast(stim, n)
@@ -556,7 +557,7 @@ func TestBroadcastMatchesPack(t *testing.T) {
 			for l := range copies {
 				copies[l] = stim
 			}
-			want, err := m.RunBatch(copies)
+			want, err := ref.RunBatch(copies)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -617,8 +618,6 @@ func TestForeignSignalsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := bt.Env()
-	env.At(0, 0)
 	u := cnf.NewUnroller(sat.New(), d)
 	u.AddFrame()
 	lazy := cnf.NewLazyUnroller(sat.New(), d)
@@ -637,9 +636,6 @@ func TestForeignSignalsRejected(t *testing.T) {
 		if ws := m.Bits(s, nil); len(ws) != 0 {
 			t.Errorf("%s: BatchMachine.Bits returned %d words for a foreign signal", s.Name, len(ws))
 		}
-		if env.Get(s) != 0 {
-			t.Errorf("%s: LaneEnv.Get read a foreign signal", s.Name)
-		}
 		if j := tr.Col(s); j >= 0 {
 			t.Errorf("%s: Trace.Col gave column %d to a foreign signal", s.Name, j)
 		}
@@ -651,11 +647,12 @@ func TestForeignSignalsRejected(t *testing.T) {
 	}
 }
 
-// TestRunPackedScratchMatchesRunPacked runs suites of shrinking and growing
-// lane counts and lengths through one machine's reused scratch trace: every
-// run must equal a fresh RunPacked lane for lane, live masks included, so
-// nothing of a longer earlier run leaks into a shorter later one.
-func TestRunPackedScratchMatchesRunPacked(t *testing.T) {
+// TestRunPackedReuseMatchesFreshMachine runs suites of shrinking and growing
+// lane counts and lengths through one machine, whose trace storage every run
+// reuses: each run must equal a fresh machine's lane for lane, live masks and
+// point words included, so nothing of a longer earlier run leaks into a
+// shorter later one.
+func TestRunPackedReuseMatchesFreshMachine(t *testing.T) {
 	b, err := designs.Get("b12")
 	if err != nil {
 		t.Fatal(err)
@@ -668,7 +665,7 @@ func TestRunPackedScratchMatchesRunPacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, fresh := simc.NewBatchMachine(p), simc.NewBatchMachine(p)
+	reused := simc.NewBatchMachine(p)
 	rng := rand.New(rand.NewSource(41))
 	for _, shape := range [][2]int{{64, 40}, {3, 7}, {1, 0}, {20, 90}, {64, 12}, {2, 90}} {
 		lanes := make([]sim.Stimulus, shape[0])
@@ -679,20 +676,20 @@ func TestRunPackedScratchMatchesRunPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := scratch.RunPackedScratch(ps)
+		got, err := reused.RunPacked(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.RunPacked(ps)
+		want, err := simc.NewBatchMachine(p).RunPacked(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Cycles() != want.Cycles() || got.Lanes() != want.Lanes() {
-			t.Fatalf("%v: scratch trace is %d lanes × %d cycles, fresh %d × %d", shape, got.Lanes(), got.Cycles(), want.Lanes(), want.Cycles())
+			t.Fatalf("%v: reused trace is %d lanes × %d cycles, fresh %d × %d", shape, got.Lanes(), got.Cycles(), want.Lanes(), want.Cycles())
 		}
 		for c := 0; c <= want.Cycles(); c++ {
 			if got.Live(c) != want.Live(c) {
-				t.Fatalf("%v cycle %d: scratch live %#x, fresh %#x", shape, c, got.Live(c), want.Live(c))
+				t.Fatalf("%v cycle %d: reused live %#x, fresh %#x", shape, c, got.Live(c), want.Live(c))
 			}
 			if c == want.Cycles() {
 				break
@@ -712,7 +709,7 @@ func TestRunPackedScratchMatchesRunPacked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			equalTraces(t, wl, gl, "scratch lane")
+			equalTraces(t, wl, gl, "reused lane")
 		}
 	}
 }

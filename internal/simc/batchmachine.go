@@ -204,10 +204,6 @@ func (bt *BatchTrace) Point(i, c int) uint64 {
 	return bt.rows[c][int(bt.p.pointOff)+i]
 }
 
-// HasPoints reports whether the trace carries coverage point words
-// (BatchOptions.Points).
-func (bt *BatchTrace) HasPoints() bool { return bt.p.npoints > 0 }
-
 // LaneValue gathers lane l's value from lane-parallel bit words ws (word i
 // holds bit i of every lane), as Column and BatchMachine.Bits return them.
 func LaneValue(ws []uint64, l int) uint64 {
@@ -248,35 +244,6 @@ func MatchLanes(ws []uint64, sig *rtl.Signal, bit int, v uint64) uint64 {
 	return m
 }
 
-// LaneEnv is an rtl.Env over one lane of one packed trace row: Get gathers
-// that lane's raw stored bits, the value Lane's row holds, so an expression
-// evaluates on the packed trace without transposing it. Signals without a
-// column read zero. Position it with At; one env serves a whole scan.
-type LaneEnv struct {
-	bt   *BatchTrace
-	row  []uint64
-	lane int
-}
-
-// Env returns a lane view of the trace; position it with At before Get.
-func (bt *BatchTrace) Env() *LaneEnv { return &LaneEnv{bt: bt} }
-
-// At moves the view to lane l of cycle c.
-func (e *LaneEnv) At(c, l int) {
-	e.row = e.bt.rows[c]
-	e.lane = l
-}
-
-// Get returns sig's raw value in the viewed lane and cycle.
-func (e *LaneEnv) Get(sig *rtl.Signal) uint64 {
-	p := e.bt.p
-	j := p.tr.Col(sig)
-	if j < 0 {
-		return 0
-	}
-	return LaneValue(e.row[p.colOff[j]:p.colOff[j+1]], e.lane)
-}
-
 // Lane transposes lane l into a standard trace, truncated to that lane's own
 // stimulus length. The resulting rows are bit-for-bit the interpreter's.
 func (bt *BatchTrace) Lane(l int) (*sim.Trace, error) {
@@ -310,8 +277,8 @@ type BatchMachine struct {
 	forces map[int32]uint64
 	// Cycles, when set, counts cycle*lane steps (nil-safe).
 	Cycles *telemetry.Counter
-	// scratch is RunPackedScratch's trace, reused from call to call.
-	scratch BatchTrace
+	// trace is RunPacked's result, reused from run to run.
+	trace BatchTrace
 }
 
 // NewBatchMachine creates an executor for p in the reset state.
@@ -450,35 +417,15 @@ func (m *BatchMachine) Bits(sig *rtl.Signal, dst []uint64) []uint64 {
 }
 
 // RunPacked resets the machine and runs the packed stimulus, returning the
-// lane-parallel trace. The steady-state loop performs zero allocations; rows
-// are carved from one arena.
-func (m *BatchMachine) RunPacked(ps *PackedStim) (*BatchTrace, error) {
-	return m.run(ps, &BatchTrace{})
-}
-
-// RunPackedScratch is RunPacked into a trace the machine keeps and reuses:
-// the returned trace is overwritten by the next RunPackedScratch on m, so a
-// caller must be done with it by then. A run no longer than an earlier one
+// lane-parallel trace. The trace belongs to the machine and stays valid until
+// its next run, which overwrites it; a run no longer than an earlier one
 // allocates nothing.
-func (m *BatchMachine) RunPackedScratch(ps *PackedStim) (*BatchTrace, error) {
-	return m.run(ps, &m.scratch)
-}
-
-// resize returns s with length n, reusing its storage when it is large
-// enough; the contents are not cleared.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// run runs ps into bt's storage and returns bt.
-func (m *BatchMachine) run(ps *PackedStim, bt *BatchTrace) (*BatchTrace, error) {
+func (m *BatchMachine) RunPacked(ps *PackedStim) (*BatchTrace, error) {
 	if ps.p != m.p {
 		return nil, fmt.Errorf("simc: packed stimulus belongs to a different program")
 	}
 	m.Reset()
+	bt := &m.trace
 	rw := len(m.p.rowGather)
 	arena := resize(bt.arena, ps.cycles*rw)
 	bt.p, bt.laneLen, bt.arena = m.p, ps.laneLen, arena
@@ -512,6 +459,15 @@ func (m *BatchMachine) run(ps *PackedStim, bt *BatchTrace) (*BatchTrace, error) 
 		m.Cycles.Add(int64(ps.cycles) * int64(ps.lanes))
 	}
 	return bt, nil
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough; the contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // RunBatch packs up to 64 stimulus lanes, runs them bit-parallel, and

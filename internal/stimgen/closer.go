@@ -1,5 +1,4 @@
-// The adaptive work-sharing closure engine behind CloseCoverage and
-// DirectedFromHoles.
+// The adaptive work-sharing closure engine behind CloseCoverage.
 //
 // Three ideas carry the speedup, all aimed at not re-doing work:
 //
@@ -220,16 +219,16 @@ func (cw *closureWorkers) runWaves(ctx context.Context, hs []*holes.Hole, caps [
 	return out
 }
 
-// runPacked packs stimuli into lanes and runs them on worker 0's machine,
-// into its scratch trace: the trace is valid until that machine's next run.
-// More than simc.MaxLanes stimuli is an error.
+// runPacked packs stimuli into lanes and runs them on worker 0's machine:
+// the trace is valid until that machine's next run. More than simc.MaxLanes
+// stimuli is an error.
 func (cw *closureWorkers) runPacked(lanes []sim.Stimulus) (*simc.BatchTrace, error) {
 	bm := cw.bms[0]
 	ps, err := bm.Program().Pack(lanes)
 	if err != nil {
 		return nil, err
 	}
-	return bm.RunPackedScratch(ps)
+	return bm.RunPacked(ps)
 }
 
 // lowestLaneHit returns the lowest lane of bt that exercises h at any cycle
@@ -328,7 +327,7 @@ func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachin
 	ps, err := fd.packed(bm.Program(), rng, opts.FuzzLanes, opts.FuzzCycles, seed, resetCycles)
 	var bt *simc.BatchTrace
 	if err == nil {
-		bt, err = bm.RunPackedScratch(ps)
+		bt, err = bm.RunPacked(ps)
 	}
 	if err != nil {
 		if at.Err == nil {

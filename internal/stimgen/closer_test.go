@@ -10,6 +10,7 @@ import (
 
 	"goldmine/internal/coverage"
 	"goldmine/internal/holes"
+	"goldmine/internal/rtl"
 )
 
 func closureOpts(workers int) ClosureOptions {
@@ -193,7 +194,16 @@ func TestDeadCorpusPersistsAcrossRuns(t *testing.T) {
 }
 
 func TestAdaptiveClosureDeterministicAcrossWorkers(t *testing.T) {
-	d := mustElab(t, fsmSrc)
+	for _, src := range []string{fsmSrc, arbiterSrc} {
+		checkClosureDeterministic(t, mustElab(t, src))
+	}
+}
+
+// checkClosureDeterministic runs closure on d at -j1 and -j4 and requires
+// identical results: suite, reports, method counts, dead sets, query
+// counters, and every attempt positionally (hole, method, depth, stimulus).
+func checkClosureDeterministic(t *testing.T, d *rtl.Design) {
+	t.Helper()
 	run := func(workers int) *ClosureResult {
 		res, err := CloseCoverage(context.Background(), d, closureOpts(workers))
 		if err != nil {
@@ -202,54 +212,61 @@ func TestAdaptiveClosureDeterministicAcrossWorkers(t *testing.T) {
 		return res
 	}
 	r1, r4 := run(1), run(4)
+	if len(r1.Attempts) != len(r4.Attempts) {
+		t.Fatalf("%s: %d attempts at -j1, %d at -j4", d.Name, len(r1.Attempts), len(r4.Attempts))
+	}
+	for i, a1 := range r1.Attempts {
+		a4 := r4.Attempts[i]
+		if a1.Hole.Key() != a4.Hole.Key() || a1.Method != a4.Method || a1.Depth != a4.Depth {
+			t.Errorf("%s attempt %d: -j1 %s %s@%d vs -j4 %s %s@%d", d.Name, i,
+				a1.Hole.Key(), a1.Method, a1.Depth, a4.Hole.Key(), a4.Method, a4.Depth)
+		}
+		if !reflect.DeepEqual(a1.Stim, a4.Stim) {
+			t.Errorf("%s attempt %d (%s): stimuli differ across worker counts", d.Name, i, a1.Hole.Key())
+		}
+	}
 	if !reflect.DeepEqual(r1.Suite, r4.Suite) {
-		t.Error("suites differ between -j1 and -j4")
+		t.Errorf("%s: suites differ between -j1 and -j4", d.Name)
 	}
 	if r1.Final != r4.Final {
-		t.Errorf("final reports differ: %s vs %s", r1.Final, r4.Final)
+		t.Errorf("%s: final reports differ: %s vs %s", d.Name, r1.Final, r4.Final)
 	}
 	if !reflect.DeepEqual(r1.Methods, r4.Methods) {
-		t.Errorf("method counts differ: %v vs %v", r1.Methods, r4.Methods)
+		t.Errorf("%s: method counts differ: %v vs %v", d.Name, r1.Methods, r4.Methods)
 	}
 	if !reflect.DeepEqual(r1.Dead, r4.Dead) {
-		t.Errorf("dead sets differ: %v vs %v", r1.Dead, r4.Dead)
+		t.Errorf("%s: dead sets differ: %v vs %v", d.Name, r1.Dead, r4.Dead)
 	}
 	// The query counters are part of the determinism contract: solve counts
 	// are per-hole formula properties, so the totals match under any -j.
 	if r1.ReachCalls != r4.ReachCalls || r1.ReachSolves != r4.ReachSolves {
-		t.Errorf("query counters differ: %d/%d vs %d/%d",
+		t.Errorf("%s: query counters differ: %d/%d vs %d/%d", d.Name,
 			r1.ReachCalls, r1.ReachSolves, r4.ReachCalls, r4.ReachSolves)
 	}
 }
 
 func TestSequenceObligationClosesArcOutOfUnreachedState(t *testing.T) {
-	// With a fresh collector nothing is reached, so every FSM arc is a
-	// sequence obligation (SourceUnreached). The engine must close arcs like
-	// 1->2 — whose source state no stimulus has visited — in one query (or
-	// via a sibling's witness), not skip them.
+	// A one-cycle seed only ever sees state 0, so every FSM arc out of
+	// state 1 or 2 is a sequence obligation (SourceUnreached). The engine
+	// must close arcs like 1->2 — whose source state no stimulus has visited
+	// — in one query (or via a sibling's witness), not skip them.
 	d := mustElab(t, fsmSrc)
-	hs := freshHoles(t, d)
-	var arcs []*holes.Hole
-	for _, h := range hs {
-		if h.Kind == holes.FSMArc && h.SourceUnreached {
-			arcs = append(arcs, h)
-		}
-	}
-	if len(arcs) == 0 {
-		t.Fatal("fresh fsm holes contain no SourceUnreached arcs")
-	}
-	attempts, err := DirectedFromHoles(context.Background(), d, hs, DirectedOptions{Seed: 7})
+	res, err := CloseCoverage(context.Background(), d, ClosureOptions{
+		DirectedOptions: DirectedOptions{Seed: 7},
+		SeedLanes:       1,
+		SeedCycles:      1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	byKey := map[string]*HoleAttempt{}
-	for _, at := range attempts {
+	for _, at := range res.Attempts[:res.Iterations[0].Holes] {
 		byKey[at.Hole.Key()] = at
 	}
 	// The real arc 1->2 must be closed even though state 1 was never seen.
 	at := byKey["fsm:state:1->2"]
-	if at == nil {
-		t.Fatal("arc 1->2 not attempted")
+	if at == nil || !at.Hole.SourceUnreached {
+		t.Fatalf("arc 1->2 not attempted as a sequence obligation: %+v", at)
 	}
 	switch at.Method {
 	case MethodSAT, MethodFuzz, MethodShared:

@@ -144,7 +144,11 @@ func closureDigest(t *testing.T, seed int64) string {
 // TestClosureDigest pins closure bit for bit on the close workload's
 // designs: seeds 1 and 2 by default, all eight pinned seeds with
 //
-//	go test -run TestClosureDigest -closure-digest-seeds 8 ./internal/stimgen
+//	go test -run TestClosureDigest ./internal/stimgen -args -closure-digest-seeds 8
+//
+// The flag goes after the package: placed before it, go test hands the
+// package path to the test binary as an argument and tests the current
+// directory's package instead.
 func TestClosureDigest(t *testing.T) {
 	n := *closureDigestSeeds
 	if n < 1 || n > len(closureDigests) {

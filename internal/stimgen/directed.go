@@ -30,7 +30,8 @@ import (
 	"goldmine/internal/telemetry"
 )
 
-// DirectedOptions configures DirectedFromHoles.
+// DirectedOptions is the per-hole knob block of CloseCoverage, embedded in
+// ClosureOptions.
 type DirectedOptions struct {
 	// MaxDepth bounds the reachability ladder per hole (frames from
 	// reset). 0 means 20.
@@ -143,27 +144,13 @@ func stateEq(reg *rtl.Signal, v uint64) rtl.Expr {
 	return &rtl.Binary{Op: rtl.OpEq, A: &rtl.Ref{Sig: reg}, B: rtl.NewConst(v, reg.Width), W: 1}
 }
 
-// FocusedLanes generates fuzz lanes aimed at a hole: the hole's cone inputs
-// toggle randomly while every other input is held at zero (it cannot affect
-// the hole), with the usual reset prefix. Lane l uses seed+l.
-func FocusedLanes(d *rtl.Design, focus []*rtl.Signal, lanes, cycles int, seed int64, resetCycles int) []sim.Stimulus {
-	fd := newFocusDraw(d, focus)
-	r := newLaneSource(seed)
-	out := make([]sim.Stimulus, lanes)
-	for l := range out {
-		out[l] = fd.lane(r, seed+int64(l), cycles, resetCycles)
-	}
-	return out
-}
-
 // focusDraw is the one draw routine of focused fuzzing. Its stream per lane
 // is fixed (laneSource draws what math/rand seeded with the lane's seed
 // draws): per cycle, one Uint64 per cone input in rtl.Design.Inputs order
 // (a cone rst/reset draws too, and the draw is then overwritten), then, past
 // the reset prefix, one Intn(16) for rst and then for reset when that input
 // is in the cone. Two sinks consume it: every lane written straight into
-// packed rows (the fuzz run), and one lane as a sim.Stimulus (the witness,
-// and FocusedLanes).
+// packed rows (the fuzz run), and one lane as a sim.Stimulus (the witness).
 type focusDraw struct {
 	ins     []*rtl.Signal
 	inCone  []bool
@@ -219,8 +206,8 @@ func (fd *focusDraw) draw(r *laneSource, seed int64, cycles, resetCycles int, se
 	}
 }
 
-// lane draws one lane of cycles cycles as a stimulus: FocusedLanes(...)[l]
-// for seed+l, or its prefix.
+// lane draws the lane seeded seed as a stimulus of cycles cycles: the values
+// packed writes into the lane it seeds with seed, or their prefix.
 func (fd *focusDraw) lane(r *laneSource, seed int64, cycles, resetCycles int) sim.Stimulus {
 	stim := make(sim.Stimulus, cycles)
 	for c := range stim {
@@ -233,7 +220,7 @@ func (fd *focusDraw) lane(r *laneSource, seed int64, cycles, resetCycles int) si
 }
 
 // packed draws lanes lanes (lane l seeded seed+l) of cycles cycles straight
-// into packed rows of p: the run FocusedLanes would pack, with no InputVec.
+// into packed rows of p, with no InputVec.
 func (fd *focusDraw) packed(p *simc.BatchProgram, r *laneSource, lanes, cycles int, seed int64, resetCycles int) (*simc.PackedStim, error) {
 	ps, err := p.NewPackedStim(lanes, cycles)
 	if err != nil {
@@ -247,33 +234,6 @@ func (fd *focusDraw) packed(p *simc.BatchProgram, r *laneSource, lanes, cycles i
 		})
 	}
 	return ps, nil
-}
-
-// DirectedFromHoles synthesizes stimulus per hole: SAT-directed first,
-// focused fuzzing as the fallback ladder. Holes are attempted in slice order
-// (callers pass the ranked list from holes.FromCollector); the result is
-// positional — out[i] answers hs[i] — and independent of the worker count.
-//
-// The default engine processes holes in fixed-size waves and replays every
-// witness against the holes still waiting at each wave boundary: a hole
-// covered by a sibling's witness comes back as MethodShared (Via names the
-// sibling, Stim is nil — the sibling's stimulus is the one to keep) and never
-// issues its own reach query.
-func DirectedFromHoles(ctx context.Context, d *rtl.Design, hs []*holes.Hole, opts DirectedOptions) ([]*HoleAttempt, error) {
-	opts = opts.withDefaults()
-	if len(hs) == 0 {
-		return make([]*HoleAttempt, 0), nil
-	}
-	bp, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
-	if err != nil {
-		return nil, err
-	}
-	cw := newClosureWorkers(bp, len(hs), opts)
-	caps := make([]int, len(hs))
-	for i := range caps {
-		caps[i] = opts.MaxDepth
-	}
-	return cw.runWaves(ctx, hs, caps, nil, nil, opts), nil
 }
 
 // ClosureOptions configures CloseCoverage.

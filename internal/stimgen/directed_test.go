@@ -50,7 +50,7 @@ func mustElab(t *testing.T, src string) *rtl.Design {
 	return d
 }
 
-// --- Repeat/Concat edge cases -------------------------------------------
+// --- Repeat edge cases and stimulus replay -------------------------------
 
 func TestRepeatZeroAndEmpty(t *testing.T) {
 	a := sim.Stimulus{{"a": 1}}
@@ -65,41 +65,25 @@ func TestRepeatZeroAndEmpty(t *testing.T) {
 	}
 }
 
-func TestConcatZeroCycleParts(t *testing.T) {
-	a := sim.Stimulus{{"a": 1}}
-	if c := Concat(); c != nil {
-		t.Errorf("empty Concat: %v", c)
-	}
-	c := Concat(sim.Stimulus{}, a, nil, a)
-	if len(c) != 2 {
-		t.Fatalf("Concat with empty parts: %d cycles want 2", len(c))
-	}
-	for _, iv := range c {
-		if iv["a"] != 1 {
-			t.Errorf("Concat dropped values: %v", c)
-		}
-	}
-}
-
 func TestConcatMismatchedVectorsReplay(t *testing.T) {
-	// Parts driving different input subsets (and out-of-width values) must
-	// concatenate and replay: missing inputs default to 0, wide values are
-	// masked by the simulator, identically on both engines.
+	// Cycles driving different input subsets (and out-of-width values) must
+	// replay: missing inputs default to 0, wide values are masked by the
+	// simulator, identically on both engines.
 	d := mustElab(t, arbiterSrc)
-	parts := Concat(
-		sim.Stimulus{{"rst": 1}},
-		sim.Stimulus{{"req0": 1}, {"req1": 0xff}}, // req1 is 1 bit wide
-		sim.Stimulus{{}},                          // drives nothing
-	)
+	stim := sim.Stimulus{
+		{"rst": 1},
+		{"req0": 1}, {"req1": 0xff}, // req1 is 1 bit wide
+		{}, // drives nothing
+	}
 	s, err := sim.New(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti, err := s.Run(parts)
+	ti, err := s.Run(stim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcs, err := simc.SimulateBatch(d, []sim.Stimulus{parts})
+	tcs, err := simc.SimulateBatch(d, []sim.Stimulus{stim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,107 +92,109 @@ func TestConcatMismatchedVectorsReplay(t *testing.T) {
 	}
 }
 
-// --- DirectedFromHoles ---------------------------------------------------
+// --- Closure witnesses ----------------------------------------------------
 
-func freshHoles(t *testing.T, d *rtl.Design) []*holes.Hole {
+// hits reports whether stim, replayed from reset on the interpreter,
+// exercises h.
+func hits(t *testing.T, d *rtl.Design, h *holes.Hole, stim sim.Stimulus) bool {
 	t.Helper()
-	return holes.FromCollector(coverage.New(d))
-}
-
-func TestDirectedFromHolesProducesWitnesses(t *testing.T) {
-	d := mustElab(t, arbiterSrc)
-	hs := freshHoles(t, d)
-	attempts, err := DirectedFromHoles(context.Background(), d, hs, DirectedOptions{Seed: 7})
+	tr, err := sim.Simulate(d, stim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(attempts) != len(hs) {
-		t.Fatalf("attempts %d want %d", len(attempts), len(hs))
-	}
-	sat := 0
-	for i, at := range attempts {
-		if at.Hole != hs[i] {
-			t.Fatalf("attempt %d not positional", i)
+	return h.Hit(tr) >= 0
+}
+
+// TestClosureWitnessesExerciseTheirHoles checks every attempt of two closure
+// runs: a SAT or fuzz witness is Depth cycles long and exercises its hole
+// when replayed on the interpreter; a shared attempt carries no stimulus,
+// and the witness its Via names covers it. arbiter2 runs at the default
+// depth; fsm's ladder is capped at two frames, so its deeper holes fall back
+// to focused fuzzing. Together the runs must produce every one of the three
+// kinds, or the check would be vacuous.
+func TestClosureWitnessesExerciseTheirHoles(t *testing.T) {
+	methods := map[string]int{}
+	for _, tc := range []struct {
+		src  string
+		opts DirectedOptions
+	}{
+		{arbiterSrc, DirectedOptions{Seed: 7}},
+		{fsmSrc, DirectedOptions{Seed: 7, MaxDepth: 2}},
+	} {
+		d := mustElab(t, tc.src)
+		res, err := CloseCoverage(context.Background(), d, ClosureOptions{
+			DirectedOptions: tc.opts,
+			SeedLanes:       1,
+			SeedCycles:      2,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch at.Method {
-		case MethodSAT, MethodFuzz:
-			if len(at.Stim) == 0 || len(at.Stim) != at.Depth {
-				t.Errorf("%s: stim %d cycles, depth %d", at.Hole.Key(), len(at.Stim), at.Depth)
+		witness := map[string]sim.Stimulus{}
+		for _, at := range res.Attempts {
+			if at.Stim != nil {
+				witness[at.Hole.Key()] = at.Stim
 			}
-			if at.Method == MethodSAT {
-				sat++
-			}
-			// The witness must actually exercise the hole when replayed.
-			s, err := sim.New(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := s.Run(at.Stim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if at.Hole.Hit(tr) < 0 {
-				t.Errorf("%s: %s witness does not exercise the hole", at.Hole.Key(), at.Method)
-			}
-		case MethodShared:
-			// No stimulus of its own: the named sibling's witness covers it.
-			if at.Stim != nil || at.Via == "" {
-				t.Errorf("%s: shared attempt stim=%v via=%q", at.Hole.Key(), at.Stim, at.Via)
-			}
-			var owner *HoleAttempt
-			for _, o := range attempts {
-				if o.Hole.Key() == at.Via {
-					owner = o
-					break
+		}
+		for _, at := range res.Attempts {
+			methods[at.Method]++
+			switch at.Method {
+			case MethodSAT, MethodFuzz:
+				if len(at.Stim) == 0 || len(at.Stim) != at.Depth {
+					t.Errorf("%s %s: stim %d cycles, depth %d", d.Name, at.Hole.Key(), len(at.Stim), at.Depth)
 				}
+				if !hits(t, d, at.Hole, at.Stim) {
+					t.Errorf("%s %s: %s witness does not exercise the hole", d.Name, at.Hole.Key(), at.Method)
+				}
+			case MethodShared:
+				// No stimulus of its own: the named sibling's witness covers it.
+				if at.Stim != nil || at.Via == "" {
+					t.Errorf("%s %s: shared attempt stim=%v via=%q", d.Name, at.Hole.Key(), at.Stim, at.Via)
+				}
+				owner, ok := witness[at.Via]
+				if !ok {
+					t.Errorf("%s %s: shared via %q which has no witness", d.Name, at.Hole.Key(), at.Via)
+					continue
+				}
+				if !hits(t, d, at.Hole, owner) {
+					t.Errorf("%s %s: sibling %q witness does not cover it", d.Name, at.Hole.Key(), at.Via)
+				}
+			case MethodDead:
+				if at.Stim != nil || at.K < 1 {
+					t.Errorf("%s %s: dead attempt stim=%v k=%d", d.Name, at.Hole.Key(), at.Stim, at.K)
+				}
+			case MethodDeferred, MethodUnreachable, MethodOpen, MethodError:
+			default:
+				t.Errorf("%s %s: unknown method %q", d.Name, at.Hole.Key(), at.Method)
 			}
-			if owner == nil || owner.Stim == nil {
-				t.Errorf("%s: shared via %q which has no witness", at.Hole.Key(), at.Via)
-				continue
-			}
-			s, err := sim.New(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := s.Run(owner.Stim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if at.Hole.Hit(tr) < 0 {
-				t.Errorf("%s: sibling %q witness does not cover it", at.Hole.Key(), at.Via)
-			}
-		case MethodDead:
-			if at.Stim != nil || at.K < 1 {
-				t.Errorf("%s: dead attempt stim=%v k=%d", at.Hole.Key(), at.Stim, at.K)
-			}
-		case MethodUnreachable, MethodOpen, MethodError:
-		default:
-			t.Errorf("%s: unknown method %q", at.Hole.Key(), at.Method)
 		}
 	}
-	if sat == 0 {
-		t.Error("no hole was closed by the SAT path")
+	t.Logf("methods: %v", methods)
+	for _, m := range []string{MethodSAT, MethodFuzz, MethodShared} {
+		if methods[m] == 0 {
+			t.Errorf("no %s attempt to check (methods %v)", m, methods)
+		}
 	}
 }
 
 func TestDirectedSATStimuliReplayIdenticallyCompiled(t *testing.T) {
-	// Differential: every SAT-decoded witness replays byte-identically
-	// through the interpreter and the compiled engine.
+	// Differential: every SAT-decoded witness of a closure run replays
+	// byte-identically through the interpreter and the compiled engine.
 	d := mustElab(t, fsmSrc)
-	attempts, err := DirectedFromHoles(context.Background(), d, freshHoles(t, d), DirectedOptions{Seed: 3})
+	res, err := CloseCoverage(context.Background(), d, ClosureOptions{
+		DirectedOptions: DirectedOptions{Seed: 3},
+		SeedLanes:       1,
+		SeedCycles:      2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, at := range attempts {
+	for _, at := range res.Attempts {
 		if at.Method != MethodSAT {
 			continue
 		}
-		s, err := sim.New(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ti, err := s.Run(at.Stim)
+		ti, err := sim.Simulate(d, at.Stim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,41 +208,23 @@ func TestDirectedSATStimuliReplayIdenticallyCompiled(t *testing.T) {
 		checked++
 	}
 	if checked == 0 {
-		t.Skip("no SAT witnesses to check")
+		t.Fatal("no SAT witnesses to check")
 	}
 }
 
-func TestDirectedDeterministicAcrossWorkers(t *testing.T) {
-	d := mustElab(t, arbiterSrc)
-	hs := freshHoles(t, d)
-	run := func(workers int) []*HoleAttempt {
-		at, err := DirectedFromHoles(context.Background(), d, hs, DirectedOptions{Seed: 7, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	a1, a4 := run(1), run(4)
-	for i := range a1 {
-		if a1[i].Method != a4[i].Method || a1[i].Depth != a4[i].Depth {
-			t.Errorf("hole %s: -j1 %s@%d vs -j4 %s@%d", hs[i].Key(),
-				a1[i].Method, a1[i].Depth, a4[i].Method, a4[i].Depth)
-		}
-		if !reflect.DeepEqual(a1[i].Stim, a4[i].Stim) {
-			t.Errorf("hole %s: stimuli differ across worker counts", hs[i].Key())
-		}
-	}
-}
-
+// TestFocusedLanesHoldNonConeInputsAtZero draws focused lanes aimed at req0:
+// req1, outside the cone, stays zero, and rst is asserted exactly during the
+// reset prefix.
 func TestFocusedLanesHoldNonConeInputsAtZero(t *testing.T) {
 	d := mustElab(t, arbiterSrc)
-	focus := []*rtl.Signal{d.MustSignal("req0")}
-	lanes := FocusedLanes(d, focus, 4, 20, 9, 2)
-	if len(lanes) != 4 {
-		t.Fatalf("lanes %d", len(lanes))
-	}
+	fd := newFocusDraw(d, []*rtl.Signal{d.MustSignal("req0")})
+	r := newLaneSource(0)
 	sawReq0 := false
-	for _, stim := range lanes {
+	for l := 0; l < 4; l++ {
+		stim := fd.lane(r, 9+int64(l), 20, 2)
+		if len(stim) != 20 {
+			t.Fatalf("lane %d: %d cycles", l, len(stim))
+		}
 		for c, iv := range stim {
 			if iv["req1"] != 0 {
 				t.Fatalf("non-cone input req1 driven: cycle %d %v", c, iv)

@@ -92,12 +92,3 @@ func Repeat(stim sim.Stimulus, n int) sim.Stimulus {
 	}
 	return out
 }
-
-// Concat joins stimuli into one stream.
-func Concat(parts ...sim.Stimulus) sim.Stimulus {
-	var out sim.Stimulus
-	for _, p := range parts {
-		out = append(out, p.Clone()...)
-	}
-	return out
-}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repo verification gate: tier-1 build+test, vet, gofmt, fuzz smoke, artifact
+# Repo verification gate: tier-1 build+test, closure digests, vet, gofmt, fuzz smoke, artifact
 # hashes pinned across commits (scripts/golden.sha256), race-enabled suite,
 # and a short-budget smoke run proving cmd/goldmine exits cleanly under a
 # deadline (0 = completed, 2 = clean partial flush; anything else is a
@@ -11,6 +11,13 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
 go test ./...
+
+echo "== closure digests: all eight pinned seeds =="
+# go test ./... above checks seeds 1 and 2; this leg pins every closure
+# outcome on the close workload's designs at all eight seeds (~2 s). The
+# flag goes after the package: placed before it, go test hands the package
+# path to the test binary and tests the current directory instead.
+go test -count=1 -run '^TestClosureDigest$' ./internal/stimgen -args -closure-digest-seeds 8
 
 echo "== go vet ./... =="
 go vet ./...
@@ -32,7 +39,9 @@ echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # trail reuse between solves, the solver's lazily loaded decision order,
 # the JSONL replay/torn-tail rule, the corpus journal's line decoder ≡ the
 # json.Unmarshal path it replaced,
-# batch-engine ≡ interpreter, packed hole hits ≡ Hole.Hit per lane, the
+# batch-engine ≡ interpreter, packed hole hits ≡ Hole.Hit per lane (on
+# programs with compiled coverage points, so branch and condition holes
+# read their point words), the
 # packed coverage collector ≡ the interpreter's Observe, the
 # packed assertion monitor ≡ the scalar monitor per lane, and the
 # parser/elaborator never panicking. A failing input lands in the package's
