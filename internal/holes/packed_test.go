@@ -137,6 +137,82 @@ func TestHitMaskMatchesHitAllDesigns(t *testing.T) {
 	}
 }
 
+// TestHitMaskPointWordsMatchHit checks the holes that read a coverage
+// point's word (branch arms and both condition polarities) on every bundled
+// design: HitMask must agree with Hit lane by lane, and at every cycle the
+// true and false masks of one condition point must split the live lanes
+// exactly. Lanes are ragged, empty ones included.
+func TestHitMaskPointWordsMatchHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	splits := 0
+	for _, b := range designs.All() {
+		d, err := b.Design()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := simc.CompileBatch(d, simc.BatchOptions{Points: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs []*Hole
+		conds := map[int][2]*Hole{}
+		for _, h := range packedUniverse(d) {
+			switch h.Kind {
+			case BranchArm:
+				hs = append(hs, h)
+			case CondTrue, CondFalse:
+				hs = append(hs, h)
+				pair := conds[h.Point.ID]
+				if h.Kind == CondTrue {
+					pair[0] = h
+				} else {
+					pair[1] = h
+				}
+				conds[h.Point.ID] = pair
+			}
+		}
+		if len(hs) == 0 {
+			continue
+		}
+		splits += len(conds)
+		for trial := 0; trial < 3; trial++ {
+			nl := 1 + rng.Intn(simc.MaxLanes)
+			if trial == 2 {
+				nl = simc.MaxLanes
+			}
+			lanes := make([]sim.Stimulus, nl)
+			for l := range lanes {
+				lanes[l] = randomStim(d, rng.Intn(40), rng.Int63(), 2)
+			}
+			checkHitMask(t, p, hs, lanes, rng.Uint64())
+			ps, err := p.Pack(lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bt, err := simc.NewBatchMachine(p).RunPacked(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, pair := range conds {
+				if pair[0] == nil || pair[1] == nil {
+					t.Fatalf("%s: condition point %d lacks a polarity", d.Name, id)
+				}
+				for c := 0; c < bt.Cycles()+1; c++ {
+					tm := pair[0].HitMask(bt, c, ^uint64(0))
+					fm := pair[1].HitMask(bt, c, ^uint64(0))
+					if tm&fm != 0 || tm|fm != bt.Live(c) {
+						t.Fatalf("%s point %d cycle %d: true %#x false %#x do not split live %#x",
+							d.Name, id, c, tm, fm, bt.Live(c))
+					}
+				}
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no bundled design has a condition point to split")
+	}
+}
+
 // FuzzHitMaskMatchesHit lets the fuzz bytes pick a bundled design, a lane
 // count (1..64), ragged per-lane lengths (0 included) and every input bit;
 // for every hole of the design's universe and every lane, the first cycle

@@ -194,24 +194,40 @@ func TestDeadCorpusPersistsAcrossRuns(t *testing.T) {
 }
 
 func TestAdaptiveClosureDeterministicAcrossWorkers(t *testing.T) {
-	for _, src := range []string{fsmSrc, arbiterSrc} {
-		checkClosureDeterministic(t, mustElab(t, src))
-	}
+	checkClosureDeterministic(t, mustElab(t, fsmSrc), closureOpts)
 }
 
-// checkClosureDeterministic runs closure on d at -j1 and -j4 and requires
-// identical results: suite, reports, method counts, dead sets, query
-// counters, and every attempt positionally (hole, method, depth, stimulus).
-func checkClosureDeterministic(t *testing.T, d *rtl.Design) {
+// TestDirectedDeterministicAcrossWorkers runs closure on the arbiter behind
+// a one-cycle seed, so nearly every hole goes to the directed engine, and
+// requires each attempt's method, depth and stimulus to match positionally
+// between -j1 and -j4.
+func TestDirectedDeterministicAcrossWorkers(t *testing.T) {
+	checkClosureDeterministic(t, mustElab(t, arbiterSrc), func(workers int) ClosureOptions {
+		return ClosureOptions{
+			DirectedOptions: DirectedOptions{Seed: 7, Workers: workers},
+			SeedLanes:       1,
+			SeedCycles:      1,
+		}
+	})
+}
+
+// checkClosureDeterministic runs closure on d with opts(1) and opts(4) and
+// requires identical results: suite, reports, method counts, dead sets,
+// query counters, and every attempt positionally (hole, method, depth,
+// stimulus).
+func checkClosureDeterministic(t *testing.T, d *rtl.Design, opts func(workers int) ClosureOptions) {
 	t.Helper()
 	run := func(workers int) *ClosureResult {
-		res, err := CloseCoverage(context.Background(), d, closureOpts(workers))
+		res, err := CloseCoverage(context.Background(), d, opts(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	r1, r4 := run(1), run(4)
+	if len(r1.Attempts) == 0 {
+		t.Fatalf("%s: closure made no directed attempts to compare", d.Name)
+	}
 	if len(r1.Attempts) != len(r4.Attempts) {
 		t.Fatalf("%s: %d attempts at -j1, %d at -j4", d.Name, len(r1.Attempts), len(r4.Attempts))
 	}
