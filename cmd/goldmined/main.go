@@ -42,7 +42,6 @@ func main() {
 		rMax     = flag.Duration("retry-max", 5*time.Second, "retry backoff cap")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful-drain bound: in-flight jobs past it are checkpointed for the next start")
 		cacheCap = flag.Int("cache-capacity", 1<<20, "cross-run verdict cache capacity (entries; <0 = unbounded)")
-		cacheSh  = flag.Int("cache-shards", 16, "verdict cache shard count (rounded up to a power of two)")
 		pool     = flag.Int("pool", 0, "idle engines retained per design+options (0 = workers)")
 		telOut   = flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 		metrics  = flag.Bool("metrics-summary", false, "print the metrics snapshot to stderr on exit")
@@ -52,7 +51,7 @@ func main() {
 		workers: *workers, jobWorkers: *jobWkrs, queue: *queue,
 		tenantQueue: *tQueue, tenantBudget: *tBudget, jobTimeout: *jobTO,
 		attempts: *attempts, retryBase: *rBase, retryMax: *rMax,
-		drain: *drain, cacheCap: *cacheCap, cacheShards: *cacheSh, pool: *pool,
+		drain: *drain, cacheCap: *cacheCap, pool: *pool,
 		corpusPath: *corpusF,
 	}, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "goldmined:", err)
@@ -65,7 +64,7 @@ type serveConfig struct {
 	tenantBudget, jobTimeout                time.Duration
 	attempts                                int
 	retryBase, retryMax, drain              time.Duration
-	cacheCap, cacheShards, pool             int
+	cacheCap, pool                          int
 	corpusPath                              string
 }
 
@@ -93,7 +92,6 @@ func run(addr, addrFile, walPath, telOut string, sc serveConfig, metrics bool) e
 		RetryBase:       sc.retryBase,
 		RetryMax:        sc.retryMax,
 		DrainTimeout:    sc.drain,
-		CacheShards:     sc.cacheShards,
 		CacheCapacity:   sc.cacheCap,
 		MaxJobWorkers:   sc.jobWorkers,
 		PoolPerKey:      sc.pool,

@@ -646,32 +646,25 @@ func (u *Unroller) ltVec(a, b Vec) sat.Lit {
 }
 
 // shiftVec implements a barrel shifter for variable amounts (left when left
-// is true). Shift amounts >= width yield zero, matching rtl.Eval semantics
-// for in-range widths.
+// is true), one mux stage per amount bit. Shift amounts >= width yield zero,
+// matching rtl.Eval: a stage whose shift reaches the width selects all-zero.
 func (u *Unroller) shiftVec(a, amt Vec, left bool) Vec {
 	w := len(a)
 	cur := a
-	// Mux stages for each bit of the shift amount that matters.
 	for s := 0; s < len(amt); s++ {
-		shift := 1 << uint(s)
-		if shift >= (1 << 30) {
-			break
+		// A stage from bit 30 up shifts by at least 1<<30, more than any
+		// width, so every bit moves out (1<<s itself overflows int at s=63).
+		shift := w
+		if s < 30 {
+			shift = 1 << uint(s)
 		}
 		next := make(Vec, w)
 		for i := 0; i < w; i++ {
-			var shifted sat.Lit
-			if left {
-				if i-shift >= 0 {
-					shifted = cur[i-shift]
-				} else {
-					shifted = u.False()
-				}
-			} else {
-				if i+shift < w {
-					shifted = cur[i+shift]
-				} else {
-					shifted = u.False()
-				}
+			shifted := u.False()
+			if left && i-shift >= 0 {
+				shifted = cur[i-shift]
+			} else if !left && i+shift < w {
+				shifted = cur[i+shift]
 			}
 			next[i] = u.muxGate(amt[s], shifted, cur[i])
 		}

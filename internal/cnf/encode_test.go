@@ -147,6 +147,20 @@ endmodule`
 	}
 }
 
+// TestWideShiftAmount pins shift amounts whose set bits reach 1<<30 and
+// above: every such amount moves all bits out, so both shifts must be 0, as
+// rtl.Eval computes them.
+func TestWideShiftAmount(t *testing.T) {
+	src := `
+module sh(input [7:0] a, input [31:0] b, output [7:0] l, r);
+  assign l = a << b;
+  assign r = a >> b;
+endmodule`
+	for _, b := range []uint64{1 << 30, 1 << 31, 1<<31 | 1, 1<<29 | 3, 8, 3} {
+		checkEquivalence(t, src, sim.Stimulus{{"a": 0x5a, "b": b}})
+	}
+}
+
 func TestCounterEquivalence(t *testing.T) {
 	src := `
 module ctr(input clk, rst, en, output reg [2:0] q, output wrap);

@@ -1,12 +1,15 @@
 package cnf
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"goldmine/internal/rtl"
 	"goldmine/internal/sat"
+	"goldmine/internal/simc"
 )
 
 // randExpr builds a random well-formed expression over the given signals.
@@ -79,8 +82,9 @@ func randExpr(rng *rand.Rand, sigs []*rtl.Signal, depth int) rtl.Expr {
 			w := maxInt(a.Width(), b.Width())
 			return &rtl.Binary{Op: op, A: rtl.Extend(a, w), B: rtl.Extend(b, w), W: 1}
 		case op == rtl.OpShl || op == rtl.OpShr:
-			// Keep shift amounts narrow so both sides stay meaningful.
-			return &rtl.Binary{Op: op, A: a, B: rtl.Extend(b, 3), W: a.Width()}
+			// The amount keeps its width: read from the 32-bit input it has
+			// stages far past the operand width, up to 1<<31.
+			return &rtl.Binary{Op: op, A: a, B: b, W: a.Width()}
 		default:
 			w := maxInt(a.Width(), b.Width())
 			return &rtl.Binary{Op: op, A: rtl.Extend(a, w), B: rtl.Extend(b, w), W: w}
@@ -95,41 +99,92 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// TestQuickEvalEncodeEquivalence is the central cross-implementation
-// property: for random expressions and random input values, interpreting the
-// expression (rtl.Eval) and encoding it to CNF with pinned inputs give the
-// same value, bit for bit.
-func TestQuickEvalEncodeEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		// A small synthetic combinational design context.
-		src := `module q(input [3:0] a, input [5:0] b, input c, output o); assign o = c; endmodule`
-		d, err := rtl.ElaborateSource(src)
-		if err != nil {
-			return false
-		}
-		sigs := []*rtl.Signal{d.MustSignal("a"), d.MustSignal("b"), d.MustSignal("c")}
-		e := randExpr(rng, sigs, 4)
+// quickSrc is the property's design. The random expression reads its
+// inputs, and n is 32 bits wide so shift amounts reach bit 31. The batch
+// engine computes the expression as the comb function of the wide output o.
+const quickSrc = `module q(input [3:0] a, input [5:0] b, input c, input [31:0] n, output [63:0] o); assign o = 0; endmodule`
 
-		// Random input assignment.
-		env := rtl.MapEnv{}
-		for _, s := range sigs {
-			env[s] = rng.Uint64() & rtl.Mask(s.Width)
+// quickLanes is the number of input assignments each expression is checked
+// on, one per batch lane.
+const quickLanes = 8
+
+// randValue draws a w-bit input value: a small value, a single set bit,
+// only the top two bits, or a uniform value. A wide shift amount thus often
+// stays in range, and often sets only bits far past the operand width (for
+// the 32-bit input, bits 30 and 31).
+func randValue(rng *rand.Rand, w int) uint64 {
+	switch rng.Intn(4) {
+	case 0:
+		return uint64(rng.Intn(16)) & rtl.Mask(w)
+	case 1:
+		return 1 << uint(rng.Intn(w))
+	case 2:
+		top := min(w, 2)
+		return uint64(1+rng.Intn(1<<top-1)) << uint(w-top)
+	default:
+		return rng.Uint64() & rtl.Mask(w)
+	}
+}
+
+// checkEvalEncodeBatch is the central cross-implementation property. It
+// builds a random expression from seed and computes it on quickLanes random
+// input assignments three ways: by interpretation (rtl.Eval), by the CNF
+// encoding with pinned inputs, and in a lane of simc's batch compiler. All
+// three must agree bit for bit.
+func checkEvalEncodeBatch(seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	d, err := rtl.ElaborateSource(quickSrc)
+	if err != nil {
+		return err
+	}
+	ins := d.Inputs()
+	e := randExpr(rng, ins, 4)
+	o := d.MustSignal("o")
+	d.Comb[o] = rtl.Extend(e, o.Width)
+	if err := rtl.Rebind(d); err != nil {
+		return err
+	}
+	prog, err := simc.CompileBatch(d, simc.BatchOptions{})
+	if err != nil {
+		return err
+	}
+	s := sat.New()
+	u := NewUnroller(s, d)
+	u.AddFrame()
+	vec, err := u.EncodeExpr(e, 0)
+	if err != nil {
+		return err
+	}
+
+	// Draw one assignment per lane and pack it into the batch inputs: one
+	// word per input bit, in Inputs order, bit l of a word in lane l.
+	envs := make([]rtl.MapEnv, quickLanes)
+	var in []uint64
+	for l := range envs {
+		envs[l] = rtl.MapEnv{}
+		w := 0
+		for _, sig := range ins {
+			v := randValue(rng, sig.Width)
+			envs[l][sig] = v
+			for k := 0; k < sig.Width; k, w = k+1, w+1 {
+				if l == 0 {
+					in = append(in, 0)
+				}
+				in[w] |= (v >> uint(k) & 1) << uint(l)
+			}
 		}
+	}
+	m := simc.NewBatchMachine(prog)
+	m.Settle(in)
+	lanes := m.Bits(o, nil)
+
+	for l, env := range envs {
 		want := rtl.Eval(e, env)
-
-		s := sat.New()
-		u := NewUnroller(s, d)
-		u.AddFrame()
-		vec, err := u.EncodeExpr(e, 0)
-		if err != nil {
-			return false
-		}
 		var assumps []sat.Lit
-		for _, sig := range sigs {
+		for _, sig := range ins {
 			sv, err := u.SignalVec(0, sig)
 			if err != nil {
-				return false
+				return err
 			}
 			for bit, lit := range sv {
 				if (env[sig]>>uint(bit))&1 == 1 {
@@ -139,18 +194,52 @@ func TestQuickEvalEncodeEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if s.Solve(assumps...) != sat.Sat {
-			return false
+		if st := s.Solve(assumps...); st != sat.Sat {
+			return fmt.Errorf("%s: pinned inputs give %v, want SAT", rtl.String(e), st)
 		}
-		var got uint64
+		var enc uint64
 		for bit, lit := range vec {
 			if s.ValueLit(lit) {
-				got |= 1 << uint(bit)
+				enc |= 1 << uint(bit)
 			}
 		}
-		return got == want
+		if batch := simc.LaneValue(lanes, l); enc != want || batch != want {
+			vals := make([]string, len(ins))
+			for i, sig := range ins {
+				vals[i] = fmt.Sprintf("%s=%#x", sig.Name, env[sig])
+			}
+			return fmt.Errorf("%s at %s: Eval=%#x CNF=%#x batch=%#x",
+				rtl.String(e), strings.Join(vals, " "), want, enc, batch)
+		}
+	}
+	return nil
+}
+
+// TestQuickEvalEncodeEquivalence runs checkEvalEncodeBatch on random seeds.
+func TestQuickEvalEncodeEquivalence(t *testing.T) {
+	f := func(seed int64) bool {
+		if err := checkEvalEncodeBatch(seed); err != nil {
+			t.Error(err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzEvalEncodeBatch drives checkEvalEncodeBatch from fuzzed seeds; its
+// seed corpus runs under plain go test. Run it with
+//
+//	go test -run '^$' -fuzz FuzzEvalEncodeBatch -fuzztime 30s -parallel 2 ./internal/cnf
+func FuzzEvalEncodeBatch(f *testing.F) {
+	for seed := int64(0); seed < 64; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := checkEvalEncodeBatch(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -281,6 +281,25 @@ endmodule`
 	verifyCtx(t, d, aF, resF.Ctx)
 }
 
+// TestWideShiftAmountProved checks a combinational assertion whose truth
+// rests on shift-amount bit 31: any amount of 1<<31 or more shifts every bit
+// of a out, so b[31] = 1 forces o = 0.
+func TestWideShiftAmountProved(t *testing.T) {
+	d := mustDesign(t, `module q(input [7:0] a, input [31:0] b, output o); assign o = |(a << b); endmodule`)
+	a := &assertion.Assertion{
+		Output:     "o",
+		Antecedent: []assertion.Prop{assertion.PBit("b", 31, 0, 1)},
+		Consequent: prop("o", 0, 0),
+	}
+	res, err := New(d).Check(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusProved {
+		t.Fatalf("got %v via %s (ctx %v), want proved", res.Status, res.Method, res.Ctx)
+	}
+}
+
 func TestReachableStates(t *testing.T) {
 	d := mustDesign(t, arbiterSrc)
 	c := New(d)

@@ -2,10 +2,9 @@
 // model checker. See the package comment for the role it plays in the
 // scheduler.
 //
-// The cache is sharded and LRU-bounded so one instance can serve two very
-// different lifetimes: the private per-run cache every engine keeps (a single
-// shard is plenty — contention is bounded by the worker count of one run) and
-// the process-wide cross-run cache of the goldmined daemon, where many tenants
+// The cache is LRU-bounded so one instance can serve two very different
+// lifetimes: the private per-run cache every engine keeps and the
+// process-wide cross-run cache of the goldmined daemon, where many tenants
 // mining the same design share warm entries across jobs and the cache must
 // survive for days without growing past its budget.
 package sched
@@ -92,7 +91,7 @@ type cacheEntry struct {
 	res  *mc.Result
 	err  error
 
-	// Intrusive LRU links, valid only while resident (stored in a shard's
+	// Intrusive LRU links, valid only while resident (stored in the cache's
 	// recency list). In-flight entries are not resident: they cannot be
 	// evicted while a leader is computing and waiters hold their done
 	// channel.
@@ -112,16 +111,11 @@ type cacheEntry struct {
 // healthier budget must be free to recompute. Hard errors and panics are
 // likewise never cached.
 //
-// Residency is bounded: each shard keeps its stored entries on an LRU list
-// and evicts the coldest ones once the shard's capacity is exceeded, so a
+// Residency is bounded: the cache keeps its stored entries on an LRU list
+// and evicts the coldest ones once its capacity is exceeded, so a
 // long-lived cross-run cache degrades by recomputing cold verdicts, never by
 // exhausting memory.
 type VerdictCache struct {
-	shards []*cacheShard
-	mask   uint32
-}
-
-type cacheShard struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	// lru is the sentinel of the doubly-linked recency ring: lru.next is the
@@ -133,79 +127,35 @@ type cacheShard struct {
 	hits, shared, misses, stored, evicted int64
 }
 
-// NewVerdictCache creates a single-shard cache bounded at
-// DefaultCacheCapacity — the per-run configuration.
+// NewVerdictCache creates a cache bounded at DefaultCacheCapacity — the
+// per-run configuration.
 func NewVerdictCache() *VerdictCache {
-	return NewVerdictCacheSized(1, DefaultCacheCapacity)
+	return NewVerdictCacheSized(DefaultCacheCapacity)
 }
 
-// NewVerdictCacheSized creates a cache with the given shard count (rounded up
-// to a power of two) and total capacity, split evenly across shards. A
-// capacity <= 0 means unbounded. Sharding only spreads lock contention; the
-// single-flight and storage semantics are identical for any shard count.
-func NewVerdictCacheSized(shards, capacity int) *VerdictCache {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := 0
-	if capacity > 0 {
-		perShard = (capacity + n - 1) / n
-		if perShard < 1 {
-			perShard = 1
-		}
-	}
-	c := &VerdictCache{shards: make([]*cacheShard, n), mask: uint32(n - 1)}
-	for i := range c.shards {
-		s := &cacheShard{entries: map[string]*cacheEntry{}, capacity: perShard}
-		s.lru.next, s.lru.prev = &s.lru, &s.lru
-		c.shards[i] = s
-	}
+// NewVerdictCacheSized creates a cache holding at most capacity stored
+// verdicts. A capacity <= 0 means unbounded.
+func NewVerdictCacheSized(capacity int) *VerdictCache {
+	c := &VerdictCache{entries: map[string]*cacheEntry{}, capacity: max(capacity, 0)}
+	c.lru.next, c.lru.prev = &c.lru, &c.lru
 	return c
 }
 
-// Shards returns the shard count (a power of two).
-func (c *VerdictCache) Shards() int { return len(c.shards) }
+// Capacity returns the resident-entry bound (0 = unbounded).
+func (c *VerdictCache) Capacity() int { return c.capacity }
 
-// Capacity returns the total resident-entry bound (0 = unbounded).
-func (c *VerdictCache) Capacity() int {
-	if c.shards[0].capacity <= 0 {
-		return 0
-	}
-	return c.shards[0].capacity * len(c.shards)
-}
-
-func (c *VerdictCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()&c.mask]
-}
-
-// Stats returns a consistent per-shard, aggregated snapshot of the telemetry
-// counters.
+// Stats returns a consistent snapshot of the telemetry counters.
 func (c *VerdictCache) Stats() CacheStats {
-	var st CacheStats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Shared += s.shared
-		st.Misses += s.misses
-		st.Stored += s.stored
-		st.Evicted += s.evicted
-		s.mu.Unlock()
-	}
-	return st
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{Hits: c.hits, Shared: c.shared, Misses: c.misses, Stored: c.stored, Evicted: c.evicted}
 }
 
 // Len returns the number of stored or in-flight entries.
 func (c *VerdictCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // cacheable reports whether a verdict may be stored: decisive and untouched
@@ -233,47 +183,47 @@ func (e *cacheEntry) result() (*mc.Result, error) {
 	return &r, nil
 }
 
-// unlink removes e from its shard's recency ring. Caller holds the shard lock.
-func (s *cacheShard) unlink(e *cacheEntry) {
+// unlink removes e from the recency ring. Caller holds c.mu.
+func (c *VerdictCache) unlink(e *cacheEntry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 	e.resident = false
-	s.resident--
+	c.resident--
 }
 
-// linkFront marks e most-recently-used. Caller holds the shard lock.
-func (s *cacheShard) linkFront(e *cacheEntry) {
-	e.next = s.lru.next
-	e.prev = &s.lru
-	s.lru.next.prev = e
-	s.lru.next = e
+// linkFront marks e most-recently-used. Caller holds c.mu.
+func (c *VerdictCache) linkFront(e *cacheEntry) {
+	e.next = c.lru.next
+	e.prev = &c.lru
+	c.lru.next.prev = e
+	c.lru.next = e
 	e.resident = true
-	s.resident++
+	c.resident++
 }
 
-// touch refreshes e's recency. Caller holds the shard lock.
-func (s *cacheShard) touch(e *cacheEntry) {
+// touch refreshes e's recency. Caller holds c.mu.
+func (c *VerdictCache) touch(e *cacheEntry) {
 	if !e.resident {
 		return
 	}
-	s.unlink(e)
-	s.linkFront(e)
+	c.unlink(e)
+	c.linkFront(e)
 }
 
 // store makes a terminal entry resident and evicts past the capacity bound.
-// Caller holds the shard lock.
-func (s *cacheShard) store(e *cacheEntry) {
-	s.stored++
-	s.linkFront(e)
-	for s.capacity > 0 && s.resident > s.capacity {
-		cold := s.lru.prev
-		if cold == &s.lru {
+// Caller holds c.mu.
+func (c *VerdictCache) store(e *cacheEntry) {
+	c.stored++
+	c.linkFront(e)
+	for c.capacity > 0 && c.resident > c.capacity {
+		cold := c.lru.prev
+		if cold == &c.lru {
 			break
 		}
-		s.unlink(cold)
-		delete(s.entries, cold.key)
-		s.evicted++
+		c.unlink(cold)
+		delete(c.entries, cold.key)
+		c.evicted++
 	}
 }
 
@@ -284,19 +234,18 @@ func (s *cacheShard) store(e *cacheEntry) {
 // verdict lands or ctx dies; a context death while waiting is reported as
 // mc.ErrCanceled, matching the checker's own budget taxonomy.
 func (c *VerdictCache) Check(ctx context.Context, key string, compute func() (*mc.Result, error)) (*mc.Result, Outcome, error) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
 		select {
 		case <-e.done: // terminal entry: a stored decisive verdict
-			s.hits++
-			s.touch(e)
-			s.mu.Unlock()
+			c.hits++
+			c.touch(e)
+			c.mu.Unlock()
 			res, err := e.result()
 			return res, Hit, err
 		default: // in flight: wait for the leader
-			s.shared++
-			s.mu.Unlock()
+			c.shared++
+			c.mu.Unlock()
 			// A deduplicated concurrent check: advisory (which caller leads is a
 			// benign race).
 			if tr := telemetry.ContextTracer(ctx); tr != nil {
@@ -314,9 +263,9 @@ func (c *VerdictCache) Check(ctx context.Context, key string, compute func() (*m
 	}
 	// Leader: compute in this goroutine under a fresh in-flight entry.
 	e := &cacheEntry{key: key, done: make(chan struct{})}
-	s.entries[key] = e
-	s.misses++
-	s.mu.Unlock()
+	c.entries[key] = e
+	c.misses++
+	c.mu.Unlock()
 
 	finished := false
 	defer func() {
@@ -326,20 +275,20 @@ func (c *VerdictCache) Check(ctx context.Context, key string, compute func() (*m
 		// compute panicked: fail the waiters, evict, and let the panic
 		// continue into the caller's recover barrier.
 		e.err = ErrCheckPanicked
-		s.evict(key, e)
+		c.evict(key, e)
 		close(e.done)
 	}()
 	res, err := compute()
 	finished = true
 	e.res, e.err = res, err
 	if err != nil || !cacheable(res) {
-		s.evict(key, e)
+		c.evict(key, e)
 	} else {
-		s.mu.Lock()
-		if s.entries[key] == e {
-			s.store(e)
+		c.mu.Lock()
+		if c.entries[key] == e {
+			c.store(e)
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 	}
 	close(e.done)
 	if err != nil {
@@ -349,15 +298,15 @@ func (c *VerdictCache) Check(ctx context.Context, key string, compute func() (*m
 }
 
 // evict removes the entry if it still owns the key.
-func (s *cacheShard) evict(key string, e *cacheEntry) {
-	s.mu.Lock()
-	if s.entries[key] == e {
-		delete(s.entries, key)
+func (c *VerdictCache) evict(key string, e *cacheEntry) {
+	c.mu.Lock()
+	if c.entries[key] == e {
+		delete(c.entries, key)
 		if e.resident {
-			s.unlink(e)
+			c.unlink(e)
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ func TestCacheLeaderPanicFailsWaiters(t *testing.T) {
 
 func TestCacheLRUBound(t *testing.T) {
 	const capacity = 8
-	c := NewVerdictCacheSized(1, capacity)
+	c := NewVerdictCacheSized(capacity)
 	if c.Capacity() != capacity {
 		t.Fatalf("Capacity() = %d, want %d", c.Capacity(), capacity)
 	}
@@ -240,7 +240,7 @@ func TestCacheLRUTouchOnHit(t *testing.T) {
 	// A hit refreshes recency: the entry hit most recently must outlive
 	// colder entries stored after it.
 	const capacity = 4
-	c := NewVerdictCacheSized(1, capacity)
+	c := NewVerdictCacheSized(capacity)
 	ctx := context.Background()
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
 	for i := 0; i < capacity; i++ {
@@ -263,7 +263,7 @@ func TestCacheLRUTouchOnHit(t *testing.T) {
 func TestCacheInFlightEntriesAreNotEvicted(t *testing.T) {
 	// An in-flight leader's entry must survive any amount of store pressure:
 	// waiters hold its done channel.
-	c := NewVerdictCacheSized(1, 2)
+	c := NewVerdictCacheSized(2)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
@@ -289,11 +289,8 @@ func TestCacheInFlightEntriesAreNotEvicted(t *testing.T) {
 	}
 }
 
-func TestCacheSharded(t *testing.T) {
-	c := NewVerdictCacheSized(7, 1024) // rounds up to 8 shards
-	if c.Shards() != 8 {
-		t.Fatalf("Shards() = %d, want 8", c.Shards())
-	}
+func TestCacheConcurrentSingleFlight(t *testing.T) {
+	c := NewVerdictCacheSized(1024)
 	ctx := context.Background()
 	const n = 500
 	var wg sync.WaitGroup
@@ -312,7 +309,7 @@ func TestCacheSharded(t *testing.T) {
 	wg.Wait()
 	st := c.Stats()
 	if st.Misses != n {
-		t.Fatalf("Misses = %d, want %d (single flight across shards)", st.Misses, n)
+		t.Fatalf("Misses = %d, want %d (single flight)", st.Misses, n)
 	}
 	if got := st.Lookups(); got != 4*n {
 		t.Fatalf("Lookups = %d, want %d", got, 4*n)

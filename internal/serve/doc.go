@@ -30,7 +30,7 @@
 //
 // Engines are pooled per design+options fingerprint, so repeat jobs reuse
 // compiled simulator programs, warmed SAT sessions, and reachability caches;
-// all engines share one process-wide sharded LRU verdict cache
+// all engines share one process-wide LRU verdict cache
 // (sched.NewVerdictCacheSized), so tenants mining the same design hit each
 // other's warm verdicts across jobs and across daemon restarts' runs.
 package serve

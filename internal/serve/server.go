@@ -92,9 +92,9 @@ type Config struct {
 	// DrainTimeout bounds how long Shutdown waits for in-flight jobs before
 	// checkpointing them.
 	DrainTimeout time.Duration
-	// CacheShards/CacheCapacity size the process-wide cross-run verdict
-	// cache shared by every engine.
-	CacheShards, CacheCapacity int
+	// CacheCapacity bounds the process-wide cross-run verdict cache shared
+	// by every engine.
+	CacheCapacity int
 	// MaxJobWorkers caps the per-job intra-mining parallelism a spec may
 	// request.
 	MaxJobWorkers int
@@ -133,9 +133,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
-	}
-	if c.CacheShards < 1 {
-		c.CacheShards = 16
 	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 1 << 20
@@ -254,7 +251,7 @@ func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	s := &Server{
 		cfg:       cfg,
-		cache:     sched.NewVerdictCacheSized(cfg.CacheShards, cfg.CacheCapacity),
+		cache:     sched.NewVerdictCacheSized(cfg.CacheCapacity),
 		pool:      newEnginePool(cfg.PoolPerKey),
 		tenants:   newTenants(cfg.TenantBudget, cfg.TenantMaxActive),
 		q:         newJobQueue(),

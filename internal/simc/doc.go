@@ -9,12 +9,14 @@
 //
 // A transposition layer unpacks lanes back into standard sim.Trace rows,
 // bit-for-bit the interpreter's (raw, unmasked driver values included), so
-// the miner, coverage engine, VCD dumper, and netlist cross-check see
-// identical traces. A single stimulus runs as lane 0. LoadState, Settle,
-// Latch and Bits expose one cycle at a time for the explicit-state model
-// checker.
+// the miner, coverage engine and VCD dumper see identical traces. A single
+// stimulus runs as lane 0. LoadState, Settle, Latch and Bits expose one
+// cycle at a time for the explicit-state model checker.
 //
 // The interpreter remains the oracle: the differential tests and the fuzz
 // target in this package drive both engines (and forced-lane fault variants)
-// over every bundled design and require row-for-row equality.
+// over every bundled design and require row-for-row equality. CompileBatch
+// is one of the two bit-blasters that run; FuzzEvalEncodeBatch in
+// internal/cnf checks it against rtl.Eval and the other, the CNF encoding,
+// on random expressions.
 package simc

@@ -36,9 +36,10 @@ echo "gofmt: clean"
 echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # go test ./... above runs only the seed corpora; this leg runs the fuzz
 # engine itself on each target: the decision-scope rule of the SAT solver,
-# trail reuse between solves, the solver's lazily loaded decision order,
-# the JSONL replay/torn-tail rule, the corpus journal's line decoder ≡ the
-# json.Unmarshal path it replaced,
+# rtl.Eval ≡ CNF encoding ≡ batch lane on random expressions (shift
+# amounts up to 32 bits wide), trail reuse between solves, the solver's
+# lazily loaded decision order, the JSONL replay/torn-tail rule, the corpus
+# journal's line decoder ≡ the json.Unmarshal path it replaced,
 # batch-engine ≡ interpreter, packed hole hits ≡ Hole.Hit per lane (on
 # programs with compiled coverage points, so branch and condition holes
 # read their point words), the
@@ -47,6 +48,7 @@ echo "== fuzz smoke: every go test -fuzz target for 10s =="
 # parser/elaborator never panicking. A failing input lands in the package's
 # testdata/fuzz, ready to commit as a seed.
 go test -run '^$' -fuzz '^FuzzScopedSolve$' -fuzztime 10s -parallel 2 ./internal/cnf
+go test -run '^$' -fuzz '^FuzzEvalEncodeBatch$' -fuzztime 10s -parallel 2 ./internal/cnf
 go test -run '^$' -fuzz '^FuzzTrailReuse$' -fuzztime 10s -parallel 2 ./internal/sat
 go test -run '^$' -fuzz '^FuzzDecisionOrder$' -fuzztime 10s -parallel 2 ./internal/sat
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -parallel 2 ./internal/jsonl
