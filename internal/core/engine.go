@@ -1025,13 +1025,13 @@ func (e *Engine) mineOutputSafe(ctx context.Context, out *rtl.Signal, bit int, s
 	return e.MineOutput(ctx, out, bit, seed)
 }
 
-// MineTargets mines the given output bits under a context. With
-// Cfg.Workers > 1 the jobs are spread over a task pool (each job on a
-// forked engine with its own batch machine); results are merged positionally, so
-// the mining artifacts are identical for any Workers value. On cancellation
-// or deadline the pool drains cleanly: jobs never started are excluded from
-// Outputs, running jobs stop at their next boundary and contribute their
-// partial results, and Interrupted is set.
+// MineTargets mines the given output bits under a context. The jobs run on
+// a task pool of Cfg.Workers workers (at least one), each worker on its own
+// fork of the engine with its own batch machine; results are merged
+// positionally, so the mining artifacts are identical for any Workers value.
+// On cancellation or deadline the pool drains cleanly: jobs never started are
+// excluded from Outputs, running jobs stop at their next boundary and
+// contribute their partial results, and Interrupted is set.
 func (e *Engine) MineTargets(ctx context.Context, targets []Target, seed sim.Stimulus) (*Result, error) {
 	start := time.Now()
 	ctx, rsp := e.tel.StartSpan(ctx, "mine.run",
@@ -1039,31 +1039,10 @@ func (e *Engine) MineTargets(ctx context.Context, targets []Target, seed sim.Sti
 	defer rsp.End()
 	res := &Result{Design: e.D, Seed: seed}
 	cacheBefore := e.cache.Stats()
-	workers := e.Cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers <= 1 {
-		for _, t := range targets {
-			if ctx.Err() != nil {
-				res.Interrupted = true
-				break
-			}
-			or, err := e.mineOutputSafe(ctx, t.Output, t.Bit, seed)
-			if err != nil {
-				return nil, fmt.Errorf("mining %s[%d]: %w", t.Output.Name, t.Bit, err)
-			}
-			res.Outputs = append(res.Outputs, or)
-			if or.Interrupted {
-				res.Interrupted = true
-			}
-		}
-		e.finishSched(res, &SchedStats{Workers: 1, Tasks: len(targets)}, cacheBefore)
-		res.Elapsed = time.Since(start)
-		return res, nil
+	workers := sched.Workers(max(e.Cfg.Workers, 1), len(targets))
+	forks := make([]*Engine, workers)
+	for w := range forks {
+		forks[w] = e.fork()
 	}
 
 	outs := make([]*OutputResult, len(targets))
@@ -1072,8 +1051,8 @@ func (e *Engine) MineTargets(ctx context.Context, targets []Target, seed sim.Sti
 	for i := range targets {
 		i := i
 		t := targets[i]
-		tasks[i] = sched.Task{ID: i, Run: func(jctx context.Context, _ int) {
-			outs[i], errs[i] = e.fork().mineOutputSafe(jctx, t.Output, t.Bit, seed)
+		tasks[i] = sched.Task{ID: i, Run: func(jctx context.Context, w int) {
+			outs[i], errs[i] = forks[w].mineOutputSafe(jctx, t.Output, t.Bit, seed)
 		}}
 	}
 	st := sched.RunTasks(ctx, workers, tasks, func(t sched.Task, pe *sched.PanicError) {

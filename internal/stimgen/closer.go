@@ -321,10 +321,9 @@ func attemptAdaptive(ctx context.Context, sess *mc.Session, bm *simc.BatchMachin
 	// are drawn straight into packed rows and hits are found on the packed
 	// trace, cycle-major: the first cycle any lane hits wins, the lowest such
 	// lane breaks the tie, and only that lane is drawn again as a stimulus.
-	const resetCycles = 2
 	fd := newFocusDraw(bm.Program().Design(), h.Inputs)
 	seed := opts.Seed + int64(rank)*1000003
-	ps, err := fd.packed(bm.Program(), rng, opts.FuzzLanes, opts.FuzzCycles, seed, resetCycles)
+	ps, err := fd.packed(bm.Program(), rng, fuzzLanes, fuzzCycles, seed, resetCycles)
 	var bt *simc.BatchTrace
 	if err == nil {
 		bt, err = bm.RunPacked(ps)

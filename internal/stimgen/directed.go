@@ -30,16 +30,21 @@ import (
 	"goldmine/internal/telemetry"
 )
 
+// The shape of closure's generated stimulus: each fallback fuzz batch runs
+// fuzzLanes lanes of fuzzCycles cycles, and every random or fuzzed stimulus
+// opens with resetCycles cycles of asserted reset.
+const (
+	fuzzLanes   = simc.MaxLanes
+	fuzzCycles  = 48
+	resetCycles = 2
+)
+
 // DirectedOptions is the per-hole knob block of CloseCoverage, embedded in
 // ClosureOptions.
 type DirectedOptions struct {
 	// MaxDepth bounds the reachability ladder per hole (frames from
 	// reset). 0 means 20.
 	MaxDepth int
-	// FuzzLanes / FuzzCycles shape the fallback batch fuzzing (defaults:
-	// simc.MaxLanes lanes, 48 cycles).
-	FuzzLanes  int
-	FuzzCycles int
 	// Seed is the base seed for fallback fuzzing; the per-hole seed is
 	// derived from it and the hole's index in the ranked list.
 	Seed int64
@@ -54,15 +59,6 @@ type DirectedOptions struct {
 func (o DirectedOptions) withDefaults() DirectedOptions {
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 20
-	}
-	if o.FuzzLanes <= 0 {
-		o.FuzzLanes = simc.MaxLanes
-	}
-	if o.FuzzLanes > simc.MaxLanes {
-		o.FuzzLanes = simc.MaxLanes
-	}
-	if o.FuzzCycles <= 0 {
-		o.FuzzCycles = 48
 	}
 	if o.MC == (mc.Options{}) {
 		o.MC = mc.DefaultOptions()
@@ -256,9 +252,6 @@ type ClosureOptions struct {
 	// only because the perfbench harness (perfbench/workloads.go, closePass)
 	// still sets it; the next change to that harness drops both.
 	Compiled bool
-	// ResetCycles is the reset prefix of generated random stimuli
-	// (default 2).
-	ResetCycles int
 	// DeadFile persists proven-dead holes (JSONL, per-design fingerprint
 	// namespaces) across runs: holes recorded dead are excluded from the
 	// universe before any query is issued, and new promotions are appended.
@@ -276,9 +269,6 @@ func (o ClosureOptions) withDefaults() ClosureOptions {
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 4
-	}
-	if o.ResetCycles <= 0 {
-		o.ResetCycles = 2
 	}
 	return o
 }
@@ -350,7 +340,7 @@ func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*Cl
 	col := coverage.New(d)
 
 	res := &ClosureResult{Methods: map[string]int{}}
-	seed := RandomLanes(d, opts.SeedLanes, opts.SeedCycles, opts.Seed, opts.ResetCycles)
+	seed := RandomLanes(d, opts.SeedLanes, opts.SeedCycles, opts.Seed, resetCycles)
 	if opts.TotalCycles > 0 {
 		// Cap the random seed at half the budget so directed stimulus always
 		// has room to spend; truncate whole stimuli, then cycles.
@@ -385,7 +375,7 @@ func CloseCoverage(ctx context.Context, d *rtl.Design, opts ClosureOptions) (*Cl
 	}
 
 	if opts.FillRandom && opts.TotalCycles > res.CyclesUsed {
-		fill := Random(d, opts.TotalCycles-res.CyclesUsed, opts.Seed+0x5eed, opts.ResetCycles)
+		fill := Random(d, opts.TotalCycles-res.CyclesUsed, opts.Seed+0x5eed, resetCycles)
 		res.Suite = append(res.Suite, fill)
 		res.CyclesUsed += len(fill)
 		if err := col.RunSuiteCompiled([]sim.Stimulus{fill}); err != nil {
