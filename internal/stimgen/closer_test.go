@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"goldmine/internal/coverage"
+	"goldmine/internal/designs"
 	"goldmine/internal/holes"
 	"goldmine/internal/rtl"
 )
@@ -357,9 +358,7 @@ func TestCompactionRepacksBudgetedSuite(t *testing.T) {
 		if err := fresh.RunSuite(res.Suite); err != nil {
 			t.Fatal(err)
 		}
-		got, want := fresh.Report(), res.Final
-		got.Cycles, want.Cycles = 0, 0
-		if got != want {
+		if got, want := fresh.Report(), res.Final; got != want {
 			t.Errorf("%s: compacted suite replays to %+v, collector saw %+v", d.Name, got, want)
 		}
 		r1, r4 := run(1), run(4)
@@ -370,6 +369,39 @@ func TestCompactionRepacksBudgetedSuite(t *testing.T) {
 			t.Errorf("%s: compaction moves differ: %d/%d vs %d/%d",
 				d.Name, r1.Evicted, r1.Readmitted, r4.Evicted, r4.Readmitted)
 		}
+	}
+}
+
+// TestFinalCyclesCountReturnedSuite: b12 at 512 cycles is a run whose
+// compaction evicts witnesses; the final report must count the cycles of the
+// suite returned, not also those of the evicted witnesses.
+func TestFinalCyclesCountReturnedSuite(t *testing.T) {
+	bm, err := designs.Get("b12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := bm.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := CloseCoverage(context.Background(), d, ClosureOptions{
+		DirectedOptions: DirectedOptions{Seed: 1, Workers: 2},
+		TotalCycles:     512,
+		FillRandom:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evicted == 0 {
+		t.Fatal("b12 at 512 cycles evicted no witness; the check below proves nothing")
+	}
+	suite := 0
+	for _, s := range res.Suite {
+		suite += len(s)
+	}
+	if res.Final.Cycles != res.CyclesUsed || res.CyclesUsed != suite {
+		t.Errorf("final report counts %d cycles, CyclesUsed %d, suite %d",
+			res.Final.Cycles, res.CyclesUsed, suite)
 	}
 }
 

@@ -30,14 +30,14 @@ var closureDigestDesigns = []string{"arbiter2", "b06", "b09", "b10", "b12", "b17
 // change to the fuzz draw, the simulator or hole detection that moves any
 // closure decision moves the digest.
 var closureDigests = []string{
-	"bf841724d0f0c722cfbff486dc03d5cc226e9775dd25c13644e29f264175c0f5",
-	"e0552808fcaef14e6a8d37fca13dc4e5318b813cb923505f2ba27b6c406e8bb9",
-	"3c92b4861073959905d492ba1c2aff9c52ebce91c0753a3c3aac967141aef60a",
-	"49a0ee808212194893e01d71c992451741987456040b9050569b4583833113f3",
-	"80f8813bcdbe333d56da58080fc9b5c46166dc7799da3e665d4a0f1dbadca13f",
-	"2a0e3289ac08761d0fb63f8222b40de59de2a803fae67f3daa7cbfb5eb26a94d",
-	"0cda81419be41ac875140c05b315c9b95ba5b7e6814dead2f59ddf88445f24a5",
-	"056874f01ef128c61f7f07a751a2dedb06543256671e26fd62280c9cb21b8081",
+	"f19ca771759d091427c90ac2017c603239d03221c52914be32dceb55eaf7c1d3",
+	"147804ffc8d5d4e37e138ebc736ae306ab947aa697a1a50c9731e89e3a8717b6",
+	"d1cc23e313d6b2ee47652e960dfef3f8b04de66a3123369bb6f52adb4f83d764",
+	"c2456fe16c82733352836af130cc44949223513e70cd8f6e7d62e9a5d57c3560",
+	"54af8f30d28a3f4f9c97970130d062adc80e9d3a28553d26e2261382080cc156",
+	"257cb89135fb38dd48515fafc9c6ab881505cf24e6f1df36faf8bb43156faa53",
+	"92452d5dcde34df01bec40e7663240559ccb9dcb82a8c23a086f2e9a1eb3f481",
+	"d7332f8e054194980818858335356f469c0abdb2ad75c5cf4157b43d57527957",
 }
 
 // writeStim hashes a stimulus cycle by cycle, every input of d in
