@@ -68,11 +68,7 @@ func run(o cliOpts, w io.Writer) error {
 	if o.design == "" {
 		return fmt.Errorf("need -design (one of %v)", designs.Names())
 	}
-	b, err := designs.Get(o.design)
-	if err != nil {
-		return err
-	}
-	d, err := b.Design()
+	b, d, err := designs.Load(o.design, "")
 	if err != nil {
 		return err
 	}

@@ -36,14 +36,15 @@ func load(spec string) (*rtl.Design, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("missing design (need -a and -b)")
 	}
-	if b, err := designs.Get(spec); err == nil {
-		return b.Design()
+	if _, d, err := designs.Load(spec, ""); err == nil {
+		return d, nil
 	}
 	src, err := os.ReadFile(spec)
 	if err != nil {
 		return nil, err
 	}
-	return rtl.ElaborateSource(string(src))
+	_, d, err := designs.Load("", string(src))
+	return d, err
 }
 
 func run(aSpec, bSpec string, depth int) error {

@@ -112,27 +112,12 @@ func run(ctx context.Context, o runOpts, w io.Writer) error {
 	defer stopProf()
 	experiments.CheckTimeout = o.checkTO
 	experiments.Workers = o.workers
-	if o.telemetry != "" || o.metricsSummary {
-		var j *telemetry.Journal
-		if o.telemetry != "" {
-			f, err := os.Create(o.telemetry)
-			if err != nil {
-				return err
-			}
-			j = telemetry.NewJournal(f, telemetry.DefaultJournalBuffer)
-		}
-		tel := telemetry.New(telemetry.NewRegistry(), j)
-		experiments.Telemetry = tel
-		defer func() {
-			tel.EmitSnapshot()
-			if err := tel.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			}
-			if o.metricsSummary {
-				_ = tel.Registry().Snapshot().WriteJSON(os.Stderr)
-			}
-		}()
+	tel, finish, err := telemetry.Start("experiments", o.telemetry, o.metricsSummary)
+	if err != nil {
+		return err
 	}
+	defer finish(os.Stderr)
+	experiments.Telemetry = tel
 	if o.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, o.timeout)

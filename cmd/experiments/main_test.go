@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"goldmine/internal/telemetry"
 )
 
 func TestRunErrors(t *testing.T) {
@@ -58,5 +63,32 @@ func TestRunInterrupted(t *testing.T) {
 	err := run(ctx, runOpts{run: "fig12", workers: 1}, &bytes.Buffer{})
 	if !errors.Is(err, errInterrupted) || !strings.Contains(err.Error(), "0/1 experiments completed") {
 		t.Fatalf("err = %v, want an interruption after 0/1 experiments", err)
+	}
+}
+
+// TestRunTelemetryJournal: -telemetry journals the run, ending with the
+// final metrics snapshot and the close trailer.
+func TestRunTelemetryJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	o := runOpts{run: "example6", workers: 1, telemetry: path}
+	if err := run(context.Background(), o, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	kinds := make([]string, len(lines))
+	for i, ln := range lines {
+		var e telemetry.JSONEvent
+		if err := json.Unmarshal([]byte(ln), &e); err != nil {
+			t.Fatalf("line %d unparseable: %v", i+1, err)
+		}
+		kinds[i] = e.Kind + ":" + e.Name
+	}
+	n := len(kinds)
+	if n < 3 || kinds[n-2] != telemetry.KindSnapshot+":metrics" || kinds[n-1] != telemetry.KindClose+":" {
+		t.Fatalf("journal of %d lines does not end with the snapshot and the close trailer: %v", n, kinds[max(0, n-2):])
 	}
 }

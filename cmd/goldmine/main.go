@@ -28,6 +28,7 @@ import (
 	"goldmine/internal/designs"
 	"goldmine/internal/prof"
 	"goldmine/internal/rtl"
+	"goldmine/internal/serve"
 	"goldmine/internal/sim"
 	"goldmine/internal/stimgen"
 	"goldmine/internal/telemetry"
@@ -187,133 +188,62 @@ func (o runOpts) validate() error {
 	return nil
 }
 
+// request fills the mining request that goldmined resolves too, reading
+// -file into its source.
+func (o runOpts) request() (*serve.Request, error) {
+	req := &serve.Request{
+		Design: o.design, Output: o.output, Seed: o.seed,
+		MaxIter: o.maxIter, Workers: o.workers,
+		Batched: o.batched, FullCtx: o.fullCtx,
+		CheckTimeoutMS: float64(o.checkTO) / float64(time.Millisecond),
+	}
+	if o.file != "" {
+		src, err := os.ReadFile(o.file)
+		if err != nil {
+			return nil, err
+		}
+		req.Source = string(src)
+	}
+	if o.bit >= 0 {
+		req.Bit = &o.bit
+	}
+	if o.window >= 0 {
+		req.Window = &o.window
+	}
+	return req, nil
+}
+
 func run(ctx context.Context, o runOpts) error {
 	if err := o.validate(); err != nil {
 		return err
 	}
-	var d *rtl.Design
-	var bench *designs.Benchmark
-	var err error
-	switch {
-	case o.design != "":
-		bench, err = designs.Get(o.design)
-		if err != nil {
-			return err
-		}
-		d, err = bench.Design()
-		if err != nil {
-			return err
-		}
-	case o.file != "":
-		src, err := os.ReadFile(o.file)
-		if err != nil {
-			return err
-		}
-		d, err = rtl.ElaborateSource(string(src))
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("need -design or -file (use -list for benchmarks)")
+	req, err := o.request()
+	if err != nil {
+		return err
 	}
-
-	// The flags map 1:1 onto the builder's setters; Build (inside Engine)
-	// rejects anything validate above missed at the library level.
-	copts := core.NewOptions().
-		MaxIterations(o.maxIter).
-		Batched(o.batched).
-		FullCtxTrace(o.fullCtx).
-		Workers(o.workers).
-		CheckTimeout(o.checkTO)
-	if o.window >= 0 {
-		copts.Window(o.window)
-	} else if bench != nil {
-		copts.Window(bench.Window)
+	r, err := req.Resolve()
+	if err != nil {
+		return err
 	}
-
-	var tel *telemetry.Tracer
-	if o.telemetry != "" || o.metricsSummary {
-		var j *telemetry.Journal
-		if o.telemetry != "" {
-			f, err := os.Create(o.telemetry)
-			if err != nil {
-				return err
-			}
-			j = telemetry.NewJournal(f, telemetry.DefaultJournalBuffer)
-		}
-		tel = telemetry.New(telemetry.NewRegistry(), j)
-		copts.Telemetry(tel)
+	d := r.Design
+	tel, finish, err := telemetry.Start("goldmine", o.telemetry, o.metricsSummary)
+	if err != nil {
+		return err
 	}
-
+	defer finish(os.Stderr)
 	if o.closeCoverage {
-		if tel != nil {
-			defer func() {
-				tel.EmitSnapshot()
-				if err := tel.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "goldmine:", err)
-				}
-				if o.metricsSummary {
-					_ = tel.Registry().Snapshot().WriteJSON(os.Stderr)
-				}
-			}()
-		}
 		return runClosure(ctx, d, o, tel)
 	}
-
-	var directed func() sim.Stimulus
-	if bench != nil {
-		directed = bench.Directed
-	}
-	stim, err := stimgen.SeedStimulus(d, directed, o.seed)
+	eng, err := core.NewEngine(d, r.Config)
 	if err != nil {
 		return err
 	}
-
-	eng, err := copts.Engine(d)
-	if err != nil {
-		return err
-	}
-	if tel != nil {
-		// The journal ends with a full metrics snapshot plus the accounting
-		// trailer; the optional summary goes to stderr so the artifacts on
-		// stdout stay byte-identical with telemetry on or off.
-		defer func() {
-			tel.EmitSnapshot()
-			if err := tel.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "goldmine:", err)
-			}
-			if o.metricsSummary {
-				_ = tel.Registry().Snapshot().WriteJSON(os.Stderr)
-			}
-		}()
-	}
-
-	var targets []core.Target
-	addTarget := func(sig *rtl.Signal) {
-		if o.bit >= 0 {
-			targets = append(targets, core.Target{Output: sig, Bit: o.bit})
-			return
-		}
-		for b := 0; b < sig.Width; b++ {
-			targets = append(targets, core.Target{Output: sig, Bit: b})
-		}
-	}
-	if o.output != "" {
-		sig := d.Signal(o.output)
-		if sig == nil {
-			return fmt.Errorf("no signal %q", o.output)
-		}
-		addTarget(sig)
-	} else {
-		for _, sig := range d.Outputs() {
-			addTarget(sig)
-		}
-	}
+	eng.SetTelemetry(tel)
 
 	// Mine every target (in parallel for -j > 1), then print in target order:
 	// the output below is byte-identical for any -j value. On SIGINT/-timeout
 	// the engine drains cleanly and everything mined so far is still flushed.
-	all, err := eng.MineTargets(ctx, targets, stim)
+	all, err := eng.MineTargets(ctx, r.Targets, r.Seed)
 	if err != nil {
 		return err
 	}
@@ -322,7 +252,7 @@ func run(ctx context.Context, o runOpts) error {
 	if o.canonical {
 		fmt.Print(all.Canonical())
 		if interrupted {
-			return fmt.Errorf("%w (%d/%d targets mined)", errInterrupted, mined, len(targets))
+			return fmt.Errorf("%w (%d/%d targets mined)", errInterrupted, mined, len(r.Targets))
 		}
 		return nil
 	}
@@ -386,7 +316,7 @@ func run(ctx context.Context, o runOpts) error {
 			s.Workers, s.Tasks, s.WorkerPanics, s.CacheHits, s.ChecksDeduped, s.CacheMisses, 100*s.CacheHitRate)
 	}
 	if interrupted {
-		return fmt.Errorf("%w (%d/%d targets mined)", errInterrupted, mined, len(targets))
+		return fmt.Errorf("%w (%d/%d targets mined)", errInterrupted, mined, len(r.Targets))
 	}
 	return nil
 }

@@ -244,3 +244,32 @@ func TestRunReduceRejectsCorpusOffsetAboveBound(t *testing.T) {
 		t.Error("-reduce accepted a corpus offset past the bound")
 	}
 }
+
+// TestRequestCarriesFlags: the flags reach the resolved configuration and
+// targets unchanged, a sub-millisecond -check-timeout included.
+func TestRequestCarriesFlags(t *testing.T) {
+	o := runOpts{
+		design: "fetch", output: "fetch_pc", bit: 2, window: 3,
+		seed: "random:8", format: "ltl", maxIter: 5, workers: 3,
+		batched: true, fullCtx: true, checkTO: 50 * time.Microsecond,
+	}
+	req, err := o.request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.Config
+	if c.MC.CheckTimeout != o.checkTO || c.Window != 3 || c.MaxIterations != 5 ||
+		c.Workers != 3 || !c.BatchedChecks || !c.AddFullCtxTrace {
+		t.Errorf("config %+v does not carry the flags", c)
+	}
+	if len(r.Targets) != 1 || r.Targets[0].Output.Name != "fetch_pc" || r.Targets[0].Bit != 2 {
+		t.Errorf("targets %+v, want fetch_pc[2] alone", r.Targets)
+	}
+	if len(r.Seed) != 8 {
+		t.Errorf("seed has %d cycles, want 8", len(r.Seed))
+	}
+}

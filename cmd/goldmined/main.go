@@ -69,17 +69,9 @@ type serveConfig struct {
 }
 
 func run(addr, addrFile, walPath, telOut string, sc serveConfig, metrics bool) error {
-	var tel *telemetry.Tracer
-	if telOut != "" || metrics {
-		var j *telemetry.Journal
-		if telOut != "" {
-			f, err := os.Create(telOut)
-			if err != nil {
-				return err
-			}
-			j = telemetry.NewJournal(f, telemetry.DefaultJournalBuffer)
-		}
-		tel = telemetry.New(telemetry.NewRegistry(), j)
+	tel, finish, err := telemetry.Start("goldmined", telOut, metrics)
+	if err != nil {
+		return err
 	}
 
 	s, err := serve.New(serve.Config{
@@ -137,15 +129,7 @@ func run(addr, addrFile, walPath, telOut string, sc serveConfig, metrics bool) e
 	defer cancel()
 	_ = httpSrv.Shutdown(shutCtx)
 	drainErr := s.Shutdown(shutCtx)
-	if tel != nil {
-		tel.EmitSnapshot()
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "goldmined:", err)
-		}
-		if metrics {
-			_ = tel.Registry().Snapshot().WriteJSON(os.Stderr)
-		}
-	}
+	finish(os.Stderr)
 	if drainErr != nil && !errors.Is(drainErr, context.DeadlineExceeded) {
 		return drainErr
 	}

@@ -16,7 +16,6 @@ import (
 
 	"goldmine/internal/coverage"
 	"goldmine/internal/designs"
-	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
 	"goldmine/internal/simc"
 	"goldmine/internal/stimgen"
@@ -43,30 +42,16 @@ func run(design, file string, cycles int, stimSpec string, seed int64, quiet boo
 	if cycles < 0 {
 		return fmt.Errorf("-cycles must be >= 0, got %d", cycles)
 	}
-	var d *rtl.Design
-	var bench *designs.Benchmark
-	var err error
-	switch {
-	case design != "":
-		bench, err = designs.Get(design)
-		if err != nil {
+	var src []byte
+	if file != "" {
+		var err error
+		if src, err = os.ReadFile(file); err != nil {
 			return err
 		}
-		d, err = bench.Design()
-		if err != nil {
-			return err
-		}
-	case file != "":
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		d, err = rtl.ElaborateSource(string(src))
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("need -design or -file")
+	}
+	bench, d, err := designs.Load(design, string(src))
+	if err != nil {
+		return err
 	}
 
 	var stim sim.Stimulus

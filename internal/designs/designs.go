@@ -66,6 +66,33 @@ func Get(name string) (*Benchmark, error) {
 	return b, nil
 }
 
+// Load returns the design a command or a job names: the benchmark called
+// name and its elaborated design, or, when source (Verilog text) is given
+// instead, a nil benchmark and the design elaborated from the source.
+func Load(name, source string) (*Benchmark, *rtl.Design, error) {
+	switch {
+	case name != "" && source != "":
+		return nil, nil, fmt.Errorf("a benchmark name and a Verilog source are mutually exclusive")
+	case name != "":
+		b, err := Get(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		d, err := b.Design()
+		if err != nil {
+			return nil, nil, err
+		}
+		return b, d, nil
+	case source != "":
+		d, err := rtl.ElaborateSource(source)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, d, nil
+	}
+	return nil, nil, fmt.Errorf("need a benchmark name or a Verilog source")
+}
+
 // Names lists registered benchmarks sorted by name.
 func Names() []string {
 	var out []string

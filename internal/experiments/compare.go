@@ -19,11 +19,7 @@ func init() {
 // 100% line/branch coverage; GoldMine counterexample tests push condition
 // coverage higher.
 func Fig15() (*Table, error) {
-	b, err := designs.Get("wb_stage")
-	if err != nil {
-		return nil, err
-	}
-	d, err := b.Design()
+	b, d, err := designs.Load("wb_stage", "")
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +77,7 @@ func Table3() (*Table, error) {
 			"GMCycles", "GMLine", "GMCond", "GMToggle", "GMBranch"},
 	}
 	for _, name := range mods {
-		b, err := designs.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		d, err := b.Design()
+		b, d, err := designs.Load(name, "")
 		if err != nil {
 			return nil, err
 		}
@@ -154,11 +146,7 @@ func Fig16() (*Table, error) {
 			"GMLine", "GMCond", "GMToggle", "GMFSM", "GMBranch"},
 	}
 	for _, rc := range rows {
-		b, err := designs.Get(rc.bench)
-		if err != nil {
-			return nil, err
-		}
-		d, err := b.Design()
+		b, d, err := designs.Load(rc.bench, "")
 		if err != nil {
 			return nil, err
 		}

@@ -220,11 +220,7 @@ const mcSuiteMax = 32
 // is deterministic: mining is reproducible and the records keep discovery
 // order.
 func MCAssertionSuite(name string, maxIter int) (*rtl.Design, []*assertion.Assertion, error) {
-	b, err := designs.Get(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := b.Design()
+	b, d, err := designs.Load(name, "")
 	if err != nil {
 		return nil, nil, err
 	}

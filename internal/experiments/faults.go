@@ -42,11 +42,7 @@ func Table2() (*Table, error) {
 	for _, tgt := range targets {
 		key := tgt.bench + "/" + fmt.Sprint(tgt.outputs)
 		if _, done := suites[key]; !done {
-			b, err := designs.Get(tgt.bench)
-			if err != nil {
-				return nil, err
-			}
-			d, err := b.Design()
+			b, d, err := designs.Load(tgt.bench, "")
 			if err != nil {
 				return nil, err
 			}

@@ -51,7 +51,9 @@ func okRunner(ctx context.Context, spec *JobSpec) (*Artifact, error) {
 	return &Artifact{Design: spec.Design, Canonical: "canon:" + spec.Design + "\n"}, nil
 }
 
-func spec(tenant string) JobSpec { return JobSpec{Tenant: tenant, Design: "arbiter2"} }
+func spec(tenant string) JobSpec {
+	return JobSpec{Tenant: tenant, Request: Request{Design: "arbiter2"}}
+}
 
 func TestSubmitRunsJob(t *testing.T) {
 	s := mustServer(t, testConfig(okRunner))
@@ -75,14 +77,14 @@ func TestSubmitRunsJob(t *testing.T) {
 func TestSubmitValidates(t *testing.T) {
 	s := mustServer(t, testConfig(okRunner))
 	defer shutdown(t, s)
-	if _, err := s.Submit(JobSpec{Design: "arbiter2"}); err == nil {
+	if _, err := s.Submit(JobSpec{Request: Request{Design: "arbiter2"}}); err == nil {
 		t.Fatal("submit without tenant should fail")
 	}
-	if _, err := s.Submit(JobSpec{Tenant: "t", Design: "d", Source: "module m; endmodule"}); err == nil {
+	if _, err := s.Submit(JobSpec{Tenant: "t", Request: Request{Design: "d", Source: "module m; endmodule"}}); err == nil {
 		t.Fatal("submit with design AND source should fail")
 	}
 	for _, seed := range []string{"random:-5", "random:x", "fuzz"} {
-		if _, err := s.Submit(JobSpec{Tenant: "t", Design: "arbiter2", Seed: seed}); err == nil {
+		if _, err := s.Submit(JobSpec{Tenant: "t", Request: Request{Design: "arbiter2", Seed: seed}}); err == nil {
 			t.Errorf("submit with seed %q should fail", seed)
 		}
 	}
@@ -437,7 +439,7 @@ func TestDrainRestartDrainRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: New: %v", round, err)
 		}
-		j, err := s.Submit(JobSpec{Tenant: "t", Design: fmt.Sprintf("d%d", round)})
+		j, err := s.Submit(JobSpec{Tenant: "t", Request: Request{Design: fmt.Sprintf("d%d", round)}})
 		if err != nil {
 			t.Fatalf("round %d: submit: %v", round, err)
 		}
@@ -514,18 +516,18 @@ func TestKillRestartDurability(t *testing.T) {
 	cfg.WALPath = walPath
 	s1 := mustServer(t, cfg)
 
-	fast, err := s1.Submit(JobSpec{Tenant: "t1", Design: "fast"})
+	fast, err := s1.Submit(JobSpec{Tenant: "t1", Request: Request{Design: "fast"}})
 	if err != nil {
 		t.Fatalf("submit fast: %v", err)
 	}
 	if got, _ := s1.WaitJob(context.Background(), fast.ID); got.State != JobDone {
 		t.Fatalf("fast job state = %s", got.State)
 	}
-	slow, err := s1.Submit(JobSpec{Tenant: "t1", Design: "slow"})
+	slow, err := s1.Submit(JobSpec{Tenant: "t1", Request: Request{Design: "slow"}})
 	if err != nil {
 		t.Fatalf("submit slow: %v", err)
 	}
-	queued, err := s1.Submit(JobSpec{Tenant: "t2", Design: "fast2"})
+	queued, err := s1.Submit(JobSpec{Tenant: "t2", Request: Request{Design: "fast2"}})
 	if err != nil {
 		t.Fatalf("submit queued: %v", err)
 	}
@@ -665,7 +667,7 @@ func TestRealMiningJob(t *testing.T) {
 	s := mustServer(t, cfg)
 	defer shutdown(t, s)
 
-	j1, err := s.Submit(JobSpec{Tenant: "t1", Design: "arbiter2"})
+	j1, err := s.Submit(JobSpec{Tenant: "t1", Request: Request{Design: "arbiter2"}})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -678,7 +680,7 @@ func TestRealMiningJob(t *testing.T) {
 	}
 
 	// Second identical job: pooled engine, warm cross-run verdict cache.
-	j2, err := s.Submit(JobSpec{Tenant: "t2", Design: "arbiter2"})
+	j2, err := s.Submit(JobSpec{Tenant: "t2", Request: Request{Design: "arbiter2"}})
 	if err != nil {
 		t.Fatalf("submit2: %v", err)
 	}
@@ -715,7 +717,7 @@ func TestTracedJobMatchesDefault(t *testing.T) {
 	defer shutdown(t, plain)
 
 	run := func(srv *Server) *Artifact {
-		j, err := srv.Submit(JobSpec{Tenant: "t1", Design: "fetch"})
+		j, err := srv.Submit(JobSpec{Tenant: "t1", Request: Request{Design: "fetch"}})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
@@ -757,7 +759,7 @@ func TestKillRestartRealJobs(t *testing.T) {
 	ids := make([]string, jobs)
 	for i := range ids {
 		j, err := s1.Submit(JobSpec{Tenant: fmt.Sprintf("tenant%d", i%4),
-			Design: []string{"arbiter2", "decode"}[i%2]})
+			Request: Request{Design: []string{"arbiter2", "decode"}[i%2]}})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

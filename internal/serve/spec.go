@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"goldmine/internal/core"
@@ -12,165 +13,150 @@ import (
 	"goldmine/internal/stimgen"
 )
 
-// JobSpec is the client-supplied description of one mining job. The fields
-// mirror the goldmine CLI flags 1:1 and resolve to the same defaults, so a
-// job's canonical artifact is byte-identical to a fresh `goldmine -canonical`
-// run with the equivalent flags — the property the recovery smoke test pins.
-type JobSpec struct {
-	// Tenant names the submitting tenant (budget/queue accounting key).
-	Tenant string `json:"tenant"`
+// Request is one mining request: the design and the knobs of the mining
+// loop. The goldmine CLI fills it from its flags and goldmined from a job's
+// JSON, and both mine what Resolve returns, so a job's canonical artifact is
+// byte-identical to a fresh `goldmine -canonical` run with the equivalent
+// flags — the property the recovery smoke test pins.
+type Request struct {
 	// Design is a benchmark name; Source is inline Verilog. Exactly one.
 	Design string `json:"design,omitempty"`
 	Source string `json:"source,omitempty"`
 	// Output restricts mining to one signal (default: all outputs), Bit to
-	// one bit of it (nil: all bits).
+	// one bit of it (nil or negative: all bits).
 	Output string `json:"output,omitempty"`
 	Bit    *int   `json:"bit,omitempty"`
 	// Seed is the seed stimulus spec: directed | random:<cycles> | none
-	// (default directed, like the CLI).
+	// (default directed).
 	Seed string `json:"seed,omitempty"`
 	// Window overrides the mining window (nil: the benchmark's default).
 	Window *int `json:"window,omitempty"`
 	// MaxIter bounds refinement iterations (0: the engine default, 64).
 	MaxIter int `json:"max_iter,omitempty"`
-	// Workers is the intra-job parallelism degree (0: 1; artifacts are
-	// identical for any value). Capped by the server's MaxJobWorkers.
+	// Workers is the mining parallelism degree (0: 1; artifacts are
+	// identical for any value).
 	Workers int `json:"workers,omitempty"`
 	// Batched enables the Section 7 batched-check optimization.
 	Batched bool `json:"batched,omitempty"`
 	// FullCtx adds every counterexample window to the dataset.
 	FullCtx bool `json:"full_ctx,omitempty"`
+	// CheckTimeoutMS bounds one formal check, in milliseconds (0: none;
+	// fractions allowed).
+	CheckTimeoutMS float64 `json:"check_timeout_ms,omitempty"`
+}
+
+// JobSpec is the client-supplied description of one mining job: the
+// daemon's own fields around an embedded Request, whose fields stay at the
+// top level of the JSON form.
+type JobSpec struct {
+	// Tenant names the submitting tenant (budget/queue accounting key).
+	Tenant string `json:"tenant"`
+	Request
 	// TimeoutMS bounds the job's wall clock (0: server default). The
 	// effective deadline is further capped by the tenant's remaining budget.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// CheckTimeoutMS bounds one formal check (0: none).
-	CheckTimeoutMS int64 `json:"check_timeout_ms,omitempty"`
 }
 
 // Validate rejects malformed specs with errors that name the fields, before
 // the job consumes any queue slot or budget.
 func (s *JobSpec) Validate() error {
-	switch {
-	case s.Tenant == "":
+	if s.Tenant == "" {
 		return fmt.Errorf("spec: tenant is required")
-	case s.Design != "" && s.Source != "":
+	}
+	if s.TimeoutMS < 0 {
+		return fmt.Errorf("spec: timeout_ms must be >= 0")
+	}
+	return s.Request.Validate()
+}
+
+// Validate rejects malformed requests with errors that name the fields.
+func (r *Request) Validate() error {
+	switch {
+	case r.Design != "" && r.Source != "":
 		return fmt.Errorf("spec: design and source are mutually exclusive")
-	case s.Design == "" && s.Source == "":
+	case r.Design == "" && r.Source == "":
 		return fmt.Errorf("spec: need design (a benchmark name) or source (inline Verilog)")
 	}
-	if s.Bit != nil && *s.Bit >= 0 && s.Output == "" {
+	if r.Bit != nil && *r.Bit >= 0 && r.Output == "" {
 		return fmt.Errorf("spec: bit needs output to name the signal it indexes")
 	}
-	if s.Window != nil && *s.Window < 0 {
-		return fmt.Errorf("spec: window must be >= 0, got %d", *s.Window)
+	if r.Window != nil && *r.Window < 0 {
+		return fmt.Errorf("spec: window must be >= 0, got %d", *r.Window)
 	}
-	if s.MaxIter < 0 || s.Workers < 0 || s.TimeoutMS < 0 || s.CheckTimeoutMS < 0 {
-		return fmt.Errorf("spec: max_iter, workers, timeout_ms and check_timeout_ms must be >= 0")
+	if r.MaxIter < 0 || r.Workers < 0 || r.CheckTimeoutMS < 0 {
+		return fmt.Errorf("spec: max_iter, workers and check_timeout_ms must be >= 0")
 	}
-	if err := stimgen.CheckSeed(s.Seed); err != nil {
+	if err := stimgen.CheckSeed(r.Seed); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 	return nil
 }
 
-// resolved is a spec elaborated into everything a mining run needs.
-type resolved struct {
-	design  *rtl.Design
-	cfg     core.Config
-	seed    sim.Stimulus
-	targets []core.Target
-	// poolKey identifies engines that are interchangeable for this job:
-	// same design structure, same checker options, same engine toggles.
-	poolKey string
+// Resolved is a request elaborated into everything a mining run needs.
+type Resolved struct {
+	Design  *rtl.Design
+	Config  core.Config
+	Seed    sim.Stimulus
+	Targets []core.Target
 }
 
-// resolve elaborates the design, maps the spec onto the validated core
-// options builder with the same defaults as the goldmine CLI, and derives the
-// seed and target set. maxWorkers caps the per-job parallelism.
-func resolve(spec *JobSpec, maxWorkers int) (*resolved, error) {
-	if err := spec.Validate(); err != nil {
+// Resolve validates the request, loads its design, builds the engine
+// configuration (the benchmark's window unless Window is set) and derives
+// the seed stimulus and the targets: every bit of every output, of Output
+// alone, or only its bit Bit.
+func (r *Request) Resolve() (*Resolved, error) {
+	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		d     *rtl.Design
-		bench *designs.Benchmark
-		err   error
-	)
-	if spec.Design != "" {
-		bench, err = designs.Get(spec.Design)
-		if err != nil {
-			return nil, fmt.Errorf("spec: %w", err)
-		}
-		d, err = bench.Design()
-	} else {
-		d, err = rtl.ElaborateSource(spec.Source)
-	}
+	bench, d, err := designs.Load(r.Design, r.Source)
 	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-
-	workers := spec.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if maxWorkers > 0 && workers > maxWorkers {
-		workers = maxWorkers
+		return nil, err
 	}
 	opts := core.NewOptions().
-		Batched(spec.Batched).
-		FullCtxTrace(spec.FullCtx).
-		Workers(workers).
-		CheckTimeout(time.Duration(spec.CheckTimeoutMS) * time.Millisecond)
-	if spec.MaxIter > 0 {
-		opts.MaxIterations(spec.MaxIter)
+		Batched(r.Batched).
+		FullCtxTrace(r.FullCtx).
+		Workers(max(r.Workers, 1)).
+		CheckTimeout(time.Duration(math.Round(r.CheckTimeoutMS * float64(time.Millisecond))))
+	if r.MaxIter > 0 {
+		opts.MaxIterations(r.MaxIter)
 	}
-	if spec.Window != nil {
-		opts.Window(*spec.Window)
+	if r.Window != nil {
+		opts.Window(*r.Window)
 	} else if bench != nil {
 		opts.Window(bench.Window)
 	}
 	cfg, err := opts.Build()
 	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
+		return nil, err
 	}
-
 	var directed func() sim.Stimulus
 	if bench != nil {
 		directed = bench.Directed
 	}
-	seed, err := stimgen.SeedStimulus(d, directed, spec.Seed)
+	seed, err := stimgen.SeedStimulus(d, directed, r.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
+		return nil, err
 	}
 
+	outs := d.Outputs()
+	if r.Output != "" {
+		sig := d.Signal(r.Output)
+		if sig == nil {
+			return nil, fmt.Errorf("no signal %q in design %s", r.Output, d.Name)
+		}
+		outs = []*rtl.Signal{sig}
+	}
 	var targets []core.Target
-	addTarget := func(sig *rtl.Signal) {
-		if spec.Bit != nil && *spec.Bit >= 0 {
-			targets = append(targets, core.Target{Output: sig, Bit: *spec.Bit})
-			return
+	for _, sig := range outs {
+		if r.Bit != nil && *r.Bit >= 0 {
+			targets = append(targets, core.Target{Output: sig, Bit: *r.Bit})
+			continue
 		}
 		for b := 0; b < sig.Width; b++ {
 			targets = append(targets, core.Target{Output: sig, Bit: b})
 		}
 	}
-	if spec.Output != "" {
-		sig := d.Signal(spec.Output)
-		if sig == nil {
-			return nil, fmt.Errorf("spec: no signal %q in design %s", spec.Output, d.Name)
-		}
-		addTarget(sig)
-	} else {
-		for _, sig := range d.Outputs() {
-			addTarget(sig)
-		}
-	}
-	return &resolved{
-		design:  d,
-		cfg:     cfg,
-		seed:    seed,
-		targets: targets,
-		poolKey: poolKey(d, cfg),
-	}, nil
+	return &Resolved{Design: d, Config: cfg, Seed: seed, Targets: targets}, nil
 }
 
 // Artifact is the durable result of one completed job: the canonical mining
@@ -222,14 +208,19 @@ func makeArtifact(res *core.Result) *Artifact {
 // the pool (or build one wired to the shared verdict cache), mine, and return
 // the engine for the next job of the same design+options.
 func (s *Server) runCore(ctx context.Context, spec *JobSpec) (*Artifact, error) {
-	r, err := resolve(spec, s.cfg.MaxJobWorkers)
+	req := spec.Request
+	if limit := s.cfg.MaxJobWorkers; limit > 0 && req.Workers > limit {
+		req.Workers = limit
+	}
+	r, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := s.pool.acquire(r.poolKey, func() (*core.Engine, error) {
-		cfg := r.cfg
+	key := poolKey(r.Design, r.Config)
+	eng, err := s.pool.acquire(key, func() (*core.Engine, error) {
+		cfg := r.Config
 		cfg.Cache = s.cache
-		e, err := core.NewEngine(r.design, cfg)
+		e, err := core.NewEngine(r.Design, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -245,10 +236,10 @@ func (s *Server) runCore(ctx context.Context, spec *JobSpec) (*Artifact, error) 
 	// design, so this job's target signals belong to a different (structurally
 	// identical) rtl.Design instance. Remap them by name onto the engine's
 	// design — mining against foreign signal pointers corrupts the run.
-	targets := r.targets
-	if eng.D != r.design {
-		targets = make([]core.Target, len(r.targets))
-		for i, tg := range r.targets {
+	targets := r.Targets
+	if eng.D != r.Design {
+		targets = make([]core.Target, len(r.Targets))
+		for i, tg := range r.Targets {
 			sig := eng.D.Signal(tg.Output.Name)
 			if sig == nil {
 				return nil, fmt.Errorf("spec: pooled engine lacks signal %q", tg.Output.Name)
@@ -262,10 +253,10 @@ func (s *Server) runCore(ctx context.Context, spec *JobSpec) (*Artifact, error) 
 	repool := false
 	defer func() {
 		if repool {
-			s.pool.release(r.poolKey, eng)
+			s.pool.release(key, eng)
 		}
 	}()
-	res, err := eng.MineTargets(ctx, targets, r.seed)
+	res, err := eng.MineTargets(ctx, targets, r.Seed)
 	repool = true
 	if err != nil {
 		return nil, err

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"goldmine/internal/telemetry"
 )
@@ -25,7 +28,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(jobs) != 0 {
 		t.Fatalf("fresh WAL replayed %d jobs", len(jobs))
 	}
-	spec := JobSpec{Tenant: "t1", Design: "arbiter2"}
+	spec := JobSpec{Tenant: "t1", Request: Request{Design: "arbiter2"}}
 	art := &Artifact{Design: "arbiter2", Canonical: "canon\n", Proved: 3}
 	must := func(err error) {
 		t.Helper()
@@ -38,13 +41,13 @@ func TestWALRoundTrip(t *testing.T) {
 	must(w.append(walDone, art, telemetry.String("id", "j000000"),
 		telemetry.Int("attempt", 1), telemetry.Int("elapsed_us", 1500)))
 
-	must(w.append(walSubmit, &JobSpec{Tenant: "t2", Design: "decode"}, telemetry.String("id", "j000001")))
+	must(w.append(walSubmit, &JobSpec{Tenant: "t2", Request: Request{Design: "decode"}}, telemetry.String("id", "j000001")))
 	must(w.append(walStart, nil, telemetry.String("id", "j000001"), telemetry.Int("attempt", 1)))
 	must(w.append(walFail, nil, telemetry.String("id", "j000001"),
 		telemetry.Int("attempt", 1), telemetry.String("error", "boom"),
 		telemetry.Int("elapsed_us", 2000)))
 
-	must(w.append(walSubmit, &JobSpec{Tenant: "t3", Design: "fetch"}, telemetry.String("id", "j000002")))
+	must(w.append(walSubmit, &JobSpec{Tenant: "t3", Request: Request{Design: "fetch"}}, telemetry.String("id", "j000002")))
 	must(w.append(walCancel, nil, telemetry.String("id", "j000002")))
 	must(w.close())
 
@@ -75,7 +78,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	w, _ := openTestWAL(t, path)
-	if err := w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", "j000000")); err != nil {
+	if err := w.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d"}}, telemetry.String("id", "j000000")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -124,7 +127,7 @@ func TestWALDrainMarkerMidFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", "j000000")))
+	must(w.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d"}}, telemetry.String("id", "j000000")))
 	must(w.append(walDrain, nil)) // first graceful shutdown
 	must(w.close())
 
@@ -133,7 +136,7 @@ func TestWALDrainMarkerMidFile(t *testing.T) {
 	if len(jobs) != 1 {
 		t.Fatalf("replay after drain = %d jobs, want 1", len(jobs))
 	}
-	must(w2.append(walSubmit, &JobSpec{Tenant: "t", Design: "d2"}, telemetry.String("id", "j000001")))
+	must(w2.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d2"}}, telemetry.String("id", "j000001")))
 	must(w2.append(walDrain, nil)) // second graceful shutdown
 	must(w2.close())
 
@@ -182,7 +185,7 @@ func TestWALForeignRecordsIgnored(t *testing.T) {
 func TestWALDisable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	w, _ := openTestWAL(t, path)
-	if err := w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", "j000000")); err != nil {
+	if err := w.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d"}}, telemetry.String("id", "j000000")); err != nil {
 		t.Fatal(err)
 	}
 	w.disable()
@@ -203,7 +206,7 @@ func TestWALDisable(t *testing.T) {
 func TestWALTornTailThenAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	w, _ := openTestWAL(t, path)
-	if err := w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", "j000000")); err != nil {
+	if err := w.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d"}}, telemetry.String("id", "j000000")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -222,7 +225,7 @@ func TestWALTornTailThenAppend(t *testing.T) {
 	if len(jobs) != 1 {
 		t.Fatalf("replay after torn line = %d jobs, want 1", len(jobs))
 	}
-	if err := w2.append(walSubmit, &JobSpec{Tenant: "t", Design: "d2"}, telemetry.String("id", "j000001")); err != nil {
+	if err := w2.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d2"}}, telemetry.String("id", "j000001")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.close(); err != nil {
@@ -241,7 +244,7 @@ func TestWALDropsUnterminatedFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	w, _ := openTestWAL(t, path)
 	for _, id := range []string{"j000000", "j000001"} {
-		if err := w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", id)); err != nil {
+		if err := w.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d"}}, telemetry.String("id", id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +263,7 @@ func TestWALDropsUnterminatedFinalLine(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].ID != "j000000" {
 		t.Fatalf("unterminated submit applied: replay = %+v, want j000000 only", jobs)
 	}
-	if err := w2.append(walSubmit, &JobSpec{Tenant: "t", Design: "d2"}, telemetry.String("id", "j000001")); err != nil {
+	if err := w2.append(walSubmit, &JobSpec{Tenant: "t", Request: Request{Design: "d2"}}, telemetry.String("id", "j000001")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.close(); err != nil {
@@ -292,5 +295,53 @@ func TestWALRecordsPersistenceErrors(t *testing.T) {
 	}
 	if st := s.Stats(); st.WALDropped < 1 || st.WALPersistErr == "" {
 		t.Errorf("append failures not recorded: dropped=%d err=%q", st.WALDropped, st.WALPersistErr)
+	}
+}
+
+// TestWALSubmitWireForm replays submit records written before JobSpec
+// embedded Request (the bytes below are that encoder's output) and
+// re-encodes each spec: the fields decode unchanged, and every record
+// re-encodes to its own bytes except that timeout_ms, now the daemon's field
+// after the embedded request, follows check_timeout_ms.
+func TestWALSubmitWireForm(t *testing.T) {
+	const old = `{"ts_us":1792444545523004,"kind":"job","name":"submit","attrs":{"id":"j000000"},"data":{"tenant":"ci","design":"arbiter2"}}
+{"ts_us":1792444545523194,"kind":"job","name":"submit","attrs":{"id":"j000001"},"data":{"tenant":"acme","design":"fetch","output":"pc","bit":1,"seed":"random:64","window":2,"max_iter":12,"workers":3,"batched":true,"full_ctx":true,"check_timeout_ms":250}}
+{"ts_us":1792444545523211,"kind":"job","name":"submit","attrs":{"id":"j000002"},"data":{"tenant":"acme","source":"module inv(input a, output y); assign y = ~a; endmodule\n","output":"y","seed":"none","workers":2,"timeout_ms":5000,"check_timeout_ms":40}}
+`
+	bit, win := 1, 2
+	want := []JobSpec{
+		{Tenant: "ci", Request: Request{Design: "arbiter2"}},
+		{Tenant: "acme", Request: Request{Design: "fetch", Output: "pc", Bit: &bit, Seed: "random:64",
+			Window: &win, MaxIter: 12, Workers: 3, Batched: true, FullCtx: true, CheckTimeoutMS: 250}},
+		{Tenant: "acme", TimeoutMS: 5000, Request: Request{
+			Source: "module inv(input a, output y); assign y = ~a; endmodule\n", Output: "y",
+			Seed: "none", Workers: 2, CheckTimeoutMS: 40}},
+	}
+	lines := strings.Split(strings.TrimSuffix(old, "\n"), "\n")
+	lines[2] = strings.Replace(lines[2], `"timeout_ms":5000,"check_timeout_ms":40`,
+		`"check_timeout_ms":40,"timeout_ms":5000`, 1)
+
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, jobs := openTestWAL(t, path)
+	if len(jobs) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(jobs), len(want))
+	}
+	for i, j := range jobs {
+		if !reflect.DeepEqual(j.Spec, want[i]) {
+			t.Errorf("%s: replayed %+v, want %+v", j.ID, j.Spec, want[i])
+		}
+		var ts int64
+		fmt.Sscanf(lines[i], `{"ts_us":%d`, &ts)
+		got, err := telemetry.EncodeEvent(nil, &telemetry.Event{TS: time.UnixMicro(ts),
+			Kind: walKind, Name: walSubmit, Attrs: []telemetry.Attr{telemetry.String("id", j.ID)}, Data: &j.Spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSuffix(string(got), "\n"); got != lines[i] {
+			t.Errorf("%s re-encodes to\n%s\nwant\n%s", j.ID, got, lines[i])
+		}
 	}
 }

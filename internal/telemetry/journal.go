@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -153,6 +154,37 @@ const kindStop = "\x00stop"
 
 // DefaultJournalBuffer is the event buffer depth used by the CLI flags.
 const DefaultJournalBuffer = 8192
+
+// Start opens the telemetry behind a command's -telemetry and
+// -metrics-summary flags: a tracer journaling to the file at path when path
+// is set, a metrics-only tracer when only summary is, and a nil tracer when
+// neither is. The returned finish ends the run: it writes the final metrics
+// snapshot and the journal's close trailer, reports a failed close to
+// stderr under the command's name, and with summary prints the snapshot to
+// stderr as JSON, so stdout is the same with telemetry on or off.
+func Start(name, path string, summary bool) (tr *Tracer, finish func(stderr io.Writer), err error) {
+	if path == "" && !summary {
+		return nil, func(io.Writer) {}, nil
+	}
+	var j *Journal
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		j = NewJournal(f, DefaultJournalBuffer)
+	}
+	tr = New(NewRegistry(), j)
+	return tr, func(stderr io.Writer) {
+		tr.EmitSnapshot()
+		if err := tr.Close(); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		}
+		if summary {
+			_ = tr.reg.Snapshot().WriteJSON(stderr)
+		}
+	}, nil
+}
 
 // NewJournal starts a journal writing to w with the given buffer depth
 // (values < 1 get a minimal buffer of 1). If w is also an io.Closer it is

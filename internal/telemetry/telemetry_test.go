@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -412,4 +413,48 @@ func (d *appendingData) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `,"s":`...)
 	b = strconv.AppendQuote(b, d.S)
 	return append(b, '}'), nil
+}
+
+// TestStartSummaryOnly: -metrics-summary without -telemetry starts a
+// metrics-only tracer that creates no file and prints the snapshot at
+// finish; with neither flag there is no tracer at all.
+func TestStartSummaryOnly(t *testing.T) {
+	listing := func() []string {
+		entries, err := os.ReadDir(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		return names
+	}
+	before := listing()
+	tr, finish, err := Start("cmd", "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr == nil || tr.Journal() != nil {
+		t.Fatalf("summary-only tracer %+v: want a registry and no journal", tr)
+	}
+	tr.Registry().Counter("start.test").Add(7)
+	var stderr bytes.Buffer
+	finish(&stderr)
+	if !strings.Contains(stderr.String(), `"start.test": 7`) {
+		t.Errorf("summary lacks the counter:\n%s", stderr.String())
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Errorf("summary-only run changed the directory: %v -> %v", before, after)
+	}
+
+	tr, finish, err = Start("cmd", "", false)
+	if err != nil || tr != nil {
+		t.Fatalf("no flags: tracer %v, err %v; want neither", tr, err)
+	}
+	stderr.Reset()
+	finish(&stderr)
+	if stderr.Len() != 0 {
+		t.Errorf("no flags: finish wrote %q", stderr.String())
+	}
 }

@@ -182,6 +182,19 @@ done
     "$tmpbin/cc.jsonl"
 echo "smoke: closure -j1 ≡ -j4 and the directed telemetry journal validates"
 
+echo "== smoke: closure's final report counts the suite it returns =="
+# b12 at 512 cycles compacts its suite (evicts witnesses); the final
+# coverage report must count the cycles of the suite returned, not also
+# those of the evicted witnesses.
+"$tmpbin/goldmine" -close-coverage -design b12 -cover-cycles 512 >"$tmpbin/b12c.txt"
+final_cyc=$(sed -n 's/^final: .*(\([0-9]*\) cycles)$/\1/p' "$tmpbin/b12c.txt")
+used_cyc=$(sed -n 's/^cycles=\([0-9]*\) .*/\1/p' "$tmpbin/b12c.txt")
+if [ -z "$final_cyc" ] || [ "$final_cyc" != "$used_cyc" ]; then
+    echo "smoke: FAILED (b12 closure: final report counts '$final_cyc' cycles, suite '$used_cyc')" >&2
+    exit 1
+fi
+echo "smoke: b12 closure final report and suite both at $used_cyc cycles"
+
 echo "== smoke: adaptive closure beats the legacy engine and prunes dead code =="
 # The adaptive engine (witness sharing + adaptive depth + k-induction pruning)
 # must issue strictly fewer SAT solves than the fixed-depth legacy loop did at
