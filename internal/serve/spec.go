@@ -204,9 +204,10 @@ func makeArtifact(res *core.Result) *Artifact {
 	return a
 }
 
-// runCore is the default job runner: resolve the spec, check an engine out of
-// the pool (or build one wired to the shared verdict cache), mine, and return
-// the engine for the next job of the same design+options.
+// runCore is the default job runner: resolve the spec's request with its
+// workers capped at the server's MaxJobWorkers, check an engine out of the
+// pool (or build one wired to the shared verdict cache), mine, and return the
+// engine for the next job of the same design+options.
 func (s *Server) runCore(ctx context.Context, spec *JobSpec) (*Artifact, error) {
 	req := spec.Request
 	if limit := s.cfg.MaxJobWorkers; limit > 0 && req.Workers > limit {
