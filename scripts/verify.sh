@@ -61,8 +61,9 @@ go test -run '^$' -fuzz '^FuzzElaborateSource$' -fuzztime 10s -parallel 2 ./inte
 
 echo "== artifacts match scripts/golden.sha256 (every design, -j 1 and -j 4) =="
 # The -j1 ≡ -j4 legs below pin determinism within one commit; this leg pins
-# the artifacts across commits: goldmine -canonical and coverage -directed
-# on every bundled design must hash to the committed listing. A change that
+# the artifacts across commits: goldmine -canonical, goldmine -minimize and
+# coverage (random, -goldmine and -directed) on every bundled design, and the
+# experiments tables, must hash to the committed listing. A change that
 # alters an artifact on purpose re-records it (scripts/golden.sh).
 if ! scripts/golden.sh | diff scripts/golden.sha256 -; then
     echo "golden: FAILED (artifacts differ from scripts/golden.sha256)" >&2
