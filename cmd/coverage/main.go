@@ -1,6 +1,7 @@
 // Command coverage measures all coverage metrics of a design under a chosen
 // stimulus, lists the uncovered points, and — with -directed — runs the
-// coverage-closure loop that aims SAT-directed stimulus at the holes.
+// coverage-closure loop that aims SAT-directed stimulus at the holes. The
+// suite runs on the 64-lane batch engine.
 //
 // Usage:
 //
@@ -24,6 +25,7 @@ import (
 	"goldmine/internal/coverage"
 	"goldmine/internal/designs"
 	"goldmine/internal/holes"
+	"goldmine/internal/serve"
 	"goldmine/internal/sim"
 	"goldmine/internal/stimgen"
 )
@@ -68,6 +70,12 @@ func run(o cliOpts, w io.Writer) error {
 	if o.design == "" {
 		return fmt.Errorf("need -design (one of %v)", designs.Names())
 	}
+	if o.goldmine && o.directed {
+		return fmt.Errorf("-goldmine and -directed are mutually exclusive: closure builds its own suite")
+	}
+	if o.deadFile != "" && !o.directed && !o.holesJSON {
+		return fmt.Errorf("-dead-corpus needs -directed or -holes-json: only closure and the hole listing read the journal")
+	}
 	b, d, err := designs.Load(o.design, "")
 	if err != nil {
 		return err
@@ -108,29 +116,36 @@ func run(o cliOpts, w io.Writer) error {
 	} else {
 		suite = []sim.Stimulus{stimgen.Random(d, o.cycles, o.seed, 2)}
 		if o.goldmine {
-			cfg := core.DefaultConfig()
-			cfg.Window = b.Window
-			cfg.MaxIterations = 24
-			eng, err := core.NewEngine(d, cfg)
+			// Mine the key outputs as goldmine resolves a request.
+			req := serve.Request{Design: o.design, Seed: "none", MaxIter: 24, Workers: o.workers}
+			r, err := req.Resolve()
 			if err != nil {
 				return err
 			}
-			seedStim := stimgen.Random(d, minInt(o.cycles, 128), o.seed, 2)
+			eng, err := core.NewEngine(r.Design, r.Config)
+			if err != nil {
+				return err
+			}
+			var targets []core.Target
 			for _, name := range b.KeyOutputs {
-				sig := d.Signal(name)
+				sig := r.Design.Signal(name)
 				for bit := 0; bit < sig.Width; bit++ {
-					res, err := eng.MineOutput(context.Background(), sig, bit, seedStim)
-					if err != nil {
-						return err
-					}
-					suite = append(suite, res.Ctx...)
+					targets = append(targets, core.Target{Output: sig, Bit: bit})
 				}
+			}
+			seed := stimgen.Random(r.Design, min(o.cycles, 128), o.seed, 2)
+			res, err := eng.MineTargets(context.Background(), targets, seed)
+			if err != nil {
+				return err
+			}
+			for _, out := range res.Outputs {
+				suite = append(suite, out.Ctx...)
 			}
 		}
 	}
 
 	col := coverage.New(d)
-	if err := col.RunSuite(suite); err != nil {
+	if err := col.RunSuiteCompiled(suite); err != nil {
 		return err
 	}
 	if !o.directed {
@@ -169,11 +184,4 @@ func run(o cliOpts, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

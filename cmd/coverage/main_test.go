@@ -77,16 +77,16 @@ func TestRunErrors(t *testing.T) {
 		{cliOpts{design: "arbiter2", cycles: -5, seed: 1, workers: 1}, "-cycles must be >= 0, got -5"},
 		{cliOpts{design: "arbiter2", cycles: 10, seed: 1, workers: 0}, "-j must be >= 1, got 0"},
 		{cliOpts{design: "b01", cycles: 10, seed: 1, directed: true, workers: -2}, "-j must be >= 1, got -2"},
+		{cliOpts{design: "b01", cycles: 10, seed: 1, goldmine: true, directed: true, workers: 1},
+			"-goldmine and -directed are mutually exclusive: closure builds its own suite"},
+		{cliOpts{design: "b01", cycles: 10, seed: 1, deadFile: "dead.jsonl", workers: 1},
+			"-dead-corpus needs -directed or -holes-json: only closure and the hole listing read the journal"},
+		{cliOpts{design: "b01", cycles: 10, seed: 1, goldmine: true, deadFile: "dead.jsonl", workers: 1},
+			"-dead-corpus needs -directed or -holes-json: only closure and the hole listing read the journal"},
 	} {
 		err := run(tc.o, &bytes.Buffer{})
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%+v: got error %v, want %q", tc.o, err, tc.want)
 		}
-	}
-}
-
-func TestMinInt(t *testing.T) {
-	if minInt(3, 5) != 3 || minInt(5, 3) != 3 {
-		t.Error("minInt broken")
 	}
 }

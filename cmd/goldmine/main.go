@@ -18,6 +18,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -277,16 +278,16 @@ func run(ctx context.Context, o runOpts) error {
 			// section below: the suite is selected across outputs, not per
 			// output.
 			for _, rec := range res.Proved {
-				fmt.Printf("  [it%d %s] %s\n", rec.Iteration, rec.Method, render(rec.Assertion.String(), rec, o.format, d.Clock))
+				fmt.Printf("  [it%d %s] %s\n", rec.Iteration, rec.Method, render(rec.Assertion, o.format, d.Clock))
 			}
 		}
-		for i, ctx := range res.Ctx {
+		for i, stim := range res.Ctx {
 			if o.minimize && i < len(res.Failed) {
-				if min, err := core.MinimizeCtx(d, res.Failed[i].Assertion, ctx); err == nil {
-					ctx = min
+				if min, err := eng.MinimizeCtx(ctx, res.Failed[i].Assertion, stim); err == nil {
+					stim = min
 				}
 			}
-			fmt.Printf("  ctx%d (%d cycles): %s\n", i+1, len(ctx), stimString(ctx))
+			fmt.Printf("  ctx%d (%d cycles): %s\n", i+1, len(stim), stimString(stim))
 		}
 		if o.printTree {
 			fmt.Println(res.Tree.String())
@@ -406,12 +407,13 @@ func corpusReport(d *rtl.Design, all *core.Result, o runOpts, tel *telemetry.Tra
 		red.WindowsSelected, red.WindowsFull, red.CoverRetention())
 	for i, sel := range red.Selected {
 		fmt.Printf("  %d. [+%d kills +%d windows] %s\n",
-			i+1, sel.GainKills, sel.GainWindows, renderA(sel.Entry.A, o.format, d.Clock))
+			i+1, sel.GainKills, sel.GainWindows, render(sel.Entry.A, o.format, d.Clock))
 	}
 	return nil
 }
 
-func renderA(a *assertion.Assertion, format, clock string) string {
+// render prints an assertion in the -format language.
+func render(a *assertion.Assertion, format, clock string) string {
 	switch format {
 	case "sva":
 		return a.SVA(clock)
@@ -422,22 +424,16 @@ func renderA(a *assertion.Assertion, format, clock string) string {
 	}
 }
 
-func render(ltl string, rec core.AssertionRecord, format, clock string) string {
-	switch format {
-	case "sva":
-		return rec.Assertion.SVA(clock)
-	case "psl":
-		return rec.Assertion.PSL(clock)
-	default:
-		return ltl
-	}
-}
-
 func stimString(stim sim.Stimulus) string {
 	var parts []string
 	for _, iv := range stim {
+		keys := make([]string, 0, len(iv))
+		for k := range iv {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
 		var kv []string
-		for _, k := range sortedKeys(iv) {
+		for _, k := range keys {
 			if iv[k] != 0 {
 				kv = append(kv, fmt.Sprintf("%s=%d", k, iv[k]))
 			}
@@ -449,19 +445,4 @@ func stimString(stim sim.Stimulus) string {
 		}
 	}
 	return strings.Join(parts, " | ")
-}
-
-func sortedKeys(iv sim.InputVec) []string {
-	var keys []string
-	for k := range iv {
-		keys = append(keys, k)
-	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	return keys
 }

@@ -70,7 +70,7 @@ func main() {
 	suite := []sim.Stimulus{seed}
 	suite = append(suite, res.Ctx...)
 	col := coverage.New(design)
-	if err := col.RunSuite(suite); err != nil {
+	if err := col.RunSuiteCompiled(suite); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("enhanced suite coverage: %s\n", col.Report())

@@ -7,7 +7,6 @@ package main
 
 import (
 	"context"
-
 	"fmt"
 	"log"
 
@@ -17,6 +16,7 @@ import (
 	"goldmine/internal/monitor"
 	"goldmine/internal/mutate"
 	"goldmine/internal/sim"
+	"goldmine/internal/simc"
 	"goldmine/internal/stimgen"
 )
 
@@ -77,7 +77,8 @@ func main() {
 	}
 
 	// The same suite also works as a simulation-time monitor: replay random
-	// stimulus on a mutant with the assertions attached as checkers.
+	// stimulus on a mutant as lane 0 of the batch engine; with that lane
+	// observed, RunPacked books exactly what a scalar replay would.
 	fmt.Println("\nsimulation-based regression (assertion monitor on a mutant):")
 	mutant, err := mutate.Apply(design, mutate.Fault{Signal: "stall_in", StuckAt1: true})
 	if err != nil {
@@ -87,9 +88,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := mon.RunSuite([]sim.Stimulus{stimgen.Random(mutant, 2000, 11, 2)}); err != nil {
+	prog, err := simc.CompileBatch(mutant, simc.BatchOptions{})
+	if err != nil {
 		log.Fatal(err)
 	}
+	ps, err := prog.Pack([]sim.Stimulus{stimgen.Random(mutant, 2000, 11, 2)})
+	if err != nil {
+		log.Fatal(err)
+	}
+	bt, err := simc.NewBatchMachine(prog).RunPacked(ps)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mon.RunPacked(bt, 1)
 	fmt.Printf("  violations observed: %d (clean=%v, vacuous assertions: %d/%d)\n",
 		len(mon.Violations()), mon.Clean(), mon.VacuousCount(), len(asserts))
 }

@@ -35,7 +35,7 @@ func main() {
 		rnd := stimgen.Random(d, n, 3, 2)
 
 		rndCol := coverage.New(d)
-		if err := rndCol.RunSuite([]sim.Stimulus{rnd}); err != nil {
+		if err := rndCol.RunSuiteCompiled([]sim.Stimulus{rnd}); err != nil {
 			log.Fatal(err)
 		}
 
@@ -47,11 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 		suite := []sim.Stimulus{rnd}
-		seedLen := n
-		if seedLen > 128 {
-			seedLen = 128
-		}
-		seed := stimgen.Random(d, seedLen, 3, 2)
+		seed := stimgen.Random(d, min(n, 128), 3, 2)
 		for _, out := range b.KeyOutputs {
 			sig := d.Signal(out)
 			for bit := 0; bit < sig.Width; bit++ {
@@ -63,7 +59,7 @@ func main() {
 			}
 		}
 		gmCol := coverage.New(d)
-		if err := gmCol.RunSuite(suite); err != nil {
+		if err := gmCol.RunSuiteCompiled(suite); err != nil {
 			log.Fatal(err)
 		}
 

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"goldmine/internal/assertion"
-	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
 )
 
@@ -13,22 +13,23 @@ import (
 // window must stay at the end) and then zeroes input bits cycle by cycle,
 // keeping each simplification only if the assertion is still violated in the
 // final window. The result is a minimal, human-readable test pattern — the
-// validation artifact engineers actually read.
-func MinimizeCtx(d *rtl.Design, a *assertion.Assertion, ctx sim.Stimulus) (sim.Stimulus, error) {
-	if len(ctx) == 0 {
+// validation artifact engineers actually read. Candidates run on the
+// engine's batch machine: do not call it while the engine is mining.
+func (e *Engine) MinimizeCtx(ctx context.Context, a *assertion.Assertion, stim sim.Stimulus) (sim.Stimulus, error) {
+	if len(stim) == 0 {
 		return nil, fmt.Errorf("empty counterexample")
 	}
 	violates := func(stim sim.Stimulus) bool {
-		tr, err := sim.Simulate(d, stim)
+		tr, err := e.simulate(ctx, stim)
 		if err != nil {
 			return false
 		}
 		return violatesAt(tr, a, len(stim)-(a.Consequent.Offset+1))
 	}
-	if !violates(ctx) {
+	if !violates(stim) {
 		return nil, fmt.Errorf("stimulus does not violate the assertion")
 	}
-	cur := ctx.Clone()
+	cur := stim.Clone()
 
 	// Phase 1: drop leading cycles.
 	for len(cur) > a.Consequent.Offset+1 {
@@ -40,7 +41,7 @@ func MinimizeCtx(d *rtl.Design, a *assertion.Assertion, ctx sim.Stimulus) (sim.S
 	}
 	// Phase 2: zero non-essential input assignments.
 	for c := range cur {
-		for _, in := range d.Inputs() {
+		for _, in := range e.D.Inputs() {
 			if cur[c][in.Name] == 0 {
 				delete(cur[c], in.Name)
 				continue

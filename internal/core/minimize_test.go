@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-
 	"testing"
 
 	"goldmine/internal/sim"
@@ -25,11 +24,11 @@ func TestMinimizeCtxShrinks(t *testing.T) {
 		// Pad the ctx with irrelevant leading noise: minimization must strip it.
 		padded := sim.Stimulus{{"req1": 1}, {"req0": 1, "req1": 1}}
 		padded = append(padded, ctx.Clone()...)
-		min, err := MinimizeCtx(e.D, rec.Assertion, padded)
+		min, err := e.MinimizeCtx(context.Background(), rec.Assertion, padded)
 		if err != nil {
 			// The padded prefix may change register state so the original
 			// window no longer violates: acceptable, try the raw ctx then.
-			min, err = MinimizeCtx(e.D, rec.Assertion, ctx)
+			min, err = e.MinimizeCtx(context.Background(), rec.Assertion, ctx)
 			if err != nil {
 				t.Fatalf("ctx %d: %v", i, err)
 			}
@@ -63,7 +62,7 @@ func TestMinimizeCtxZeroesIrrelevantInputs(t *testing.T) {
 		if i >= len(res.Ctx) {
 			break
 		}
-		min, err := MinimizeCtx(e.D, rec.Assertion, res.Ctx[i])
+		min, err := e.MinimizeCtx(context.Background(), rec.Assertion, res.Ctx[i])
 		if err != nil {
 			continue
 		}
@@ -86,10 +85,10 @@ func TestMinimizeCtxErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := res.Proved[0].Assertion // true assertion: nothing violates it
-	if _, err := MinimizeCtx(e.D, a, sim.Stimulus{{"rst": 1}, {}, {}}); err == nil {
+	if _, err := e.MinimizeCtx(context.Background(), a, sim.Stimulus{{"rst": 1}, {}, {}}); err == nil {
 		t.Error("non-violating stimulus should error")
 	}
-	if _, err := MinimizeCtx(e.D, a, nil); err == nil {
+	if _, err := e.MinimizeCtx(context.Background(), a, nil); err == nil {
 		t.Error("empty stimulus should error")
 	}
 }

@@ -1,9 +1,10 @@
 // Package coverage measures the standard RTL coverage metrics reported in the
 // paper's tables: line, branch, condition, expression, toggle and FSM
 // coverage. It consumes the instrumentation points recorded by the rtl
-// elaborator and observes simulation cycles through the simulator's observer
-// hook, so coverage is collected during the same evaluation the traces come
-// from.
+// elaborator. RunSuiteCompiled, the production path, reads them as compiled
+// point words of a 64-lane batch trace; Observe, fed by the interpreter's
+// observer hook (RunSuite) or a recorded trace (ObserveTrace), is the oracle
+// it is checked against.
 package coverage
 
 import (
@@ -112,8 +113,10 @@ func (c *Collector) Observe(env rtl.Env) {
 	c.hasPrev = true
 }
 
-// RunSuite simulates every stimulus in the suite from reset, collecting
-// coverage across all of them.
+// RunSuite simulates every stimulus in the suite from reset on the
+// sim.Simulator interpreter, collecting coverage across all of them. It is
+// the oracle the tests and perfbench's output checks replay a suite on to
+// confirm RunSuiteCompiled, which every production caller runs.
 func (c *Collector) RunSuite(suite []sim.Stimulus) error {
 	s, err := sim.New(c.d)
 	if err != nil {

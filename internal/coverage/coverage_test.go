@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -425,6 +426,34 @@ func TestRunSuiteCompiledMatchesInterpreter(t *testing.T) {
 					if ui[i] != uc[i] {
 						t.Errorf("%d stimuli: uncovered point %d: %q vs %q", len(suite), i, ui[i], uc[i])
 					}
+				}
+			}
+
+			// The experiments' shape: one long single-lane stimulus whose
+			// parts are joined with a reset cycle between them, then a
+			// shorter suite on the same collectors, so the batch machine
+			// reuses the long run's trace storage.
+			var long sim.Stimulus
+			for i, part := range randomSuite(d, 8, 520, 300, 2) {
+				if i > 0 && d.Signal("rst") != nil && d.Signal("rst").Kind == rtl.SigInput {
+					long = append(long, sim.InputVec{"rst": 1})
+				}
+				long = append(long, part...)
+			}
+			if len(long) < 4096 {
+				t.Fatalf("long stimulus has %d cycles, want >= 4096", len(long))
+			}
+			ci, cc := New(d), New(d)
+			for _, suite := range [][]sim.Stimulus{{long}, randomSuite(d, 3, 100, 77, 2)} {
+				if err := ci.RunSuite(suite); err != nil {
+					t.Fatal(err)
+				}
+				if err := cc.RunSuiteCompiled(suite); err != nil {
+					t.Fatal(err)
+				}
+				if si, sc := ci.State(), cc.State(); !reflect.DeepEqual(si, sc) {
+					t.Fatalf("%d stimuli after the long run: compiled collector state differs from the interpreter's\ninterpreter: %s\ncompiled:    %s",
+						len(suite), ci.Report(), cc.Report())
 				}
 			}
 		})

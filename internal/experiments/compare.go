@@ -25,21 +25,19 @@ func Fig15() (*Table, error) {
 	}
 	seed := stimgen.Random(d, 50, 2024, 1)
 
-	base := coverage.New(d)
-	if err := base.RunSuite([]sim.Stimulus{seed}); err != nil {
+	baseRep, err := suiteCoverage(d, []sim.Stimulus{seed})
+	if err != nil {
 		return nil, err
 	}
-	baseRep := base.Report()
 
 	mr, err := mineModule(b, seed, 0)
 	if err != nil {
 		return nil, err
 	}
-	full := coverage.New(d)
-	if err := full.RunSuite(mr.suiteUpTo(mr.maxIteration() + 1)); err != nil {
+	fullRep, err := suiteCoverage(d, mr.suiteUpTo(mr.maxIteration()+1))
+	if err != nil {
 		return nil, err
 	}
-	fullRep := full.Report()
 
 	t := &Table{
 		ID:     "Fig15",
@@ -86,11 +84,10 @@ func Table3() (*Table, error) {
 		// coverage — exactly the stagnation the paper criticizes).
 		one := b.Directed()
 		directed := stimgen.Repeat(one, directedCycles/len(one))
-		dirCol := coverage.New(d)
-		if err := dirCol.RunSuite([]sim.Stimulus{directed}); err != nil {
+		dirRep, err := suiteCoverage(d, []sim.Stimulus{directed})
+		if err != nil {
 			return nil, err
 		}
-		dirRep := dirCol.Report()
 
 		// GoldMine: the directed test as seed plus counterexample refinement.
 		mr, err := mineModule(b, one, 24)
@@ -98,11 +95,10 @@ func Table3() (*Table, error) {
 			return nil, err
 		}
 		suite := mr.suiteUpTo(mr.maxIteration() + 1)
-		gmCol := coverage.New(d)
-		if err := gmCol.RunSuite(suite); err != nil {
+		gmRep, err := suiteCoverage(d, suite)
+		if err != nil {
 			return nil, err
 		}
-		gmRep := gmCol.Report()
 
 		t.Rows = append(t.Rows, []string{
 			name,
@@ -151,11 +147,10 @@ func Fig16() (*Table, error) {
 			return nil, err
 		}
 		rnd := stimgen.Random(d, rc.cycles, 3, 2)
-		rndCol := coverage.New(d)
-		if err := rndCol.RunSuite([]sim.Stimulus{rnd}); err != nil {
+		rndRep, err := suiteCoverage(d, []sim.Stimulus{rnd})
+		if err != nil {
 			return nil, err
 		}
-		rndRep := rndCol.Report()
 
 		// GoldMine: the random test plus counterexample refinement on the
 		// key outputs (bounded iterations for the larger designs).
@@ -163,20 +158,15 @@ func Fig16() (*Table, error) {
 		if rc.cycles > 1000 {
 			maxIter = 8
 		}
-		seedLen := rc.cycles
-		if seedLen > 256 {
-			seedLen = 256
-		}
-		mr, err := mineModule(b, stimgen.Random(d, seedLen, 3, 2), maxIter)
+		mr, err := mineModule(b, stimgen.Random(d, min(rc.cycles, 256), 3, 2), maxIter)
 		if err != nil {
 			return nil, err
 		}
 		suite := append([]sim.Stimulus{rnd}, mr.suiteUpTo(mr.maxIteration()+1)...)
-		gmCol := coverage.New(d)
-		if err := gmCol.RunSuite(suite); err != nil {
+		gmRep, err := suiteCoverage(d, suite)
+		if err != nil {
 			return nil, err
 		}
-		gmRep := gmCol.Report()
 
 		fmtm := func(m coverage.Metric) string {
 			if !m.Defined() {

@@ -333,8 +333,13 @@ func (mr *moduleRun) inputSpaceAt(k int) float64 {
 
 // coverageAt measures module coverage of the cumulative suite at iteration k.
 func (mr *moduleRun) coverageAt(k int) (coverage.Report, error) {
-	col := coverage.New(mr.Design)
-	if err := col.RunSuite(mr.suiteUpTo(k)); err != nil {
+	return suiteCoverage(mr.Design, mr.suiteUpTo(k))
+}
+
+// suiteCoverage measures the coverage of a suite on the batch engine.
+func suiteCoverage(d *rtl.Design, suite []sim.Stimulus) (coverage.Report, error) {
+	col := coverage.New(d)
+	if err := col.RunSuiteCompiled(suite); err != nil {
 		return coverage.Report{}, err
 	}
 	return col.Report(), nil

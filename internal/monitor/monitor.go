@@ -166,11 +166,8 @@ func New(d *rtl.Design, suite []*assertion.Assertion) (*Monitor, error) {
 	return m, nil
 }
 
-// Attach registers the monitor on a simulator. Call BeginRun before each
-// reset so windows never straddle independent runs.
-func (m *Monitor) Attach(s *sim.Simulator) { s.Observe(m.Observe) }
-
-// BeginRun clears the sliding window at a reset boundary.
+// BeginRun clears the sliding window at a reset boundary: call it before
+// each reset so windows never straddle independent runs.
 func (m *Monitor) BeginRun() { m.seen = 0 }
 
 // Observe consumes one settled simulation cycle.
@@ -314,7 +311,9 @@ func (m *Monitor) VacuousCount() int {
 	return n
 }
 
-// RunSuite resets and replays each stimulus with the monitor attached.
+// RunSuite resets and replays each stimulus on the sim.Simulator
+// interpreter with the monitor attached through Observe: the scalar
+// reference the tests check RunPacked against.
 func (m *Monitor) RunSuite(suite []sim.Stimulus) error {
 	s, err := sim.New(m.d)
 	if err != nil {

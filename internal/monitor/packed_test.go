@@ -119,7 +119,7 @@ func checkPacked(t testing.TB, p *simc.BatchProgram, suite []*assertion.Assertio
 				t.Fatal(err)
 			}
 		}
-		scalar.Attach(s)
+		s.Observe(scalar.Observe)
 		if _, err := s.Run(stim); err != nil {
 			t.Fatal(err)
 		}

@@ -255,6 +255,8 @@ func SimCampaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, 
 }
 
 // Campaign checks every assertion against every fault, reproducing Table 2.
+// Each mutant's assertions share one mc.Session, whose verdicts are a fresh
+// checker's at the cost of one encoding per mutant, not per assertion.
 func Campaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, opts mc.Options) ([]Detection, error) {
 	var out []Detection
 	for _, f := range faults {
@@ -262,10 +264,10 @@ func Campaign(d *rtl.Design, asserts []*assertion.Assertion, faults []Fault, opt
 		if err != nil {
 			return nil, err
 		}
-		checker := mc.NewWithOptions(md, opts)
+		session := mc.NewWithOptions(md, opts).NewSession()
 		det := Detection{Fault: f, Total: len(asserts)}
 		for i, a := range asserts {
-			res, err := checker.Check(a)
+			res, err := session.Check(a)
 			if err != nil {
 				return nil, err
 			}

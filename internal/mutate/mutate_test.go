@@ -226,7 +226,7 @@ func TestSimCampaignMatchesScalarForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mon.Attach(s)
+		s.Observe(mon.Observe)
 		if _, err := s.Run(stim); err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 // Package sim provides a two-valued, cycle-accurate interpreter for
-// elaborated rtl.Designs. It is the "Data Generator" of the GoldMine flow:
-// it applies input stimulus cycle by cycle, evaluates the combinational
-// expressions in dependency order, latches next-state values on the implicit
-// clock edge, and records complete per-cycle traces of every signal. Per-cycle
-// observer hooks let the coverage engine watch the same evaluation.
+// elaborated rtl.Designs: it applies input stimulus cycle by cycle,
+// evaluates the combinational expressions in dependency order, latches
+// next-state values on the implicit clock edge, and records complete
+// per-cycle traces of every signal. It is the oracle the 64-lane batch
+// engine (internal/simc), which runs every production simulation, is tested
+// against; its stimulus and trace types are shared by both.
 package sim
 
 import (
