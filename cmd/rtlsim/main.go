@@ -73,14 +73,17 @@ func run(design, file string, cycles int, stimSpec string, seed int64, quiet boo
 	}
 
 	// The stimulus runs as lane 0 of the batch engine, whose trace equals
-	// the sim.Simulator interpreter's; coverage observes the recorded trace.
+	// the sim.Simulator interpreter's; coverage runs it once more on the
+	// collector's point-word program.
 	traces, err := simc.SimulateBatch(d, []sim.Stimulus{stim})
 	if err != nil {
 		return err
 	}
 	trace := traces[0]
 	col := coverage.New(d)
-	col.ObserveTrace(trace)
+	if err := col.RunSuiteCompiled([]sim.Stimulus{stim}); err != nil {
+		return err
+	}
 
 	if !quiet {
 		// Header.

@@ -47,7 +47,11 @@ func main() {
 			log.Fatal(err)
 		}
 		suite := []sim.Stimulus{rnd}
-		seed := stimgen.Random(d, min(n, 128), 3, 2)
+		seedLen := n
+		if seedLen > 128 {
+			seedLen = 128
+		}
+		seed := stimgen.Random(d, seedLen, 3, 2)
 		for _, out := range b.KeyOutputs {
 			sig := d.Signal(out)
 			for bit := 0; bit < sig.Width; bit++ {

@@ -3,8 +3,7 @@
 // coverage. It consumes the instrumentation points recorded by the rtl
 // elaborator. RunSuiteCompiled, the production path, reads them as compiled
 // point words of a 64-lane batch trace; Observe, fed by the interpreter's
-// observer hook (RunSuite) or a recorded trace (ObserveTrace), is the oracle
-// it is checked against.
+// observer hook (RunSuite), is the oracle it is checked against.
 package coverage
 
 import (
@@ -178,10 +177,10 @@ func (c *Collector) Program() (*simc.BatchProgram, error) {
 	return c.batch.Program(), nil
 }
 
-// observePacked is ObserveTrace on every lane of a packed trace at once:
-// each lane is one run from reset, and at cycle t only the lanes live there
-// count. A toggle or FSM transition pairs cycles t-1 and t of one lane (a
-// lane live at t is live at t-1). FSM values are gathered per live lane.
+// observePacked is Observe on every row of every lane of a packed trace at
+// once: each lane is one run from reset, and at cycle t only the lanes live
+// there count. A toggle or FSM transition pairs cycles t-1 and t of one lane
+// (a lane live at t is live at t-1). FSM values are gathered per live lane.
 func (c *Collector) observePacked(bt *simc.BatchTrace) {
 	c.hasPrev = false // each lane is its own run
 	n := bt.Cycles()
@@ -228,17 +227,6 @@ func (c *Collector) observePacked(bt *simc.BatchTrace) {
 				state[l] = v
 			}
 		}
-	}
-}
-
-// ObserveTrace consumes one recorded run from reset: a reset boundary, then
-// one Observe per trace row, read through an unmasked row view.
-func (c *Collector) ObserveTrace(tr *sim.Trace) {
-	c.BeginRun()
-	env := &sim.RowEnv{Trace: tr}
-	for _, row := range tr.Values {
-		env.Row = row
-		c.Observe(env)
 	}
 }
 

@@ -158,7 +158,11 @@ func Fig16() (*Table, error) {
 		if rc.cycles > 1000 {
 			maxIter = 8
 		}
-		mr, err := mineModule(b, stimgen.Random(d, min(rc.cycles, 256), 3, 2), maxIter)
+		seedLen := rc.cycles
+		if seedLen > 256 {
+			seedLen = 256
+		}
+		mr, err := mineModule(b, stimgen.Random(d, seedLen, 3, 2), maxIter)
 		if err != nil {
 			return nil, err
 		}
