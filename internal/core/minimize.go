@@ -19,12 +19,12 @@ func (e *Engine) MinimizeCtx(ctx context.Context, a *assertion.Assertion, stim s
 	if len(stim) == 0 {
 		return nil, fmt.Errorf("empty counterexample")
 	}
-	violates := func(stim sim.Stimulus) bool {
-		tr, err := e.simulate(ctx, stim)
+	violates := func(cand sim.Stimulus) bool {
+		tr, err := e.simulate(ctx, cand)
 		if err != nil {
 			return false
 		}
-		return violatesAt(tr, a, len(stim)-(a.Consequent.Offset+1))
+		return violatesAt(tr, a, len(cand)-(a.Consequent.Offset+1))
 	}
 	if !violates(stim) {
 		return nil, fmt.Errorf("stimulus does not violate the assertion")
