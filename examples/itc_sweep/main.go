@@ -5,13 +5,13 @@ package main
 
 import (
 	"context"
-
 	"fmt"
 	"log"
 
 	"goldmine/internal/core"
 	"goldmine/internal/coverage"
 	"goldmine/internal/designs"
+	"goldmine/internal/serve"
 	"goldmine/internal/sim"
 	"goldmine/internal/stimgen"
 )
@@ -27,10 +27,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := b.Design()
+		// Mine as goldmine resolves a request: the benchmark's window, at
+		// most 8 refinement iterations, the example's own seed stimulus.
+		r, err := (&serve.Request{Design: name, Seed: "none", MaxIter: 8}).Resolve()
 		if err != nil {
 			log.Fatal(err)
 		}
+		d := r.Design
 		n := cycles[name]
 		rnd := stimgen.Random(d, n, 3, 2)
 
@@ -39,28 +42,25 @@ func main() {
 			log.Fatal(err)
 		}
 
-		cfg := core.DefaultConfig()
-		cfg.Window = b.Window
-		cfg.MaxIterations = 8
-		eng, err := core.NewEngine(d, cfg)
+		eng, err := core.NewEngine(d, r.Config)
+		if err != nil {
+			log.Fatal(err)
+		}
+		var targets []core.Target
+		for _, out := range b.KeyOutputs {
+			sig := d.Signal(out)
+			for bit := 0; bit < sig.Width; bit++ {
+				targets = append(targets, core.Target{Output: sig, Bit: bit})
+			}
+		}
+		seed := stimgen.Random(d, min(n, 128), 3, 2)
+		res, err := eng.MineTargets(context.Background(), targets, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		suite := []sim.Stimulus{rnd}
-		seedLen := n
-		if seedLen > 128 {
-			seedLen = 128
-		}
-		seed := stimgen.Random(d, seedLen, 3, 2)
-		for _, out := range b.KeyOutputs {
-			sig := d.Signal(out)
-			for bit := 0; bit < sig.Width; bit++ {
-				res, err := eng.MineOutput(context.Background(), sig, bit, seed)
-				if err != nil {
-					log.Fatal(err)
-				}
-				suite = append(suite, res.Ctx...)
-			}
+		for _, out := range res.Outputs {
+			suite = append(suite, out.Ctx...)
 		}
 		gmCol := coverage.New(d)
 		if err := gmCol.RunSuiteCompiled(suite); err != nil {

@@ -29,10 +29,10 @@
 // exported statistics counters are updated under another. The first check
 // to need the reachability cache pays for its construction out of its own
 // budget; concurrent checks block on the lock and then read the immutable
-// result for free. The exported statistics fields
-// (Checks, CtxFound, ...) are written under the internal lock but are plain
-// fields — read them only when no check is in flight, or via Snapshot. The
-// package has no mutable package-level state (only sentinel error values).
+// result for free. The exported statistics fields (Checks, CtxFound, ...)
+// are written under the internal lock but are plain fields — read them only
+// when no check is in flight. The package has no mutable package-level
+// state (only sentinel error values).
 package mc
 
 import (
@@ -184,7 +184,7 @@ type Checker struct {
 	machPool sync.Pool
 
 	// Statistics, written under statMu. Read them only between checks (no
-	// call in flight) or via Snapshot.
+	// call in flight).
 	statMu      sync.Mutex
 	Checks      int
 	CtxFound    int
@@ -246,24 +246,6 @@ func (c *Checker) newSolver() *sat.Solver {
 	s := sat.New()
 	s.Counters = c.satC
 	return s
-}
-
-// Stats is a consistent snapshot of the checker counters.
-type Stats struct {
-	Checks    int
-	CtxFound  int
-	TotalTime time.Duration
-	Unknowns  int
-	Degraded  int
-}
-
-// Snapshot returns the statistics counters under the internal lock, safe to
-// call while checks are in flight.
-func (c *Checker) Snapshot() Stats {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return Stats{Checks: c.Checks, CtxFound: c.CtxFound, TotalTime: c.TotalTime,
-		Unknowns: c.Unknowns, Degraded: c.Degraded}
 }
 
 // New creates a checker with default options.

@@ -1,6 +1,6 @@
 // Package serve is the mining-as-a-service layer: a fault-tolerant,
 // multi-tenant daemon core that accepts design+options mining jobs over a
-// JSON API and runs them on a pooled fleet of reusable core.Engine instances.
+// JSON API and mines each job on a fresh engine on one shared verdict cache.
 //
 // Robustness is the organizing principle — every failure mode degrades
 // gracefully instead of losing work:
@@ -28,9 +28,8 @@
 //   - Liveness: Healthz/Readyz surface queue depth, drain state, and worker
 //     liveness for load balancers.
 //
-// Engines are pooled per design+options fingerprint, so repeat jobs reuse
-// compiled simulator programs, warmed SAT sessions, and reachability caches;
-// all engines share one process-wide LRU verdict cache
+// Each job attempt builds its own core.Engine, as cmd/goldmine does; the
+// engines share one process-wide LRU verdict cache
 // (sched.NewVerdictCacheSized), so tenants mining the same design hit each
-// other's warm verdicts across jobs and across daemon restarts' runs.
+// other's warm verdicts across jobs.
 package serve

@@ -98,8 +98,6 @@ type Config struct {
 	// MaxJobWorkers caps the per-job intra-mining parallelism a spec may
 	// request.
 	MaxJobWorkers int
-	// PoolPerKey is how many idle engines are retained per design+options.
-	PoolPerKey int
 	// WALPath is the durable job journal; empty runs without durability
 	// (tests, ephemeral services).
 	WALPath string
@@ -139,9 +137,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxJobWorkers < 1 {
 		c.MaxJobWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.PoolPerKey < 1 {
-		c.PoolPerKey = c.Workers
 	}
 }
 
@@ -206,7 +201,6 @@ func (q *jobQueue) len() int {
 type Server struct {
 	cfg     Config
 	cache   *sched.VerdictCache
-	pool    *enginePool
 	tenants *tenants
 	wal     *wal
 	q       *jobQueue
@@ -252,7 +246,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		cache:     sched.NewVerdictCacheSized(cfg.CacheCapacity),
-		pool:      newEnginePool(cfg.PoolPerKey),
 		tenants:   newTenants(cfg.TenantBudget, cfg.TenantMaxActive),
 		q:         newJobQueue(),
 		jobs:      map[string]*Job{},
@@ -763,7 +756,6 @@ type Stats struct {
 	Cache            sched.CacheStats `json:"cache"`
 	CacheHitRate     float64          `json:"cache_hit_rate"`
 	CacheLen         int              `json:"cache_len"`
-	Pool             PoolStats        `json:"pool"`
 	Tenants          []TenantStats    `json:"tenants"`
 	// Solver surfaces the SAT search and model-checker counters from the
 	// wired tracer's registry (sat.solves, sat.conflicts, mc.checks,
@@ -792,7 +784,6 @@ func (s *Server) Stats() Stats {
 		Corpus:         s.corpus.Stats(),
 		Cache:          s.cache.Stats(),
 		CacheLen:       s.cache.Len(),
-		Pool:           s.pool.stats(),
 		Tenants:        s.tenants.stats(),
 	}
 	if s.wal != nil {

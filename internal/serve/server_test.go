@@ -657,9 +657,9 @@ func TestBudgetSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestRealMiningJob runs one real end-to-end job (no runner seam) and pins
-// the canonical artifact against a direct engine run, plus cross-run cache
-// reuse on a second identical job served by a pooled engine.
+// TestRealMiningJob runs one real end-to-end job (no runner seam), then a
+// second identical job whose every verdict comes from the shared cross-run
+// cache and whose canonical artifact is byte-identical to the first.
 func TestRealMiningJob(t *testing.T) {
 	cfg := Config{Workers: 1, QueueDepth: 8, MaxAttempts: 2,
 		RetryBase: time.Millisecond, RetryMax: time.Millisecond,
@@ -679,7 +679,7 @@ func TestRealMiningJob(t *testing.T) {
 		t.Fatalf("artifact = %+v, want converged canonical", got1.Artifact)
 	}
 
-	// Second identical job: pooled engine, warm cross-run verdict cache.
+	// Second identical job: fresh engine, warm cross-run verdict cache.
 	j2, err := s.Submit(JobSpec{Tenant: "t2", Request: Request{Design: "arbiter2"}})
 	if err != nil {
 		t.Fatalf("submit2: %v", err)
@@ -691,12 +691,9 @@ func TestRealMiningJob(t *testing.T) {
 	if got1.Artifact.Canonical != got2.Artifact.Canonical {
 		t.Fatal("same spec produced different canonical artifacts")
 	}
-	if got2.Artifact.CacheHits == 0 {
-		t.Fatalf("second run cache hits = 0, want cross-run reuse (stats %+v)", got2.Artifact)
-	}
-	st := s.Stats()
-	if st.Pool.Reuses == 0 {
-		t.Fatalf("pool reuses = 0, want engine reuse (pool %+v)", st.Pool)
+	if a := got2.Artifact; a.CacheHits == 0 || a.CacheMisses != 0 {
+		t.Fatalf("second run cache hits/misses = %d/%d, want all verdicts from the cross-run cache",
+			a.CacheHits, a.CacheMisses)
 	}
 }
 

@@ -205,9 +205,8 @@ func makeArtifact(res *core.Result) *Artifact {
 }
 
 // runCore is the default job runner: resolve the spec's request with its
-// workers capped at the server's MaxJobWorkers, check an engine out of the
-// pool (or build one wired to the shared verdict cache), mine, and return the
-// engine for the next job of the same design+options.
+// workers capped at the server's MaxJobWorkers, build a fresh engine on the
+// shared verdict cache, as goldmine does, and mine the request's targets.
 func (s *Server) runCore(ctx context.Context, spec *JobSpec) (*Artifact, error) {
 	req := spec.Request
 	if limit := s.cfg.MaxJobWorkers; limit > 0 && req.Workers > limit {
@@ -217,48 +216,16 @@ func (s *Server) runCore(ctx context.Context, spec *JobSpec) (*Artifact, error) 
 	if err != nil {
 		return nil, err
 	}
-	key := poolKey(r.Design, r.Config)
-	eng, err := s.pool.acquire(key, func() (*core.Engine, error) {
-		cfg := r.Config
-		cfg.Cache = s.cache
-		e, err := core.NewEngine(r.Design, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if s.cfg.Tracer != nil {
-			e.SetTelemetry(s.cfg.Tracer)
-		}
-		return e, nil
-	})
+	cfg := r.Config
+	cfg.Cache = s.cache
+	eng, err := core.NewEngine(r.Design, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// A pooled engine was built on an earlier job's elaboration of the same
-	// design, so this job's target signals belong to a different (structurally
-	// identical) rtl.Design instance. Remap them by name onto the engine's
-	// design — mining against foreign signal pointers corrupts the run.
-	targets := r.Targets
-	if eng.D != r.Design {
-		targets = make([]core.Target, len(r.Targets))
-		for i, tg := range r.Targets {
-			sig := eng.D.Signal(tg.Output.Name)
-			if sig == nil {
-				return nil, fmt.Errorf("spec: pooled engine lacks signal %q", tg.Output.Name)
-			}
-			targets[i] = core.Target{Output: sig, Bit: tg.Bit}
-		}
+	if s.cfg.Tracer != nil {
+		eng.SetTelemetry(s.cfg.Tracer)
 	}
-	// A panic escaping MineTargets leaves the engine's internals in an
-	// unknown state: let the panic pass to runJob's recover barrier and drop
-	// the engine instead of repooling it.
-	repool := false
-	defer func() {
-		if repool {
-			s.pool.release(key, eng)
-		}
-	}()
-	res, err := eng.MineTargets(ctx, targets, r.Seed)
-	repool = true
+	res, err := eng.MineTargets(ctx, r.Targets, r.Seed)
 	if err != nil {
 		return nil, err
 	}
