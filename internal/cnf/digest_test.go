@@ -35,7 +35,7 @@ var cnfDigests = map[string]string{
 	"wb_stage":  "5c88a0da8ead8622824daec38dd065442eb22fc419ed13a194a8af099c4e9914",
 }
 
-// cnfDigest unrolls d lazily for 4 frames from the reset state, encodes
+// cnfDigest unrolls d for 4 frames from the reset state, encodes
 // every output and register at every frame and every coverage point's
 // expression at frame 1, and hashes the solver's DIMACS text.
 func cnfDigest(t *testing.T, name string) string {
@@ -49,7 +49,7 @@ func cnfDigest(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	s := sat.New()
-	u := NewLazyUnroller(s, d)
+	u := NewUnroller(s, d)
 	for i := 0; i < 4; i++ {
 		u.AddFrame()
 	}

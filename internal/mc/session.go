@@ -183,13 +183,13 @@ func (s *Session) reset() {
 	s.bmc, s.ind = nil, nil
 }
 
-// bmcState and indState unroll lazily (cnf.NewLazyUnroller): each query
+// bmcState and indState unroll lazily (cnf.NewUnroller): each query
 // encodes only the transitive sequential cone of the signals it references
 // (cone-of-influence reduction), never the whole transition relation.
 func (s *Session) bmcState() *satState {
 	if s.bmc == nil {
 		sol := s.c.newSolver()
-		u := cnf.NewLazyUnroller(sol, s.c.d)
+		u := cnf.NewUnroller(sol, s.c.d)
 		u.InitZero()
 		s.bmc = &satState{s: sol, u: u}
 	} else {
@@ -201,7 +201,7 @@ func (s *Session) bmcState() *satState {
 func (s *Session) indState() *satState {
 	if s.ind == nil {
 		sol := s.c.newSolver()
-		s.ind = &satState{s: sol, u: cnf.NewLazyUnroller(sol, s.c.d)}
+		s.ind = &satState{s: sol, u: cnf.NewUnroller(sol, s.c.d)}
 	}
 	return s.ind
 }

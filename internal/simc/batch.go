@@ -2,7 +2,6 @@ package simc
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"goldmine/internal/rtl"
@@ -197,493 +196,148 @@ func (b *bbuild) gate(op uint8, a, x, c int32) int32 {
 	return w
 }
 
-func (b *bbuild) and(x, y int32) int32 {
-	if x == bw0 || y == bw0 {
+// The bits rtl.Lower passes around are word indices, or ^w (a negative
+// value) for the complement of word w, which costs no instruction until a
+// word has to hold it (see word). The constants are always bw0 and bw1.
+
+// False is the all-zeros word.
+func (b *bbuild) False() int32 { return bw0 }
+
+// True is the all-ones word.
+func (b *bbuild) True() int32 { return bw1 }
+
+// Not complements x without emitting an instruction.
+func (b *bbuild) Not(x int32) int32 {
+	switch x {
+	case bw0:
+		return bw1
+	case bw1:
 		return bw0
 	}
-	if x == bw1 {
+	return ^x
+}
+
+// And folds a complemented operand into bAndN and two into an OR (De
+// Morgan), so comparator chains emit no NOT.
+func (b *bbuild) And(x, y int32) int32 {
+	if x == bw0 || y == bw0 || x == b.Not(y) {
+		return bw0
+	}
+	if x == bw1 || x == y {
 		return y
 	}
 	if y == bw1 {
 		return x
 	}
-	if x == y {
-		return x
+	switch {
+	case x >= 0 && y >= 0:
+		return b.gate(bAnd, min(x, y), max(x, y), 0)
+	case x < 0 && y < 0:
+		return ^b.gate(bOr, min(^x, ^y), max(^x, ^y), 0)
+	case x < 0:
+		return b.gate(bAndN, y, ^x, 0)
+	default:
+		return b.gate(bAndN, x, ^y, 0)
 	}
-	if x > y {
-		x, y = y, x
-	}
-	return b.gate(bAnd, x, y, 0)
 }
 
-func (b *bbuild) or(x, y int32) int32 {
-	if x == bw1 || y == bw1 {
-		return bw1
-	}
-	if x == bw0 {
-		return y
-	}
-	if y == bw0 {
-		return x
-	}
-	if x == y {
-		return x
-	}
-	if x > y {
-		x, y = y, x
-	}
-	return b.gate(bOr, x, y, 0)
+// Or is the complement of And of the complements: two plain words give
+// bOr, a complemented one bAndN.
+func (b *bbuild) Or(x, y int32) int32 {
+	return b.Not(b.And(b.Not(x), b.Not(y)))
 }
 
-func (b *bbuild) xor(x, y int32) int32 {
-	if x == y {
+func (b *bbuild) Xor(x, y int32) int32 {
+	switch {
+	case x == y:
 		return bw0
-	}
-	if x == bw0 {
+	case x == b.Not(y):
+		return bw1
+	case x == bw0:
 		return y
-	}
-	if y == bw0 {
+	case y == bw0:
 		return x
+	case x == bw1:
+		return b.Not(y)
+	case y == bw1:
+		return b.Not(x)
 	}
-	if x == bw1 {
-		return b.not(y)
+	// A complemented operand complements the result.
+	neg := (x < 0) != (y < 0)
+	if x < 0 {
+		x = ^x
 	}
-	if y == bw1 {
-		return b.not(x)
+	if y < 0 {
+		y = ^y
 	}
-	if x > y {
-		x, y = y, x
+	w := b.gate(bXor, min(x, y), max(x, y), 0)
+	if neg {
+		return ^w
 	}
-	return b.gate(bXor, x, y, 0)
+	return w
 }
 
-func (b *bbuild) not(x int32) int32 {
-	if x == bw0 {
-		return bw1
+// Mux selects t where c is 1 and f where c is 0.
+func (b *bbuild) Mux(c, t, f int32) int32 {
+	if c == bw1 || t == f {
+		return t
 	}
-	if x == bw1 {
-		return bw0
+	if c == bw0 {
+		return f
 	}
-	if n, ok := b.notOf[x]; ok {
+	if c < 0 {
+		c, t, f = ^c, f, t
+	}
+	switch {
+	case f == bw0:
+		return b.And(t, c)
+	case t == bw0:
+		return b.And(f, b.Not(c))
+	case f == bw1:
+		return b.Or(t, b.Not(c))
+	case t == bw1:
+		return b.Or(f, c)
+	case t < 0 && f < 0:
+		return ^b.gate(bMux, ^t, ^f, c)
+	}
+	return b.gate(bMux, b.hold(t), b.hold(f), c)
+}
+
+// Ref returns sig's stored words.
+func (b *bbuild) Ref(sig *rtl.Signal) ([]int32, error) {
+	stored := b.p.bits(sig)
+	if stored == nil {
+		return nil, fmt.Errorf("simc: expression reads unknown signal %q", sig.Name)
+	}
+	return stored, nil
+}
+
+// hold returns a word holding bit x, emitting the NOT of a complement (once
+// per word: notOf caches it both ways).
+func (b *bbuild) hold(x int32) int32 {
+	if x >= 0 {
+		return x
+	}
+	if n, ok := b.notOf[^x]; ok {
 		return n
 	}
-	n := b.gate(bNot, x, 0, 0)
-	b.notOf[x] = n
-	b.notOf[n] = x
+	n := b.gate(bNot, ^x, 0, 0)
+	b.notOf[^x] = n
+	b.notOf[n] = ^x
 	return n
 }
 
-// andn computes x &^ y.
-func (b *bbuild) andn(x, y int32) int32 {
-	if x == bw0 || y == bw1 || x == y {
-		return bw0
-	}
-	if y == bw0 {
-		return x
-	}
-	if x == bw1 {
-		return b.not(y)
-	}
-	return b.gate(bAndN, x, y, 0)
-}
-
-// mux selects tv where cond is 1, fv where cond is 0.
-func (b *bbuild) mux(tv, fv, cond int32) int32 {
-	if cond == bw1 || tv == fv {
-		return tv
-	}
-	if cond == bw0 {
-		return fv
-	}
-	if tv == bw1 && fv == bw0 {
-		return cond
-	}
-	if tv == bw0 && fv == bw1 {
-		return b.not(cond)
-	}
-	if fv == bw0 {
-		return b.and(tv, cond)
-	}
-	if tv == bw0 {
-		return b.andn(fv, cond)
-	}
-	if fv == bw1 {
-		return b.or(tv, b.not(cond))
-	}
-	if tv == bw1 {
-		return b.or(fv, cond)
-	}
-	return b.gate(bMux, tv, fv, cond)
-}
-
-// tree folds a list of words with a balanced reduction.
-func (b *bbuild) tree(op func(int32, int32) int32, ws []int32) int32 {
-	if len(ws) == 0 {
-		return bw0
-	}
-	for len(ws) > 1 {
-		var next []int32
-		for i := 0; i < len(ws); i += 2 {
-			if i+1 < len(ws) {
-				next = append(next, op(ws[i], ws[i+1]))
-			} else {
-				next = append(next, ws[i])
-			}
-		}
-		ws = next
-	}
-	return ws[0]
-}
-
-// redOr is 1 where the value is nonzero.
-func (b *bbuild) redOr(v wbits) int32 {
-	return b.tree(b.or, append([]int32(nil), v...))
-}
-
-// add computes x + y truncated to w bits (ripple carry with shared a^b).
-func (b *bbuild) add(x, y wbits, w int) wbits {
-	return b.addc(x, y, bw0, w)
-}
-
-func (b *bbuild) addc(x, y wbits, carry int32, w int) wbits {
-	out := make(wbits, w)
-	for i := 0; i < w; i++ {
-		xi, yi := x.get(i), y.get(i)
-		axb := b.xor(xi, yi)
-		out[i] = b.xor(axb, carry)
-		if i < w-1 {
-			carry = b.or(b.and(xi, yi), b.and(carry, axb))
-		}
-	}
-	return out
-}
-
-// sub computes x - y truncated to w bits (x + ^y + 1).
-func (b *bbuild) sub(x, y wbits, w int) wbits {
-	ny := make(wbits, w)
-	for i := 0; i < w; i++ {
-		ny[i] = b.not(y.get(i))
-	}
-	return b.addc(x, ny, bw1, w)
-}
-
-// ult is 1 where x < y over the full raw widths (borrow chain of x - y).
-func (b *bbuild) ult(x, y wbits) int32 {
-	n := len(x)
-	if len(y) > n {
-		n = len(y)
-	}
-	borrow := bw0
-	for i := 0; i < n; i++ {
-		xi, yi := x.get(i), y.get(i)
-		nb := b.andn(yi, xi) // ^x & y
-		eq := b.not(b.xor(xi, yi))
-		borrow = b.or(nb, b.and(eq, borrow))
-	}
-	return borrow
-}
-
-// eq is 1 where x == y over the full raw widths.
-func (b *bbuild) eq(x, y wbits) int32 {
-	n := len(x)
-	if len(y) > n {
-		n = len(y)
-	}
-	if n == 0 {
-		return bw1 // two zero-width constants: 0 == 0
-	}
-	ws := make([]int32, n)
-	for i := 0; i < n; i++ {
-		ws[i] = b.not(b.xor(x.get(i), y.get(i)))
-	}
-	return b.tree(b.and, ws)
-}
-
-// mul computes x * y truncated to w bits (shift-and-add).
-func (b *bbuild) mul(x, y wbits, w int) wbits {
-	acc := make(wbits, w)
-	for i := range acc {
-		acc[i] = bw0
-	}
-	for j := 0; j < w && j < len(x); j++ {
-		xj := x.get(j)
-		if xj == bw0 {
-			continue
-		}
-		part := make(wbits, w)
-		for i := 0; i < w; i++ {
-			if i < j {
-				part[i] = bw0
-			} else {
-				part[i] = b.and(y.get(i-j), xj)
-			}
-		}
-		acc = b.add(acc, part, w)
-	}
-	return acc
-}
-
-// shl computes x << amt truncated to w bits, for a variable amount; amounts
-// >= w (including the interpreter's >= 64 rule) yield zero.
-func (b *bbuild) shl(x, amt wbits, w int) wbits {
-	cur := make(wbits, w)
-	for i := 0; i < w; i++ {
-		cur[i] = x.get(i)
-	}
-	for k := 0; k < len(amt); k++ {
-		ak := amt[k]
-		if ak == bw0 {
-			continue
-		}
-		sh := 1 << uint(k)
-		if sh >= w || k >= 6 {
-			// Shifting by 2^k clears every bit of a w-bit value.
-			for i := range cur {
-				cur[i] = b.andn(cur[i], ak)
-			}
-			continue
-		}
-		next := make(wbits, w)
-		for i := 0; i < w; i++ {
-			var shifted int32 = bw0
-			if i >= sh {
-				shifted = cur[i-sh]
-			}
-			next[i] = b.mux(shifted, cur[i], ak)
-		}
-		cur = next
-	}
-	return cur
-}
-
-// shr computes x >> amt truncated to w bits.
-func (b *bbuild) shr(x, amt wbits, w int) wbits {
-	la := len(x)
-	if la == 0 {
-		la = 1
-	}
-	cur := make(wbits, la)
-	copy(cur, x)
-	for k := 0; k < len(amt); k++ {
-		ak := amt[k]
-		if ak == bw0 {
-			continue
-		}
-		sh := 1 << uint(k)
-		if sh >= la || k >= 6 {
-			for i := range cur {
-				cur[i] = b.andn(cur[i], ak)
-			}
-			continue
-		}
-		next := make(wbits, la)
-		for i := 0; i < la; i++ {
-			next[i] = b.mux(cur.get(i+sh), cur[i], ak)
-		}
-		cur = next
-	}
-	return cur.trunc(w)
-}
-
-// constBits bit-blasts a raw constant (all lanes identical).
-func constBits(v uint64) wbits {
-	n := bits.Len64(v)
-	out := make(wbits, n)
-	for i := 0; i < n; i++ {
-		if v>>uint(i)&1 == 1 {
-			out[i] = bw1
-		} else {
-			out[i] = bw0
-		}
-	}
-	return out
-}
-
-// expr bit-blasts e, returning the raw Eval(e) value (truncation semantics
-// identical to rtl.Eval, including raw unmasked constants and concat
-// overlap).
+// expr lowers e through rtl.Lower and returns its bits in words.
 func (b *bbuild) expr(e rtl.Expr) (wbits, error) {
-	switch x := e.(type) {
-	case *rtl.Const:
-		return constBits(x.Val), nil
-
-	case *rtl.Ref:
-		stored := b.p.bits(x.Sig)
-		if stored == nil {
-			return nil, fmt.Errorf("simc: expression reads unknown signal %q", x.Sig.Name)
-		}
-		return stored.trunc(x.Sig.Width), nil
-
-	case *rtl.Unary:
-		v, err := b.expr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case rtl.OpNot:
-			out := make(wbits, x.W)
-			for i := 0; i < x.W; i++ {
-				out[i] = b.not(v.get(i))
-			}
-			return out, nil
-		case rtl.OpLogNot:
-			return wbits{b.not(b.redOr(v))}, nil
-		case rtl.OpNeg:
-			nv := make(wbits, x.W)
-			for i := 0; i < x.W; i++ {
-				nv[i] = b.not(v.get(i))
-			}
-			return b.addc(nv, wbits{}, bw1, x.W), nil
-		case rtl.OpRedAnd:
-			w := x.X.Width()
-			ws := make([]int32, 0, w)
-			for i := 0; i < w; i++ {
-				ws = append(ws, v.get(i))
-			}
-			all := b.tree(b.and, ws)
-			if len(v) > w {
-				// Raw bits beyond the operand width make v != Mask(w).
-				all = b.andn(all, b.redOr(v[w:]))
-			}
-			return wbits{all}, nil
-		case rtl.OpRedOr:
-			return wbits{b.redOr(v)}, nil
-		case rtl.OpRedXor:
-			return wbits{b.tree(b.xor, append([]int32(nil), v...))}, nil
-		}
-		return nil, fmt.Errorf("simc: unknown unary op %d", x.Op)
-
-	case *rtl.Binary:
-		av, err := b.expr(x.A)
-		if err != nil {
-			return nil, err
-		}
-		bv, err := b.expr(x.B)
-		if err != nil {
-			return nil, err
-		}
-		bitwise := func(op func(int32, int32) int32) wbits {
-			out := make(wbits, x.W)
-			for i := 0; i < x.W; i++ {
-				out[i] = op(av.get(i), bv.get(i))
-			}
-			return out
-		}
-		switch x.Op {
-		case rtl.OpAnd:
-			return bitwise(b.and), nil
-		case rtl.OpOr:
-			return bitwise(b.or), nil
-		case rtl.OpXor:
-			return bitwise(b.xor), nil
-		case rtl.OpXnor:
-			return bitwise(func(p, q int32) int32 { return b.not(b.xor(p, q)) }), nil
-		case rtl.OpLogAnd:
-			return wbits{b.and(b.redOr(av), b.redOr(bv))}, nil
-		case rtl.OpLogOr:
-			return wbits{b.or(b.redOr(av), b.redOr(bv))}, nil
-		case rtl.OpAdd:
-			return b.add(av, bv, x.W), nil
-		case rtl.OpSub:
-			return b.sub(av, bv, x.W), nil
-		case rtl.OpMul:
-			return b.mul(av, bv, x.W), nil
-		case rtl.OpEq:
-			return wbits{b.eq(av, bv)}, nil
-		case rtl.OpNe:
-			return wbits{b.not(b.eq(av, bv))}, nil
-		case rtl.OpLt:
-			return wbits{b.ult(av, bv)}, nil
-		case rtl.OpLe:
-			return wbits{b.not(b.ult(bv, av))}, nil
-		case rtl.OpGt:
-			return wbits{b.ult(bv, av)}, nil
-		case rtl.OpGe:
-			return wbits{b.not(b.ult(av, bv))}, nil
-		case rtl.OpShl:
-			return b.shl(av, bv, x.W), nil
-		case rtl.OpShr:
-			return b.shr(av, bv, x.W), nil
-		}
-		return nil, fmt.Errorf("simc: unknown binary op %d", x.Op)
-
-	case *rtl.Mux:
-		cv, err := b.expr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		tv, err := b.expr(x.T)
-		if err != nil {
-			return nil, err
-		}
-		fv, err := b.expr(x.F)
-		if err != nil {
-			return nil, err
-		}
-		cond := cv.get(0)
-		out := make(wbits, x.W)
-		for i := 0; i < x.W; i++ {
-			out[i] = b.mux(tv.get(i), fv.get(i), cond)
-		}
-		return out, nil
-
-	case *rtl.Select:
-		v, err := b.expr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return wbits{v.get(x.Bit)}, nil
-
-	case *rtl.Slice:
-		v, err := b.expr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		out := make(wbits, x.MSB-x.LSB+1)
-		for i := range out {
-			out[i] = v.get(x.LSB + i)
-		}
-		return out, nil
-
-	case *rtl.Concat:
-		if len(x.Parts) == 0 {
-			return nil, fmt.Errorf("simc: empty concat")
-		}
-		acc, err := b.expr(x.Parts[0])
-		if err != nil {
-			return nil, err
-		}
-		for pi := 1; pi < len(x.Parts); pi++ {
-			pv, err := b.expr(x.Parts[pi])
-			if err != nil {
-				return nil, err
-			}
-			w := x.Parts[pi].Width()
-			// v = (v << w) | raw part; part bits past w overlap the shifted
-			// accumulator bits, exactly like the interpreter's fold.
-			n := len(acc) + w
-			if n > 64 {
-				n = 64
-			}
-			if ln := len(pv); ln > n {
-				n = ln
-			}
-			if n > 64 {
-				n = 64
-			}
-			next := make(wbits, n)
-			for i := 0; i < n; i++ {
-				var hi int32 = bw0
-				if i >= w && i-w < len(acc) {
-					hi = acc[i-w]
-				}
-				next[i] = b.or(hi, pv.get(i))
-			}
-			acc = next
-		}
-		return acc.trunc(x.W), nil
+	v, err := rtl.Lower[int32](b, e)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("simc: unknown expression node %T", e)
+	out := make(wbits, len(v))
+	for i, x := range v {
+		out[i] = b.hold(x)
+	}
+	return out, nil
 }
 
 // CompileBatch bit-blasts d into a 64-lane program.
