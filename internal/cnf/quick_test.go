@@ -12,11 +12,15 @@ import (
 	"goldmine/internal/simc"
 )
 
-// randExpr builds a random well-formed expression over the given signals.
+// randExpr builds a random well-formed expression over the given signals,
+// with operands up to 64 bits wide.
 func randExpr(rng *rand.Rand, sigs []*rtl.Signal, depth int) rtl.Expr {
 	if depth <= 0 || rng.Intn(4) == 0 {
 		if rng.Intn(3) == 0 {
 			w := 1 + rng.Intn(6)
+			if rng.Intn(4) == 0 {
+				w = 1 + rng.Intn(64)
+			}
 			return rtl.NewConst(rng.Uint64(), w)
 		}
 		return &rtl.Ref{Sig: sigs[rng.Intn(len(sigs))]}
@@ -58,12 +62,21 @@ func randExpr(rng *rand.Rand, sigs []*rtl.Signal, depth int) rtl.Expr {
 		}
 		return x
 	case 4:
-		a := randExpr(rng, sigs, depth-1)
-		b := randExpr(rng, sigs, depth-1)
-		if a.Width()+b.Width() <= 16 {
-			return rtl.NewConcat([]rtl.Expr{a, b})
+		// Two or three parts, up to 64 bits in all.
+		parts := []rtl.Expr{randExpr(rng, sigs, depth-1)}
+		w := parts[0].Width()
+		for n := 2 + rng.Intn(2); len(parts) < n; {
+			p := randExpr(rng, sigs, depth-1)
+			if w+p.Width() > 64 {
+				break
+			}
+			parts = append(parts, p)
+			w += p.Width()
 		}
-		return a
+		if len(parts) == 1 {
+			return parts[0]
+		}
+		return rtl.NewConcat(parts)
 	default:
 		a := randExpr(rng, sigs, depth-1)
 		b := randExpr(rng, sigs, depth-1)
@@ -100,22 +113,26 @@ func maxInt(a, b int) int {
 }
 
 // quickSrc is the property's design. The random expression reads its
-// inputs, and n is 32 bits wide so shift amounts reach bit 31. The batch
+// inputs: n is 32 bits wide so shift amounts reach bit 31, and m is 64 bits
+// wide so operands reach Mask(64) and the 64-bit carry chain. The batch
 // engine computes the expression as the comb function of the wide output o.
-const quickSrc = `module q(input [3:0] a, input [5:0] b, input c, input [31:0] n, output [63:0] o); assign o = 0; endmodule`
+const quickSrc = `module q(input [3:0] a, input [5:0] b, input c, input [31:0] n, input [63:0] m, output [63:0] o); assign o = 0; endmodule`
 
 // quickLanes is the number of input assignments each expression is checked
 // on, one per batch lane.
 const quickLanes = 8
 
-// randValue draws a w-bit input value: a small value, a single set bit,
-// only the top two bits, or a uniform value. A wide shift amount thus often
-// stays in range, and often sets only bits far past the operand width (for
-// the 32-bit input, bits 30 and 31).
+// randValue draws a w-bit input value: a small value, one from 56 to 71
+// (shift amounts on either side of 64), a single set bit, only the top two
+// bits, or a uniform value. A wide shift amount thus often stays in range,
+// and often sets only bits far past the operand width (for the 32-bit
+// input, bits 30 and 31).
 func randValue(rng *rand.Rand, w int) uint64 {
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return uint64(rng.Intn(16)) & rtl.Mask(w)
+	case 4:
+		return uint64(56+rng.Intn(16)) & rtl.Mask(w)
 	case 1:
 		return 1 << uint(rng.Intn(w))
 	case 2:
