@@ -145,12 +145,15 @@ func TestExplicitEngineBudgetDegrades(t *testing.T) {
 }
 
 // TestCheckCancelled: a cancelled context yields StatusUnknown with
-// ErrCanceled instead of an error or a hang, and the checker stats record it.
+// ErrCanceled instead of an error or a hang, and the mc.unknown counter
+// records it.
 func TestCheckCancelled(t *testing.T) {
 	d := mustDesign(t, arbiterSrc)
 	opts := DefaultOptions()
 	opts.MaxStateBits = 0
 	c := NewWithOptions(d, opts)
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(telemetry.New(reg, nil))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := &assertion.Assertion{Output: "gnt0", Consequent: prop("gnt0", 1, 0)}
@@ -164,8 +167,8 @@ func TestCheckCancelled(t *testing.T) {
 	if !errors.Is(res.Cause, ErrCanceled) {
 		t.Fatalf("cancelled check: Cause = %v, want ErrCanceled", res.Cause)
 	}
-	if c.Unknowns != 1 {
-		t.Fatalf("Unknowns stat = %d, want 1", c.Unknowns)
+	if u := reg.Counter("mc.unknown").Value(); u != 1 {
+		t.Fatalf("mc.unknown = %d, want 1", u)
 	}
 }
 

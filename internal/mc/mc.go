@@ -29,7 +29,7 @@
 // exported statistics counters are updated under another. The first check
 // to need the reachability cache pays for its construction out of its own
 // budget; concurrent checks block on the lock and then read the immutable
-// result for free. The exported statistics fields (Checks, CtxFound, ...)
+// result for free. The exported statistics fields (Checks, TotalTime)
 // are written under the internal lock but are plain fields — read them only
 // when no check is in flight. The package has no mutable package-level
 // state (only sentinel error values).
@@ -187,14 +187,9 @@ type Checker struct {
 	// call in flight).
 	statMu      sync.Mutex
 	Checks      int
-	CtxFound    int
 	TotalTime   time.Duration
 	ExplicitOK  bool
 	explicitErr error
-	// Unknowns counts checks that ended in StatusUnknown; Degraded counts
-	// checks whose verdict was weakened (but not voided) by budget pressure.
-	Unknowns int
-	Degraded int
 
 	// Telemetry (optional, set once before checks start via SetTelemetry):
 	// per-check spans parented on the caller's context span, degradation
@@ -484,15 +479,6 @@ func (c *Checker) checkWith(ctx context.Context, a *assertion.Assertion, s *Sess
 	res.Elapsed = time.Since(start)
 	c.statMu.Lock()
 	c.TotalTime += res.Elapsed
-	switch {
-	case res.Status == StatusFalsified:
-		c.CtxFound++
-	case res.Status == StatusUnknown:
-		c.Unknowns++
-	}
-	if res.Degraded {
-		c.Degraded++
-	}
 	c.statMu.Unlock()
 	if sp != nil {
 		sp.End(

@@ -7,6 +7,7 @@ import (
 	"goldmine/internal/designs"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sim"
+	"goldmine/internal/telemetry"
 )
 
 const arbiterSrc = `
@@ -333,12 +334,14 @@ func TestUnknownSignalError(t *testing.T) {
 func TestCheckerStats(t *testing.T) {
 	d := mustDesign(t, arbiterSrc)
 	c := New(d)
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(telemetry.New(reg, nil))
 	a := &assertion.Assertion{Output: "gnt0", Consequent: prop("gnt0", 1, 0)}
 	if _, err := c.Check(a); err != nil {
 		t.Fatal(err)
 	}
-	if c.Checks != 1 || c.CtxFound != 1 {
-		t.Errorf("stats: checks=%d ctx=%d", c.Checks, c.CtxFound)
+	if f := reg.Counter("mc.falsified").Value(); c.Checks != 1 || f != 1 {
+		t.Errorf("stats: checks=%d mc.falsified=%d", c.Checks, f)
 	}
 }
 
