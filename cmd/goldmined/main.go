@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -26,22 +25,22 @@ import (
 )
 
 func main() {
-	var cfg serve.Config
+	cfg := serve.DefaultConfig()
 	addr := flag.String("addr", "127.0.0.1:8333", "listen address (host:port; port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts that use -addr :0)")
 	flag.StringVar(&cfg.WALPath, "wal", "", "durable job journal path (empty = no durability)")
 	flag.StringVar(&cfg.CorpusPath, "corpus", "", "cross-run assertion corpus journal path (empty = in-memory corpus only)")
-	flag.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "job-executing workers")
-	flag.IntVar(&cfg.MaxJobWorkers, "job-workers", runtime.GOMAXPROCS(0), "cap on one job's intra-mining parallelism")
-	flag.IntVar(&cfg.QueueDepth, "queue", 64, "admission bound: max admitted-but-unfinished jobs (beyond it, 429 + Retry-After)")
+	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "job-executing workers")
+	flag.IntVar(&cfg.MaxJobWorkers, "job-workers", cfg.MaxJobWorkers, "cap on one job's intra-mining parallelism")
+	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admission bound: max admitted-but-unfinished jobs (beyond it, 429 + Retry-After)")
 	flag.IntVar(&cfg.TenantMaxActive, "tenant-queue", 0, "per-tenant cap on queued+running jobs (0 = unlimited)")
 	flag.DurationVar(&cfg.TenantBudget, "tenant-budget", 0, "per-tenant total mining wall-clock budget (0 = unlimited)")
 	flag.DurationVar(&cfg.JobTimeout, "job-timeout", 0, "default per-job wall-clock bound (0 = none)")
-	flag.IntVar(&cfg.MaxAttempts, "max-attempts", 3, "attempts before a job dying to engine-internal faults is quarantined")
-	flag.DurationVar(&cfg.RetryBase, "retry-base", 100*time.Millisecond, "base retry backoff (doubles per attempt, with jitter)")
-	flag.DurationVar(&cfg.RetryMax, "retry-max", 5*time.Second, "retry backoff cap")
-	flag.DurationVar(&cfg.DrainTimeout, "drain", 15*time.Second, "graceful-drain bound: in-flight jobs past it are checkpointed for the next start")
-	flag.IntVar(&cfg.CacheCapacity, "cache-capacity", 1<<20, "cross-run verdict cache capacity (entries; <0 = unbounded)")
+	flag.IntVar(&cfg.MaxAttempts, "max-attempts", cfg.MaxAttempts, "attempts before a job dying to engine-internal faults is quarantined")
+	flag.DurationVar(&cfg.RetryBase, "retry-base", cfg.RetryBase, "base retry backoff (doubles per attempt, with jitter)")
+	flag.DurationVar(&cfg.RetryMax, "retry-max", cfg.RetryMax, "retry backoff cap")
+	flag.DurationVar(&cfg.DrainTimeout, "drain", cfg.DrainTimeout, "graceful-drain bound: in-flight jobs past it are checkpointed for the next start")
+	flag.IntVar(&cfg.CacheCapacity, "cache-capacity", cfg.CacheCapacity, "cross-run verdict cache capacity (entries; <0 = unbounded)")
 	telOut := flag.String("telemetry", "", "write a JSONL telemetry journal to this file")
 	metrics := flag.Bool("metrics-summary", false, "print the metrics snapshot to stderr on exit")
 	flag.Parse()

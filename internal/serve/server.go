@@ -113,30 +113,48 @@ type Config struct {
 	Runner Runner
 }
 
+// DefaultConfig returns the values New gives a Config's unset fields: one
+// job worker and one per-job mining worker per CPU, 64 admitted jobs, 3
+// attempts, a 100ms to 5s retry backoff, a 15s drain and a 1<<20-entry
+// verdict cache.
+func DefaultConfig() Config {
+	return Config{
+		Workers:       runtime.GOMAXPROCS(0),
+		QueueDepth:    64,
+		MaxAttempts:   3,
+		RetryBase:     100 * time.Millisecond,
+		RetryMax:      5 * time.Second,
+		DrainTimeout:  15 * time.Second,
+		CacheCapacity: 1 << 20,
+		MaxJobWorkers: runtime.GOMAXPROCS(0),
+	}
+}
+
 func (c *Config) setDefaults() {
+	d := DefaultConfig()
 	if c.Workers < 1 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = d.Workers
 	}
 	if c.QueueDepth < 1 {
-		c.QueueDepth = 64
+		c.QueueDepth = d.QueueDepth
 	}
 	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 3
+		c.MaxAttempts = d.MaxAttempts
 	}
 	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
+		c.RetryBase = d.RetryBase
 	}
 	if c.RetryMax <= 0 {
-		c.RetryMax = 5 * time.Second
+		c.RetryMax = d.RetryMax
 	}
 	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 15 * time.Second
+		c.DrainTimeout = d.DrainTimeout
 	}
 	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 1 << 20
+		c.CacheCapacity = d.CacheCapacity
 	}
 	if c.MaxJobWorkers < 1 {
-		c.MaxJobWorkers = runtime.GOMAXPROCS(0)
+		c.MaxJobWorkers = d.MaxJobWorkers
 	}
 }
 

@@ -796,3 +796,13 @@ func TestKillRestartRealJobs(t *testing.T) {
 		t.Errorf("%d jobs re-served from the WAL, want >= %d", st.RecoveredDone, jobs/2)
 	}
 }
+
+// TestDefaultConfigIsZeroDefaults: the defaults goldmined registers its
+// flags with are the values New gives an unset Config.
+func TestDefaultConfigIsZeroDefaults(t *testing.T) {
+	var c Config
+	c.setDefaults()
+	if got, want := fmt.Sprintf("%+v", c), fmt.Sprintf("%+v", DefaultConfig()); got != want {
+		t.Errorf("zero Config defaults to %s, DefaultConfig is %s", got, want)
+	}
+}
