@@ -45,15 +45,6 @@ func (v wbits) get(i int) int32 {
 	return bw0
 }
 
-// trunc masks a value to w bits — in the bit-blasted form truncation is just
-// dropping words.
-func (v wbits) trunc(w int) wbits {
-	if len(v) > w {
-		return v[:w]
-	}
-	return v
-}
-
 // forceSlots are the machine-written lane-mask and per-bit value words of one
 // forceable signal.
 type forceSlots struct {
@@ -112,8 +103,10 @@ type BatchOptions struct {
 
 // BatchProgram is the immutable bit-blasted form of a design: every 1-bit net
 // is one word (64 lanes), wider signals are little-endian word lists, and the
-// comb/next tapes are AND/OR/XOR/NOT/MUX word operations produced by a
-// hash-consing builder with constant folding.
+// comb/next tapes are AND/OR/XOR/ANDN/NOT/MUX word operations. rtl.Lower
+// builds every expression from the gates of bbuild, a hash-consing builder
+// with constant folding that emits a NOT only where a word must hold a
+// complement.
 type BatchProgram struct {
 	d      *rtl.Design
 	nwords int32
