@@ -191,7 +191,7 @@ func (b *bbuild) gate(op uint8, a, x, c int32) int32 {
 
 // The bits rtl.Lower passes around are word indices, or ^w (a negative
 // value) for the complement of word w, which costs no instruction until a
-// word has to hold it (see word). The constants are always bw0 and bw1.
+// word has to hold it (see hold). The constants are always bw0 and bw1.
 
 // False is the all-zeros word.
 func (b *bbuild) False() int32 { return bw0 }
